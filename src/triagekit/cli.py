@@ -36,7 +36,7 @@ from .models import (
     RiskModelConfig,
     top_phrases,
 )
-from .nn import ParamNodes, finite_difference_check, softmax
+from .nn import finite_difference_check
 from .traineval import (
     SelectionConfig,
     SynthDetectionSpec,
@@ -103,12 +103,6 @@ def _dims(text: str) -> tuple[int, ...]:
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _write_ndjson(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _print_epoch_lines(log) -> None:
@@ -376,19 +370,11 @@ def cmd_predict(args) -> int:
         encoded = thread_matrices(threads, encoder, run["max_sentences"])
         rows = []
         for inst, (target, context, _) in zip(threads, encoded):
-            label = model.classify(target, context)
-            output = model.forward(target, context, ParamNodes(model.params)).value
-            if model.config.variant == "cat_ce":
-                score = float(softmax(output)[int(label)])
-            elif model.config.variant == "mse":
-                score = float(output[0])
-            else:
-                distances = np.linalg.norm(model.params["classes"] - output, axis=1)
-                score = -float(distances[int(label)])
+            label, score = model.predict(target, context)
             rows.append({"post_id": inst.target.post_id,
                          "predicted": label.name.lower(),
                          "ordinal": int(label), "score": score})
-    _write_ndjson(out / "predictions.ndjson", rows)
+    write_epoch_log(out / "predictions.ndjson", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.ndjson'}")
     return 0
 

@@ -284,17 +284,6 @@ class FileSentenceEncoder:
                 f"{sentence[:60]!r}") from None
 
 
-def make_encoder(spec: Mapping) -> HashedSentenceEncoder | FileSentenceEncoder:
-    """Build an encoder from a config mapping: {"kind": "hashed"|"file", ...}."""
-    kind = spec.get("kind", "hashed")
-    if kind == "hashed":
-        return HashedSentenceEncoder(dim=int(spec.get("dim", 7200)),
-                                     seed=int(spec.get("seed", 0)))
-    if kind == "file":
-        return FileSentenceEncoder(spec["path"], dim=spec.get("dim"))
-    raise ValueError(f"unknown encoder kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Line-delimited JSON I/O
 

@@ -86,7 +86,12 @@ class DepressionModelConfig:
 
 
 class DepressionModel:
-    """2-class user-level classifier over token-id post sequences."""
+    """2-class user-level classifier over token-id post sequences.
+
+    Every forward pass builds each post vector with `encode_post`, merges them
+    with `encode_user`, and runs the dense stack; `top_phrases` reads the
+    per-post feature maps that the same pass returns.
+    """
 
     kind = "depression"
 
@@ -117,17 +122,22 @@ class DepressionModel:
         p.add("out.b", np.zeros(2))
         return p
 
-    def encode_post(self, tokens: Sequence[int], nodes: ParamNodes) -> Node:
-        """Post vector [conv_filters]; posts shorter than the window encode to zero."""
+    def encode_post(self, tokens: Sequence[int],
+                    nodes: ParamNodes) -> tuple[Node, Node | None]:
+        """(post vector [conv_filters], conv feature map [windows × conv_filters]).
+
+        Only the first n_term tokens count. A post shorter than the window
+        encodes to zero and has no feature map.
+        """
         c = self.config
         toks = list(tokens)[:c.n_term]
         if len(toks) < c.conv_window:
-            return constant(np.zeros(c.conv_filters))
+            return constant(np.zeros(c.conv_filters)), None
         seq = embedding_lookup(nodes("emb"), toks)
         feat = relu(conv1d(seq, nodes("conv.w"), nodes("conv.b")))
-        return mean_rows(feat)
+        return mean_rows(feat), feat
 
-    def encode_user(self, post_vectors: list[Node], nodes: ParamNodes) -> Node:
+    def encode_user(self, post_vectors: Sequence[Node], nodes: ParamNodes) -> Node:
         """Merge post vectors with the strided conv; short users are zero-padded."""
         c = self.config
         vecs = list(post_vectors)
@@ -140,35 +150,23 @@ class DepressionModel:
         return mean_rows(merged)
 
     def _forward(self, posts_tokens: Sequence[Sequence[int]], nodes: ParamNodes,
-                 train: bool = False, rng: np.random.Generator | None = None,
-                 keep_feats: bool = False):
-        """Logits node plus, optionally, each post's (tokens, conv feature map)."""
+                 train: bool = False, rng: np.random.Generator | None = None
+                 ) -> tuple[Node, list[Node | None]]:
+        """Logits node and each post's conv feature map (None for short posts)."""
         c = self.config
         if not posts_tokens:
             raise ValueError("user has no usable posts")
-        feats: list[tuple[list[int], Node | None]] = []
-        post_vecs: list[Node] = []
-        for tokens in posts_tokens:
-            toks = list(tokens)[:c.n_term]
-            if len(toks) < c.conv_window:
-                feats.append((toks, None))
-                post_vecs.append(constant(np.zeros(c.conv_filters)))
-                continue
-            seq = embedding_lookup(nodes("emb"), toks)
-            feat = relu(conv1d(seq, nodes("conv.w"), nodes("conv.b")))
-            feats.append((toks, feat))
-            post_vecs.append(mean_rows(feat))
+        post_vecs, feats = zip(*(self.encode_post(toks, nodes) for toks in posts_tokens))
         h = self.encode_user(post_vecs, nodes)
         for i in range(len(c.dense_dims)):
             h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
             if c.dropout > 0.0:
                 h = dropout(h, c.dropout, rng=rng, train=train)
-        logits = dense(h, nodes("out.w"), nodes("out.b"))
-        return (logits, feats) if keep_feats else logits
+        return dense(h, nodes("out.w"), nodes("out.b")), list(feats)
 
     def logits(self, posts_tokens, nodes: ParamNodes, train: bool = False,
                rng: np.random.Generator | None = None) -> Node:
-        return self._forward(posts_tokens, nodes, train, rng)
+        return self._forward(posts_tokens, nodes, train, rng)[0]
 
     def loss(self, posts_tokens, label: int, nodes: ParamNodes,
              train: bool = True, rng: np.random.Generator | None = None) -> Node:
@@ -213,11 +211,10 @@ def top_phrases(model: DepressionModel,
         if not posts:
             continue
         nodes = ParamNodes(model.params)
-        logits, feats = model._forward([toks for _, toks in posts], nodes,
-                                       keep_feats=True)
+        logits, feats = model._forward([toks for _, toks in posts], nodes)
         backward(pick(logits, 1))
         best: tuple[float, str, tuple] | None = None
-        for (post_id, _), (toks, feat) in zip(posts, feats):
+        for (post_id, toks), feat in zip(posts, feats):
             if feat is None:
                 continue
             contribution = (feat.value * feat.grad).max(axis=1)
@@ -364,14 +361,27 @@ class RiskModel:
                    else class_metric_ordinal_loss)
         return loss_fn(out, label, negative, nodes("classes"), c.margin)
 
-    def classify(self, target: np.ndarray, context: np.ndarray) -> RiskLabel:
+    def predict(self, target: np.ndarray, context: np.ndarray) -> tuple[RiskLabel, float]:
+        """Label and its score from one forward pass.
+
+        The score is the label's softmax probability (cat_ce), the raw
+        regression output (mse), or minus the distance to the label's class
+        embedding (metric variants).
+        """
         c = self.config
         out = self.forward(target, context, ParamNodes(self.params)).value
         if c.variant == "cat_ce":
-            return RiskLabel(int(np.argmax(softmax(out))))
+            probs = softmax(out)
+            label = RiskLabel(int(np.argmax(probs)))
+            return label, float(probs[label])
         if c.variant == "mse":
-            return mse_classify(float(out[0]), c.n_classes)
-        return metric_classify(out, self.params["classes"])
+            return mse_classify(float(out[0]), c.n_classes), float(out[0])
+        classes = self.params["classes"]
+        label = metric_classify(out, classes)
+        return label, -float(np.linalg.norm(classes - out, axis=1)[label])
+
+    def classify(self, target: np.ndarray, context: np.ndarray) -> RiskLabel:
+        return self.predict(target, context)[0]
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
         config = {"kind": f"{self.kind}:{self.config.variant}", **asdict(self.config)}
@@ -446,8 +456,4 @@ def class_metric_loss(x: Node, p: int, n: int, classes: Node,
 def class_metric_ordinal_loss(x: Node, p: int, n: int, classes: Node,
                               alpha: float) -> Node:
     """Metric loss whose margin alpha·|p−n| grows with ordinal separation."""
-    if p == n:
-        raise ValueError("positive and negative class must differ")
-    d_pos = euclidean_distance(x, _class_row(classes, p))
-    d_neg = euclidean_distance(x, _class_row(classes, n))
-    return hinge(add_const(sub(d_pos, d_neg), alpha * abs(p - n)))
+    return class_metric_loss(x, p, n, classes, alpha * abs(p - n))

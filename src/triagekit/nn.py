@@ -1,10 +1,10 @@
 """Minimal neural-network engine: the layer set the classifiers need.
 
-Reverse-mode autodiff over 2-D numpy arrays (row-major, float64 in
-verification mode / float32 in fast mode), with analytic backward rules per
-op, Adam with bias correction, checkpoint I/O, and a central finite-difference
-oracle for verifying every gradient. There is no general autodiff beyond the
-ops defined here.
+Reverse-mode autodiff over row-major float64 numpy arrays (activations are
+vectors and matrices, convolution kernels 3-D), with analytic backward rules
+per op, Adam with bias correction, checkpoint I/O (weights stored as
+float32), and a central finite-difference oracle for verifying every
+gradient. There is no general autodiff beyond the ops defined here.
 """
 
 from __future__ import annotations

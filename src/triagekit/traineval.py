@@ -7,12 +7,13 @@ produce identical logs, identical checkpoints, and identical corpora.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .corpus import (
     write_threads,
 )
 from .models import DepressionModel, RiskModel, instance_matrices
-from .nn import AdamState, ParamNodes, adam_step, backward, scale
+from .nn import AdamState, Node, ParamNodes, adam_step, backward, scale
 
 RISK_CLASS_NAMES = ("green", "amber", "red", "crisis")
 DETECTION_CLASS_NAMES = ("control", "diagnosed")
@@ -96,18 +97,6 @@ def select_posts(user: UserRecord, cfg: SelectionConfig) -> list[tuple[int, ...]
 # ---------------------------------------------------------------------------
 # Class balancing
 
-BALANCE_MODES = ("weighted", "sampled")
-
-
-@dataclass(frozen=True)
-class BalanceConfig:
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in BALANCE_MODES:
-            raise ValueError(f"unknown balance mode {self.mode!r}")
-
-
 def class_weights(labels: Sequence[int], n_classes: int) -> list[float]:
     """Per-class loss weights N/(t*N_c); every class must be populated."""
     counts = [0] * n_classes
@@ -120,33 +109,28 @@ def class_weights(labels: Sequence[int], n_classes: int) -> list[float]:
     return [total / (n_classes * c) for c in counts]
 
 
-def balance(instances: Sequence[tuple[Any, int]], cfg: BalanceConfig,
-            n_classes: int,
-            rng: np.random.Generator | None = None) -> list[tuple[Any, int, float]]:
-    """One epoch's training set as (item, label, weight) triples.
+def _epoch_order(labels: Sequence[int], mode: str, n_classes: int,
+                 rng: np.random.Generator) -> list[tuple[int, float]]:
+    """One epoch's (instance index, loss weight) pairs, shuffled.
 
-    Weighted mode keeps every instance and attaches its class weight; sampled
-    mode draws the minimum class size from each class without replacement and
-    shuffles, with unit weights.
+    Weighted mode keeps every instance with its class weight. Sampled mode
+    draws the minimum class size from each class without replacement, with
+    unit weights. Every class must be populated.
     """
-    labels = [y for _, y in instances]
-    if cfg.mode == "weighted":
+    if mode == "weighted":
         weights = class_weights(labels, n_classes)
-        return [(x, y, weights[y]) for x, y in instances]
-    if rng is None:
-        raise ValueError("sampled balancing draws per epoch and needs an rng")
+        return [(int(i), weights[labels[i]]) for i in rng.permutation(len(labels))]
     by_class: list[list[int]] = [[] for _ in range(n_classes)]
     for i, y in enumerate(labels):
         by_class[y].append(i)
-    if any(not idx for idx in by_class):
-        missing = [i for i, idx in enumerate(by_class) if not idx]
+    missing = [c for c, idx in enumerate(by_class) if not idx]
+    if missing:
         raise ValueError(f"classes {missing} have no instances")
     take = min(len(idx) for idx in by_class)
     picked: list[int] = []
     for idx in by_class:
         picked.extend(int(i) for i in rng.choice(idx, size=take, replace=False))
-    order = rng.permutation(len(picked))
-    return [(instances[picked[i]][0], instances[picked[i]][1], 1.0) for i in order]
+    return [(picked[i], 1.0) for i in rng.permutation(len(picked))]
 
 
 # ---------------------------------------------------------------------------
@@ -352,43 +336,29 @@ class TrainResult:
 
 
 def write_epoch_log(path: str | Path, log: Iterable[Mapping]) -> None:
+    """Write rows as JSON lines with sorted keys (epoch logs and predictions)."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in log:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _epoch_order(labels: Sequence[int], mode: str, n_classes: int,
-                 rng: np.random.Generator,
-                 weights: Sequence[float] | None) -> list[tuple[int, float]]:
-    """Instance indices (with loss weights) for one epoch, shuffled."""
-    if mode == "weighted":
-        order = rng.permutation(len(labels))
-        return [(int(i), weights[labels[i]]) for i in order]
-    triples = balance(list(zip(range(len(labels)), labels)),
-                      BalanceConfig("sampled"), n_classes, rng)
-    return [(idx, w) for idx, _, w in triples]
+def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes: int,
+           cfg: TrainConfig,
+           step_loss: Callable[[int, int, ParamNodes, np.random.Generator], Node],
+           validate: Callable[[], tuple[float, dict]]) -> TrainResult:
+    """The Adam loop both tasks share, one instance per step.
 
-
-def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
-                     val_users: Sequence[UserRecord],
-                     selection: SelectionConfig,
-                     cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Adam training of the detection model, one user per step.
-
-    Validation runs after every epoch; the weights kept are those of the
-    epoch with the best positive-class F1. Any non-finite loss or gradient
-    aborts with a diagnostic.
+    Each epoch's order comes from `_epoch_order` under the model config's
+    balance mode (or `cfg.balance`), drawn from the `epoch:<e>` stream; each
+    step's dropout masks come from the `dropout:<step>` stream and
+    `step_loss(epoch, index, nodes, rng)` builds that instance's loss. After
+    every epoch `validate()` returns the selection metric and the fields of the
+    validation log row; the weights of the best epoch are restored at the end.
+    Any non-finite loss or gradient aborts with a diagnostic.
     """
-    train_users = sorted(train_users, key=lambda u: u.user_id)
-    val_users = sorted(val_users, key=lambda u: u.user_id)
-    examples = [(select_posts(u, selection), int(u.label == DIAGNOSED))
-                for u in train_users]
-    val_examples = [(select_posts(u, selection), int(u.label == DIAGNOSED))
-                    for u in val_users]
-    labels = [y for _, y in examples]
     mode = cfg.balance or model.config.balance
-    weights = class_weights(labels, 2) if mode == "weighted" else None
-
+    if mode not in ("weighted", "sampled"):
+        raise ValueError(f"unknown balance mode {mode!r}")
     state = AdamState(model.params, lr=cfg.lr)
     best = model.params.copy()
     best_epoch, best_metric = -1, -1.0
@@ -396,14 +366,13 @@ def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
     step = 0
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, f"epoch:{epoch}"))
-        order = _epoch_order(labels, mode, 2, rng, weights)
+        order = _epoch_order(labels, mode, n_classes, rng)
         total = 0.0
         for idx, weight in order:
-            posts, label = examples[idx]
             nodes = ParamNodes(model.params)
             drop_rng = np.random.default_rng(derive_seed(cfg.seed, f"dropout:{step}"))
             try:
-                loss = model.loss(posts, label, nodes, train=True, rng=drop_rng)
+                loss = step_loss(epoch, idx, nodes, drop_rng)
                 if weight != 1.0:
                     loss = scale(loss, weight)
                 total += float(loss.value)
@@ -415,17 +384,41 @@ def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
             step += 1
         log.append({"epoch": epoch, "split": "train",
                     "loss": total / max(1, len(order)), "instances": len(order)})
-        gold = [y for _, y in val_examples]
-        pred = [int(np.argmax(model.classify_user(posts)))
-                for posts, _ in val_examples]
-        precision, recall, f1 = binary_metrics(gold, pred)
-        log.append({"epoch": epoch, "split": "validation", "precision": precision,
-                    "recall": recall, "f1": f1})
-        if f1 > best_metric:
-            best_epoch, best_metric = epoch, f1
+        metric, fields = validate()
+        log.append({"epoch": epoch, "split": "validation", **fields})
+        if metric > best_metric:
+            best_epoch, best_metric = epoch, metric
             best = model.params.copy()
     model.params.load_values(best)
     return TrainResult(best_epoch, best_metric, log)
+
+
+def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
+                     val_users: Sequence[UserRecord],
+                     selection: SelectionConfig,
+                     cfg: TrainConfig = TrainConfig()) -> TrainResult:
+    """Train the detection model on the selected posts of each user.
+
+    Runs the shared loop `_train` with one user per step; the weights kept
+    are those of the epoch with the best validation positive-class F1.
+    """
+    def examples(users):
+        return [(select_posts(u, selection), int(u.label == DIAGNOSED))
+                for u in sorted(users, key=lambda u: u.user_id)]
+
+    train_examples, val_examples = examples(train_users), examples(val_users)
+    gold = [y for _, y in val_examples]
+
+    def step_loss(epoch, idx, nodes, rng):
+        posts, label = train_examples[idx]
+        return model.loss(posts, label, nodes, train=True, rng=rng)
+
+    def validate():
+        pred = [int(np.argmax(model.classify_user(posts))) for posts, _ in val_examples]
+        precision, recall, f1 = binary_metrics(gold, pred)
+        return f1, {"precision": precision, "recall": recall, "f1": f1}
+
+    return _train(model, [y for _, y in train_examples], 2, cfg, step_loss, validate)
 
 
 def thread_matrices(instances: Sequence[ThreadInstance], encoder,
@@ -439,61 +432,36 @@ def train_risk(model: RiskModel,
                train_data: Sequence[tuple[np.ndarray, np.ndarray, int]],
                val_data: Sequence[tuple[np.ndarray, np.ndarray, int]],
                cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Adam training of the risk model on encoded (target, context, label) data.
+    """Train the risk model on encoded (target, context, label) data.
 
-    Keeps the epoch weights with the best validation non-green F1. Metric
+    Runs the shared loop `_train` with one thread per step; the weights kept
+    are those of the epoch with the best validation non-green F1. Metric
     variants draw their negative class uniformly from the incorrect labels,
-    from a seeded stream.
+    from the seeded `negatives:<epoch>` stream.
     """
-    labels = [y for _, _, y in train_data]
     n_classes = model.config.n_classes
-    mode = cfg.balance or model.config.balance
-    weights = class_weights(labels, n_classes) if mode == "weighted" else None
     needs_negative = model.config.variant in ("class_metric", "class_metric_ordinal")
+    gold = [y for _, _, y in val_data]
+    # One stream per epoch, made at its first draw.
+    negatives = functools.lru_cache(maxsize=1)(
+        lambda epoch: np.random.default_rng(derive_seed(cfg.seed, f"negatives:{epoch}")))
 
-    state = AdamState(model.params, lr=cfg.lr)
-    best = model.params.copy()
-    best_epoch, best_metric = -1, -1.0
-    log: list[dict] = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"epoch:{epoch}"))
-        neg_rng = np.random.default_rng(derive_seed(cfg.seed, f"negatives:{epoch}"))
-        order = _epoch_order(labels, mode, n_classes, rng, weights)
-        total = 0.0
-        for idx, weight in order:
-            target, context, label = train_data[idx]
-            negative = None
-            if needs_negative:
-                others = [c for c in range(n_classes) if c != label]
-                negative = int(neg_rng.choice(others))
-            nodes = ParamNodes(model.params)
-            drop_rng = np.random.default_rng(derive_seed(cfg.seed, f"dropout:{step}"))
-            try:
-                loss = model.loss(target, context, label, nodes, train=True,
-                                  rng=drop_rng, negative=negative)
-                if weight != 1.0:
-                    loss = scale(loss, weight)
-                total += float(loss.value)
-                backward(loss)
-                adam_step(model.params, nodes.grads(), state)
-            except FloatingPointError as exc:
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch} step {step}: {exc}") from None
-            step += 1
-        log.append({"epoch": epoch, "split": "train",
-                    "loss": total / max(1, len(order)), "instances": len(order)})
-        gold = [y for _, _, y in val_data]
-        pred = [int(model.classify(t, c)) for t, c, _ in val_data]
-        report = triage_report(gold, pred)
+    def step_loss(epoch, idx, nodes, rng):
+        target, context, label = train_data[idx]
+        negative = None
+        if needs_negative:
+            others = [c for c in range(n_classes) if c != label]
+            negative = int(negatives(epoch).choice(others))
+        return model.loss(target, context, label, nodes, train=True, rng=rng,
+                          negative=negative)
+
+    def validate():
+        report = triage_report(gold, [int(model.classify(t, c)) for t, c, _ in val_data])
         metric = report.groupings["non_green"]["f1"]
-        log.append({"epoch": epoch, "split": "validation",
-                    "non_green_f1": metric, "accuracy": report.accuracy})
-        if metric > best_metric:
-            best_epoch, best_metric = epoch, metric
-            best = model.params.copy()
-    model.params.load_values(best)
-    return TrainResult(best_epoch, best_metric, log)
+        return metric, {"non_green_f1": metric, "accuracy": report.accuracy}
+
+    return _train(model, [y for _, _, y in train_data], n_classes, cfg, step_loss,
+                  validate)
 
 
 def stratified_split(labels: Sequence[int], frac: float,

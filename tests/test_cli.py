@@ -314,6 +314,19 @@ def test_risk_train_deterministic(risk_chain, tmp_path):
     assert sha256(rerun / "checkpoint.json") == sha256(run_dir / "checkpoint.json")
 
 
+def test_train_unknown_balance_mode_fails(risk_chain, tmp_path, capsys):
+    ini, data, _ = risk_chain
+    bad = tmp_path / "bad.ini"
+    # the fixture's config ends in its [risk] section
+    bad.write_text(ini.read_text() + "balance = wieghted\n")
+    rc = run_cli(["train", "--task", "risk", "--variant", "mse",
+                  "--config", str(bad), "--data", str(data),
+                  "--out", str(tmp_path / "run"), "--seed", "11"])
+    assert rc == 1
+    assert "unknown balance mode 'wieghted'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_risk_evaluate_all_splits(risk_chain, tmp_path, capsys):
     _, data, run_dir = risk_chain
     for split in ("train", "validation", "test"):

@@ -10,6 +10,7 @@ from triagekit.corpus import (
     ThreadInstance,
 )
 from triagekit.models import (
+    RISK_VARIANTS,
     DepressionModel,
     DepressionModelConfig,
     RiskModel,
@@ -48,32 +49,36 @@ def test_encode_post_hand_trace():
     model.params["emb"][...] = [[0.0], [0.0], [1.0], [2.0], [0.0]]
     model.params["conv.w"][...] = 1.0
     model.params["conv.b"][...] = 0.5
-    vec = model.encode_post([2, 3, 2, 3], ParamNodes(model.params))
+    vec, feat = model.encode_post([2, 3, 2, 3], ParamNodes(model.params))
     # windows: (1+2+1)+0.5 = 4.5 and (2+1+2)+0.5 = 5.5; averaged = 5.0
+    assert feat.value.ravel() == pytest.approx([4.5, 5.5])
     assert vec.value == pytest.approx([5.0])
 
 
 def test_encode_post_short_post_is_zero():
     model = DepressionModel(tiny_depression_config(conv_window=3))
     nodes = ParamNodes(model.params)
-    assert np.array_equal(model.encode_post([2, 3], nodes).value, [0.0, 0.0])
-    assert np.array_equal(model.encode_post([], nodes).value, [0.0, 0.0])
+    for tokens in ([2, 3], []):
+        vec, feat = model.encode_post(tokens, nodes)
+        assert np.array_equal(vec.value, [0.0, 0.0])
+        assert feat is None
 
 
 def test_encode_post_deterministic():
     model = DepressionModel(tiny_depression_config())
     nodes = ParamNodes(model.params)
-    a = model.encode_post([2, 3, 4, 5], nodes).value
-    b = model.encode_post([2, 3, 4, 5], nodes).value
+    a = model.encode_post([2, 3, 4, 5], nodes)[0].value
+    b = model.encode_post([2, 3, 4, 5], nodes)[0].value
     assert np.array_equal(a, b)
 
 
 def test_encode_post_truncates_to_n_term():
     model = DepressionModel(tiny_depression_config(n_term=4))
     nodes = ParamNodes(model.params)
-    a = model.encode_post([2, 3, 4, 5], nodes).value
-    b = model.encode_post([2, 3, 4, 5, 6, 7, 2, 3], nodes).value
-    assert np.array_equal(a, b)
+    (a, feat_a), (b, feat_b) = (model.encode_post([2, 3, 4, 5], nodes),
+                                model.encode_post([2, 3, 4, 5, 6, 7, 2, 3], nodes))
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(feat_a.value, feat_b.value)
 
 
 def merge_only_model():
@@ -279,6 +284,26 @@ def test_risk_cat_ce_head_is_distribution():
     probs = softmax(model.forward(target, context, ParamNodes(model.params)).value)
     assert abs(probs.sum() - 1.0) <= 1e-9
     assert model.classify(target, context) == RiskLabel(int(np.argmax(probs)))
+
+
+@pytest.mark.parametrize("variant", RISK_VARIANTS)
+def test_risk_predict_label_and_score(variant):
+    cfg = tiny_risk_config(variant)
+    model = RiskModel(cfg, seed=6)
+    rng = np.random.default_rng(7)
+    model.params["out.w"][...] = rng.standard_normal(model.params["out.w"].shape)
+    target, context = rand_instance_mats(rng, cfg)
+    out = model.forward(target, context, ParamNodes(model.params)).value
+    label, score = model.predict(target, context)
+    assert label == model.classify(target, context)
+    if variant == "cat_ce":
+        assert label == int(np.argmax(out)) and score == softmax(out)[label]
+    elif variant == "mse":
+        assert label == mse_classify(float(out[0])) and score == out[0]
+    else:
+        classes = model.params["classes"]
+        assert label == metric_classify(out, classes)
+        assert score == pytest.approx(-np.linalg.norm(classes[label] - out))
 
 
 def test_risk_eval_is_deterministic():

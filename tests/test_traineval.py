@@ -20,13 +20,12 @@ from triagekit.corpus import (
 )
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
 from triagekit.traineval import (
-    BalanceConfig,
     EvalReport,
     SelectionConfig,
     SynthDetectionSpec,
     SynthRiskSpec,
     TrainConfig,
-    balance,
+    _epoch_order,
     binary_metrics,
     class_weights,
     confusion_matrix,
@@ -181,48 +180,60 @@ def test_class_weights_missing_class_errors():
 
 
 def test_balance_weighted_keeps_everything():
-    instances = [("a", 0), ("b", 0), ("c", 0), ("d", 1)]
-    out = balance(instances, BalanceConfig("weighted"), 2)
-    assert [(x, y) for x, y, _ in out] == instances
-    assert [w for _, _, w in out] == [4 / 6, 4 / 6, 4 / 6, 2.0]
+    order = _epoch_order([0, 0, 0, 1], "weighted", 2, np.random.default_rng(0))
+    assert sorted(order) == [(0, 4 / 6), (1, 4 / 6), (2, 4 / 6), (3, 2.0)]
 
 
 def test_balance_sampled_draws_min_class_size():
-    instances = [(f"a{i}", 0) for i in range(9)] + [(f"b{i}", 1) for i in range(3)]
-    rng = np.random.default_rng(0)
-    out = balance(instances, BalanceConfig("sampled"), 2, rng)
-    assert len(out) == 6
-    labels = [y for _, y, _ in out]
-    assert labels.count(0) == 3 and labels.count(1) == 3
-    assert all(w == 1.0 for _, _, w in out)
-    items = [x for x, _, _ in out]
-    assert len(set(items)) == 6  # without replacement
+    labels = [0] * 9 + [1] * 3
+    order = _epoch_order(labels, "sampled", 2, np.random.default_rng(0))
+    assert len(order) == 6
+    drawn = [labels[i] for i, _ in order]
+    assert drawn.count(0) == 3 and drawn.count(1) == 3
+    assert all(w == 1.0 for _, w in order)
+    assert len({i for i, _ in order}) == 6  # without replacement
 
 
 def test_balance_sampled_balanced_input_keeps_sizes():
-    instances = [(i, i % 2) for i in range(10)]
-    rng = np.random.default_rng(1)
-    out = balance(instances, BalanceConfig("sampled"), 2, rng)
-    assert len(out) == 10
-    assert sorted(x for x, _, _ in out) == list(range(10))
+    order = _epoch_order([i % 2 for i in range(10)], "sampled", 2,
+                         np.random.default_rng(1))
+    assert len(order) == 10
+    assert sorted(i for i, _ in order) == list(range(10))
 
 
 def test_balance_sampled_deterministic_given_rng_state():
-    instances = [(i, i % 3) for i in range(30)]
-    a = balance(instances, BalanceConfig("sampled"), 3, np.random.default_rng(5))
-    b = balance(instances, BalanceConfig("sampled"), 3, np.random.default_rng(5))
-    assert a == b
+    labels = [i % 3 for i in range(30)]
+    for mode in ("weighted", "sampled"):
+        a = _epoch_order(labels, mode, 3, np.random.default_rng(5))
+        b = _epoch_order(labels, mode, 3, np.random.default_rng(5))
+        assert a == b
 
 
 def test_balance_errors():
-    with pytest.raises(ValueError, match="balance mode"):
-        BalanceConfig("oversample")
-    with pytest.raises(ValueError, match="rng"):
-        balance([("a", 0), ("b", 1)], BalanceConfig("sampled"), 2)
-    with pytest.raises(ValueError, match=r"classes \[1\]"):
-        balance([("a", 0)], BalanceConfig("sampled"), 2, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"classes \[1\]"):
-        balance([("a", 0)], BalanceConfig("weighted"), 2)
+    for mode in ("weighted", "sampled"):
+        with pytest.raises(ValueError, match=r"classes \[1\]"):
+            _epoch_order([0], mode, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("train", [
+    lambda cfg: train_depression(tiny_detection_model(), tiny_detection_users(2, 2),
+                                 tiny_detection_users(2, 2),
+                                 SelectionConfig("earliest", n_post=2, n_term=8), cfg),
+    lambda cfg: train_risk(tiny_risk_model("mse"), tiny_risk_data(2), tiny_risk_data(2), cfg),
+], ids=["depression", "risk"])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_unknown_balance_mode_rejected(train, epochs):
+    with pytest.raises(ValueError, match="unknown balance mode 'nonsense'"):
+        train(TrainConfig(epochs=epochs, balance="nonsense"))
+
+
+def test_unknown_model_balance_mode_rejected():
+    data = tiny_risk_data(2)
+    cfg = RiskModelConfig.for_variant("mse", sentence_dim=6, conv_filters=5, pool_n=2,
+                                      dense_dims=(10,), max_sentences=4,
+                                      balance="wieghted")
+    with pytest.raises(ValueError, match="unknown balance mode 'wieghted'"):
+        train_risk(RiskModel(cfg), data, data, TrainConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------
@@ -519,29 +530,6 @@ def test_train_depression_weighted_mode():
     assert result.log[0]["instances"] == 8
 
 
-def test_train_depression_divergence_aborts():
-    users = tiny_detection_users(n_pos=2, n_ctl=2)
-    model = tiny_detection_model()
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(RuntimeError, match="diverged at epoch"):
-        train_depression(model, users, users,
-                         SelectionConfig("earliest", n_post=2, n_term=8),
-                         TrainConfig(epochs=2, lr=1e200, seed=0))
-
-
-def test_train_depression_restores_best_epoch_weights():
-    users = tiny_detection_users()
-    model = tiny_detection_model()
-    selection = SelectionConfig("earliest", n_post=3, n_term=12, seed=0)
-    result = train_depression(model, users, users, selection,
-                              TrainConfig(epochs=4, lr=0.01, seed=1))
-    # re-scoring with the restored weights reproduces the best validation F1
-    gold = [int(u.label == DIAGNOSED) for u in sorted(users, key=lambda u: u.user_id)]
-    pred = [int(np.argmax(model.classify_user(select_posts(u, selection))))
-            for u in sorted(users, key=lambda u: u.user_id)]
-    assert binary_metrics(gold, pred)[2] == pytest.approx(result.best_metric)
-
-
 # ---------------------------------------------------------------------------
 # Training: risk
 
@@ -589,6 +577,64 @@ def test_train_risk_zero_epochs_keeps_init():
     assert result.log == [] and result.best_epoch == -1
     for name, arr in before.items():
         assert np.array_equal(model.params[name], arr)
+
+
+# ---------------------------------------------------------------------------
+# Training: both tasks through the shared loop
+
+def params_digest(model):
+    blob = b"".join(model.params[n].tobytes() for n in model.params.names())
+    return hashlib.sha256(blob).hexdigest()
+
+
+def depression_run(cfg):
+    """Train the tiny detection model.
+
+    Returns the result, the validation metric re-scored with the kept
+    weights, and a digest of those weights.
+    """
+    users = tiny_detection_users()
+    model = tiny_detection_model()
+    selection = SelectionConfig("earliest", n_post=3, n_term=12, seed=0)
+    result = train_depression(model, users, users, selection, cfg)
+    ordered = sorted(users, key=lambda u: u.user_id)
+    gold = [int(u.label == DIAGNOSED) for u in ordered]
+    pred = [int(np.argmax(model.classify_user(select_posts(u, selection))))
+            for u in ordered]
+    return result, binary_metrics(gold, pred)[2], params_digest(model)
+
+
+def risk_run(cfg):
+    """Train the tiny class_metric risk model; same return as depression_run."""
+    data = tiny_risk_data()
+    model = tiny_risk_model("class_metric")
+    result = train_risk(model, data, data, cfg)
+    report = triage_report([y for _, _, y in data],
+                           [int(model.classify(t, c)) for t, c, _ in data])
+    return result, report.groupings["non_green"]["f1"], params_digest(model)
+
+
+TASK_RUNS = pytest.mark.parametrize("run", [depression_run, risk_run],
+                                    ids=["depression", "risk"])
+
+
+@TASK_RUNS
+def test_train_divergence_aborts(run):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="diverged at epoch"):
+        run(TrainConfig(epochs=2, lr=1e200, seed=0))
+
+
+@TASK_RUNS
+def test_train_restores_best_epoch_weights(run):
+    result, rescored, kept = run(TrainConfig(epochs=4, lr=0.02, seed=1))
+    # re-scoring with the restored weights reproduces the best validation metric
+    assert rescored == pytest.approx(result.best_metric)
+    # and they are the weights at the end of the best epoch: a run stopped
+    # there ends with them, since a seeded run repeats itself step for step
+    assert result.best_epoch < 3
+    _, _, at_best = run(TrainConfig(epochs=result.best_epoch + 1, lr=0.02, seed=1))
+    assert kept == at_best
 
 
 def test_write_epoch_log_round_trip(tmp_path):
