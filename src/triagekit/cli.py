@@ -5,6 +5,12 @@ explain. Human-readable tables go to stdout; machine-readable JSON is always
 written into the --out directory. Exit codes: 0 success, 1 runtime failure,
 2 usage error. All randomness flows from --seed through named streams, so
 identical invocations produce byte-identical outputs.
+
+A setting comes from its flag, else from the INI file (`OPTIONS` lists what
+each section may set), else from the library's own default. A checkpoint
+directory holds `checkpoint.json`, `run.json` and, for depression, `vocab.json`;
+`evaluate`, `predict` and `explain` read it with one loader, and `evaluate`
+scores the rows that `predict` writes.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +29,7 @@ from .corpus import (
     DIAGNOSED,
     CorpusFormatError,
     HashedSentenceEncoder,
+    UserRecord,
     Vocabulary,
     load_users,
     read_threads,
@@ -57,6 +64,9 @@ from .traineval import (
 )
 
 GRADCHECK_THRESHOLD = 1e-4
+# Risk settings the library has no default for.
+RISK_VARIANT = "cat_ce"
+RISK_VAL_FRACTION = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +84,56 @@ def _existing_dir(value: str) -> str:
     return value
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
-    return cp
-
-
-def _cfg(cp: configparser.ConfigParser, section: str, option: str, default, cast):
-    """Config value with fallback; flags override by passing through _flag."""
-    if cp.has_option(section, option):
-        return cast(cp.get(section, option))
-    return default
-
-
-def _flag(value, cp, section, option, default, cast):
-    """Resolution order: explicit flag, config file, built-in default."""
-    if value is not None:
-        return value
-    return _cfg(cp, section, option, default, cast)
-
-
 def _dims(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+# The options each INI section may set, with their casts.
+OPTIONS = {
+    "dataset": {"k": int, "tolerance": float, "min_prior_posts": int,
+                "min_positive_votes": int},
+    "synth.depression": {"n_positive": int, "n_controls_per": int,
+                         "posts_per_user": int, "signal_rate": float,
+                         "vocab_size": int},
+    "synth.risk": {"n_train": int, "n_test": int, "vocab_size": int,
+                   "signal_per_level": int, "drift": float},
+    "depression": {"embed_dim": int, "conv_window": int, "conv_filters": int,
+                   "merge_window": int, "merge_stride": int, "merge_filters": int,
+                   "dense_dims": _dims, "dropout": float, "n_term": int,
+                   "n_post": int, "strategy": str, "balance": str,
+                   "min_freq": int, "epochs": int, "lr": float},
+    "risk": {"variant": str, "encoder_dim": int, "max_sentences": int,
+             "val_fraction": float, "epochs": int, "lr": float,
+             "conv_filters": int, "pool_n": int, "dropout": float,
+             "margin": float, "balance": str, "dense_dims": _dims},
+}
+
+
+def _options(config_path: str | None, section: str, **flags) -> dict:
+    """The section's settings: flags that were given, then the INI file.
+
+    Options the file omits are absent, so the library default applies. A
+    value that does not cast fails as `[<section>] <option>: <reason>`.
+    """
+    cp = configparser.ConfigParser()
+    if config_path is not None:
+        with open(config_path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    opts = {}
+    for option, cast in OPTIONS[section].items():
+        if cp.has_option(section, option):
+            try:
+                opts[option] = cast(cp.get(section, option))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {option}: {exc}") from None
+    opts.update((name, value) for name, value in flags.items() if value is not None)
+    return opts
+
+
+def _pick(opts: dict, cls) -> dict:
+    """The settings that are fields of dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    return {name: value for name, value in opts.items() if name in names}
 
 
 def _write_json(path: Path, doc) -> None:
@@ -116,17 +152,73 @@ def _print_epoch_lines(log) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Runs: users, sentence encoder, checkpoint directory, prediction rows
+
+def _users(posts: Path, labels: Path | None = None, vocab: Vocabulary | None = None,
+           **vocab_opts) -> tuple[list[UserRecord], Vocabulary]:
+    """A posts file's users in id order, with their posts' token ids.
+
+    Tokens come from `vocab`, or, when it is None, from a vocabulary built
+    from these users' own text (`vocab_opts` go to `Vocabulary.from_texts`).
+    """
+    by_id = load_users(posts, labels)
+    users = [by_id[uid] for uid in sorted(by_id)]
+    if vocab is None:
+        vocab = Vocabulary.from_texts((p.text for u in users for p in u.posts),
+                                      **vocab_opts)
+    return tokenize_users(users, vocab), vocab
+
+
+def _sentence_encoder(record: dict) -> HashedSentenceEncoder:
+    """The risk sentence encoder of a run.json "encoder" record ({"dim", "seed"})."""
+    return HashedSentenceEncoder(**record)
+
+
+def _sibling_json(checkpoint: str, name: str, what: str):
+    path = Path(checkpoint).parent / name
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: missing {what} (expected next to the checkpoint)")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _load_run_dir(checkpoint: str):
+    """(run.json, the model of its task, the vocabulary or None for risk)."""
+    run = _sibling_json(checkpoint, "run.json", "run description")
+    if run["task"] != "depression":
+        return run, RiskModel.load(checkpoint)[0], None
+    model, _, _ = DepressionModel.load(checkpoint)
+    tokens = _sibling_json(checkpoint, "vocab.json", "vocabulary")["tokens"]
+    return run, model, Vocabulary(tokens)
+
+
+def _prediction_rows(run: dict, model, inputs) -> list[dict]:
+    """One predictions.ndjson row per input user (depression) or thread (risk)."""
+    rows = []
+    if run["task"] == "depression":
+        selection = SelectionConfig(**run["selection"])
+        for user in inputs:
+            probs = model.classify_user(select_posts(user, selection))
+            rows.append({"user_id": user.user_id,
+                         "predicted": DIAGNOSED if np.argmax(probs) == 1 else CONTROL,
+                         "score": float(probs[1])})
+        return rows
+    encoded = thread_matrices(inputs, _sentence_encoder(run["encoder"]),
+                              run["max_sentences"])
+    for inst, (target, context, _) in zip(inputs, encoded):
+        label, score = model.predict(target, context)
+        rows.append({"post_id": inst.target.post_id, "predicted": label.name.lower(),
+                     "ordinal": int(label), "score": score})
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_build_dataset(args) -> int:
-    cp = _read_config(args.config)
-    config = BuildConfig(
-        k=_cfg(cp, "dataset", "k", 12, int),
-        tol=_cfg(cp, "dataset", "tolerance", 0.10, float),
-        min_prior_posts=_cfg(cp, "dataset", "min_prior_posts", 100, int),
-        min_positive_votes=_cfg(cp, "dataset", "min_positive_votes", 2, int),
-    )
-    report = build_dataset(args.posts, args.out, args.annotations, config)
+    opts = _options(args.config, "dataset")
+    if "tolerance" in opts:
+        opts["tol"] = opts.pop("tolerance")
+    report = build_dataset(args.posts, args.out, args.annotations, BuildConfig(**opts))
     print(report.to_text())
     if report.n_control_pool == 0:
         print("error: control pool is empty — no eligible control users",
@@ -136,27 +228,13 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cp = _read_config(args.config)
     out = Path(args.out)
+    opts = _options(args.config, f"synth.{args.task}")
     if args.task == "depression":
-        spec = SynthDetectionSpec(
-            n_positive=_cfg(cp, "synth.depression", "n_positive", 200, int),
-            n_controls_per=_cfg(cp, "synth.depression", "n_controls_per", 3, int),
-            posts_per_user=_cfg(cp, "synth.depression", "posts_per_user", 50, int),
-            signal_rate=_cfg(cp, "synth.depression", "signal_rate", 0.05, float),
-            vocab_size=_cfg(cp, "synth.depression", "vocab_size", 2000, int),
-            seed=args.seed,
-        )
+        spec = SynthDetectionSpec(**opts, seed=args.seed)
         paths = synth_detection_corpus(spec, out)
     else:
-        spec = SynthRiskSpec(
-            n_train=_cfg(cp, "synth.risk", "n_train", 800, int),
-            n_test=_cfg(cp, "synth.risk", "n_test", 200, int),
-            vocab_size=_cfg(cp, "synth.risk", "vocab_size", 500, int),
-            signal_per_level=_cfg(cp, "synth.risk", "signal_per_level", 3, int),
-            drift=_cfg(cp, "synth.risk", "drift", 0.1, float),
-            seed=args.seed,
-        )
+        spec = SynthRiskSpec(**opts, seed=args.seed)
         paths = synth_risk_corpus(spec, out)
     _write_json(out / "synth.json", {
         "task": args.task,
@@ -167,43 +245,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_depression_cmd(args, cp, out: Path) -> int:
+def _train_depression_cmd(args, out: Path) -> int:
     data = Path(args.data)
-    train_users = load_users(data / "train.posts.ndjson",
-                             data / "train.labels.ndjson")
-    val_users = load_users(data / "validation.posts.ndjson",
-                           data / "validation.labels.ndjson")
-    vocab = Vocabulary.from_texts(
-        (p.text for u in train_users.values() for p in u.posts),
-        min_freq=_cfg(cp, "depression", "min_freq", 5, int))
-    n_term = _flag(args.n_term, cp, "depression", "n_term", 100, int)
-    model_config = DepressionModelConfig(
-        vocab_size=len(vocab),
-        embed_dim=_cfg(cp, "depression", "embed_dim", 50, int),
-        conv_window=_cfg(cp, "depression", "conv_window", 3, int),
-        conv_filters=_cfg(cp, "depression", "conv_filters", 25, int),
-        merge_window=_cfg(cp, "depression", "merge_window", 15, int),
-        merge_stride=_cfg(cp, "depression", "merge_stride", 15, int),
-        merge_filters=_cfg(cp, "depression", "merge_filters", 25, int),
-        dense_dims=_cfg(cp, "depression", "dense_dims", (50,), _dims),
-        dropout=_cfg(cp, "depression", "dropout", 0.0, float),
-        n_term=n_term,
-        balance=_cfg(cp, "depression", "balance", "sampled", str),
-    )
-    selection = SelectionConfig(
-        strategy=_flag(args.strategy, cp, "depression", "strategy", "random", str),
-        n_post=_flag(args.n_post, cp, "depression", "n_post", 1500, int),
-        n_term=n_term,
-        seed=derive_seed(args.seed, "selection"),
-    )
-    train_config = TrainConfig(
-        epochs=_flag(args.epochs, cp, "depression", "epochs", 20, int),
-        lr=_cfg(cp, "depression", "lr", 1e-3, float),
-        seed=derive_seed(args.seed, "train"),
-    )
+    opts = _options(args.config, "depression", n_term=args.n_term,
+                    strategy=args.strategy, n_post=args.n_post, epochs=args.epochs)
+    vocab_opts = {"min_freq": opts["min_freq"]} if "min_freq" in opts else {}
+    train_users, vocab = _users(data / "train.posts.ndjson",
+                                data / "train.labels.ndjson", **vocab_opts)
+    val_users, _ = _users(data / "validation.posts.ndjson",
+                          data / "validation.labels.ndjson", vocab)
+    model_config = DepressionModelConfig(vocab_size=len(vocab),
+                                         **_pick(opts, DepressionModelConfig))
+    # Posts are cut to the model's n_term, however it was set.
+    selection = SelectionConfig(**{**_pick(opts, SelectionConfig),
+                                   "n_term": model_config.n_term,
+                                   "seed": derive_seed(args.seed, "selection")})
+    train_config = TrainConfig(**_pick(opts, TrainConfig),
+                               seed=derive_seed(args.seed, "train"))
     model = DepressionModel(model_config, seed=derive_seed(args.seed, "init"))
-    result = train_depression(model, list(train_users.values()),
-                              list(val_users.values()), selection, train_config)
+    result = train_depression(model, train_users, val_users, selection, train_config)
     _print_epoch_lines(result.log)
     model.save(out / "checkpoint.json", seed=args.seed, step=train_config.epochs)
     _write_json(out / "vocab.json", {"tokens": vocab.tokens()})
@@ -211,8 +271,7 @@ def _train_depression_cmd(args, cp, out: Path) -> int:
         "task": "depression",
         "seed": args.seed,
         "data": str(data),
-        "selection": {"strategy": selection.strategy, "n_post": selection.n_post,
-                      "n_term": selection.n_term, "seed": selection.seed},
+        "selection": asdict(selection),
         "epochs": train_config.epochs,
         "lr": train_config.lr,
         "best_epoch": result.best_epoch,
@@ -224,32 +283,26 @@ def _train_depression_cmd(args, cp, out: Path) -> int:
     return 0
 
 
-def _train_risk_cmd(args, cp, out: Path) -> int:
+def _train_risk_cmd(args, out: Path) -> int:
     data = Path(args.data)
+    opts = _options(args.config, "risk", variant=args.variant, epochs=args.epochs)
     threads = read_threads(data / "train.threads.ndjson")
-    variant = _flag(args.variant, cp, "risk", "variant", "cat_ce", str)
-    encoder = HashedSentenceEncoder(
-        dim=_cfg(cp, "risk", "encoder_dim", 7200, int),
-        seed=derive_seed(args.seed, "encoder"))
-    max_sentences = _cfg(cp, "risk", "max_sentences", 20, int)
-    overrides: dict = {"max_sentences": max_sentences}
-    for key, cast in (("conv_filters", int), ("pool_n", int), ("dropout", float),
-                      ("margin", float), ("balance", str), ("dense_dims", _dims)):
-        if cp.has_option("risk", key):
-            overrides[key] = cast(cp.get("risk", key))
+    variant = opts.pop("variant", RISK_VARIANT)
+    encoder_record = {"seed": derive_seed(args.seed, "encoder")}
+    if "encoder_dim" in opts:
+        encoder_record["dim"] = opts["encoder_dim"]
+    encoder = _sentence_encoder(encoder_record)
     model_config = RiskModelConfig.for_variant(variant, sentence_dim=encoder.dim,
-                                               **overrides)
-    val_fraction = _cfg(cp, "risk", "val_fraction", 0.15, float)
+                                               **_pick(opts, RiskModelConfig))
+    max_sentences = model_config.max_sentences
+    val_fraction = opts.get("val_fraction", RISK_VAL_FRACTION)
     val_split_seed = derive_seed(args.seed, "val-split")
     kept, held = stratified_split([int(t.label) for t in threads],
                                   val_fraction, val_split_seed)
     train_data = thread_matrices([threads[i] for i in kept], encoder, max_sentences)
     val_data = thread_matrices([threads[i] for i in held], encoder, max_sentences)
-    train_config = TrainConfig(
-        epochs=_flag(args.epochs, cp, "risk", "epochs", 20, int),
-        lr=_cfg(cp, "risk", "lr", 1e-3, float),
-        seed=derive_seed(args.seed, "train"),
-    )
+    train_config = TrainConfig(**_pick(opts, TrainConfig),
+                               seed=derive_seed(args.seed, "train"))
     model = RiskModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_risk(model, train_data, val_data, train_config)
     _print_epoch_lines(result.log)
@@ -276,39 +329,10 @@ def _train_risk_cmd(args, cp, out: Path) -> int:
 
 
 def cmd_train(args) -> int:
-    cp = _read_config(args.config)
     out = Path(args.out)
     if args.task == "depression":
-        return _train_depression_cmd(args, cp, out)
-    return _train_risk_cmd(args, cp, out)
-
-
-def _load_run(checkpoint: str) -> dict:
-    run_path = Path(checkpoint).parent / "run.json"
-    if not run_path.is_file():
-        raise FileNotFoundError(
-            f"{run_path}: missing run description (expected next to the checkpoint)")
-    return json.loads(run_path.read_text(encoding="utf-8"))
-
-
-def _load_vocab(checkpoint: str) -> Vocabulary:
-    vocab_path = Path(checkpoint).parent / "vocab.json"
-    if not vocab_path.is_file():
-        raise FileNotFoundError(
-            f"{vocab_path}: missing vocabulary (expected next to the checkpoint)")
-    return Vocabulary(json.loads(vocab_path.read_text(encoding="utf-8"))["tokens"])
-
-
-def _depression_predictions(model: DepressionModel, users, selection: SelectionConfig):
-    rows = []
-    for uid in sorted(users):
-        posts = select_posts(users[uid], selection)
-        probs = model.classify_user(posts)
-        pred = int(np.argmax(probs))
-        rows.append({"user_id": uid,
-                     "predicted": DIAGNOSED if pred == 1 else CONTROL,
-                     "score": float(probs[1])})
-    return rows
+        return _train_depression_cmd(args, out)
+    return _train_risk_cmd(args, out)
 
 
 def _risk_threads_for_split(run: dict, data: Path, split: str):
@@ -323,57 +347,32 @@ def _risk_threads_for_split(run: dict, data: Path, split: str):
 
 
 def cmd_evaluate(args) -> int:
-    run = _load_run(args.checkpoint)
+    run, model, vocab = _load_run_dir(args.checkpoint)
     data = Path(args.data)
-    out = Path(args.out)
     if run["task"] == "depression":
-        model, _, _ = DepressionModel.load(args.checkpoint)
-        vocab = _load_vocab(args.checkpoint)
-        users = load_users(data / f"{args.split}.posts.ndjson",
-                           data / f"{args.split}.labels.ndjson")
-        tokenized = tokenize_users(
-            (users[uid] for uid in sorted(users)), vocab)
-        selection = SelectionConfig(**run["selection"])
-        gold = [int(u.label == DIAGNOSED) for u in tokenized]
-        pred = [int(np.argmax(model.classify_user(select_posts(u, selection))))
-                for u in tokenized]
-        report = detection_report(gold, pred)
+        users, _ = _users(data / f"{args.split}.posts.ndjson",
+                          data / f"{args.split}.labels.ndjson", vocab)
+        rows = _prediction_rows(run, model, users)
+        report = detection_report([int(u.label == DIAGNOSED) for u in users],
+                                  [int(row["predicted"] == DIAGNOSED) for row in rows])
     else:
-        model, _, _ = RiskModel.load(args.checkpoint)
         threads = _risk_threads_for_split(run, data, args.split)
-        encoder = HashedSentenceEncoder(dim=run["encoder"]["dim"],
-                                        seed=run["encoder"]["seed"])
-        encoded = thread_matrices(threads, encoder, run["max_sentences"])
-        gold = [y for _, _, y in encoded]
-        pred = [int(model.classify(t, c)) for t, c, _ in encoded]
-        report = triage_report(gold, pred)
+        rows = _prediction_rows(run, model, threads)
+        report = triage_report([int(t.label) for t in threads],
+                               [row["ordinal"] for row in rows])
     print(report.to_text())
-    _write_json(out / f"eval.{args.split}.json", report.to_json_dict())
+    _write_json(Path(args.out) / f"eval.{args.split}.json", report.to_json_dict())
     return 0
 
 
 def cmd_predict(args) -> int:
-    run = _load_run(args.checkpoint)
+    run, model, vocab = _load_run_dir(args.checkpoint)
     out = Path(args.out)
     if run["task"] == "depression":
-        model, _, _ = DepressionModel.load(args.checkpoint)
-        vocab = _load_vocab(args.checkpoint)
-        users = load_users(args.input)
-        tokenized = {u.user_id: u for u in tokenize_users(users.values(), vocab)}
-        selection = SelectionConfig(**run["selection"])
-        rows = _depression_predictions(model, tokenized, selection)
+        inputs, _ = _users(Path(args.input), vocab=vocab)
     else:
-        model, _, _ = RiskModel.load(args.checkpoint)
-        encoder = HashedSentenceEncoder(dim=run["encoder"]["dim"],
-                                        seed=run["encoder"]["seed"])
-        threads = read_threads(args.input)
-        encoded = thread_matrices(threads, encoder, run["max_sentences"])
-        rows = []
-        for inst, (target, context, _) in zip(threads, encoded):
-            label, score = model.predict(target, context)
-            rows.append({"post_id": inst.target.post_id,
-                         "predicted": label.name.lower(),
-                         "ordinal": int(label), "score": score})
+        inputs = read_threads(args.input)
+    rows = _prediction_rows(run, model, inputs)
     write_epoch_log(out / "predictions.ndjson", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.ndjson'}")
     return 0
@@ -449,18 +448,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    run = _load_run(args.checkpoint)
+    run, model, vocab = _load_run_dir(args.checkpoint)
     if run["task"] != "depression":
         raise ValueError("explain requires a depression checkpoint")
-    model, _, _ = DepressionModel.load(args.checkpoint)
-    vocab = _load_vocab(args.checkpoint)
     data = Path(args.data)
-    users = load_users(data / f"{args.split}.posts.ndjson",
-                       data / f"{args.split}.labels.ndjson")
+    users, _ = _users(data / f"{args.split}.posts.ndjson",
+                      data / f"{args.split}.labels.ndjson", vocab)
     n_term = run["selection"]["n_term"]
-    tokenized = tokenize_users((users[uid] for uid in sorted(users)), vocab)
     users_iter = [(u.user_id, [(p.post_id, p.tokens[:n_term]) for p in u.posts])
-                  for u in tokenized]
+                  for u in users]
     phrases = top_phrases(model, users_iter, args.top, vocab)
     print(f"{'score':>10}  {'post':<16} phrase")
     for post_id, tokens, score in phrases:

@@ -380,6 +380,10 @@ def read_threads(path: str | Path) -> list[ThreadInstance]:
             label = RiskLabel.parse(row["label"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{where}: bad thread row: {exc}") from None
+        # split_sentences finds no sentence exactly when the text is blank.
+        if not target.text.strip():
+            raise CorpusFormatError(
+                f"{where}: target post {target.post_id} has no sentences")
         instances.append(ThreadInstance(target, context, label))
     return instances
 

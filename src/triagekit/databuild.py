@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -470,16 +470,5 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
 
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (out_dir / "report.json").write_text(
-        json.dumps({
-            "n_users": report.n_users,
-            "n_candidates": report.n_candidates,
-            "n_confirmed": report.n_confirmed,
-            "n_diagnosed": report.n_diagnosed,
-            "n_control_pool": report.n_control_pool,
-            "n_matched_controls": report.n_matched_controls,
-            "n_scrubbed_empty": report.n_scrubbed_empty,
-            "short_matches": report.short_matches,
-            "distance_histogram": report.distance_histogram,
-            "split_sizes": report.split_sizes,
-        }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return report

@@ -17,13 +17,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-# Every op output is checked for NaN/Inf when this is on. Leave it on: the
-# arrays here are small and a poisoned value is much harder to trace later.
-CHECK_FINITE = True
-
-
+# Every parameter and op output is checked for NaN/Inf: the arrays here are
+# small and a poisoned value is much harder to trace later.
 def _check_finite(value: np.ndarray, what: str) -> None:
-    if CHECK_FINITE and not np.all(np.isfinite(value)):
+    if not np.all(np.isfinite(value)):
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -99,11 +96,9 @@ class Node:
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
-    def __init__(self, value, parents: tuple = (), backward: Callable | None = None,
-                 _check: bool = True):
+    def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = np.asarray(value)
-        if _check:
-            _check_finite(self.value, "op output")
+        _check_finite(self.value, "op output")
         self.grad: np.ndarray | None = None
         self.parents = parents
         self._backward = backward

@@ -11,7 +11,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -193,14 +193,7 @@ class EvalReport:
     groupings: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "n_instances": self.n_instances,
-            "confusion": self.confusion,
-            "per_class": self.per_class,
-            "accuracy": self.accuracy,
-            "groupings": self.groupings,
-        }
+        return asdict(self)
 
     def to_text(self, class_names: Sequence[str] | None = None) -> str:
         names = list(class_names or
@@ -325,7 +318,6 @@ class TrainConfig:
     epochs: int = 20
     lr: float = 1e-3
     seed: int = 0
-    balance: str | None = None  # None -> the model config's default mode
 
 
 @dataclass
@@ -349,14 +341,14 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     """The Adam loop both tasks share, one instance per step.
 
     Each epoch's order comes from `_epoch_order` under the model config's
-    balance mode (or `cfg.balance`), drawn from the `epoch:<e>` stream; each
-    step's dropout masks come from the `dropout:<step>` stream and
+    balance mode, drawn from the `epoch:<e>` stream; each step's dropout
+    masks come from the `dropout:<step>` stream and
     `step_loss(epoch, index, nodes, rng)` builds that instance's loss. After
     every epoch `validate()` returns the selection metric and the fields of the
     validation log row; the weights of the best epoch are restored at the end.
     Any non-finite loss or gradient aborts with a diagnostic.
     """
-    mode = cfg.balance or model.config.balance
+    mode = model.config.balance
     if mode not in ("weighted", "sampled"):
         raise ValueError(f"unknown balance mode {mode!r}")
     state = AdamState(model.params, lr=cfg.lr)

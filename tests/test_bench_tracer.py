@@ -52,10 +52,11 @@ for i, label in enumerate((DIAGNOSED, CONTROL, CONTROL)):
     users.append(UserRecord(f"u{i}", posts, label,
                             posts[0].post_id if label == DIAGNOSED else None))
 config = models.DepressionModelConfig(vocab_size=12, embed_dim=4, conv_filters=3,
-                                      merge_filters=3, dense_dims=(4,), n_term=6)
+                                      merge_filters=3, dense_dims=(4,), n_term=6,
+                                      balance="weighted")
 traineval.train_depression(models.DepressionModel(config), users, users,
                            traineval.SelectionConfig("earliest", n_post=3, n_term=6),
-                           traineval.TrainConfig(epochs=1, balance="weighted"))
+                           traineval.TrainConfig(epochs=1))
 print(json.dumps(tracing.layer_metrics(tracer, 1)))
 """
 

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from triagekit.cli import main
-from triagekit.corpus import CONTROL, DIAGNOSED
+from triagekit.corpus import CONTROL, DIAGNOSED, Vocabulary, load_users
 from triagekit.models import DepressionModel, DepressionModelConfig
 from triagekit.nn import ParamStore
+from triagekit.traineval import (
+    SelectionConfig,
+    TrainConfig,
+    derive_seed,
+    tokenize_users,
+    train_depression,
+)
 
 
 def run_cli(argv):
@@ -259,6 +266,32 @@ def test_train_different_seed_differs(depression_chain, tmp_path):
     assert sha256(rerun / "checkpoint.json") != sha256(run_dir / "checkpoint.json")
 
 
+def test_train_depression_is_library_run_on_tokenized_users(depression_chain):
+    """The CLI trains on token ids, exactly as the library does."""
+    _, data, run_dir = depression_chain
+    train, val = (load_users(data / f"{split}.posts.ndjson", data / f"{split}.labels.ndjson")
+                  for split in ("train", "validation"))
+    vocab = Vocabulary.from_texts((p.text for u in train.values() for p in u.posts),
+                                  min_freq=1)
+    config = DepressionModelConfig(vocab_size=len(vocab), embed_dim=6, conv_filters=4,
+                                   merge_window=2, merge_stride=2, merge_filters=4,
+                                   dense_dims=(6,), n_term=8)
+    model = DepressionModel(config, seed=derive_seed(5, "init"))
+    init_emb = model.params["emb"].astype(np.float32)
+    train_depression(model, tokenize_users(train.values(), vocab),
+                     tokenize_users(val.values(), vocab),
+                     SelectionConfig("earliest", n_post=4, n_term=8,
+                                     seed=derive_seed(5, "selection")),
+                     TrainConfig(epochs=2, lr=0.01, seed=derive_seed(5, "train")))
+    saved, _, _ = DepressionModel.load(run_dir / "checkpoint.json")
+    assert saved.config == config
+    for name in model.params.names():
+        assert (saved.params[name].astype(np.float32).tobytes()
+                == model.params[name].astype(np.float32).tobytes()), name
+    # an untokenized post encodes to zero and leaves the embedding untouched
+    assert not np.array_equal(saved.params["emb"].astype(np.float32), init_emb)
+
+
 def test_evaluate_trained_checkpoint(depression_chain, tmp_path, capsys):
     _, data, run_dir = depression_chain
     rc = run_cli(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
@@ -327,6 +360,21 @@ def test_train_unknown_balance_mode_fails(risk_chain, tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("task, line", [("depression", "epochs = abc"),
+                                        ("risk", "dense_dims = 8,x")],
+                         ids=["depression", "risk"])
+def test_train_bad_config_value_names_its_option(depression_chain, risk_chain, tmp_path,
+                                                 capsys, task, line):
+    data = (depression_chain if task == "depression" else risk_chain)[1]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{task}]\n{line}\n")
+    rc = run_cli(["train", "--task", task, "--config", str(bad), "--data", str(data),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    option = line.split(" = ")[0]
+    assert f"error: [{task}] {option}: invalid literal" in capsys.readouterr().err
+
+
 def test_risk_evaluate_all_splits(risk_chain, tmp_path, capsys):
     _, data, run_dir = risk_chain
     for split in ("train", "validation", "test"):
@@ -353,6 +401,22 @@ def test_risk_predict_rows(risk_chain, tmp_path, capsys):
         assert row["predicted"] in ("green", "amber", "red", "crisis")
         assert 0 <= row["ordinal"] <= 3
     capsys.readouterr()
+
+
+def test_risk_predict_blank_target_names_file_line(risk_chain, tmp_path, capsys):
+    _, data, run_dir = risk_chain
+    lines = (data / "test.threads.ndjson").read_text().splitlines()[:2]
+    row = json.loads(lines[1])
+    row["target"]["text"] = "  "
+    threads = tmp_path / "threads.ndjson"
+    threads.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+    rc = run_cli(["predict", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--input", str(threads), "--out", str(tmp_path)])
+    assert rc == 1
+    post_id = row["target"]["post_id"]
+    assert (f"error: {threads}:2: target post {post_id} has no sentences"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "predictions.ndjson").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def test_split_deterministic():
     assert split_sentences(text) == split_sentences(text)
 
 
+@pytest.mark.parametrize("text", ["", "   ", "\n\t ", ".", " !? ", "a", "Dr. ", "x.  Y"])
+def test_split_empty_exactly_when_blank(text):
+    # read_threads relies on this to reject a blank target without splitting
+    assert (split_sentences(text) == []) == (not text.strip())
+
+
 # -- Vocabulary -------------------------------------------------------------
 
 def test_vocab_round_trip():
@@ -242,3 +248,13 @@ def test_threads_round_trip(tmp_path):
     assert got[0].label == RiskLabel.AMBER
     assert got[0].target.post_id == "t1"
     assert got[0].context[0].text == "Earlier."
+
+
+def test_threads_blank_target_reports_line(tmp_path):
+    path = tmp_path / "threads.ndjson"
+    write_threads(path, [
+        ThreadInstance(make_post("t1", ts=10, text="Help?"), (), RiskLabel.AMBER),
+        ThreadInstance(make_post("t2", ts=10, text=" \n "), (), RiskLabel.GREEN)])
+    with pytest.raises(CorpusFormatError,
+                       match=r"threads\.ndjson:2: target post t2 has no sentences"):
+        read_threads(path)

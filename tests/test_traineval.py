@@ -91,10 +91,10 @@ def tiny_risk_data(n_per_class=10, seed=11, d=6, rows=4):
     return data
 
 
-def tiny_risk_model(variant, seed=5):
+def tiny_risk_model(variant, seed=5, balance="sampled"):
     cfg = RiskModelConfig(variant=variant, sentence_dim=6, conv_filters=5,
                           pool_n=2, dense_dims=(10,), dropout=0.0,
-                          max_sentences=4, balance="sampled")
+                          max_sentences=4, balance=balance)
     return RiskModel(cfg, seed=seed)
 
 
@@ -216,15 +216,16 @@ def test_balance_errors():
 
 
 @pytest.mark.parametrize("train", [
-    lambda cfg: train_depression(tiny_detection_model(), tiny_detection_users(2, 2),
-                                 tiny_detection_users(2, 2),
+    lambda cfg: train_depression(tiny_detection_model(balance="nonsense"),
+                                 tiny_detection_users(2, 2), tiny_detection_users(2, 2),
                                  SelectionConfig("earliest", n_post=2, n_term=8), cfg),
-    lambda cfg: train_risk(tiny_risk_model("mse"), tiny_risk_data(2), tiny_risk_data(2), cfg),
+    lambda cfg: train_risk(tiny_risk_model("mse", balance="nonsense"), tiny_risk_data(2),
+                           tiny_risk_data(2), cfg),
 ], ids=["depression", "risk"])
 @pytest.mark.parametrize("epochs", [0, 2])
 def test_unknown_balance_mode_rejected(train, epochs):
     with pytest.raises(ValueError, match="unknown balance mode 'nonsense'"):
-        train(TrainConfig(epochs=epochs, balance="nonsense"))
+        train(TrainConfig(epochs=epochs))
 
 
 def test_unknown_model_balance_mode_rejected():
@@ -521,11 +522,10 @@ def test_train_depression_zero_epochs_keeps_init():
 
 def test_train_depression_weighted_mode():
     users = tiny_detection_users(n_pos=2, n_ctl=6)
-    model = tiny_detection_model()
+    model = tiny_detection_model(balance="weighted")
     selection = SelectionConfig("earliest", n_post=2, n_term=8)
     result = train_depression(model, users, users, selection,
-                              TrainConfig(epochs=2, lr=0.01, seed=0,
-                                          balance="weighted"))
+                              TrainConfig(epochs=2, lr=0.01, seed=0))
     # weighted mode trains on every instance each epoch
     assert result.log[0]["instances"] == 8
 
@@ -554,9 +554,8 @@ def test_train_risk_learns_separable():
 
 def test_train_risk_weighted_mode_counts():
     data = tiny_risk_data(n_per_class=3)
-    model = tiny_risk_model("mse")
-    result = train_risk(model, data, data,
-                        TrainConfig(epochs=1, lr=0.01, seed=0, balance="weighted"))
+    model = tiny_risk_model("mse", balance="weighted")
+    result = train_risk(model, data, data, TrainConfig(epochs=1, lr=0.01, seed=0))
     assert result.log[0]["instances"] == 12
 
 
