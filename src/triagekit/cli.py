@@ -43,7 +43,7 @@ from .models import (
     RiskModelConfig,
     top_phrases,
 )
-from .nn import finite_difference_check
+from .nn import atomic_open, finite_difference_check
 from .traineval import (
     SelectionConfig,
     SynthDetectionSpec,
@@ -137,8 +137,8 @@ def _pick(opts: dict, cls) -> dict:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _print_epoch_lines(log) -> None:

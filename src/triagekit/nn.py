@@ -10,15 +10,19 @@ gradient. There is no general autodiff beyond the ops defined here.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
-# Every parameter and op output is checked for NaN/Inf: the arrays here are
-# small and a poisoned value is much harder to trace later.
+# Every parameter and op output is checked for NaN/Inf, because a poisoned
+# value is much harder to trace later than at the op that produced it. The
+# check is not free: it scans each output once, and each graph's parameter
+# nodes scan whole parameters (a paper-scale embedding table every step).
 def _check_finite(value: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(value)):
         raise FloatingPointError(f"non-finite values in {what}")
@@ -73,10 +77,16 @@ class ParamStore:
 
 
 class GradStore:
-    """Gradient arrays mirroring a ParamStore's names and shapes exactly."""
+    """Gradient arrays mirroring a ParamStore's names and shapes exactly.
 
-    def __init__(self, params: ParamStore):
-        self._arrays = {name: np.zeros_like(arr) for name, arr in params.items()}
+    Arrays given in ``arrays`` are held as they are, not copied; every other
+    parameter gets a zero gradient.
+    """
+
+    def __init__(self, params: ParamStore, arrays: Mapping[str, np.ndarray] | None = None):
+        arrays = arrays or {}
+        self._arrays = {name: arrays[name] if name in arrays else np.zeros_like(arr)
+                        for name, arr in params.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -142,7 +152,9 @@ def backward(loss: Node) -> None:
 class ParamNodes:
     """Per-graph view of a ParamStore: one shared Node per parameter name.
 
-    Gradients of parameters never touched by the graph come back as zeros.
+    ``grads`` hands the nodes' own gradient arrays to the GradStore without a
+    copy; gradients of parameters never touched by the graph come back as
+    zeros.
     """
 
     def __init__(self, params: ParamStore):
@@ -157,11 +169,8 @@ class ParamNodes:
         return node
 
     def grads(self) -> GradStore:
-        grads = GradStore(self.params)
-        for name, node in self._nodes.items():
-            if node.grad is not None:
-                grads[name][...] = node.grad
-        return grads
+        return GradStore(self.params, {name: node.grad for name, node in self._nodes.items()
+                                       if node.grad is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +184,14 @@ def embedding_lookup(table: Node, ids) -> Node:
     out = table.value[ids]
 
     def back(g):
-        dtable = np.zeros_like(table.value)
-        np.add.at(dtable, ids, g)
-        _acc(table, dtable)
+        # Sum per distinct row, in position order, then add into the table's
+        # gradient: the dense table is allocated once per graph, not per lookup.
+        rows, inverse = np.unique(ids, return_inverse=True)
+        drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
+        np.add.at(drows, inverse, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        table.grad[rows] += drows
 
     return Node(out, (table,), back)
 
@@ -441,7 +455,11 @@ def embedding_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 # Adam
 
 class AdamState:
-    """Per-parameter first/second moments plus step count."""
+    """Per-parameter first/second moments plus step count.
+
+    Two scratch buffers the size of the largest parameter hold the update's
+    intermediates, so a step allocates no parameter-sized temporaries.
+    """
 
     def __init__(self, params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -452,10 +470,17 @@ class AdamState:
         self.step_count = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        largest = max((arr.size for _, arr in params.items()), default=0)
+        self.scratch = (np.empty(largest, dtype=params.dtype),
+                        np.empty(largest, dtype=params.dtype))
 
 
 def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamStore:
-    """One bias-corrected Adam update, in place on the store's arrays."""
+    """One bias-corrected Adam update, in place on the store's arrays.
+
+    Works in the state's scratch buffers, in the operation order of
+    m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps).
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -466,11 +491,15 @@ def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamSt
             raise FloatingPointError(f"non-finite gradient for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+        p -= np.divide(a, b, out=a)
     return params
 
 
@@ -520,6 +549,23 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: Param
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text through a temporary file beside it.
+
+    The file replaces ``path`` only when the block completes, so a write that
+    fails partway leaves an earlier file whole and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
     """Versioned JSON checkpoint; weights as base64 little-endian float32."""
@@ -537,7 +583,7 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
             for name, arr in params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

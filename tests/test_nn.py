@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,7 @@ def test_unused_parameter_gets_zero_gradient():
     grads = nodes.grads()
     assert np.array_equal(grads["frozen"], [0.0])
     assert np.allclose(grads["used"], [4.0])
+    assert grads["used"] is nodes("used").grad
 
 
 def test_zero_upstream_gives_zero_grads():
@@ -216,6 +218,67 @@ def test_zero_upstream_gives_zero_grads():
     loss = nn.scale(pick(out, 0), 0.0)
     backward(loss)
     assert np.array_equal(nodes.grads()["w"], [[0.0, 0.0]])
+
+
+def test_embedding_gradient_equals_dense_rule():
+    # Two lookups share the table and repeat ids; readout weights span twelve
+    # orders of magnitude, so summing a row in another order changes its bits.
+    rng = np.random.default_rng(21)
+    params = ParamStore()
+    params.add("emb", rng.standard_normal((30, 4)))
+    nodes = ParamNodes(params)
+    id_lists = [np.array([3, 7, 3, 3, 12, 7]), np.array([7, 0, 3, 29, 7])]
+    lookups = [embedding_lookup(nodes("emb"), ids) for ids in id_lists]
+    seen = []
+
+    def recording(rule, ids):
+        def back(g):
+            seen.append((ids, g.copy()))
+            rule(g)
+        return back
+
+    for node, ids in zip(lookups, id_lists):
+        node._backward = recording(node._backward, ids)
+    flat = concat(flatten(lookups[0]), flatten(lookups[1]))
+    w = rng.standard_normal((1, flat.value.size)) * 10.0 ** rng.uniform(-6, 6, flat.value.size)
+    backward(squared_error(dense(flat, constant(w), constant(np.zeros(1))), 0.37))
+
+    # The dense rule: one zero table per lookup, summed in backward order.
+    expected = None
+    for ids, g in seen:
+        table = np.zeros((30, 4))
+        np.add.at(table, ids, g)
+        expected = table if expected is None else expected + table
+    assert len(seen) == 2
+    assert np.array_equal(nodes.grads()["emb"], expected)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while fn runs, numpy's data buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_backward_allocates_one_table():
+    rng = np.random.default_rng(4)
+    params = ParamStore()
+    params.add("emb", rng.uniform(-0.05, 0.05, (50_000, 50)))
+    nodes = ParamNodes(params)
+    posts = [mean_rows(embedding_lookup(nodes("emb"), rng.integers(0, 50_000, 100)))
+             for _ in range(20)]
+    flat = flatten(stack_rows(posts))
+    w = constant(rng.standard_normal((1, flat.value.size)))
+    loss = squared_error(dense(flat, w, constant(np.zeros(1))), 0.37)
+
+    def step():
+        backward(loss)
+        nodes.grads()
+
+    assert _peak_bytes(step) < 1.5 * params["emb"].nbytes
 
 
 def test_shared_node_gradient_accumulates():
@@ -258,15 +321,18 @@ def test_gradcheck_embedding_mean_dense_ce():
     for trial in range(5):
         vocab, dim = 7, 3
         ids = rng.integers(0, vocab, size=int(rng.integers(2, 6)))
+        ids = np.append(ids, ids[0])
+        other = rng.integers(0, vocab, size=3)
         params = ParamStore()
         params.add("emb", rng.standard_normal((vocab, dim)) * 0.3)
-        params.add("w", rng.standard_normal((4, dim)) * 0.5)
+        params.add("w", rng.standard_normal((4, 2 * dim)) * 0.5)
         params.add("b", rng.standard_normal(4) * 0.1)
         target = int(rng.integers(0, 4))
 
         def loss_fn(nodes):
-            seq = embedding_lookup(nodes("emb"), ids)
-            vec = mean_rows(seq)
+            # A repeated id, and a second lookup into the same table.
+            vec = concat(mean_rows(embedding_lookup(nodes("emb"), ids)),
+                         mean_rows(embedding_lookup(nodes("emb"), other)))
             logits = dense(vec, nodes("w"), nodes("b"))
             return cross_entropy(logits, target)
 
@@ -370,6 +436,48 @@ def test_adam_deterministic():
     assert run() == run()
 
 
+def test_adam_matches_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shapes = {"big": (7, 9), "vec": (5,), "cube": (2, 3, 4), "one": (1,), "still": (4, 3)}
+    params = ParamStore()
+    for name, shape in shapes.items():
+        params.add(name, rng.standard_normal(shape))
+    ref = {name: arr.copy() for name, arr in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    state = AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 26):
+        grads = GradStore(params)
+        for name, shape in shapes.items():
+            if name != "still":
+                grads[name][...] = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        adam_step(params, grads, state)
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            ref[name] = ref[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    for name, arr in params.items():
+        assert np.array_equal(arr, ref[name]), name
+        assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(6)
+    params = ParamStore()
+    params.add("w", rng.standard_normal((800, 500)))
+    params.add("u", rng.standard_normal((200, 500)))
+    params.add("b", rng.standard_normal(500))
+    state = AdamState(params)
+    grads = GradStore(params)
+    for name, g in grads.items():
+        g[...] = rng.standard_normal(g.shape)
+    adam_step(params, grads, state)
+    param_bytes = sum(arr.nbytes for _, arr in params.items())
+    assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * param_bytes
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -385,6 +493,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.names() == params.names()
     for name, arr in params.items():
         assert np.allclose(loaded[name], arr, atol=1e-6)
+
+
+def test_failed_checkpoint_save_leaves_earlier_file(tmp_path):
+    params = ParamStore()
+    params.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
+    before = path.read_bytes()
+    params["w"][...] += 1.0
+    with pytest.raises(TypeError):
+        save_checkpoint(path, params, {"kind": object()}, seed=1, step=3)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
 
 def test_checkpoint_version_guard(tmp_path):
