@@ -31,6 +31,7 @@ from .corpus import (
     HashedSentenceEncoder,
     UserRecord,
     Vocabulary,
+    atomic_open,
     load_users,
     read_threads,
 )
@@ -43,7 +44,7 @@ from .models import (
     RiskModelConfig,
     top_phrases,
 )
-from .nn import atomic_open, finite_difference_check
+from .nn import finite_difference_check
 from .traineval import (
     SelectionConfig,
     SynthDetectionSpec,

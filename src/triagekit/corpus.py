@@ -8,13 +8,15 @@ loop both rely on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -308,13 +310,30 @@ def _post_from_row(row: Mapping, where: str) -> Post:
         raise CorpusFormatError(f"{where}: bad post row: {exc}") from None
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text through a temporary file beside it.
+
+    The file replaces ``path`` only when the block completes, so a write that
+    fails partway leaves an earlier file whole and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def read_posts(path: str | Path) -> list[Post]:
     path = Path(path)
     return [_post_from_row(row, f"{path}:{lineno}") for lineno, row in _iter_ndjson(path)]
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for p in posts:
             fh.write(json.dumps({"post_id": p.post_id, "user_id": p.user_id,
                                  "community": p.community, "timestamp": p.timestamp,
@@ -337,7 +356,7 @@ def read_labels(path: str | Path) -> dict[str, tuple[str, str | None]]:
 
 
 def write_labels(path: str | Path, users: Iterable[UserRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for u in users:
             row: dict = {"user_id": u.user_id, "label": u.label}
             if u.diagnosis_post_id is not None:
@@ -393,7 +412,7 @@ def write_threads(path: str | Path, instances: Iterable[ThreadInstance]) -> None
         return {"post_id": p.post_id, "user_id": p.user_id, "community": p.community,
                 "timestamp": p.timestamp, "text": p.text}
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for inst in instances:
             row = {"target": post_row(inst.target),
                    "context": [post_row(c) for c in inst.context],

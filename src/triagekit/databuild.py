@@ -23,6 +23,7 @@ from .corpus import (
     CorpusFormatError,
     UserRecord,
     _iter_ndjson,
+    atomic_open,
     load_users,
     token_spans,
     word_tokens,
@@ -468,7 +469,8 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
             "control": sum(1 for u in split_records if u.label == CONTROL),
         }
 
-    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out_dir / "report.json").write_text(
-        json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(out_dir / "report.txt") as fh:
+        fh.write(report.to_text())
+    with atomic_open(out_dir / "report.json") as fh:
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     return report

@@ -10,19 +10,20 @@ gradient. There is no general autodiff beyond the ops defined here.
 from __future__ import annotations
 
 import base64
-import contextlib
 import json
 import math
-import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-# Every parameter and op output is checked for NaN/Inf, because a poisoned
-# value is much harder to trace later than at the op that produced it. The
-# check is not free: it scans each output once, and each graph's parameter
-# nodes scan whole parameters (a paper-scale embedding table every step).
+from .corpus import atomic_open
+
+# Every op output is checked for NaN/Inf, because a poisoned value is much
+# harder to trace later than at the op that produced it. Parameters are
+# checked where they are written (ParamStore.add and load_values, adam_step),
+# not on every graph: a value written into a store from outside the library
+# is caught by the first op output it reaches.
 def _check_finite(value: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(value)):
         raise FloatingPointError(f"non-finite values in {what}")
@@ -73,6 +74,7 @@ class ParamStore:
             src = other[name]
             if src.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {arr.shape}")
+            _check_finite(src, f"parameter {name!r}")
             arr[...] = src
 
 
@@ -80,13 +82,17 @@ class GradStore:
     """Gradient arrays mirroring a ParamStore's names and shapes exactly.
 
     Arrays given in ``arrays`` are held as they are, not copied; every other
-    parameter gets a zero gradient.
+    parameter gets a zero gradient. ``rows`` maps a parameter to the indices
+    (along its first axis, possibly repeated) of the only rows its gradient
+    may have nonzero; a parameter without an entry has a dense gradient.
     """
 
-    def __init__(self, params: ParamStore, arrays: Mapping[str, np.ndarray] | None = None):
+    def __init__(self, params: ParamStore, arrays: Mapping[str, np.ndarray] | None = None,
+                 rows: Mapping[str, np.ndarray] | None = None):
         arrays = arrays or {}
         self._arrays = {name: arrays[name] if name in arrays else np.zeros_like(arr)
                         for name, arr in params.items()}
+        self.rows = dict(rows or {})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -102,16 +108,36 @@ class GradStore:
 # Autodiff graph
 
 class Node:
-    """One value in the computation graph, with its local backward rule."""
+    """One value in the computation graph, with its local backward rule.
 
-    __slots__ = ("value", "grad", "parents", "_backward")
+    ``rows`` lists the row-index arrays that `embedding_lookup` backward
+    rules wrote into ``grad``, while those are its only nonzero rows; any
+    other gradient into the node drops the record.
+    """
+
+    __slots__ = ("value", "grad", "rows", "parents", "_backward")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = np.asarray(value)
         _check_finite(self.value, "op output")
         self.grad: np.ndarray | None = None
+        self.rows: list[np.ndarray] | None = None
         self.parents = parents
         self._backward = backward
+
+
+class _ParamNode(Node):
+    """A parameter's node. Its value was checked when it was written to the
+    store, so building a graph does not scan it again."""
+
+    __slots__ = ()
+
+    def __init__(self, value: np.ndarray):
+        self.value = value
+        self.grad = None
+        self.rows = None
+        self.parents = ()
+        self._backward = None
 
 
 def constant(value) -> Node:
@@ -119,6 +145,7 @@ def constant(value) -> Node:
 
 
 def _acc(node: Node, grad: np.ndarray) -> None:
+    node.rows = None
     if node.grad is None:
         node.grad = np.array(grad, dtype=node.value.dtype)
     else:
@@ -153,8 +180,8 @@ class ParamNodes:
     """Per-graph view of a ParamStore: one shared Node per parameter name.
 
     ``grads`` hands the nodes' own gradient arrays to the GradStore without a
-    copy; gradients of parameters never touched by the graph come back as
-    zeros.
+    copy, with the rows of those written only by embedding lookups;
+    gradients of parameters never touched by the graph come back as zeros.
     """
 
     def __init__(self, params: ParamStore):
@@ -164,13 +191,15 @@ class ParamNodes:
     def __call__(self, name: str) -> Node:
         node = self._nodes.get(name)
         if node is None:
-            node = Node(self.params[name])
+            node = _ParamNode(self.params[name])
             self._nodes[name] = node
         return node
 
     def grads(self) -> GradStore:
-        return GradStore(self.params, {name: node.grad for name, node in self._nodes.items()
-                                       if node.grad is not None})
+        touched = {name: node for name, node in self._nodes.items() if node.grad is not None}
+        return GradStore(self.params, {name: node.grad for name, node in touched.items()},
+                         {name: np.concatenate(node.rows) for name, node in touched.items()
+                          if node.rows is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +214,17 @@ def embedding_lookup(table: Node, ids) -> Node:
 
     def back(g):
         # Sum per distinct row, in position order, then add into the table's
-        # gradient: the dense table is allocated once per graph, not per lookup.
+        # gradient: the dense table is allocated once per graph, not per lookup,
+        # by np.zeros, which leaves the pages of rows never written unmapped.
         rows, inverse = np.unique(ids, return_inverse=True)
         drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
         np.add.at(drows, inverse, g)
         if table.grad is None:
-            table.grad = np.zeros_like(table.value)
+            table.grad = np.zeros(table.value.shape, dtype=table.value.dtype)
+            table.rows = []
         table.grad[rows] += drows
+        if table.rows is not None:
+            table.rows.append(rows)
 
     return Node(out, (table,), back)
 
@@ -455,8 +488,13 @@ def embedding_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 # Adam
 
 class AdamState:
-    """Per-parameter first/second moments plus step count.
+    """Per-parameter first/second moments, live rows and step count.
 
+    ``live`` holds, per parameter, a mask over its rows (first axis) marking
+    those that have ever had a gradient, or None once the parameter is
+    updated densely (after a dense gradient, or once more than half its rows
+    are live). A row outside the mask has m = v = 0 and a zero gradient,
+    which Adam leaves exactly as they are, so `adam_step` skips it.
     Two scratch buffers the size of the largest parameter hold the update's
     intermediates, so a step allocates no parameter-sized temporaries.
     """
@@ -470,36 +508,73 @@ class AdamState:
         self.step_count = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.live: dict[str, np.ndarray | None] = {
+            name: np.zeros(arr.shape[:1], dtype=bool) for name, arr in params.items()}
         largest = max((arr.size for _, arr in params.items()), default=0)
         self.scratch = (np.empty(largest, dtype=params.dtype),
                         np.empty(largest, dtype=params.dtype))
 
 
+def _adam_update(name: str, p, g, m, v, a, b, state: AdamState, bc1: float,
+                 bc2: float) -> None:
+    """Adam on matching arrays in place, with a and b as temporaries."""
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError(f"non-finite gradient for {name!r}")
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+    p -= np.divide(a, b, out=a)
+    _check_finite(p, f"parameter {name!r} after the Adam step")
+
+
 def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamStore:
     """One bias-corrected Adam update, in place on the store's arrays.
 
-    Works in the state's scratch buffers, in the operation order of
-    m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps).
+    Runs m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps)
+    in that operation order, in the state's scratch buffers. A parameter
+    whose gradients have all come with rows (`GradStore.rows`), and of which
+    at most half the rows are live, is updated on its live rows only: they
+    are gathered into the scratch buffers in chunks that fit, updated and
+    written back, with bit-identical results. Rejects a non-finite gradient,
+    and a non-finite entry it writes, by the parameter's name.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    part = state.scratch[0].size // 3
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
-        p -= np.divide(a, b, out=a)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        live = state.live[name]
+        rows = grads.rows.get(name)
+        chunk = 0
+        if live is not None and rows is not None:
+            live[rows] = True
+            idx = np.flatnonzero(live)
+            # Rows per chunk; left 0, for the dense update and the same
+            # arithmetic, when one row does not fit a third of a scratch
+            # buffer or more than half the rows are live: gathering and
+            # writing back then cost more than updating every row.
+            if 2 * idx.size <= live.size:
+                chunk = part // max(1, p[0].size)
+        if chunk == 0:
+            state.live[name] = None
+            a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
+            _adam_update(name, p, g, m, v, a, b, state, bc1, bc2)
+            continue
+        parts = [buf[i * part:(i + 1) * part] for buf in state.scratch for i in range(3)]
+        for start in range(0, idx.size, chunk):
+            r = idx[start:start + chunk]
+            shape = (r.size, *p.shape[1:])
+            pr, gr, mr, vr, a, b = (buf[:math.prod(shape)].reshape(shape) for buf in parts)
+            for src, dst in ((p, pr), (g, gr), (m, mr), (v, vr)):
+                np.take(src, r, axis=0, out=dst, mode="clip")
+            _adam_update(name, pr, gr, mr, vr, a, b, state, bc1, bc2)
+            p[r], m[r], v[r] = pr, mr, vr
     return params
 
 
@@ -547,23 +622,6 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: Param
 # Checkpoints
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-
-@contextlib.contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Open ``path`` for writing text through a temporary file beside it.
-
-    The file replaces ``path`` only when the block completes, so a write that
-    fails partway leaves an earlier file whole and no temporary file behind.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,

@@ -24,6 +24,7 @@ from .corpus import (
     ThreadInstance,
     UserRecord,
     Vocabulary,
+    atomic_open,
     tokenize,
     write_labels,
     write_posts,
@@ -329,7 +330,7 @@ class TrainResult:
 
 def write_epoch_log(path: str | Path, log: Iterable[Mapping]) -> None:
     """Write rows as JSON lines with sorted keys (epoch logs and predictions)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row in log:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

@@ -436,31 +436,181 @@ def test_adam_deterministic():
     assert run() == run()
 
 
+class TextbookAdam:
+    """Dense Adam written out as the paper states it: the reference."""
+
+    def __init__(self, params, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.p = {name: arr.copy() for name, arr in params.items()}
+        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.lr, self.b1, self.b2, self.eps, self.t = lr, b1, b2, eps, 0
+
+    def step(self, grads):
+        self.t += 1
+        bc1, bc2 = 1.0 - self.b1 ** self.t, 1.0 - self.b2 ** self.t
+        for name, g in grads.items():
+            self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
+            self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
+            self.p[name] = self.p[name] - (self.lr * (self.m[name] / bc1)
+                                           / (np.sqrt(self.v[name] / bc2) + self.eps))
+
+    def assert_equal(self, params, state):
+        for name, arr in params.items():
+            assert np.array_equal(arr, self.p[name]), name
+            assert np.array_equal(state.m[name], self.m[name]), name
+            assert np.array_equal(state.v[name], self.v[name]), name
+
+
 def test_adam_matches_textbook_update_bit_for_bit():
     rng = np.random.default_rng(8)
     shapes = {"big": (7, 9), "vec": (5,), "cube": (2, 3, 4), "one": (1,), "still": (4, 3)}
     params = ParamStore()
     for name, shape in shapes.items():
         params.add(name, rng.standard_normal(shape))
-    ref = {name: arr.copy() for name, arr in params.items()}
-    m = {name: np.zeros(shape) for name, shape in shapes.items()}
-    v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    for t in range(1, 26):
+    state = AdamState(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    ref = TextbookAdam(params, lr=0.01, b1=0.9, b2=0.999, eps=1e-8)
+    for _ in range(25):
         grads = GradStore(params)
         for name, shape in shapes.items():
             if name != "still":
                 grads[name][...] = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
         adam_step(params, grads, state)
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        for name, g in grads.items():
-            m[name] = b1 * m[name] + (1.0 - b1) * g
-            v[name] = b2 * v[name] + (1.0 - b2) * g * g
-            ref[name] = ref[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-    for name, arr in params.items():
-        assert np.array_equal(arr, ref[name]), name
-        assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
+        ref.step(grads)
+    ref.assert_equal(params, state)
+
+
+def test_live_row_adam_matches_dense_adam_bit_for_bit():
+    # A 24-row table, the largest parameter, so a third of a scratch buffer
+    # holds 8 rows and the live rows go in up to 2 chunks. Row 0 is never
+    # touched, row 1 only in step 0; rows 2 and 3 get an exact +0.0 and -0.0
+    # gradient; ids repeat, and gradients span eight orders of magnitude.
+    # From step 30 on, ids reach every row but row 0: more than half the
+    # rows are live and the update turns dense.
+    rng = np.random.default_rng(30)
+    params = ParamStore()
+    params.add("emb", rng.standard_normal((24, 3)))
+    params.add("bias", rng.standard_normal(5))
+    state = AdamState(params, lr=0.01)
+    ref = TextbookAdam(params, lr=0.01)
+    for step in range(36):
+        high = 12 if step < 30 else 24
+        ids = np.concatenate([[1] if step == 0 else [],
+                              rng.integers(2, high, int(rng.integers(1, 9)))]).astype(np.intp)
+        g = np.zeros((24, 3))
+        np.add.at(g, ids, rng.standard_normal((ids.size, 3)) * 10.0 ** rng.uniform(-4, 4))
+        g[2], g[3] = 0.0, -0.0
+        grads = GradStore(params, {"emb": g}, rows={"emb": np.concatenate([ids, [2, 3]])})
+        grads["bias"][...] = rng.standard_normal(5)
+        adam_step(params, grads, state)
+        ref.step(grads)
+        ref.assert_equal(params, state)
+        if step == 29:
+            assert state.live["emb"] is not None and not state.live["emb"][0]
+            assert state.live["emb"].sum() > 8
+    assert state.live["emb"] is None and state.live["bias"] is None
+
+
+def test_lookup_rows_reach_adam_and_match_dense_adam():
+    # Lookups only: the table's gradient comes with the rows it touched.
+    rng = np.random.default_rng(31)
+    params = ParamStore()
+    params.add("emb", rng.standard_normal((40, 4)))
+    params.add("w", rng.standard_normal((1, 12)))
+    state = AdamState(params, lr=0.05)
+    ref = TextbookAdam(params, lr=0.05)
+    for _ in range(10):
+        nodes = ParamNodes(params)
+        ids = [rng.integers(0, 20, 3), rng.integers(0, 20, 3)]
+        flat = flatten(stack_rows([mean_rows(embedding_lookup(nodes("emb"), i)) for i in ids]
+                                  + [mean_rows(embedding_lookup(nodes("emb"), ids[0]))]))
+        backward(squared_error(dense(flat, nodes("w"), constant(np.zeros(1))), 0.5))
+        grads = nodes.grads()
+        assert np.array_equal(np.unique(grads.rows["emb"]), np.unique(np.concatenate(ids)))
+        assert "w" not in grads.rows
+        adam_step(params, grads, state)
+        ref.step(grads)
+        ref.assert_equal(params, state)
+    assert not state.live["emb"][20:].any()
+
+
+@pytest.mark.parametrize("dense_first", [False, True], ids=["lookup_first", "dense_first"])
+def test_table_also_used_densely_drops_its_rows(dense_first):
+    rng = np.random.default_rng(32)
+    params = ParamStore()
+    params.add("emb", rng.standard_normal((10, 3)))
+    state = AdamState(params, lr=0.05)
+    ref = TextbookAdam(params, lr=0.05)
+    for step in range(6):
+        nodes = ParamNodes(params)
+        order = []
+
+        def recording(node, what):
+            rule = node._backward
+
+            def back(g):
+                order.append(what)
+                rule(g)
+            node._backward = back
+            return node
+
+        looked = recording(embedding_lookup(nodes("emb"), [1, 4, 1]), "lookup")
+        loss = pick(mean_rows(looked), 0)
+        mixed = step % 2 == 1
+        if mixed:
+            whole = pick(recording(mean_rows(nodes("emb")), "dense"), 2)
+            # backward runs the first argument's subgraph first
+            loss = nn.add(whole, loss) if dense_first else nn.add(loss, whole)
+        backward(nn.scale(loss, float(rng.uniform(0.5, 2.0))))
+        grads = nodes.grads()
+        if mixed:
+            assert order == (["dense", "lookup"] if dense_first else ["lookup", "dense"])
+            assert "emb" not in grads.rows
+        else:
+            assert set(grads.rows["emb"]) == {1, 4}
+        adam_step(params, grads, state)
+        ref.step(grads)
+        ref.assert_equal(params, state)
+        assert (state.live["emb"] is None) == (step >= 1)
+
+
+def test_adam_nan_in_touched_row_rejected_by_name():
+    params = ParamStore()
+    params.add("emb", np.zeros((6, 2)))
+    before = params["emb"].copy()
+    state = AdamState(params)
+    g = np.zeros((6, 2))
+    g[4, 1] = np.nan
+    grads = GradStore(params, {"emb": g}, rows={"emb": np.array([4])})
+    with pytest.raises(FloatingPointError, match="non-finite gradient for 'emb'"):
+        adam_step(params, grads, state)
+    assert np.array_equal(params["emb"], before)
+
+
+def test_adam_overflowing_update_names_the_parameter():
+    params = ParamStore()
+    params.add("w", np.array([-1e308, 0.5]))
+    state = AdamState(params, lr=1e308)
+    grads = GradStore(params)
+    grads["w"][...] = 1.0
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match="parameter 'w' after the Adam step"):
+        adam_step(params, grads, state)
+
+
+def test_non_finite_parameter_values_are_caught_where_written_or_used():
+    params = ParamStore()
+    params.add("w", np.ones((1, 2)))
+    bad = ParamStore()
+    bad.add("w", np.ones((1, 2)))
+    bad["w"][0, 1] = np.inf
+    with pytest.raises(FloatingPointError, match="parameter 'w'"):
+        params.load_values(bad)
+    # A value written from outside the library reaches the first op output.
+    params["w"][0, 0] = np.nan
+    nodes = ParamNodes(params)
+    w = nodes("w")
+    with pytest.raises(FloatingPointError, match="op output"):
+        dense(constant(np.ones(2)), w, constant(np.zeros(1)))
 
 
 def test_adam_step_allocates_no_parameter_sized_temporaries():
@@ -469,13 +619,21 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
     params.add("w", rng.standard_normal((800, 500)))
     params.add("u", rng.standard_normal((200, 500)))
     params.add("b", rng.standard_normal(500))
+    dense_bytes = sum(arr.nbytes for _, arr in params.items())
+    params.add("emb", rng.standard_normal((50_000, 50)))
     state = AdamState(params)
-    grads = GradStore(params)
+    # 20k of the table's rows live: two chunks of a third of the scratch.
+    rows = rng.choice(50_000, 20_000, replace=False)
+    table = np.zeros((50_000, 50))
+    table[rows] = rng.standard_normal((rows.size, 50))
+    grads = GradStore(params, {"emb": table}, rows={"emb": rows})
     for name, g in grads.items():
-        g[...] = rng.standard_normal(g.shape)
+        if name != "emb":
+            g[...] = rng.standard_normal(g.shape)
     adam_step(params, grads, state)
-    param_bytes = sum(arr.nbytes for _, arr in params.items())
-    assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * param_bytes
+    # The bound leaves the 20 MB table nothing: its update stays in scratch.
+    assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * dense_bytes
+    assert state.live["emb"].sum() == rows.size
 
 
 # -- checkpoints ---------------------------------------------------------------

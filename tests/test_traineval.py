@@ -4,6 +4,7 @@ import json
 import hashlib
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ from triagekit.corpus import (
     DIAGNOSED,
     Post,
     RiskLabel,
+    ThreadInstance,
     UserRecord,
     read_labels,
     read_posts,
     read_threads,
+    write_labels,
+    write_posts,
+    write_threads,
 )
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
+from triagekit.nn import ParamStore, pick
 from triagekit.traineval import (
     EvalReport,
     SelectionConfig,
@@ -26,6 +32,7 @@ from triagekit.traineval import (
     SynthRiskSpec,
     TrainConfig,
     _epoch_order,
+    _train,
     binary_metrics,
     class_weights,
     confusion_matrix,
@@ -624,6 +631,22 @@ def test_train_divergence_aborts(run):
         run(TrainConfig(epochs=2, lr=1e200, seed=0))
 
 
+def test_train_reports_overflowing_update_with_epoch_step_and_parameter():
+    params = ParamStore()
+    params.add("w", np.array([-1e308]))
+    model = SimpleNamespace(config=SimpleNamespace(balance="weighted"), params=params)
+
+    def step_loss(epoch, idx, nodes, rng):
+        return pick(nodes("w"), 0)
+
+    # The first update overflows w; no op output ever sees the infinity.
+    with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match=r"^training diverged at epoch 0 step 0: "
+                                r"non-finite values in parameter 'w'"):
+        _train(model, [0, 1], 2, TrainConfig(epochs=1, lr=1e308, seed=0), step_loss,
+               lambda: (0.0, {}))
+
+
 @TASK_RUNS
 def test_train_restores_best_epoch_weights(run):
     result, rescored, kept = run(TrainConfig(epochs=4, lr=0.02, seed=1))
@@ -643,6 +666,32 @@ def test_write_epoch_log_round_trip(tmp_path):
     write_epoch_log(path, log)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows == log
+
+
+_POST = Post("u1-p0", "u1", "forum", 0, "some text")
+
+
+@pytest.mark.parametrize("writer, item", [
+    (write_epoch_log, {"epoch": 0, "loss": 1.5}),
+    (write_posts, _POST),
+    (write_labels, UserRecord("u1", (_POST,), DIAGNOSED, "u1-p0")),
+    (write_threads, ThreadInstance(Post("u2-p1", "u2", "forum", 1, "reply."), (_POST,),
+                                   RiskLabel.RED)),
+], ids=["epoch_log", "posts", "labels", "threads"])
+def test_failed_write_leaves_earlier_file(tmp_path, writer, item):
+    path = tmp_path / "out.ndjson"
+    writer(path, [item])
+    before = path.read_bytes()
+
+    def interrupted():
+        yield item
+        yield item
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        writer(path, interrupted())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ndjson"]
 
 
 # ---------------------------------------------------------------------------
