@@ -24,6 +24,7 @@ from .nn import (
     Node,
     ParamNodes,
     ParamStore,
+    SparseRows,
     add_const,
     backward,
     concat,
@@ -45,6 +46,7 @@ from .nn import (
     relu,
     save_checkpoint,
     softmax,
+    sparse_conv1d,
     squared_error,
     stack_rows,
     sub,
@@ -296,7 +298,14 @@ class RiskModelConfig:
 
 
 class RiskModel:
-    """4-level risk classifier over (target, context) sentence-vector inputs."""
+    """4-level risk classifier over (target, context) sentence-vector inputs.
+
+    Each input is a `SparseRows` matrix (a dense array is converted), and
+    both towers convolve it with `sparse_conv1d`, reading only its nonzero
+    columns. ``conv.w`` is therefore laid out [sentence_dim x window x
+    filters]; checkpoints keep the [filters x window x sentence_dim] layout
+    of `conv1d`, and `save` and `load` transpose at that boundary.
+    """
 
     kind = "risk"
 
@@ -309,9 +318,10 @@ class RiskModel:
         c = self.config
         rng = np.random.default_rng(seed)
         p = ParamStore()
+        # Drawn in the checkpoint layout, so a seed gives the same weights.
         p.add("conv.w", glorot_uniform(
             rng, (c.conv_filters, c.conv_window, c.sentence_dim),
-            c.conv_window * c.sentence_dim, c.conv_filters))
+            c.conv_window * c.sentence_dim, c.conv_filters).transpose(2, 1, 0))
         p.add("conv.b", np.zeros(c.conv_filters))
         pooled_rows = math.ceil((c.max_sentences - c.conv_window + 1) / c.pool_n)
         width = 2 * pooled_rows * c.conv_filters
@@ -325,16 +335,18 @@ class RiskModel:
             p.add("classes", embedding_init(rng, (c.n_classes, c.output_dim)))
         return p
 
-    def _tower(self, matrix: np.ndarray, nodes: ParamNodes) -> Node:
+    def _tower(self, matrix: SparseRows | np.ndarray, nodes: ParamNodes) -> Node:
         c = self.config
+        matrix = matrix if isinstance(matrix, SparseRows) else SparseRows.from_dense(matrix)
         if matrix.shape != (c.max_sentences, c.sentence_dim):
             raise ValueError(f"input shape {matrix.shape}, expected "
                              f"({c.max_sentences}, {c.sentence_dim})")
-        feat = relu(conv1d(constant(matrix), nodes("conv.w"), nodes("conv.b")))
+        feat = relu(sparse_conv1d(matrix, nodes("conv.w"), nodes("conv.b")))
         return flatten(max_pool(feat, c.pool_n))
 
-    def forward(self, target: np.ndarray, context: np.ndarray, nodes: ParamNodes,
-                train: bool = False, rng: np.random.Generator | None = None) -> Node:
+    def forward(self, target: SparseRows | np.ndarray, context: SparseRows | np.ndarray,
+                nodes: ParamNodes, train: bool = False,
+                rng: np.random.Generator | None = None) -> Node:
         """Head output node: logits [4] (cat_ce), score [1] (mse), or X [d]."""
         c = self.config
         h = concat(self._tower(target, nodes), self._tower(context, nodes))
@@ -344,8 +356,8 @@ class RiskModel:
                 h = dropout(h, c.dropout, rng=rng, train=train)
         return dense(h, nodes("out.w"), nodes("out.b"))
 
-    def loss(self, target: np.ndarray, context: np.ndarray, label: int,
-             nodes: ParamNodes, train: bool = True,
+    def loss(self, target: SparseRows | np.ndarray, context: SparseRows | np.ndarray,
+             label: int, nodes: ParamNodes, train: bool = True,
              rng: np.random.Generator | None = None,
              negative: int | None = None) -> Node:
         """Variant loss; metric variants need the sampled negative class."""
@@ -361,7 +373,8 @@ class RiskModel:
                    else class_metric_ordinal_loss)
         return loss_fn(out, label, negative, nodes("classes"), c.margin)
 
-    def predict(self, target: np.ndarray, context: np.ndarray) -> tuple[RiskLabel, float]:
+    def predict(self, target: SparseRows | np.ndarray,
+                context: SparseRows | np.ndarray) -> tuple[RiskLabel, float]:
         """Label and its score from one forward pass.
 
         The score is the label's softmax probability (cat_ce), the raw
@@ -380,13 +393,14 @@ class RiskModel:
         label = metric_classify(out, classes)
         return label, -float(np.linalg.norm(classes - out, axis=1)[label])
 
-    def classify(self, target: np.ndarray, context: np.ndarray) -> RiskLabel:
+    def classify(self, target: SparseRows | np.ndarray,
+                 context: SparseRows | np.ndarray) -> RiskLabel:
         return self.predict(target, context)[0]
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
         config = {"kind": f"{self.kind}:{self.config.variant}", **asdict(self.config)}
         config["dense_dims"] = list(self.config.dense_dims)
-        save_checkpoint(path, self.params, config, seed, step)
+        save_checkpoint(path, _swap_conv_axes(self.params), config, seed, step)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["RiskModel", int, int]:
@@ -396,17 +410,30 @@ class RiskModel:
             raise ValueError(f"checkpoint holds {kind!r}, not a {cls.kind!r} model")
         config = {k: v for k, v in config.items() if k != "kind"}
         config["dense_dims"] = tuple(config["dense_dims"])
-        return cls(RiskModelConfig(**config), params), seed, step
+        return cls(RiskModelConfig(**config), _swap_conv_axes(params)), seed, step
+
+
+def _swap_conv_axes(params: ParamStore) -> ParamStore:
+    """A copy of the store with conv.w's first and last axes swapped.
+
+    This maps the risk model's [dim x window x filters] layout to the
+    checkpoint's [filters x window x dim] and back.
+    """
+    out = ParamStore(params.dtype)
+    for name, arr in params.items():
+        out.add(name, arr.transpose(2, 1, 0) if name == "conv.w" else arr)
+    return out
 
 
 def instance_matrices(instance: ThreadInstance, encoder,
                       max_sentences: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Sentence-vector matrices (target, context), each [max_sentences × dim].
+    """Dense sentence-vector matrices (target, context), each
+    [max_sentences × dim].
 
     Only the last `max_sentences` sentences count; shorter inputs are
     zero-padded at the front so recent sentences stay in fixed positions.
     A target post with no sentences is an error; an empty context is all
-    zeros.
+    zeros. `traineval.thread_matrices` keeps them as `SparseRows`.
     """
     target_sentences = split_sentences(instance.target.text)
     if not target_sentences:

@@ -5,6 +5,14 @@ vectors and matrices, convolution kernels 3-D), with analytic backward rules
 per op, Adam with bias correction, checkpoint I/O (weights stored as
 float32), and a central finite-difference oracle for verifying every
 gradient. There is no general autodiff beyond the ops defined here.
+
+Two convolutions share one rule, out[r, f] = b[f] + sum over the k-row window
+at r of x dotted with filter f, with two kernel layouts:
+
+- `conv1d` reads a dense node x [T x d_in] with kernels [filters x k x d_in].
+- `sparse_conv1d` reads a constant `SparseRows` input with kernels
+  [d_in x k x filters], input column first, so that the rows it touches are
+  rows of the kernel and Adam skips the rows no input has reached.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ def _check_finite(value: np.ndarray, what: str) -> None:
 # Parameter and gradient stores
 
 class ParamStore:
-    """Ordered map of name -> weight array. Arrays are owned by the store."""
+    """Ordered map of name -> weight array. Arrays are owned by the store and
+    C-contiguous."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
@@ -42,7 +51,7 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter {name!r}")
-        arr = np.array(values, dtype=self.dtype)
+        arr = np.array(values, dtype=self.dtype, order="C")
         _check_finite(arr, f"parameter {name!r}")
         self._arrays[name] = arr
         return arr
@@ -110,9 +119,10 @@ class GradStore:
 class Node:
     """One value in the computation graph, with its local backward rule.
 
-    ``rows`` lists the row-index arrays that `embedding_lookup` backward
-    rules wrote into ``grad``, while those are its only nonzero rows; any
-    other gradient into the node drops the record.
+    ``rows`` lists the row-index arrays that row-writing backward rules
+    (`embedding_lookup`, `sparse_conv1d`) wrote into ``grad``, while those
+    are its only nonzero rows; any other gradient into the node drops the
+    record.
     """
 
     __slots__ = ("value", "grad", "rows", "parents", "_backward")
@@ -152,6 +162,21 @@ def _acc(node: Node, grad: np.ndarray) -> None:
         node.grad += grad
 
 
+def _acc_rows(node: Node, rows: np.ndarray, drows: np.ndarray) -> None:
+    """Add drows into the distinct rows ``rows`` of node's gradient, and
+    record them while row writes are its only gradients.
+
+    The dense gradient is allocated once per graph, not per call, by
+    np.zeros, which leaves the pages of rows never written unmapped.
+    """
+    if node.grad is None:
+        node.grad = np.zeros(node.value.shape, dtype=node.value.dtype)
+        node.rows = []
+    node.grad[rows] += drows
+    if node.rows is not None:
+        node.rows.append(rows)
+
+
 def backward(loss: Node) -> None:
     """Populate .grad on every node reachable from a scalar loss node."""
     if loss.value.shape != ():
@@ -180,7 +205,7 @@ class ParamNodes:
     """Per-graph view of a ParamStore: one shared Node per parameter name.
 
     ``grads`` hands the nodes' own gradient arrays to the GradStore without a
-    copy, with the rows of those written only by embedding lookups;
+    copy, with the rows of those written only by row-writing ops;
     gradients of parameters never touched by the graph come back as zeros.
     """
 
@@ -214,17 +239,11 @@ def embedding_lookup(table: Node, ids) -> Node:
 
     def back(g):
         # Sum per distinct row, in position order, then add into the table's
-        # gradient: the dense table is allocated once per graph, not per lookup,
-        # by np.zeros, which leaves the pages of rows never written unmapped.
+        # gradient.
         rows, inverse = np.unique(ids, return_inverse=True)
         drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
         np.add.at(drows, inverse, g)
-        if table.grad is None:
-            table.grad = np.zeros(table.value.shape, dtype=table.value.dtype)
-            table.rows = []
-        table.grad[rows] += drows
-        if table.rows is not None:
-            table.rows.append(rows)
+        _acc_rows(table, rows, drows)
 
     return Node(out, (table,), back)
 
@@ -260,6 +279,73 @@ def conv1d(x: Node, weights: Node, bias: Node, stride: int = 1) -> Node:
         _acc(x, dx)
 
     return Node(out, (x, weights, bias), back)
+
+
+class SparseRows:
+    """A constant [T x dim] matrix kept as its nonzero columns.
+
+    ``cols`` are the sorted, unique ids of the columns holding a nonzero, and
+    ``values`` [T x len(cols)] holds those columns in that order. An all-zero
+    matrix has no columns.
+    """
+
+    __slots__ = ("cols", "values", "dim")
+
+    def __init__(self, cols, values, dim: int):
+        cols = np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values)
+        if cols.ndim != 1 or values.ndim != 2 or values.shape[1] != cols.size:
+            raise ValueError(f"sparse rows need 1-D cols and [T x len(cols)] values, "
+                             f"got cols {cols.shape} and values {values.shape}")
+        if cols.size and (cols[0] < 0 or cols[-1] >= dim or (cols[1:] <= cols[:-1]).any()):
+            raise ValueError(f"sparse columns must be sorted, unique ids in [0, {dim})")
+        self.cols = cols
+        self.values = values
+        self.dim = dim
+
+    @classmethod
+    def from_dense(cls, matrix) -> "SparseRows":
+        matrix = np.asarray(matrix)
+        cols = matrix.any(axis=0).nonzero()[0]
+        return cls(cols, matrix.take(cols, axis=1), matrix.shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape[0], self.dim
+
+
+def sparse_conv1d(x: SparseRows, weights: Node, bias: Node) -> Node:
+    """`conv1d` at stride 1 of a constant sparse input x [T x d_in], with
+    weights [d_in x k x l] laid out input column first.
+
+    Only x's nonzero columns U are read. Forward computes
+    P = values @ weights[U] as [T x k x l], then out[r] = sum_j P[r + j, j]
+    plus the bias. Backward writes the weight gradient on rows U only, with a
+    row record as `embedding_lookup` does; x, a constant, gets none.
+    """
+    T, d_in = x.shape
+    d_w, k, l = weights.value.shape
+    if d_w != d_in:
+        raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
+    if T < k:
+        raise ValueError(f"conv input has {T} rows, needs at least window size {k}")
+    rows = T - k + 1
+    w_used = weights.value[x.cols].reshape(x.cols.size, k * l)
+    p = (x.values @ w_used).reshape(T, k, l)
+    out = p[:rows, 0].copy()
+    for j in range(1, k):
+        out += p[j:j + rows, j]
+    out += bias.value
+
+    def back(g):
+        dp = np.zeros((T, k, l), dtype=g.dtype)
+        for j in range(k):
+            dp[j:j + rows, j] = g
+        dw = x.values.T @ dp.reshape(T, k * l)
+        _acc_rows(weights, x.cols, dw.reshape(x.cols.size, k, l))
+        _acc(bias, g.sum(axis=0))
+
+    return Node(out, (weights, bias), back)
 
 
 def relu(x: Node) -> Node:
@@ -491,7 +577,8 @@ class AdamState:
     """Per-parameter first/second moments, live rows and step count.
 
     ``live`` holds, per parameter, a mask over its rows (first axis) marking
-    those that have ever had a gradient, or None once the parameter is
+    those that have ever had a gradient (from `embedding_lookup` or
+    `sparse_conv1d`), or None once the parameter is
     updated densely (after a dense gradient, or once more than half its rows
     are live). A row outside the mask has m = v = 0 and a zero gradient,
     which Adam leaves exactly as they are, so `adam_step` skips it.

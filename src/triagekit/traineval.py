@@ -31,7 +31,7 @@ from .corpus import (
     write_threads,
 )
 from .models import DepressionModel, RiskModel, instance_matrices
-from .nn import AdamState, Node, ParamNodes, adam_step, backward, scale
+from .nn import AdamState, Node, ParamNodes, SparseRows, adam_step, backward, scale
 
 RISK_CLASS_NAMES = ("green", "amber", "red", "crisis")
 DETECTION_CLASS_NAMES = ("control", "diagnosed")
@@ -415,17 +415,24 @@ def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
 
 
 def thread_matrices(instances: Sequence[ThreadInstance], encoder,
-                    max_sentences: int = 20) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Encode thread instances once into (target, context, label) triples."""
-    return [(*instance_matrices(inst, encoder, max_sentences), int(inst.label))
+                    max_sentences: int = 20) -> list[tuple[SparseRows, SparseRows, int]]:
+    """Encode thread instances once into (target, context, label) triples.
+
+    Each `instance_matrices` matrix is kept as its nonzero columns
+    (`SparseRows`): hashed sentence vectors fill a few of thousands of
+    columns, and a dense encoder's vectors fill every column.
+    """
+    return [(*map(SparseRows.from_dense, instance_matrices(inst, encoder, max_sentences)),
+             int(inst.label))
             for inst in instances]
 
 
 def train_risk(model: RiskModel,
-               train_data: Sequence[tuple[np.ndarray, np.ndarray, int]],
-               val_data: Sequence[tuple[np.ndarray, np.ndarray, int]],
+               train_data: Sequence[tuple[SparseRows, SparseRows, int]],
+               val_data: Sequence[tuple[SparseRows, SparseRows, int]],
                cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Train the risk model on encoded (target, context, label) data.
+    """Train the risk model on encoded (target, context, label) data, as
+    `thread_matrices` gives it (dense matrices are accepted too).
 
     Runs the shared loop `_train` with one thread per step; the weights kept
     are those of the epoch with the best validation non-green F1. Metric

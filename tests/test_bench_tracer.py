@@ -32,13 +32,17 @@ import tracer as tracing
 
 tracer = tracing.Tracer()
 tracing.install(tracer, triagekit)
-from triagekit import models, traineval
-from triagekit.corpus import CONTROL, DIAGNOSED, Post, UserRecord
+from triagekit import corpus, models, traineval
+from triagekit.corpus import CONTROL, DIAGNOSED, Post, RiskLabel, ThreadInstance, UserRecord
 
 tracer.phase_id = tracing.PHASES.index("train")
 rng = np.random.default_rng(0)
-threads = [(rng.normal(size=(4, 6)), np.zeros((4, 6)), y)
-           for y in range(4) for _ in range(2)]
+# Risk inputs go through thread_matrices, which must keep calling
+# instance_matrices by the name the tracer counts input density at.
+instances = [ThreadInstance(Post(f"t{y}{i}", "u", "forum", 1, f"Level {y} post {i}. Short."),
+                            (), RiskLabel(y))
+             for y in range(4) for i in range(2)]
+threads = traineval.thread_matrices(instances, corpus.HashedSentenceEncoder(dim=6), 4)
 config = models.RiskModelConfig("class_metric", sentence_dim=6, conv_filters=3, pool_n=2,
                                 dense_dims=(5,), max_sentences=4)
 traineval.train_risk(models.RiskModel(config), threads, threads,
@@ -71,6 +75,7 @@ def test_tracer_wraps_library_and_times_training():
     assert metrics["traineval.train_s"] > 0
     assert metrics["nn.adam_ms"] > 0 and metrics["nn.backward_ms"] > 0
     assert metrics["models.forward_ms"] > 0
+    assert 0 < metrics["corpus.input_density"] < 1
     # both tasks' steps run their ops through the wrapped names
     for op in ("conv1d", "max_pool", "hinge", "stack_rows", "cross_entropy", "scale"):
         assert metrics[f"nn.op.{op}.calls"] > 0, op

@@ -1,13 +1,18 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from triagekit.corpus import (
+    FileSentenceEncoder,
     HashedSentenceEncoder,
     Post,
     RiskLabel,
     ThreadInstance,
+    sentence_hash,
+    split_sentences,
 )
 from triagekit.models import (
     RISK_VARIANTS,
@@ -23,12 +28,26 @@ from triagekit.models import (
     top_phrases,
 )
 from triagekit.nn import (
+    AdamState,
     ParamNodes,
     ParamStore,
+    SparseRows,
+    adam_step,
+    backward,
+    concat,
     constant,
+    conv1d,
+    dense,
     finite_difference_check,
+    flatten,
+    glorot_uniform,
+    load_checkpoint,
+    max_pool,
+    relu,
+    save_checkpoint,
     softmax,
 )
+from triagekit.traineval import TrainConfig, thread_matrices, train_risk
 
 
 def tiny_depression_config(**overrides):
@@ -422,6 +441,191 @@ def test_instance_matrices_empty_target_errors():
     enc = HashedSentenceEncoder(dim=8)
     with pytest.raises(ValueError, match="no sentences"):
         instance_matrices(make_thread(""), enc, 4)
+
+
+# -- the sparse risk tower -------------------------------------------------------------
+
+def conv1d_layout(params):
+    """A copy of a risk store with conv.w as `conv1d` reads it: [filters x k x dim]."""
+    out = ParamStore()
+    for name, arr in params.items():
+        out.add(name, arr.transpose(2, 1, 0) if name == "conv.w" else arr)
+    return out
+
+
+def dense_reference_output(params, cfg, target, context):
+    """The risk forward pass in eval mode through dense `conv1d`; ``params``
+    holds conv.w in the [filters x window x dim] layout."""
+    nodes = ParamNodes(params)
+
+    def tower(matrix):
+        feat = relu(conv1d(constant(matrix), nodes("conv.w"), nodes("conv.b")))
+        return flatten(max_pool(feat, cfg.pool_n))
+
+    h = concat(tower(target), tower(context))
+    for i in range(len(cfg.dense_dims)):
+        h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
+    return dense(h, nodes("out.w"), nodes("out.b")).value
+
+
+def labelled_thread(index, label, n_sentences, n_context):
+    """A thread whose sentences are all distinct."""
+    def text(tag, n):
+        return " ".join(f"Sentence {tag} {index} {i} says word{index * 7 + i}." for i in range(n))
+
+    context = tuple(Post(f"c{index}-{j}", "u2", "forum", j, text(f"c{j}", 2))
+                    for j in range(n_context))
+    target = Post(f"t{index}", "u1", "forum", 100, text("t", n_sentences))
+    return ThreadInstance(target, context, RiskLabel(label))
+
+
+def test_risk_conv_weights_are_input_column_first_and_keep_the_seeded_init():
+    cfg = tiny_risk_config("class_metric", sentence_dim=7, conv_filters=3)
+    w = RiskModel(cfg, seed=12).params["conv.w"]
+    assert w.shape == (7, cfg.conv_window, 3) and w.flags["C_CONTIGUOUS"]
+    rng = np.random.default_rng(12)
+    drawn = glorot_uniform(rng, (3, cfg.conv_window, 7), cfg.conv_window * 7, 3)
+    assert np.array_equal(w, drawn.transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("variant", ["cat_ce", "class_metric_ordinal"])
+def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
+    # A checkpoint in the [filters x window x dim] layout, as nn.save_checkpoint
+    # writes any store; the risk model loads it input column first.
+    cfg = tiny_risk_config(variant, sentence_dim=6, conv_filters=3, dropout=0.0)
+    rng = np.random.default_rng(13)
+    stored = ParamStore()
+    for name, arr in conv1d_layout(RiskModel(cfg, seed=2).params).items():
+        stored.add(name, rng.standard_normal(arr.shape))
+    config = {"kind": f"risk:{variant}", **asdict(cfg), "dense_dims": list(cfg.dense_dims)}
+    path = tmp_path / "conv1d-layout.json"
+    save_checkpoint(path, stored, config, seed=4, step=9)
+    reference = load_checkpoint(path)[0]
+
+    loaded, seed, step = RiskModel.load(path)
+    assert (seed, step) == (4, 9) and loaded.config == cfg
+    w = loaded.params["conv.w"]
+    assert w.shape == (6, cfg.conv_window, 3) and w.flags["C_CONTIGUOUS"]
+    for _ in range(20):
+        target, context = rand_instance_mats(rng, cfg)
+        target[:, [0, 4]] = 0.0
+        out = loaded.forward(target, context, ParamNodes(loaded.params)).value
+        expected = dense_reference_output(reference, cfg, target, context)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        if variant == "cat_ce":
+            assert loaded.classify(target, context) == int(np.argmax(expected))
+        else:
+            assert loaded.classify(target, context) == metric_classify(
+                expected, reference["classes"])
+
+    # Saving writes the same layout back: the same file, and the same weights.
+    again = tmp_path / "again.json"
+    loaded.save(again, seed=4, step=9)
+    assert again.read_bytes() == path.read_bytes()
+    reloaded = RiskModel.load(again)[0]
+    for name, arr in loaded.params.items():
+        assert np.array_equal(reloaded.params[name], arr), name
+
+
+def test_thread_matrices_keep_hashed_inputs_compact():
+    enc = HashedSentenceEncoder(dim=7200)
+    threads = [labelled_thread(i, i % 4, n_sentences=3 + i % 5, n_context=i % 3)
+               for i in range(12)]
+    data = thread_matrices(threads, enc, max_sentences=20)
+    held = sum(m.values.nbytes + m.cols.nbytes for t, c, _ in data for m in (t, c))
+    dense_bytes = len(data) * 2 * 20 * 7200 * 8
+    assert held < 0.05 * dense_bytes, held / dense_bytes
+    for (target, context, label), inst in zip(data, threads):
+        assert isinstance(target, SparseRows) and label == int(inst.label)
+        dense_target, dense_context = instance_matrices(inst, enc, 20)
+        for sparse, matrix in ((target, dense_target), (context, dense_context)):
+            assert np.array_equal(sparse.cols, np.flatnonzero(matrix.any(axis=0)))
+            assert np.array_equal(sparse.values, matrix[:, sparse.cols])
+
+
+def sparse_tower_model(sentence_dim):
+    cfg = tiny_risk_config("cat_ce", sentence_dim=sentence_dim, conv_filters=4,
+                           dense_dims=(5,), max_sentences=6, dropout=0.0)
+    return RiskModel(cfg, seed=3)
+
+
+def adam_pair(model):
+    """Adam on the model's store, and a dense-only Adam on a copy of it."""
+    state = AdamState(model.params, lr=0.01)
+    dense_params = model.params.copy()
+    dense_state = AdamState(dense_params, lr=0.01)
+    dense_state.live = dict.fromkeys(dense_state.live)
+    return state, dense_params, dense_state
+
+
+def test_sparse_tower_steps_keep_live_rows_exact():
+    # Hashed inputs reach few conv.w rows, so live-row Adam keeps its mask,
+    # also through a step whose target and context are both empty; every
+    # step is bit-identical to dense Adam.
+    model = sparse_tower_model(7200)
+    enc = HashedSentenceEncoder(dim=7200)
+    data = thread_matrices([labelled_thread(i, i % 4, 4, 2) for i in range(3)], enc, 6)
+    empty = SparseRows.from_dense(np.zeros((6, 7200)))
+    steps = [data[0][:2], data[1][:2], (empty, empty), data[2][:2]]
+    state, dense_params, dense_state = adam_pair(model)
+    seen = np.zeros(7200, dtype=bool)
+    for target, context in steps:
+        nodes = ParamNodes(model.params)
+        backward(model.loss(target, context, 2, nodes, train=False))
+        grads = nodes.grads()
+        adam_step(model.params, grads, state)
+        adam_step(dense_params, grads, dense_state)
+        seen[target.cols] = seen[context.cols] = True
+        assert state.live["conv.w"] is not None
+        assert np.array_equal(state.live["conv.w"], seen)
+        for name, arr in model.params.items():
+            assert np.array_equal(arr, dense_params[name]), name
+            assert np.array_equal(state.m[name], dense_state.m[name]), name
+            assert np.array_equal(state.v[name], dense_state.v[name]), name
+    assert 0 < seen.sum() < 0.05 * seen.size
+
+
+def test_dense_tower_input_falls_back_to_the_dense_update():
+    model = sparse_tower_model(8)
+    rng = np.random.default_rng(14)
+    target, context = rand_instance_mats(rng, model.config)
+    state = AdamState(model.params, lr=0.01)
+    nodes = ParamNodes(model.params)
+    backward(model.loss(target, context, 1, nodes, train=False))
+    grads = nodes.grads()
+    assert np.array_equal(np.unique(grads.rows["conv.w"]), np.arange(8))
+    adam_step(model.params, grads, state)
+    assert state.live["conv.w"] is None
+
+
+def test_file_encoder_vectors_take_the_same_path(tmp_path):
+    # Dense precomputed vectors fill every column; they go through the same
+    # sparse tower and agree with dense conv1d.
+    dim = 6
+    threads = [labelled_thread(i, i % 4, n_sentences=2 + i % 3, n_context=i % 2)
+               for i in range(8)]
+    sentences = {s for inst in threads
+                 for post in (inst.target, *inst.context) for s in split_sentences(post.text)}
+    rng = np.random.default_rng(15)
+    path = tmp_path / "vectors.ndjson"
+    with open(path, "w", encoding="utf-8") as fh:
+        for sentence in sorted(sentences):
+            vector = rng.standard_normal(dim).tolist()
+            fh.write(json.dumps({"hash": sentence_hash(sentence), "vector": vector}) + "\n")
+    enc = FileSentenceEncoder(path)
+    cfg = tiny_risk_config("cat_ce", sentence_dim=dim, conv_filters=3, dense_dims=(5,),
+                           max_sentences=4, dropout=0.0)
+    data = thread_matrices(threads, enc, cfg.max_sentences)
+    assert all(np.array_equal(t.cols, np.arange(dim)) for t, _, _ in data)
+    model = RiskModel(cfg, seed=16)
+    train_risk(model, data, data, TrainConfig(epochs=2, lr=0.01, seed=1))
+    reference = conv1d_layout(model.params)
+    for (target, context, _), inst in zip(data, threads):
+        dense_target, dense_context = instance_matrices(inst, enc, cfg.max_sentences)
+        expected = dense_reference_output(reference, cfg, dense_target, dense_context)
+        out = model.forward(target, context, ParamNodes(model.params)).value
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        assert model.predict(target, context)[0] == int(np.argmax(expected))
 
 
 # -- output heads --------------------------------------------------------------------

@@ -11,6 +11,7 @@ from triagekit.nn import (
     Node,
     ParamNodes,
     ParamStore,
+    SparseRows,
     adam_step,
     backward,
     concat,
@@ -31,6 +32,7 @@ from triagekit.nn import (
     relu,
     save_checkpoint,
     softmax,
+    sparse_conv1d,
     squared_error,
     stack_rows,
     sub,
@@ -386,6 +388,104 @@ def test_gradcheck_squared_error():
 
     worst = finite_difference_check(loss_fn, params)
     assert max(worst.values()) < 1e-4
+
+
+# -- sparse convolution ---------------------------------------------------------
+
+def sparse_input(rng, t, d, zero_cols):
+    """A random [t x d] matrix with the given columns zero, dense and sparse."""
+    x = rng.standard_normal((t, d))
+    x[:, list(zero_cols)] = 0.0
+    return x, SparseRows.from_dense(x)
+
+
+def test_sparse_rows_checks_its_columns():
+    x = np.array([[0.0, 1.5, 0.0, -2.0], [0.0, 0.0, 0.0, 3.0]])
+    sparse = SparseRows.from_dense(x)
+    assert np.array_equal(sparse.cols, [1, 3]) and sparse.shape == (2, 4)
+    assert np.array_equal(sparse.values, [[1.5, -2.0], [0.0, 3.0]])
+    empty = SparseRows.from_dense(np.zeros((3, 5)))
+    assert empty.cols.size == 0 and empty.values.shape == (3, 0) and empty.shape == (3, 5)
+    for cols in ([3, 1], [1, 1], [-1, 2], [1, 4]):
+        with pytest.raises(ValueError, match="sorted, unique"):
+            SparseRows(cols, np.ones((2, 2)), 4)
+    with pytest.raises(ValueError, match="values"):
+        SparseRows([0, 1], np.ones((2, 3)), 4)
+
+
+@pytest.mark.parametrize("t,d,k,zero_cols", [
+    (6, 7, 3, (0, 2, 3, 6)),       # zero columns on both edges
+    (5, 4, 2, (0, 1, 2, 3)),       # an all-zero input: an empty context
+    (3, 5, 3, (1,)),               # T == window: one output row
+], ids=["zero_columns", "all_zero", "t_equals_window"])
+def test_gradcheck_sparse_conv1d(t, d, k, zero_cols):
+    rng = np.random.default_rng(t * 100 + d)
+    _, x = sparse_input(rng, t, d, zero_cols)
+    params = ParamStore()
+    params.add("w", rng.standard_normal((d, k, 3)) * 0.5)
+    params.add("b", rng.standard_normal(3) * 0.1)
+
+    def loss_fn(nodes):
+        out = relu(sparse_conv1d(x, nodes("w"), nodes("b")))
+        return readout_loss(out, np.random.default_rng(5))
+
+    worst = finite_difference_check(loss_fn, params)
+    assert max(worst.values()) < 1e-4, worst
+
+
+def test_sparse_conv1d_matches_dense_conv1d():
+    # The same sums in another order: outputs and gradients agree to 1e-12,
+    # and no gradient reaches a weight row of a zero column.
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        t = int(rng.integers(3, 9))
+        d = int(rng.integers(4, 12))
+        k = int(rng.integers(1, 4))
+        l = int(rng.integers(1, 6))
+        zero_cols = rng.choice(d, size=int(rng.integers(0, d)), replace=False)
+        x, sparse = sparse_input(rng, t, d, zero_cols)
+        w = rng.standard_normal((l, k, d))
+        params = ParamStore()
+        params.add("w", w.transpose(2, 1, 0))
+        params.add("b", rng.standard_normal(l))
+        ref = ParamStore()
+        ref.add("w", w)
+        ref.add("b", params["b"])
+        nodes, ref_nodes = ParamNodes(params), ParamNodes(ref)
+        out = sparse_conv1d(sparse, nodes("w"), nodes("b"))
+        ref_out = conv1d(constant(x), ref_nodes("w"), ref_nodes("b"))
+        np.testing.assert_allclose(out.value, ref_out.value, rtol=1e-12, atol=1e-12)
+        for node in (out, ref_out):
+            backward(readout_loss(node, np.random.default_rng(trial)))
+        grads, ref_grads = nodes.grads(), ref_nodes.grads()
+        np.testing.assert_allclose(grads["w"], ref_grads["w"].transpose(2, 1, 0),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads["b"], ref_grads["b"], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(grads.rows["w"], sparse.cols)
+        assert not np.any(np.delete(grads["w"], sparse.cols, axis=0))
+
+
+def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
+    rng = np.random.default_rng(42)
+    d, k, l = 9, 2, 3
+    _, s1 = sparse_input(rng, 4, d, (0, 1, 5, 6, 7, 8))
+    _, s2 = sparse_input(rng, 4, d, (0, 2, 3, 4, 8))
+    params = ParamStore()
+    params.add("w", rng.standard_normal((d, k, l)))
+    params.add("b", np.zeros(l))
+
+    def loss_fn(nodes):
+        out = concat(flatten(sparse_conv1d(s1, nodes("w"), nodes("b"))),
+                     flatten(sparse_conv1d(s2, nodes("w"), nodes("b"))))
+        return readout_loss(out, np.random.default_rng(1))
+
+    nodes = ParamNodes(params)
+    backward(loss_fn(nodes))
+    grads = nodes.grads()
+    assert np.array_equal(np.unique(grads.rows["w"]), [1, 2, 3, 4, 5, 6, 7])
+    assert not grads["w"][[0, 8]].any()
+    worst = finite_difference_check(loss_fn, params)
+    assert max(worst.values()) < 1e-4, worst
 
 
 # -- Adam ---------------------------------------------------------------------
