@@ -414,15 +414,13 @@ class RiskModel:
 
 
 def _swap_conv_axes(params: ParamStore) -> ParamStore:
-    """A copy of the store with conv.w's first and last axes swapped.
+    """The store with conv.w's first and last axes swapped, into a copy of
+    conv.w alone; the other arrays are shared.
 
     This maps the risk model's [dim x window x filters] layout to the
     checkpoint's [filters x window x dim] and back.
     """
-    out = ParamStore(params.dtype)
-    for name, arr in params.items():
-        out.add(name, arr.transpose(2, 1, 0) if name == "conv.w" else arr)
-    return out
+    return params.replace("conv.w", params["conv.w"].transpose(2, 1, 0))
 
 
 def instance_matrices(instance: ThreadInstance, encoder,

@@ -6,6 +6,10 @@ per op, Adam with bias correction, checkpoint I/O (weights stored as
 float32), and a central finite-difference oracle for verifying every
 gradient. There is no general autodiff beyond the ops defined here.
 
+Adam runs one loop over cache-sized blocks of every parameter (flat slices,
+or gathered live rows), shared by the usable cores on large steps, with
+results bit-identical to a whole-array update.
+
 Two convolutions share one rule, out[r, f] = b[f] + sum over the k-row window
 at r of x dotted with filter f, with two kernel layouts:
 
@@ -18,14 +22,20 @@ at r of x dotted with filter f, with two kernel layouts:
 from __future__ import annotations
 
 import base64
+import functools
+import itertools
 import json
 import math
+import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .corpus import atomic_open
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Every op output is checked for NaN/Inf, because a poisoned value is much
 # harder to trace later than at the op that produced it. Parameters are
@@ -75,6 +85,19 @@ class ParamStore:
         dup = ParamStore(self.dtype)
         for name, arr in self._arrays.items():
             dup.add(name, arr)
+        return dup
+
+    def replace(self, name: str, values: np.ndarray) -> "ParamStore":
+        """A store sharing this one's arrays, not copied or scanned again,
+        except that ``name`` holds a checked C-contiguous copy of ``values``."""
+        if name not in self._arrays:
+            raise KeyError(name)
+        dup = ParamStore(self.dtype)
+        for key, arr in self._arrays.items():
+            if key == name:
+                dup.add(key, values)
+            else:
+                dup._arrays[key] = arr
         return dup
 
     def load_values(self, other: "ParamStore") -> None:
@@ -154,10 +177,14 @@ def constant(value) -> Node:
     return Node(value)
 
 
-def _acc(node: Node, grad: np.ndarray) -> None:
+def _acc(node: Node, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add grad into node's gradient. A ``fresh`` grad, an array the backward
+    rule just made and holds nowhere else, becomes the first gradient as it
+    is; any other is copied, since it may be a view or shared."""
     node.rows = None
     if node.grad is None:
-        node.grad = np.array(grad, dtype=node.value.dtype)
+        fresh = fresh and grad.dtype == node.value.dtype
+        node.grad = grad if fresh else np.array(grad, dtype=node.value.dtype)
     else:
         node.grad += grad
 
@@ -271,12 +298,12 @@ def conv1d(x: Node, weights: Node, bias: Node, stride: int = 1) -> Node:
     out = cols @ w_flat.T + bias.value
 
     def back(g):
-        _acc(weights, (g.T @ cols).reshape(weights.value.shape))
+        _acc(weights, (g.T @ cols).reshape(weights.value.shape), fresh=True)
         _acc(bias, g.sum(axis=0))
         dcols = (g @ w_flat).reshape(rows, k, d_in)
         dx = np.zeros_like(x.value)
         np.add.at(dx, gather, dcols)
-        _acc(x, dx)
+        _acc(x, dx, fresh=True)
 
     return Node(out, (x, weights, bias), back)
 
@@ -374,7 +401,7 @@ def max_pool(x: Node, n: int) -> Node:
         dx = np.zeros_like(x.value)
         row_idx = arg + (np.arange(blocks) * n)[:, None]      # argmax never lands on padding
         np.add.at(dx, (row_idx.ravel(), np.tile(np.arange(cols), blocks)), g.ravel())
-        _acc(x, dx)
+        _acc(x, dx, fresh=True)
 
     return Node(out, (x,), back)
 
@@ -401,7 +428,7 @@ def dense(x: Node, weights: Node, bias: Node) -> Node:
     out = weights.value @ x.value + bias.value
 
     def back(g):
-        _acc(weights, np.outer(g, x.value))
+        _acc(weights, np.outer(g, x.value), fresh=True)
         _acc(bias, g)
         _acc(x, weights.value.T @ g)
 
@@ -573,6 +600,23 @@ def embedding_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Adam
 
+# Elements per Adam block: a block stays in cache through the update's ten
+# elementwise passes, where a whole multi-megabyte parameter streams every
+# pass through memory.
+_ADAM_BLOCK = 1 << 16
+# Full blocks of elements a step must update before the cores share it; a
+# smaller step runs inline, where waking the workers would cost more than it
+# saves. Elements, not blocks, are counted, since every bias vector is a
+# block of its own.
+_POOL_MIN_BLOCKS = 8
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class AdamState:
     """Per-parameter first/second moments, live rows and step count.
 
@@ -582,8 +626,12 @@ class AdamState:
     updated densely (after a dense gradient, or once more than half its rows
     are live). A row outside the mask has m = v = 0 and a zero gradient,
     which Adam leaves exactly as they are, so `adam_step` skips it.
-    Two scratch buffers the size of the largest parameter hold the update's
-    intermediates, so a step allocates no parameter-sized temporaries.
+
+    ``scratch`` holds one set of six block-sized buffers (p, g, m, v and two
+    temporaries) per usable core. A block is `_ADAM_BLOCK` elements, or one
+    row of the widest-rowed parameter if that is more, so the scratch does
+    not grow with the largest parameter and a step allocates no
+    parameter-sized temporaries.
     """
 
     def __init__(self, params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
@@ -597,16 +645,33 @@ class AdamState:
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.live: dict[str, np.ndarray | None] = {
             name: np.zeros(arr.shape[:1], dtype=bool) for name, arr in params.items()}
-        largest = max((arr.size for _, arr in params.items()), default=0)
-        self.scratch = (np.empty(largest, dtype=params.dtype),
-                        np.empty(largest, dtype=params.dtype))
+        self.block = max([_ADAM_BLOCK] + [math.prod(arr.shape[1:]) for _, arr in params.items()])
+        self.scratch = [tuple(np.empty(self.block, dtype=params.dtype) for _ in range(6))
+                        for _ in range(_usable_cores())]
 
 
-def _adam_update(name: str, p, g, m, v, a, b, state: AdamState, bc1: float,
-                 bc2: float) -> None:
-    """Adam on matching arrays in place, with a and b as temporaries."""
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient for {name!r}")
+@functools.cache
+def _adam_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's Adam worker threads, shared by every `AdamState` and
+    started by the first step that needs them. The import waits for that
+    step too, so that a process that only serves does not load it."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="adam")
+
+
+def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
+                p, g, m, v, rows) -> None:
+    """Adam on one block, in place: flat slices p, g, m, v of a parameter when
+    ``rows`` is None, else the rows ``rows`` of whole arrays, gathered into
+    ``scratch`` and written back only once they pass the finite check."""
+    if rows is not None:
+        shape = (rows.size, *p.shape[1:])
+        gathered = [buf[:math.prod(shape)].reshape(shape) for buf in scratch[:4]]
+        for src, dst in zip((p, g, m, v), gathered):
+            np.take(src, rows, axis=0, out=dst, mode="clip")
+        whole = p, m, v
+        p, g, m, v = gathered
+    a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[4:])
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=a)
     v *= state.beta2
@@ -615,53 +680,100 @@ def _adam_update(name: str, p, g, m, v, a, b, state: AdamState, bc1: float,
     np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
     np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
     p -= np.divide(a, b, out=a)
-    _check_finite(p, f"parameter {name!r} after the Adam step")
+    # A non-finite gradient entry always makes its parameter entry
+    # non-finite (NaN stays NaN, inf/inf is NaN), so the written entries are
+    # the one scan; the gradient is read only to word the error.
+    if not np.isfinite(p).all():
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for {name!r}")
+        raise FloatingPointError(f"non-finite values in parameter {name!r} after the Adam step")
+    if rows is not None:
+        whole[0][rows], whole[1][rows], whole[2][rows] = p, m, v
+
+
+def _run_blocks(state: AdamState, blocks: list[tuple], elements: int, bc1: float,
+                bc2: float) -> None:
+    """Run every block, sharing them between the calling thread and one
+    worker per further core when the step updates enough ``elements``.
+
+    Workers take blocks in order from a shared counter and stop taking new
+    ones after a failure, so every block before a failing one still runs;
+    the error raised is that of the earliest failing block, whatever the
+    thread timing.
+    """
+    if elements < _POOL_MIN_BLOCKS * state.block or len(state.scratch) == 1:
+        for block in blocks:
+            _adam_block(state, state.scratch[0], bc1, bc2, *block)
+        return
+    tickets = itertools.count()         # next() on a count holds the GIL: atomic
+    errors: dict[int, Exception] = {}
+    errstate = np.geterr()
+
+    def work(scratch) -> None:
+        with np.errstate(**errstate):
+            while not errors and (i := next(tickets)) < len(blocks):
+                try:
+                    _adam_block(state, scratch, bc1, bc2, *blocks[i])
+                except Exception as exc:    # re-raised below, earliest block first
+                    errors[i] = exc
+
+    pool = _adam_pool(len(state.scratch) - 1)
+    helpers = [pool.submit(work, scratch) for scratch in state.scratch[1:]]
+    work(state.scratch[0])
+    for future in helpers:
+        if not future.cancel():
+            future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamStore:
     """One bias-corrected Adam update, in place on the store's arrays.
 
     Runs m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps)
-    in that operation order, in the state's scratch buffers. A parameter
-    whose gradients have all come with rows (`GradStore.rows`), and of which
-    at most half the rows are live, is updated on its live rows only: they
-    are gathered into the scratch buffers in chunks that fit, updated and
-    written back, with bit-identical results. Rejects a non-finite gradient,
-    and a non-finite entry it writes, by the parameter's name.
+    in that operation order, block by block: a dense parameter in contiguous
+    flat slices of `AdamState.block` elements, and a parameter whose
+    gradients have all come with rows (`GradStore.rows`), and of which at
+    most half the rows are live, on its live rows only, as many whole rows
+    as fit a block, gathered into scratch and written back. Every element
+    sees the same operations whatever the blocking, so results are
+    bit-identical to an update of whole arrays. A step that updates at least
+    `_POOL_MIN_BLOCKS` blocks' worth of elements is split over the usable
+    cores (`_run_blocks`).
+
+    Each block's written entries are scanned once: a non-finite one rejects
+    the step, worded as a non-finite gradient or as a non-finite update, by
+    the first failing parameter in store order. Gathered rows are scanned
+    before they are written back; a dense parameter's rejected block is
+    left updated.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    part = state.scratch[0].size // 3
+    blocks: list[tuple] = []
+    elements = 0
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         live = state.live[name]
         rows = grads.rows.get(name)
-        chunk = 0
         if live is not None and rows is not None:
             live[rows] = True
             idx = np.flatnonzero(live)
-            # Rows per chunk; left 0, for the dense update and the same
-            # arithmetic, when one row does not fit a third of a scratch
-            # buffer or more than half the rows are live: gathering and
-            # writing back then cost more than updating every row.
+            # With more than half the rows live, gathering and writing back
+            # cost more than updating every row.
             if 2 * idx.size <= live.size:
-                chunk = part // max(1, p[0].size)
-        if chunk == 0:
-            state.live[name] = None
-            a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
-            _adam_update(name, p, g, m, v, a, b, state, bc1, bc2)
-            continue
-        parts = [buf[i * part:(i + 1) * part] for buf in state.scratch for i in range(3)]
-        for start in range(0, idx.size, chunk):
-            r = idx[start:start + chunk]
-            shape = (r.size, *p.shape[1:])
-            pr, gr, mr, vr, a, b = (buf[:math.prod(shape)].reshape(shape) for buf in parts)
-            for src, dst in ((p, pr), (g, gr), (m, mr), (v, vr)):
-                np.take(src, r, axis=0, out=dst, mode="clip")
-            _adam_update(name, pr, gr, mr, vr, a, b, state, bc1, bc2)
-            p[r], m[r], v[r] = pr, mr, vr
+                row = math.prod(p.shape[1:])
+                per = state.block // max(1, row)
+                blocks += [(name, p, g, m, v, idx[s:s + per]) for s in range(0, idx.size, per)]
+                elements += idx.size * row
+                continue
+        state.live[name] = None
+        flat = [arr.reshape(-1) for arr in (p, g, m, v)]
+        blocks += [(name, *(arr[s:s + state.block] for arr in flat), None)
+                   for s in range(0, p.size, state.block)]
+        elements += p.size
+    _run_blocks(state, blocks, elements, bc1, bc2)
     return params
 
 

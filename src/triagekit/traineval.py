@@ -353,7 +353,9 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     if mode not in ("weighted", "sampled"):
         raise ValueError(f"unknown balance mode {mode!r}")
     state = AdamState(model.params, lr=cfg.lr)
-    best = model.params.copy()
+    # Every metric is at least 0 and beats -1, so epoch 0 always sets the
+    # first best; only a run of 0 epochs ends without one.
+    best = None
     best_epoch, best_metric = -1, -1.0
     log: list[dict] = []
     step = 0
@@ -382,7 +384,8 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
         if metric > best_metric:
             best_epoch, best_metric = epoch, metric
             best = model.params.copy()
-    model.params.load_values(best)
+    if best is not None:
+        model.params.load_values(best)
     return TrainResult(best_epoch, best_metric, log)
 
 

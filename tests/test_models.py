@@ -20,6 +20,7 @@ from triagekit.models import (
     DepressionModelConfig,
     RiskModel,
     RiskModelConfig,
+    _swap_conv_axes,
     class_metric_loss,
     class_metric_ordinal_loss,
     instance_matrices,
@@ -525,6 +526,20 @@ def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
     reloaded = RiskModel.load(again)[0]
     for name, arr in loaded.params.items():
         assert np.array_equal(reloaded.params[name], arr), name
+
+
+def test_conv_axis_swap_copies_conv_w_only():
+    model = RiskModel(tiny_risk_config("class_metric", sentence_dim=6, conv_filters=3), seed=2)
+    swapped = _swap_conv_axes(model.params)
+    assert swapped.names() == model.params.names()
+    for name, arr in model.params.items():
+        if name != "conv.w":
+            assert swapped[name] is arr, name
+    w = swapped["conv.w"]
+    assert w.flags["C_CONTIGUOUS"] and not np.shares_memory(w, model.params["conv.w"])
+    assert np.array_equal(w, model.params["conv.w"].transpose(2, 1, 0))
+    back = _swap_conv_axes(swapped)["conv.w"]
+    assert back.flags["C_CONTIGUOUS"] and np.array_equal(back, model.params["conv.w"])
 
 
 def test_thread_matrices_keep_hashed_inputs_compact():

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -579,13 +581,14 @@ def test_adam_matches_textbook_update_bit_for_bit():
     ref.assert_equal(params, state)
 
 
-def test_live_row_adam_matches_dense_adam_bit_for_bit():
-    # A 24-row table, the largest parameter, so a third of a scratch buffer
-    # holds 8 rows and the live rows go in up to 2 chunks. Row 0 is never
+def test_live_row_adam_matches_dense_adam_bit_for_bit(monkeypatch):
+    # A 24-row table of 3-wide rows and 24-element blocks, so a gather holds
+    # 8 rows and the live rows go in up to 2 gathers. Row 0 is never
     # touched, row 1 only in step 0; rows 2 and 3 get an exact +0.0 and -0.0
     # gradient; ids repeat, and gradients span eight orders of magnitude.
     # From step 30 on, ids reach every row but row 0: more than half the
     # rows are live and the update turns dense.
+    monkeypatch.setattr(nn, "_ADAM_BLOCK", 24)
     rng = np.random.default_rng(30)
     params = ParamStore()
     params.add("emb", rng.standard_normal((24, 3)))
@@ -722,7 +725,8 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
     dense_bytes = sum(arr.nbytes for _, arr in params.items())
     params.add("emb", rng.standard_normal((50_000, 50)))
     state = AdamState(params)
-    # 20k of the table's rows live: two chunks of a third of the scratch.
+    # 20k of the table's rows live: 16 gathers of 1310 rows, and with the
+    # dense parameters' blocks enough for the worker threads.
     rows = rng.choice(50_000, 20_000, replace=False)
     table = np.zeros((50_000, 50))
     table[rows] = rng.standard_normal((rows.size, 50))
@@ -734,6 +738,130 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
     # The bound leaves the 20 MB table nothing: its update stays in scratch.
     assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * dense_bytes
     assert state.live["emb"].sum() == rows.size
+
+
+def blocked_adam_case(monkeypatch, workers):
+    """Four-element blocks, and one scratch set per worker; 1 runs inline.
+
+    Returns the pool sizes the steps asked for."""
+    monkeypatch.setattr(nn, "_ADAM_BLOCK", 4)
+    monkeypatch.setattr(nn, "_usable_cores", lambda: workers)
+    asked = []
+    pool = nn._adam_pool
+    monkeypatch.setattr(nn, "_adam_pool", lambda threads: asked.append(threads) or pool(threads))
+    return asked
+
+
+@pytest.mark.parametrize("workers", [1, 3], ids=["inline", "workers"])
+def test_blocked_adam_matches_textbook_update_bit_for_bit(monkeypatch, workers):
+    # Dense parameters over many blocks; a row-tracked table whose live rows
+    # span several gathers; and 7-wide rows, wider than the 4-element
+    # default, which widen every block to one row. Three workers on a
+    # shortened switch interval exercise the shared block counter.
+    asked = blocked_adam_case(monkeypatch, workers)
+    rng = np.random.default_rng(40)
+    shapes = {"w": (9, 7), "emb": (30, 2), "wide": (12, 7), "b": (5,)}
+    params = ParamStore()
+    for name, shape in shapes.items():
+        params.add(name, rng.standard_normal(shape))
+    state = AdamState(params, lr=0.01)
+    assert state.block == 7 and len(state.scratch) == workers
+    ref = TextbookAdam(params, lr=0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(12):
+            arrays, rows = {}, {}
+            for name in ("emb", "wide"):
+                ids = rng.integers(0, shapes[name][0] // 2, 6)
+                g = np.zeros(shapes[name])
+                np.add.at(g, ids, rng.standard_normal((6, shapes[name][1])))
+                arrays[name], rows[name] = g, ids
+            grads = GradStore(params, arrays, rows=rows)
+            for name in ("w", "b"):
+                grads[name][...] = rng.standard_normal(shapes[name]) * 10.0 ** rng.uniform(-4, 4)
+            adam_step(params, grads, state)
+            ref.step(grads)
+            ref.assert_equal(params, state)
+    finally:
+        sys.setswitchinterval(interval)
+    assert state.live["emb"].sum() > 3 and state.live["wide"].sum() > 1
+    assert asked == ([] if workers == 1 else [workers - 1] * 12)
+
+
+def test_adam_pool_waits_for_enough_elements(monkeypatch):
+    # Ten two-element vectors are ten blocks but under eight blocks of work.
+    asked = blocked_adam_case(monkeypatch, 3)
+    params = ParamStore()
+    for i in range(10):
+        params.add(f"b{i}", np.ones(2))
+    state = AdamState(params)
+    grads = GradStore(params)
+    adam_step(params, grads, state)
+    assert asked == []
+    params.add("w", np.ones(32))
+    state = AdamState(params)
+    adam_step(params, GradStore(params), state)
+    assert asked == [2]
+
+
+@pytest.mark.parametrize("workers", [1, 3], ids=["inline", "workers"])
+def test_adam_nan_in_last_blocks_names_first_parameter(monkeypatch, workers):
+    # Both parameters fail in their last block. Slowing one parameter's
+    # blocks in turn makes the workers meet the two failures in either
+    # order; the error still names the first parameter.
+    blocked_adam_case(monkeypatch, workers)
+    block = nn._adam_block
+
+    def timed(state, scratch, bc1, bc2, name, *arrays):
+        if name == slow:
+            time.sleep(0.005)
+        block(state, scratch, bc1, bc2, name, *arrays)
+
+    monkeypatch.setattr(nn, "_adam_block", timed)
+    params = ParamStore()
+    params.add("first", np.zeros(8))
+    params.add("second", np.zeros(40))
+    for slow in ("first", "second", None) * 4:
+        state = AdamState(params)
+        grads = GradStore(params)
+        grads["first"][-1] = np.nan
+        grads["second"][-1] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite gradient for 'first'"):
+            adam_step(params, grads, state)
+        params["first"][...] = params["second"][...] = 0.0
+
+
+def test_adam_scratch_does_not_grow_with_the_largest_parameter():
+    def scratch_bytes(rows):
+        params = ParamStore()
+        params.add("emb", np.zeros((rows, 50)))
+        params.add("b", np.zeros(50))
+        return sum(buf.nbytes for bufs in AdamState(params).scratch for buf in bufs)
+
+    small, large = scratch_bytes(10), scratch_bytes(200_000)
+    assert small == large == 6 * nn._ADAM_BLOCK * 8 * nn._usable_cores()
+
+
+def test_dense_backward_keeps_one_weight_gradient():
+    # The outer product the backward rule makes is the weight's gradient.
+    rng = np.random.default_rng(41)
+    params = ParamStore()
+    params.add("w", rng.standard_normal((500, 400)))
+    x = constant(rng.standard_normal(400))
+
+    def step():
+        nodes = ParamNodes(params)
+        out = dense(x, nodes("w"), constant(np.zeros(500)))
+        backward(pick(out, 3))
+        return nodes.grads()
+
+    step()
+    assert _peak_bytes(step) < 1.5 * params["w"].nbytes
+    expected = np.zeros((500, 400))
+    expected[3] = x.value
+    assert np.array_equal(step()["w"], expected)
 
 
 # -- checkpoints ---------------------------------------------------------------

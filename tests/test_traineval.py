@@ -659,6 +659,30 @@ def test_train_restores_best_epoch_weights(run):
     assert kept == at_best
 
 
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_copies_weights_only_for_a_best_epoch(monkeypatch, epochs):
+    # Without epochs the weights stay as initialised. Otherwise the weights
+    # are copied once per new best epoch (0 and 2 here) and never before
+    # epoch 0, since every metric beats the starting -1.
+    params = ParamStore()
+    params.add("w", np.array([0.5, -2.0]))
+    initial = params["w"].copy()
+    model = SimpleNamespace(config=SimpleNamespace(balance="weighted"), params=params)
+    copies = []
+    copy = ParamStore.copy
+    monkeypatch.setattr(ParamStore, "copy", lambda self: copies.append(1) or copy(self))
+    metrics = iter([0.5, 0.25, 0.75])
+
+    def step_loss(epoch, idx, nodes, rng):
+        return pick(nodes("w"), idx)
+
+    result = _train(model, [0, 1], 2, TrainConfig(epochs=epochs, lr=0.1, seed=0), step_loss,
+                    lambda: (next(metrics), {}))
+    assert len(copies) == (0 if epochs == 0 else 2)
+    assert (result.best_epoch, result.best_metric) == ((-1, -1.0) if epochs == 0 else (2, 0.75))
+    assert np.array_equal(params["w"], initial) == (epochs == 0)
+
+
 def test_write_epoch_log_round_trip(tmp_path):
     log = [{"epoch": 0, "split": "train", "loss": 1.5},
            {"epoch": 0, "split": "validation", "f1": 0.25}]
