@@ -46,7 +46,6 @@ from .nn import (
     relu,
     save_checkpoint,
     softmax,
-    sparse_conv1d,
     squared_error,
     stack_rows,
     sub,
@@ -107,12 +106,15 @@ class DepressionModel:
         rng = np.random.default_rng(seed)
         p = ParamStore()
         p.add("emb", embedding_init(rng, (c.vocab_size, c.embed_dim)))
+        # Kernels are drawn [filters x window x depth], the checkpoint layout,
+        # and stored transposed, as `conv1d` reads them.
         p.add("conv.w", glorot_uniform(rng, (c.conv_filters, c.conv_window, c.embed_dim),
-                                       c.conv_window * c.embed_dim, c.conv_filters))
+                                       c.conv_window * c.embed_dim, c.conv_filters
+                                       ).transpose(2, 1, 0))
         p.add("conv.b", np.zeros(c.conv_filters))
         p.add("merge.w", glorot_uniform(
             rng, (c.merge_filters, c.merge_window, c.conv_filters),
-            c.merge_window * c.conv_filters, c.merge_filters))
+            c.merge_window * c.conv_filters, c.merge_filters).transpose(2, 1, 0))
         p.add("merge.b", np.zeros(c.merge_filters))
         width = c.merge_filters
         for i, out_width in enumerate(c.dense_dims):
@@ -301,10 +303,8 @@ class RiskModel:
     """4-level risk classifier over (target, context) sentence-vector inputs.
 
     Each input is a `SparseRows` matrix (a dense array is converted), and
-    both towers convolve it with `sparse_conv1d`, reading only its nonzero
-    columns. ``conv.w`` is therefore laid out [sentence_dim x window x
-    filters]; checkpoints keep the [filters x window x sentence_dim] layout
-    of `conv1d`, and `save` and `load` transpose at that boundary.
+    both towers convolve it with `conv1d`, which reads and updates only the
+    ``conv.w`` rows [sentence_dim x window x filters] of its nonzero columns.
     """
 
     kind = "risk"
@@ -318,7 +318,7 @@ class RiskModel:
         c = self.config
         rng = np.random.default_rng(seed)
         p = ParamStore()
-        # Drawn in the checkpoint layout, so a seed gives the same weights.
+        # Drawn [filters x window x dim] and transposed, as in DepressionModel.
         p.add("conv.w", glorot_uniform(
             rng, (c.conv_filters, c.conv_window, c.sentence_dim),
             c.conv_window * c.sentence_dim, c.conv_filters).transpose(2, 1, 0))
@@ -341,7 +341,7 @@ class RiskModel:
         if matrix.shape != (c.max_sentences, c.sentence_dim):
             raise ValueError(f"input shape {matrix.shape}, expected "
                              f"({c.max_sentences}, {c.sentence_dim})")
-        feat = relu(sparse_conv1d(matrix, nodes("conv.w"), nodes("conv.b")))
+        feat = relu(conv1d(matrix, nodes("conv.w"), nodes("conv.b")))
         return flatten(max_pool(feat, c.pool_n))
 
     def forward(self, target: SparseRows | np.ndarray, context: SparseRows | np.ndarray,
@@ -400,7 +400,7 @@ class RiskModel:
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
         config = {"kind": f"{self.kind}:{self.config.variant}", **asdict(self.config)}
         config["dense_dims"] = list(self.config.dense_dims)
-        save_checkpoint(path, _swap_conv_axes(self.params), config, seed, step)
+        save_checkpoint(path, self.params, config, seed, step)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["RiskModel", int, int]:
@@ -410,17 +410,7 @@ class RiskModel:
             raise ValueError(f"checkpoint holds {kind!r}, not a {cls.kind!r} model")
         config = {k: v for k, v in config.items() if k != "kind"}
         config["dense_dims"] = tuple(config["dense_dims"])
-        return cls(RiskModelConfig(**config), _swap_conv_axes(params)), seed, step
-
-
-def _swap_conv_axes(params: ParamStore) -> ParamStore:
-    """The store with conv.w's first and last axes swapped, into a copy of
-    conv.w alone; the other arrays are shared.
-
-    This maps the risk model's [dim x window x filters] layout to the
-    checkpoint's [filters x window x dim] and back.
-    """
-    return params.replace("conv.w", params["conv.w"].transpose(2, 1, 0))
+        return cls(RiskModelConfig(**config), params), seed, step
 
 
 def instance_matrices(instance: ThreadInstance, encoder,

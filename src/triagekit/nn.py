@@ -10,13 +10,13 @@ Adam runs one loop over cache-sized blocks of every parameter (flat slices,
 or gathered live rows), shared by the usable cores on large steps, with
 results bit-identical to a whole-array update.
 
-Two convolutions share one rule, out[r, f] = b[f] + sum over the k-row window
-at r of x dotted with filter f, with two kernel layouts:
-
-- `conv1d` reads a dense node x [T x d_in] with kernels [filters x k x d_in].
-- `sparse_conv1d` reads a constant `SparseRows` input with kernels
-  [d_in x k x filters], input column first, so that the rows it touches are
-  rows of the kernel and Adam skips the rows no input has reached.
+`conv1d` is the one convolution. Its kernels are laid out [d_in x k x
+filters], input column first, for a dense node input and for a constant
+`SparseRows` input alike; with the latter it reads and writes only the
+kernel rows of the input's nonzero columns, so Adam skips the rows no input
+has reached. Checkpoint files keep every 3-D parameter (every one is a
+kernel) as [filters x k x d_in]; `save_checkpoint` and `load_checkpoint`
+swap the axes at the file boundary.
 """
 
 from __future__ import annotations
@@ -87,19 +87,6 @@ class ParamStore:
             dup.add(name, arr)
         return dup
 
-    def replace(self, name: str, values: np.ndarray) -> "ParamStore":
-        """A store sharing this one's arrays, not copied or scanned again,
-        except that ``name`` holds a checked C-contiguous copy of ``values``."""
-        if name not in self._arrays:
-            raise KeyError(name)
-        dup = ParamStore(self.dtype)
-        for key, arr in self._arrays.items():
-            if key == name:
-                dup.add(key, values)
-            else:
-                dup._arrays[key] = arr
-        return dup
-
     def load_values(self, other: "ParamStore") -> None:
         """Overwrite array contents in place from a store with matching shapes."""
         for name, arr in self._arrays.items():
@@ -143,9 +130,9 @@ class Node:
     """One value in the computation graph, with its local backward rule.
 
     ``rows`` lists the row-index arrays that row-writing backward rules
-    (`embedding_lookup`, `sparse_conv1d`) wrote into ``grad``, while those
-    are its only nonzero rows; any other gradient into the node drops the
-    record.
+    (`embedding_lookup`, `conv1d` of a `SparseRows` input) wrote into
+    ``grad``, while those are its only nonzero rows; any other gradient into
+    the node drops the record.
     """
 
     __slots__ = ("value", "grad", "rows", "parents", "_backward")
@@ -275,39 +262,6 @@ def embedding_lookup(table: Node, ids) -> Node:
     return Node(out, (table,), back)
 
 
-def conv1d(x: Node, weights: Node, bias: Node, stride: int = 1) -> Node:
-    """1-D convolution over rows of x [T x d_in] with weights [l x k x d_in].
-
-    Output is pre-activation: out[r, f] = b[f] + sum over the r-th k-row
-    window of x dotted with filter f. Rows past the last full window are not
-    covered (output has floor((T - k) / stride) + 1 rows).
-    """
-    T, d_in = x.value.shape
-    l, k, d_w = weights.value.shape
-    if d_w != d_in:
-        raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
-    if T < k:
-        raise ValueError(f"conv input has {T} rows, needs at least window size {k}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    rows = (T - k) // stride + 1
-    starts = np.arange(rows) * stride
-    gather = starts[:, None] + np.arange(k)[None, :]          # [rows x k]
-    cols = x.value[gather].reshape(rows, k * d_in)            # [rows x k*d_in]
-    w_flat = weights.value.reshape(l, k * d_in)
-    out = cols @ w_flat.T + bias.value
-
-    def back(g):
-        _acc(weights, (g.T @ cols).reshape(weights.value.shape), fresh=True)
-        _acc(bias, g.sum(axis=0))
-        dcols = (g @ w_flat).reshape(rows, k, d_in)
-        dx = np.zeros_like(x.value)
-        np.add.at(dx, gather, dcols)
-        _acc(x, dx, fresh=True)
-
-    return Node(out, (x, weights, bias), back)
-
-
 class SparseRows:
     """A constant [T x dim] matrix kept as its nonzero columns.
 
@@ -341,38 +295,52 @@ class SparseRows:
         return self.values.shape[0], self.dim
 
 
-def sparse_conv1d(x: SparseRows, weights: Node, bias: Node) -> Node:
-    """`conv1d` at stride 1 of a constant sparse input x [T x d_in], with
-    weights [d_in x k x l] laid out input column first.
+def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> Node:
+    """1-D convolution over the rows of x [T x d_in] with weights [d_in x k x l].
 
-    Only x's nonzero columns U are read. Forward computes
-    P = values @ weights[U] as [T x k x l], then out[r] = sum_j P[r + j, j]
-    plus the bias. Backward writes the weight gradient on rows U only, with a
-    row record as `embedding_lookup` does; x, a constant, gets none.
+    Output is pre-activation: out[r, f] = b[f] + sum over j < k of
+    x[r * stride + j] dotted with weights[:, j, f]. Rows past the last full
+    window are not covered (output has floor((T - k) / stride) + 1 rows).
+
+    Computed as shifted matmuls: P = x @ W as [T x k x l], then
+    out[r] = sum_j P[r * stride + j, j]. A dense node x gets dx = dP @ W^T,
+    and the weights dW = x^T @ dP. A constant `SparseRows` x reads only the
+    kernel rows of its nonzero columns, writes the weight gradient on those
+    rows only, with a row record as `embedding_lookup` does, and gets no
+    gradient.
     """
-    T, d_in = x.shape
+    sparse = isinstance(x, SparseRows)
+    T, d_in = x.shape if sparse else x.value.shape
     d_w, k, l = weights.value.shape
     if d_w != d_in:
         raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
     if T < k:
         raise ValueError(f"conv input has {T} rows, needs at least window size {k}")
-    rows = T - k + 1
-    w_used = weights.value[x.cols].reshape(x.cols.size, k * l)
-    p = (x.values @ w_used).reshape(T, k, l)
-    out = p[:rows, 0].copy()
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    span = (T - k) // stride * stride + 1       # input rows from first to last window start
+    xv = x.values if sparse else x.value
+    w = weights.value[x.cols] if sparse else weights.value
+    p = (xv @ w.reshape(-1, k * l)).reshape(T, k, l)
+    out = p[:span:stride, 0].copy()
     for j in range(1, k):
-        out += p[j:j + rows, j]
+        out += p[j:j + span:stride, j]
     out += bias.value
 
     def back(g):
         dp = np.zeros((T, k, l), dtype=g.dtype)
         for j in range(k):
-            dp[j:j + rows, j] = g
-        dw = x.values.T @ dp.reshape(T, k * l)
-        _acc_rows(weights, x.cols, dw.reshape(x.cols.size, k, l))
+            dp[j:j + span:stride, j] = g
+        dp = dp.reshape(T, k * l)
+        dw = xv.T @ dp
+        if sparse:
+            _acc_rows(weights, x.cols, dw.reshape(x.cols.size, k, l))
+        else:
+            _acc(weights, dw.reshape(weights.value.shape), fresh=True)
+            _acc(x, dp @ weights.value.reshape(d_in, k * l).T, fresh=True)
         _acc(bias, g.sum(axis=0))
 
-    return Node(out, (weights, bias), back)
+    return Node(out, (weights, bias) if sparse else (x, weights, bias), back)
 
 
 def relu(x: Node) -> Node:
@@ -400,7 +368,7 @@ def max_pool(x: Node, n: int) -> Node:
     def back(g):
         dx = np.zeros_like(x.value)
         row_idx = arg + (np.arange(blocks) * n)[:, None]      # argmax never lands on padding
-        np.add.at(dx, (row_idx.ravel(), np.tile(np.arange(cols), blocks)), g.ravel())
+        dx[row_idx, np.arange(cols)] = g                      # one entry per (row, column)
         _acc(x, dx, fresh=True)
 
     return Node(out, (x,), back)
@@ -621,11 +589,11 @@ class AdamState:
     """Per-parameter first/second moments, live rows and step count.
 
     ``live`` holds, per parameter, a mask over its rows (first axis) marking
-    those that have ever had a gradient (from `embedding_lookup` or
-    `sparse_conv1d`), or None once the parameter is
-    updated densely (after a dense gradient, or once more than half its rows
-    are live). A row outside the mask has m = v = 0 and a zero gradient,
-    which Adam leaves exactly as they are, so `adam_step` skips it.
+    those that have ever had a gradient (from `embedding_lookup` or `conv1d`
+    of a `SparseRows` input), or None once the parameter is updated densely
+    (after a dense gradient, or once more than half its rows are live). A
+    row outside the mask has m = v = 0 and a zero gradient, which Adam
+    leaves exactly as they are, so `adam_step` skips it.
 
     ``scratch`` holds one set of six block-sized buffers (p, g, m, v and two
     temporaries) per usable core. A block is `_ADAM_BLOCK` elements, or one
@@ -825,7 +793,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
-    """Versioned JSON checkpoint; weights as base64 little-endian float32."""
+    """Versioned JSON checkpoint; weights as base64 little-endian float32.
+
+    A 3-D parameter is a `conv1d` kernel, [d_in x k x filters] in memory; the
+    file holds it as [filters x k x d_in].
+    """
+    stored = {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
+              for name, arr in params.items()}
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": dict(config),
@@ -837,7 +811,7 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                 "shape": list(arr.shape),
                 "data": base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii"),
             }
-            for name, arr in params.items()
+            for name, arr in stored.items()
         },
     }
     with atomic_open(path) as fh:
@@ -846,7 +820,8 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[ParamStore, dict, int, int]:
-    """Returns (params, config, seed, step)."""
+    """Returns (params, config, seed, step), with each 3-D parameter swapped
+    back from the file's [filters x k x d_in] to [d_in x k x filters]."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -858,5 +833,5 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[ParamStore, dic
         entry = doc["params"][name]
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-        params.add(name, arr)
+        params.add(name, arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
     return params, doc["config"], int(doc["seed"]), int(doc["step"])

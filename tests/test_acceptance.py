@@ -166,7 +166,7 @@ def chain_case(rng):
     blocks = -(-windows // pool_n)
     p = ParamStore()
     p.add("emb", rng.normal(0.0, 0.5, size=(vocab, emb)))
-    p.add("cw", rng.normal(0.0, 0.5, size=(filters, 2, emb)))
+    p.add("cw", rng.normal(0.0, 0.5, size=(emb, 2, filters)))
     p.add("cb", rng.normal(0.0, 0.5, size=filters))
     p.add("dw", rng.normal(0.0, 0.5, size=(3, 2 * blocks * filters)))
     p.add("db", rng.normal(0.0, 0.5, size=3))

@@ -52,9 +52,9 @@ def planted_model():
     for axis, token_id in enumerate(SIG_IDS):
         emb[token_id, axis] = 1.0
     p.add("emb", emb)
-    conv_w = np.zeros((1, 3, config.embed_dim))
+    conv_w = np.zeros((config.embed_dim, 3, 1))
     for k in range(3):
-        conv_w[0, k, k] = 1.0
+        conv_w[k, k, 0] = 1.0
     p.add("conv.w", conv_w)
     p.add("conv.b", np.array([-2.5]))
     p.add("merge.w", np.ones((1, 2, 1)))

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import asdict
@@ -20,7 +21,6 @@ from triagekit.models import (
     DepressionModelConfig,
     RiskModel,
     RiskModelConfig,
-    _swap_conv_axes,
     class_metric_loss,
     class_metric_ordinal_loss,
     instance_matrices,
@@ -37,18 +37,17 @@ from triagekit.nn import (
     backward,
     concat,
     constant,
-    conv1d,
     dense,
     finite_difference_check,
     flatten,
     glorot_uniform,
-    load_checkpoint,
     max_pool,
     relu,
-    save_checkpoint,
     softmax,
 )
 from triagekit.traineval import TrainConfig, thread_matrices, train_risk
+
+from test_nn import textbook_conv1d
 
 
 def tiny_depression_config(**overrides):
@@ -139,7 +138,7 @@ def test_encode_user_constant_filter_permutation_invariance():
     model = DepressionModel(cfg, seed=1)
     # constant across window positions: permuting rows inside a window is a no-op
     model.params["merge.w"][...] = np.repeat(
-        rng.standard_normal((2, 1, 3)), 3, axis=1)
+        rng.standard_normal((3, 1, 2)), 3, axis=1)
     nodes = ParamNodes(model.params)
     block = [rng.standard_normal(3) for _ in range(3)]
     base = model.encode_user([constant(v) for v in block], nodes).value
@@ -206,8 +205,8 @@ def planted_trigram_model():
                                  merge_filters=1, dense_dims=(1,), n_term=10)
     model = DepressionModel(cfg, seed=0)
     model.params["emb"][...] = np.eye(6)
-    w = np.zeros((1, 3, 6))
-    w[0, 0, 2] = w[0, 1, 3] = w[0, 2, 4] = 1.0   # fires on token ids (2, 3, 4)
+    w = np.zeros((6, 3, 1))
+    w[2, 0, 0] = w[3, 1, 0] = w[4, 2, 0] = 1.0   # fires on token ids (2, 3, 4)
     model.params["conv.w"][...] = w
     model.params["conv.b"][...] = -2.5
     model.params["merge.w"][...] = 1.0
@@ -446,27 +445,43 @@ def test_instance_matrices_empty_target_errors():
 
 # -- the sparse risk tower -------------------------------------------------------------
 
-def conv1d_layout(params):
-    """A copy of a risk store with conv.w as `conv1d` reads it: [filters x k x dim]."""
-    out = ParamStore()
-    for name, arr in params.items():
-        out.add(name, arr.transpose(2, 1, 0) if name == "conv.w" else arr)
-    return out
+def write_v1_checkpoint(path, arrays, kind, cfg, seed, step):
+    """A format-1 checkpoint file written by hand: ``arrays`` as given, conv
+    kernels [filters x window x depth], as base64 little-endian float32."""
+    doc = {"format_version": 1, "seed": seed, "step": step, "param_order": list(arrays),
+           "config": {"kind": kind, **asdict(cfg), "dense_dims": list(cfg.dense_dims)},
+           "params": {name: {"shape": list(arr.shape),
+                             "data": base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii")}
+                      for name, arr in arrays.items()}}
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def dense_reference_output(params, cfg, target, context):
-    """The risk forward pass in eval mode through dense `conv1d`; ``params``
-    holds conv.w in the [filters x window x dim] layout."""
-    nodes = ParamNodes(params)
+def random_file_arrays(rng, params):
+    """Random float32-exact arrays for every parameter, kernels [filters x
+    window x depth] as a checkpoint file holds them."""
+    return {name: rng.standard_normal(arr.transpose(2, 1, 0).shape if arr.ndim == 3
+                                      else arr.shape).astype("<f4").astype(float)
+            for name, arr in params.items()}
+
+
+def in_memory(arrays):
+    """File arrays with the kernels as `conv1d` reads them: [depth x window x filters]."""
+    return {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
+            for name, arr in arrays.items()}
+
+
+def reference_output(params, cfg, target, context):
+    """The risk forward pass in eval mode, with each tower's convolution by
+    `textbook_conv1d` on the dense matrix; ``params`` maps names to arrays."""
 
     def tower(matrix):
-        feat = relu(conv1d(constant(matrix), nodes("conv.w"), nodes("conv.b")))
-        return flatten(max_pool(feat, cfg.pool_n))
+        conv = textbook_conv1d(matrix, params["conv.w"], params["conv.b"])
+        return flatten(max_pool(relu(constant(conv)), cfg.pool_n))
 
     h = concat(tower(target), tower(context))
     for i in range(len(cfg.dense_dims)):
-        h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
-    return dense(h, nodes("out.w"), nodes("out.b")).value
+        h = relu(dense(h, constant(params[f"dense{i}.w"]), constant(params[f"dense{i}.b"])))
+    return dense(h, constant(params["out.w"]), constant(params["out.b"])).value
 
 
 def labelled_thread(index, label, n_sentences, n_context):
@@ -491,17 +506,14 @@ def test_risk_conv_weights_are_input_column_first_and_keep_the_seeded_init():
 
 @pytest.mark.parametrize("variant", ["cat_ce", "class_metric_ordinal"])
 def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
-    # A checkpoint in the [filters x window x dim] layout, as nn.save_checkpoint
-    # writes any store; the risk model loads it input column first.
+    # A hand-built file with conv.w [filters x window x dim] loads input
+    # column first, gives the reference outputs, and saves back byte for byte.
     cfg = tiny_risk_config(variant, sentence_dim=6, conv_filters=3, dropout=0.0)
     rng = np.random.default_rng(13)
-    stored = ParamStore()
-    for name, arr in conv1d_layout(RiskModel(cfg, seed=2).params).items():
-        stored.add(name, rng.standard_normal(arr.shape))
-    config = {"kind": f"risk:{variant}", **asdict(cfg), "dense_dims": list(cfg.dense_dims)}
+    arrays = random_file_arrays(rng, RiskModel(cfg, seed=2).params)
     path = tmp_path / "conv1d-layout.json"
-    save_checkpoint(path, stored, config, seed=4, step=9)
-    reference = load_checkpoint(path)[0]
+    write_v1_checkpoint(path, arrays, f"risk:{variant}", cfg, seed=4, step=9)
+    reference = in_memory(arrays)
 
     loaded, seed, step = RiskModel.load(path)
     assert (seed, step) == (4, 9) and loaded.config == cfg
@@ -511,7 +523,7 @@ def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
         target, context = rand_instance_mats(rng, cfg)
         target[:, [0, 4]] = 0.0
         out = loaded.forward(target, context, ParamNodes(loaded.params)).value
-        expected = dense_reference_output(reference, cfg, target, context)
+        expected = reference_output(reference, cfg, target, context)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
         if variant == "cat_ce":
             assert loaded.classify(target, context) == int(np.argmax(expected))
@@ -528,18 +540,63 @@ def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
         assert np.array_equal(reloaded.params[name], arr), name
 
 
-def test_conv_axis_swap_copies_conv_w_only():
-    model = RiskModel(tiny_risk_config("class_metric", sentence_dim=6, conv_filters=3), seed=2)
-    swapped = _swap_conv_axes(model.params)
-    assert swapped.names() == model.params.names()
-    for name, arr in model.params.items():
-        if name != "conv.w":
-            assert swapped[name] is arr, name
-    w = swapped["conv.w"]
-    assert w.flags["C_CONTIGUOUS"] and not np.shares_memory(w, model.params["conv.w"])
-    assert np.array_equal(w, model.params["conv.w"].transpose(2, 1, 0))
-    back = _swap_conv_axes(swapped)["conv.w"]
-    assert back.flags["C_CONTIGUOUS"] and np.array_equal(back, model.params["conv.w"])
+def depression_reference_logits(params, cfg, posts):
+    """Depression logits in eval mode in plain numpy, with both convolutions
+    by `textbook_conv1d`; ``params`` maps names to arrays."""
+    vecs = []
+    for toks in posts:
+        toks = list(toks)[:cfg.n_term]
+        if len(toks) < cfg.conv_window:
+            vecs.append(np.zeros(cfg.conv_filters))
+            continue
+        feat = textbook_conv1d(params["emb"][toks], params["conv.w"], params["conv.b"])
+        vecs.append(np.maximum(feat, 0.0).mean(axis=0))
+    vecs += [np.zeros(cfg.conv_filters)] * (cfg.merge_window - len(vecs))
+    merged = textbook_conv1d(np.stack(vecs), params["merge.w"], params["merge.b"],
+                             cfg.merge_stride)
+    h = np.maximum(merged, 0.0).mean(axis=0)
+    for i in range(len(cfg.dense_dims)):
+        h = np.maximum(params[f"dense{i}.w"] @ h + params[f"dense{i}.b"], 0.0)
+    return params["out.w"] @ h + params["out.b"]
+
+
+def test_depression_loads_conv1d_layout_checkpoints(tmp_path):
+    # As for risk: conv.w and merge.w [filters x window x depth] in the file.
+    cfg = tiny_depression_config(merge_window=2, merge_stride=2, dense_dims=(4,))
+    rng = np.random.default_rng(17)
+    arrays = random_file_arrays(rng, DepressionModel(cfg, seed=3).params)
+    path = tmp_path / "conv1d-layout.json"
+    write_v1_checkpoint(path, arrays, "depression", cfg, seed=5, step=11)
+    reference = in_memory(arrays)
+
+    loaded, seed, step = DepressionModel.load(path)
+    assert (seed, step) == (5, 11) and loaded.config == cfg
+    for name in ("conv.w", "merge.w"):
+        w = loaded.params[name]
+        assert w.shape == reference[name].shape and w.flags["C_CONTIGUOUS"], name
+    for n_posts in (1, 2, 5):
+        posts = [rng.integers(0, cfg.vocab_size, size=int(rng.integers(1, 9)))
+                 for _ in range(n_posts)]
+        posts[0] = rng.integers(0, cfg.vocab_size, size=cfg.conv_window)
+        logits = loaded.logits(posts, ParamNodes(loaded.params)).value
+        expected = depression_reference_logits(reference, cfg, posts)
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
+
+    again = tmp_path / "again.json"
+    loaded.save(again, seed=5, step=11)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_depression_kernels_are_input_column_first_and_keep_the_seeded_init():
+    cfg = tiny_depression_config(embed_dim=4, conv_filters=3, merge_filters=2)
+    params = DepressionModel(cfg, seed=12).params
+    rng = np.random.default_rng(12)
+    rng.uniform(-0.05, 0.05, size=(cfg.vocab_size, cfg.embed_dim))     # emb
+    conv = glorot_uniform(rng, (3, cfg.conv_window, 4), cfg.conv_window * 4, 3)
+    merge = glorot_uniform(rng, (2, cfg.merge_window, 3), cfg.merge_window * 3, 2)
+    for name, drawn in (("conv.w", conv), ("merge.w", merge)):
+        assert params[name].flags["C_CONTIGUOUS"], name
+        assert np.array_equal(params[name], drawn.transpose(2, 1, 0)), name
 
 
 def test_thread_matrices_keep_hashed_inputs_compact():
@@ -615,7 +672,7 @@ def test_dense_tower_input_falls_back_to_the_dense_update():
 
 def test_file_encoder_vectors_take_the_same_path(tmp_path):
     # Dense precomputed vectors fill every column; they go through the same
-    # sparse tower and agree with dense conv1d.
+    # sparse tower and agree with the textbook convolution.
     dim = 6
     threads = [labelled_thread(i, i % 4, n_sentences=2 + i % 3, n_context=i % 2)
                for i in range(8)]
@@ -634,10 +691,10 @@ def test_file_encoder_vectors_take_the_same_path(tmp_path):
     assert all(np.array_equal(t.cols, np.arange(dim)) for t, _, _ in data)
     model = RiskModel(cfg, seed=16)
     train_risk(model, data, data, TrainConfig(epochs=2, lr=0.01, seed=1))
-    reference = conv1d_layout(model.params)
+    reference = dict(model.params.items())
     for (target, context, _), inst in zip(data, threads):
         dense_target, dense_context = instance_matrices(inst, enc, cfg.max_sentences)
-        expected = dense_reference_output(reference, cfg, dense_target, dense_context)
+        expected = reference_output(reference, cfg, dense_target, dense_context)
         out = model.forward(target, context, ParamNodes(model.params)).value
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
         assert model.predict(target, context)[0] == int(np.argmax(expected))

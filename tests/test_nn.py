@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 import sys
 import time
@@ -34,7 +36,6 @@ from triagekit.nn import (
     relu,
     save_checkpoint,
     softmax,
-    sparse_conv1d,
     squared_error,
     stack_rows,
     sub,
@@ -61,7 +62,7 @@ def test_conv1d_identity_filter():
 
 def test_conv1d_zero_input_gives_bias():
     x = constant(np.zeros((5, 2)))
-    w = constant(np.ones((3, 2, 2)))
+    w = constant(np.ones((2, 2, 3)))
     b = constant(np.array([1.0, -2.0, 0.5]))
     out = conv1d(x, w, b)
     assert np.allclose(out.value, np.tile(b.value, (4, 1)))
@@ -78,7 +79,7 @@ def test_conv1d_hand_convolution():
 
 def test_conv1d_input_shorter_than_window():
     x = constant(np.zeros((2, 3)))
-    w = constant(np.zeros((4, 3, 3)))
+    w = constant(np.zeros((3, 3, 4)))
     with pytest.raises(ValueError, match="rows"):
         conv1d(x, w, constant(np.zeros(4)))
 
@@ -92,7 +93,7 @@ def test_conv1d_stride():
 
 def test_conv1d_linear_in_input():
     rng = np.random.default_rng(0)
-    w = constant(rng.standard_normal((4, 3, 2)))
+    w = constant(rng.standard_normal((2, 3, 4)))
     b = constant(np.zeros(4))
     x = rng.standard_normal((7, 2))
     y = rng.standard_normal((7, 2))
@@ -304,14 +305,15 @@ def test_gradcheck_conv_relu_maxpool_dense():
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(4, t) + 1))
         l = int(rng.integers(1, 5))
+        stride = 1 + trial % 3
         params = ParamStore()
         params.add("x", rng.standard_normal((t, d)))
-        params.add("w", rng.standard_normal((l, k, d)) * 0.5)
+        params.add("w", rng.standard_normal((d, k, l)) * 0.5)
         params.add("b", rng.standard_normal(l) * 0.1)
         ro = np.random.default_rng(100 + trial)
 
         def loss_fn(nodes):
-            out = conv1d(nodes("x"), nodes("w"), nodes("b"))
+            out = conv1d(nodes("x"), nodes("w"), nodes("b"), stride=stride)
             out = relu(out)
             out = max_pool(out, 2)
             return readout_loss(out, np.random.default_rng(trial))
@@ -392,7 +394,35 @@ def test_gradcheck_squared_error():
     assert max(worst.values()) < 1e-4
 
 
-# -- sparse convolution ---------------------------------------------------------
+# -- convolution against textbook loops -------------------------------------------
+
+def textbook_conv1d(x, w, b, stride=1):
+    """out[r, f] = b[f] + sum over j, c of x[r * stride + j, c] * w[c, j, f],
+    one product at a time: the reference for both input kinds of `conv1d`."""
+    t, d = x.shape
+    _, k, l = w.shape
+    out = np.empty(((t - k) // stride + 1, l))
+    for r in range(out.shape[0]):
+        for f in range(l):
+            total = b[f]
+            for j in range(k):
+                for c in range(d):
+                    total += x[r * stride + j, c] * w[c, j, f]
+            out[r, f] = total
+    return out
+
+
+def textbook_conv1d_grads(x, w, g, stride=1):
+    """(dx, dw) of sum(g * textbook_conv1d(x, w, b, stride)), by the same loops."""
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    _, k, l = w.shape
+    for r in range(g.shape[0]):
+        for f in range(l):
+            for j in range(k):
+                dx[r * stride + j] += g[r, f] * w[:, j, f]
+                dw[:, j, f] += g[r, f] * x[r * stride + j]
+    return dx, dw
+
 
 def sparse_input(rng, t, d, zero_cols):
     """A random [t x d] matrix with the given columns zero, dense and sparse."""
@@ -415,12 +445,13 @@ def test_sparse_rows_checks_its_columns():
         SparseRows([0, 1], np.ones((2, 3)), 4)
 
 
-@pytest.mark.parametrize("t,d,k,zero_cols", [
-    (6, 7, 3, (0, 2, 3, 6)),       # zero columns on both edges
-    (5, 4, 2, (0, 1, 2, 3)),       # an all-zero input: an empty context
-    (3, 5, 3, (1,)),               # T == window: one output row
-], ids=["zero_columns", "all_zero", "t_equals_window"])
-def test_gradcheck_sparse_conv1d(t, d, k, zero_cols):
+@pytest.mark.parametrize("t,d,k,stride,zero_cols", [
+    (6, 7, 3, 1, (0, 2, 3, 6)),    # zero columns on both edges
+    (5, 4, 2, 1, (0, 1, 2, 3)),    # an all-zero input: an empty context
+    (3, 5, 3, 1, (1,)),            # T == window: one output row
+    (8, 5, 2, 3, (2,)),            # strided, T not a multiple of the stride
+], ids=["zero_columns", "all_zero", "t_equals_window", "strided"])
+def test_gradcheck_sparse_conv1d(t, d, k, stride, zero_cols):
     rng = np.random.default_rng(t * 100 + d)
     _, x = sparse_input(rng, t, d, zero_cols)
     params = ParamStore()
@@ -428,43 +459,66 @@ def test_gradcheck_sparse_conv1d(t, d, k, zero_cols):
     params.add("b", rng.standard_normal(3) * 0.1)
 
     def loss_fn(nodes):
-        out = relu(sparse_conv1d(x, nodes("w"), nodes("b")))
+        out = relu(conv1d(x, nodes("w"), nodes("b"), stride=stride))
         return readout_loss(out, np.random.default_rng(5))
 
     worst = finite_difference_check(loss_fn, params)
     assert max(worst.values()) < 1e-4, worst
 
 
-def test_sparse_conv1d_matches_dense_conv1d():
-    # The same sums in another order: outputs and gradients agree to 1e-12,
-    # and no gradient reaches a weight row of a zero column.
-    rng = np.random.default_rng(41)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv1d_matches_textbook_loops(stride):
+    # Both input kinds: the same sums in another order, so outputs and
+    # gradients agree to 1e-12. A sparse input's weight gradient reaches the
+    # rows of its nonzero columns only, and it gets no gradient itself.
+    rng = np.random.default_rng(41 + stride)
     for trial in range(6):
-        t = int(rng.integers(3, 9))
-        d = int(rng.integers(4, 12))
         k = int(rng.integers(1, 4))
+        t = k + int(rng.integers(0, 7))
+        if stride > 1 and (t - k) % stride == 0:
+            t += 1                      # leave rows after the last window
+        d = int(rng.integers(4, 12))
         l = int(rng.integers(1, 6))
         zero_cols = rng.choice(d, size=int(rng.integers(0, d)), replace=False)
         x, sparse = sparse_input(rng, t, d, zero_cols)
-        w = rng.standard_normal((l, k, d))
         params = ParamStore()
-        params.add("w", w.transpose(2, 1, 0))
+        params.add("x", x)
+        params.add("w", rng.standard_normal((d, k, l)))
         params.add("b", rng.standard_normal(l))
-        ref = ParamStore()
-        ref.add("w", w)
-        ref.add("b", params["b"])
-        nodes, ref_nodes = ParamNodes(params), ParamNodes(ref)
-        out = sparse_conv1d(sparse, nodes("w"), nodes("b"))
-        ref_out = conv1d(constant(x), ref_nodes("w"), ref_nodes("b"))
-        np.testing.assert_allclose(out.value, ref_out.value, rtol=1e-12, atol=1e-12)
-        for node in (out, ref_out):
-            backward(readout_loss(node, np.random.default_rng(trial)))
-        grads, ref_grads = nodes.grads(), ref_nodes.grads()
-        np.testing.assert_allclose(grads["w"], ref_grads["w"].transpose(2, 1, 0),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grads["b"], ref_grads["b"], rtol=1e-12, atol=1e-12)
+        expected = textbook_conv1d(x, params["w"], params["b"], stride)
+        g = rng.standard_normal(expected.shape)
+        dx, dw = textbook_conv1d_grads(x, params["w"], g, stride)
+        for kind in ("dense", "sparse"):
+            nodes = ParamNodes(params)
+            inp = sparse if kind == "sparse" else nodes("x")
+            out = conv1d(inp, nodes("w"), nodes("b"), stride=stride)
+            np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+            # sum(g * out): backward hands the conv g as its output gradient.
+            readout = dense(flatten(out), constant(g.reshape(1, -1)), constant(np.zeros(1)))
+            backward(pick(readout, 0))
+            grads = nodes.grads()
+            np.testing.assert_allclose(grads["w"], dw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grads["b"], g.sum(axis=0), rtol=1e-12, atol=1e-12)
+            if kind == "dense":
+                np.testing.assert_allclose(grads["x"], dx, rtol=1e-12, atol=1e-12)
+        assert not grads["x"].any()
         assert np.array_equal(grads.rows["w"], sparse.cols)
         assert not np.any(np.delete(grads["w"], sparse.cols, axis=0))
+
+
+def test_dense_conv1d_keeps_no_window_matrix():
+    # Between forward and backward a dense conv holds its output and nothing
+    # the size of its [windows x k*d_in] window matrix.
+    rng = np.random.default_rng(43)
+    x = constant(rng.standard_normal((400, 64)))
+    w, b = constant(rng.standard_normal((64, 5, 8))), constant(np.zeros(8))
+    tracemalloc.start()
+    try:
+        out = conv1d(x, w, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < x.value.nbytes + out.value.nbytes + 16_384, held
 
 
 def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
@@ -477,8 +531,8 @@ def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
     params.add("b", np.zeros(l))
 
     def loss_fn(nodes):
-        out = concat(flatten(sparse_conv1d(s1, nodes("w"), nodes("b"))),
-                     flatten(sparse_conv1d(s2, nodes("w"), nodes("b"))))
+        out = concat(flatten(conv1d(s1, nodes("w"), nodes("b"))),
+                     flatten(conv1d(s2, nodes("w"), nodes("b"))))
         return readout_loss(out, np.random.default_rng(1))
 
     nodes = ParamNodes(params)
@@ -879,6 +933,33 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.names() == params.names()
     for name, arr in params.items():
         assert np.allclose(loaded[name], arr, atol=1e-6)
+
+
+def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
+    # Every 3-D parameter is a conv kernel, [d_in x k x filters] in memory
+    # and [filters x k x d_in] in the file; other parameters are as they are.
+    rng = np.random.default_rng(5)
+    params = ParamStore()
+    params.add("conv.w", rng.standard_normal((6, 3, 2)))
+    params.add("dense.w", rng.standard_normal((2, 4)))
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
+    entries = json.loads(path.read_text())["params"]
+
+    def stored(name):
+        raw = base64.b64decode(entries[name]["data"])
+        return np.frombuffer(raw, "<f4").reshape(entries[name]["shape"])
+
+    assert entries["conv.w"]["shape"] == [2, 3, 6]
+    assert np.array_equal(stored("conv.w"), params["conv.w"].transpose(2, 1, 0).astype("<f4"))
+    assert np.array_equal(stored("dense.w"), params["dense.w"].astype("<f4"))
+    loaded = load_checkpoint(path)[0]
+    assert loaded["conv.w"].shape == (6, 3, 2) and loaded["conv.w"].flags["C_CONTIGUOUS"]
+    for name, arr in params.items():
+        assert np.array_equal(loaded[name], arr.astype("<f4")), name
+    again = tmp_path / "again.ckpt.json"
+    save_checkpoint(again, loaded, {"kind": "test"}, seed=1, step=2)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_failed_checkpoint_save_leaves_earlier_file(tmp_path):
