@@ -449,6 +449,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     run, model, vocab = _load_run_dir(args.checkpoint)
     if run["task"] != "depression":
         raise ValueError("explain requires a depression checkpoint")

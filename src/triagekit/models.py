@@ -47,7 +47,7 @@ from .nn import (
     save_checkpoint,
     softmax,
     squared_error,
-    stack_rows,
+    stack_rows,  # unused here; perfbench/tracer.py wraps every op by its name in this module
     sub,
 )
 
@@ -82,6 +82,8 @@ class DepressionModelConfig:
         object.__setattr__(self, "dense_dims", tuple(self.dense_dims))
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover the reserved ids")
+        if self.n_term < self.conv_window:
+            raise ValueError("n_term must cover one convolution window")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -89,9 +91,11 @@ class DepressionModelConfig:
 class DepressionModel:
     """2-class user-level classifier over token-id post sequences.
 
-    Every forward pass builds each post vector with `encode_post`, merges them
-    with `encode_user`, and runs the dense stack; `top_phrases` reads the
-    per-post feature maps that the same pass returns.
+    One graph per user: the first n_term tokens of every post that fills a
+    window go, concatenated, through one embedding lookup, convolution and
+    ReLU; ranged `mean_rows` averages each post's own windows (never those
+    across two posts) into a row, zero for a post without a window and for
+    each padding slot up to merge_window. The merge conv and dense stack follow.
     """
 
     kind = "depression"
@@ -126,47 +130,34 @@ class DepressionModel:
         p.add("out.b", np.zeros(2))
         return p
 
-    def encode_post(self, tokens: Sequence[int],
-                    nodes: ParamNodes) -> tuple[Node, Node | None]:
-        """(post vector [conv_filters], conv feature map [windows × conv_filters]).
-
-        Only the first n_term tokens count. A post shorter than the window
-        encodes to zero and has no feature map.
-        """
-        c = self.config
-        toks = list(tokens)[:c.n_term]
-        if len(toks) < c.conv_window:
-            return constant(np.zeros(c.conv_filters)), None
-        seq = embedding_lookup(nodes("emb"), toks)
-        feat = relu(conv1d(seq, nodes("conv.w"), nodes("conv.b")))
-        return mean_rows(feat), feat
-
-    def encode_user(self, post_vectors: Sequence[Node], nodes: ParamNodes) -> Node:
-        """Merge post vectors with the strided conv; short users are zero-padded."""
-        c = self.config
-        vecs = list(post_vectors)
-        if not vecs:
-            raise ValueError("user has no usable posts")
-        while len(vecs) < c.merge_window:
-            vecs.append(constant(np.zeros(c.conv_filters)))
-        merged = relu(conv1d(stack_rows(vecs), nodes("merge.w"), nodes("merge.b"),
-                             stride=c.merge_stride))
-        return mean_rows(merged)
-
     def _forward(self, posts_tokens: Sequence[Sequence[int]], nodes: ParamNodes,
                  train: bool = False, rng: np.random.Generator | None = None
-                 ) -> tuple[Node, list[Node | None]]:
-        """Logits node and each post's conv feature map (None for short posts)."""
+                 ) -> tuple[Node, Node | None, np.ndarray, np.ndarray]:
+        """Logits node, the user's feature map [rows x conv_filters] (None if no
+        post fills a window), and each post's first and past-last row in it."""
         c = self.config
         if not posts_tokens:
             raise ValueError("user has no usable posts")
-        post_vecs, feats = zip(*(self.encode_post(toks, nodes) for toks in posts_tokens))
-        h = self.encode_user(post_vecs, nodes)
+        # A post's kept tokens, or none for a post without a window.
+        kept = [toks[:c.n_term] if len(toks) >= c.conv_window else () for toks in posts_tokens]
+        lengths = np.array([len(toks) for toks in kept] + [0] * (c.merge_window - len(kept)))
+        starts = np.cumsum(lengths) - lengths
+        stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
+        ids = np.array([tok for toks in kept for tok in toks], dtype=np.intp)
+        if ids.size:
+            feat = relu(conv1d(embedding_lookup(nodes("emb"), ids),
+                               nodes("conv.w"), nodes("conv.b")))
+            post_vecs = mean_rows(feat, starts, stops)
+        else:
+            feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))
+        h = mean_rows(relu(conv1d(post_vecs, nodes("merge.w"), nodes("merge.b"),
+                                  stride=c.merge_stride)))
         for i in range(len(c.dense_dims)):
             h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
             if c.dropout > 0.0:
                 h = dropout(h, c.dropout, rng=rng, train=train)
-        return dense(h, nodes("out.w"), nodes("out.b")), list(feats)
+        n = len(kept)
+        return dense(h, nodes("out.w"), nodes("out.b")), feat, starts[:n], stops[:n]
 
     def logits(self, posts_tokens, nodes: ParamNodes, train: bool = False,
                rng: np.random.Generator | None = None) -> Node:
@@ -209,26 +200,26 @@ def top_phrases(model: DepressionModel,
     (post_id, window tokens, score) triples, strongest first. When a
     vocabulary is given, windows are returned as token strings.
     """
-    c = model.config
+    if m < 1:
+        raise ValueError(f"the number of phrases must be at least 1, got {m}")
+    k = model.config.conv_window
     ranked: list[tuple[str, tuple, float]] = []
     for _, posts in users:
         if not posts:
             continue
-        nodes = ParamNodes(model.params)
-        logits, feats = model._forward([toks for _, toks in posts], nodes)
+        logits, feat, starts, stops = model._forward([toks for _, toks in posts],
+                                                     ParamNodes(model.params))
+        if feat is None:
+            continue
         backward(pick(logits, 1))
-        best: tuple[float, str, tuple] | None = None
-        for (post_id, toks), feat in zip(posts, feats):
-            if feat is None:
-                continue
-            contribution = (feat.value * feat.grad).max(axis=1)
-            row = int(np.argmax(contribution))
-            score = float(contribution[row])
-            window = tuple(toks[row:row + c.conv_window])
-            if best is None or score > best[0]:
-                best = (score, post_id, window)
-        if best is not None:
-            ranked.append((best[1], best[2], best[0]))
+        contribution = (feat.value * feat.grad).max(axis=1)
+        # The user's best window; max() keeps the first post of a tie.
+        i = max(np.flatnonzero(stops > starts),
+                key=lambda i: contribution[starts[i]:stops[i]].max())
+        window = contribution[starts[i]:stops[i]]
+        row = int(np.argmax(window))
+        post_id, toks = posts[i]
+        ranked.append((post_id, tuple(toks[row:row + k]), float(window[row])))
     ranked.sort(key=lambda t: (-t[2], t[0]))
     ranked = ranked[:m]
     if vocab is not None:

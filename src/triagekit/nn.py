@@ -10,13 +10,15 @@ Adam runs one loop over cache-sized blocks of every parameter (flat slices,
 or gathered live rows), shared by the usable cores on large steps, with
 results bit-identical to a whole-array update.
 
-`conv1d` is the one convolution. Its kernels are laid out [d_in x k x
+`conv1d` is the one convolution, k accumulated matmuls that hold nothing
+larger than the input and the output. Its kernels are laid out [d_in x k x
 filters], input column first, for a dense node input and for a constant
 `SparseRows` input alike; with the latter it reads and writes only the
 kernel rows of the input's nonzero columns, so Adam skips the rows no input
 has reached. Checkpoint files keep every 3-D parameter (every one is a
 kernel) as [filters x k x d_in]; `save_checkpoint` and `load_checkpoint`
-swap the axes at the file boundary.
+swap the axes at the file boundary. Sequences concatenated go through each
+op at once; `mean_rows` with row ranges pools each one's own rows.
 """
 
 from __future__ import annotations
@@ -180,8 +182,10 @@ def _acc_rows(node: Node, rows: np.ndarray, drows: np.ndarray) -> None:
     """Add drows into the distinct rows ``rows`` of node's gradient, and
     record them while row writes are its only gradients.
 
-    The dense gradient is allocated once per graph, not per call, by
-    np.zeros, which leaves the pages of rows never written unmapped.
+    The dense gradient is allocated once per graph, not per call, and zeroed
+    in full: glibc raises its mmap threshold to the size of any freed mmapped
+    block (up to 32 MiB), so after the first graph the table comes from the
+    heap, not from fresh pages that rows never written would leave unmapped.
     """
     if node.grad is None:
         node.grad = np.zeros(node.value.shape, dtype=node.value.dtype)
@@ -302,12 +306,12 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> 
     x[r * stride + j] dotted with weights[:, j, f]. Rows past the last full
     window are not covered (output has floor((T - k) / stride) + 1 rows).
 
-    Computed as shifted matmuls: P = x @ W as [T x k x l], then
-    out[r] = sum_j P[r * stride + j, j]. A dense node x gets dx = dP @ W^T,
-    and the weights dW = x^T @ dP. A constant `SparseRows` x reads only the
-    kernel rows of its nonzero columns, writes the weight gradient on those
-    rows only, with a row record as `embedding_lookup` does, and gets no
-    gradient.
+    Computed as k accumulated matmuls, out = sum_j x[j::stride] @ W[:, j],
+    with dW[:, j] = x[j::stride]^T @ g and, for a dense node x,
+    dx[j::stride] += g @ W[:, j]^T; no [T x k x l] product is ever held. A
+    constant `SparseRows` x reads only the kernel rows of its nonzero
+    columns, writes the weight gradient on those rows only, with a row record
+    as `embedding_lookup` does, and gets no gradient.
     """
     sparse = isinstance(x, SparseRows)
     T, d_in = x.shape if sparse else x.value.shape
@@ -321,23 +325,21 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> 
     span = (T - k) // stride * stride + 1       # input rows from first to last window start
     xv = x.values if sparse else x.value
     w = weights.value[x.cols] if sparse else weights.value
-    p = (xv @ w.reshape(-1, k * l)).reshape(T, k, l)
-    out = p[:span:stride, 0].copy()
+    out = xv[:span:stride] @ w[:, 0]
     for j in range(1, k):
-        out += p[j:j + span:stride, j]
+        out += xv[j:j + span:stride] @ w[:, j]
     out += bias.value
 
     def back(g):
-        dp = np.zeros((T, k, l), dtype=g.dtype)
-        for j in range(k):
-            dp[j:j + span:stride, j] = g
-        dp = dp.reshape(T, k * l)
-        dw = xv.T @ dp
+        dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
         if sparse:
-            _acc_rows(weights, x.cols, dw.reshape(x.cols.size, k, l))
+            _acc_rows(weights, x.cols, dw)
         else:
-            _acc(weights, dw.reshape(weights.value.shape), fresh=True)
-            _acc(x, dp @ weights.value.reshape(d_in, k * l).T, fresh=True)
+            _acc(weights, dw, fresh=True)
+            dx = np.zeros_like(xv)
+            for j in range(k):
+                dx[j:j + span:stride] += g @ w[:, j].T
+            _acc(x, dx, fresh=True)
         _acc(bias, g.sum(axis=0))
 
     return Node(out, (weights, bias) if sparse else (x, weights, bias), back)
@@ -374,15 +376,30 @@ def max_pool(x: Node, n: int) -> Node:
     return Node(out, (x,), back)
 
 
-def mean_rows(x: Node) -> Node:
-    """Column means: [R x l] -> [l]. This is average pooling over all regions."""
-    rows = x.value.shape[0]
-    out = x.value.mean(axis=0)
+def mean_rows(x: Node, starts=None, stops=None) -> Node:
+    """Column means of x [R x l] as [l]: average pooling over all rows. Given
+    row ranges, one mean per range [starts[i], stops[i]) as [n x l] instead,
+    zero for an empty range; nonempty ranges lie in row order, disjoint."""
+    rows, cols = x.value.shape
+    whole = starts is None
+    starts, stops = np.array([[0], [rows]] if whole else [starts, stops], dtype=np.intp)
+    full = stops > starts
+    counts = (stops - starts)[full]
+    bounds = np.stack([starts[full], stops[full]], axis=1).ravel()
+    spans = np.diff(bounds, prepend=0, append=rows)     # gap, range, gap, ..., range, gap
+    if (stops < starts).any() or (spans < 0).any():
+        raise ValueError("mean_rows ranges must be ordered, disjoint row ranges of x")
+    # In turn, sums of each range and of the gap after it (the last runs to the end).
+    sums = np.add.reduceat(x.value, bounds[:-1] if rows in bounds[-1:] else bounds, axis=0)
+    out = np.zeros((starts.size, cols), dtype=x.value.dtype)
+    out[full] = sums[::2] / counts[:, None]
 
     def back(g):
-        _acc(x, np.broadcast_to(g / rows, x.value.shape))
+        parts = np.zeros((spans.size, cols), dtype=x.value.dtype)
+        parts[1::2] = g.reshape(-1, cols)[full] / counts[:, None]
+        _acc(x, np.repeat(parts, spans, axis=0), fresh=True)
 
-    return Node(out, (x,), back)
+    return Node(out[0] if whole else out, (x,), back)
 
 
 def dense(x: Node, weights: Node, bias: Node) -> Node:

@@ -77,5 +77,6 @@ def test_tracer_wraps_library_and_times_training():
     assert metrics["models.forward_ms"] > 0
     assert 0 < metrics["corpus.input_density"] < 1
     # both tasks' steps run their ops through the wrapped names
-    for op in ("conv1d", "max_pool", "hinge", "stack_rows", "cross_entropy", "scale"):
+    for op in ("embedding_lookup", "conv1d", "mean_rows", "max_pool", "hinge", "cross_entropy",
+               "scale"):
         assert metrics[f"nn.op.{op}.calls"] > 0, op

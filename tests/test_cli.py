@@ -178,6 +178,17 @@ def test_explain_rejects_risk_checkpoint(planted_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_explain_rejects_fewer_than_one_phrase(planted_run, tmp_path, capsys, top):
+    ckpt_dir, data_dir = planted_run
+    rc = run_cli(["explain", "--checkpoint", str(ckpt_dir / "checkpoint.json"),
+                  "--data", str(data_dir), "--split", "test",
+                  "--top", top, "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: --top must be at least 1, got {top}" in capsys.readouterr().err
+    assert not (tmp_path / "phrases.json").exists()
+
+
 def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     ckpt_dir, data_dir = planted_run
     bare = tmp_path / "bare"
@@ -373,6 +384,17 @@ def test_train_bad_config_value_names_its_option(depression_chain, risk_chain, t
     assert rc == 1
     option = line.split(" = ")[0]
     assert f"error: [{task}] {option}: invalid literal" in capsys.readouterr().err
+
+
+def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_path,
+                                                         capsys):
+    # Every post would encode to zero: only out.b would ever get a gradient.
+    rc = run_cli(["train", "--task", "depression", "--n-term", "2",
+                  "--data", str(depression_chain[1]),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert "error: n_term must cover one convolution window" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
 def test_risk_evaluate_all_splits(risk_chain, tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from triagekit import models
 from triagekit.corpus import (
     FileSentenceEncoder,
     HashedSentenceEncoder,
@@ -59,76 +60,107 @@ def tiny_depression_config(**overrides):
 
 
 # -- depression model: post and user encoders -----------------------------------
+# One forward per user: `_forward` returns the logits, the feature map of all
+# of the user's windows, and each post's first and past-last row in it.
+
+def readout_model(cfg, seed=0):
+    """A model whose diagnosed logit is the user vector's one entry: a single
+    merge filter, then a 1-unit identity dense layer."""
+    model = DepressionModel(cfg, seed=seed)
+    model.params["dense0.w"][...] = [[1.0]]
+    model.params["dense0.b"][...] = 0.0
+    model.params["out.w"][...] = [[0.0], [1.0]]
+    return model
+
 
 def test_encode_post_hand_trace():
     cfg = tiny_depression_config(vocab_size=5, embed_dim=1, conv_window=3,
                                  conv_filters=1, merge_window=2, merge_stride=2,
                                  merge_filters=1, dense_dims=(1,))
-    model = DepressionModel(cfg, seed=0)
+    model = readout_model(cfg)
     model.params["emb"][...] = [[0.0], [0.0], [1.0], [2.0], [0.0]]
     model.params["conv.w"][...] = 1.0
     model.params["conv.b"][...] = 0.5
-    vec, feat = model.encode_post([2, 3, 2, 3], ParamNodes(model.params))
+    model.params["merge.w"][...] = [[[1.0], [0.0]]]     # the user vector is post 0's
+    model.params["merge.b"][...] = 0.0
+    logits, feat, starts, stops = model._forward([[2, 3, 2, 3]], ParamNodes(model.params))
     # windows: (1+2+1)+0.5 = 4.5 and (2+1+2)+0.5 = 5.5; averaged = 5.0
+    assert (starts.tolist(), stops.tolist()) == ([0], [2])
     assert feat.value.ravel() == pytest.approx([4.5, 5.5])
-    assert vec.value == pytest.approx([5.0])
+    assert logits.value == pytest.approx([0.0, 5.0])
 
 
 def test_encode_post_short_post_is_zero():
-    model = DepressionModel(tiny_depression_config(conv_window=3))
+    model = DepressionModel(tiny_depression_config(conv_window=3), seed=4)
+    model.params["out.w"][...] = np.random.default_rng(4).standard_normal((2, 3))
     nodes = ParamNodes(model.params)
+    zero_user = depression_reference_logits(dict(model.params.items()), model.config, [[]])
     for tokens in ([2, 3], []):
-        vec, feat = model.encode_post(tokens, nodes)
-        assert np.array_equal(vec.value, [0.0, 0.0])
-        assert feat is None
+        logits, feat, starts, stops = model._forward([tokens], nodes)
+        assert feat is None and starts.tolist() == stops.tolist() == [0]
+        np.testing.assert_allclose(logits.value, zero_user, rtol=1e-12, atol=1e-12)
+    # Beside a post that fills a window, a short post has an empty range and
+    # changes nothing.
+    with_short = model._forward([[2, 3, 4, 5], [2, 3]], nodes)
+    alone = model._forward([[2, 3, 4, 5], []], nodes)
+    assert (with_short[2].tolist(), with_short[3].tolist()) == ([0, 4], [2, 4])
+    assert np.array_equal(with_short[0].value, alone[0].value)
+    assert np.array_equal(with_short[1].value, alone[1].value)
 
 
 def test_encode_post_deterministic():
     model = DepressionModel(tiny_depression_config())
+    model.params["out.w"][...] = np.random.default_rng(2).standard_normal((2, 3))
     nodes = ParamNodes(model.params)
-    a = model.encode_post([2, 3, 4, 5], nodes)[0].value
-    b = model.encode_post([2, 3, 4, 5], nodes)[0].value
-    assert np.array_equal(a, b)
+    a = model._forward([[2, 3, 4, 5], [6, 7, 2]], nodes)
+    b = model._forward([[2, 3, 4, 5], [6, 7, 2]], nodes)
+    assert np.array_equal(a[0].value, b[0].value)
+    assert np.array_equal(a[1].value, b[1].value)
 
 
 def test_encode_post_truncates_to_n_term():
     model = DepressionModel(tiny_depression_config(n_term=4))
+    model.params["out.w"][...] = np.random.default_rng(3).standard_normal((2, 3))
     nodes = ParamNodes(model.params)
-    (a, feat_a), (b, feat_b) = (model.encode_post([2, 3, 4, 5], nodes),
-                                model.encode_post([2, 3, 4, 5, 6, 7, 2, 3], nodes))
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(feat_a.value, feat_b.value)
+    a, b = (model._forward([[2, 3, 4, 5]], nodes),
+            model._forward([[2, 3, 4, 5, 6, 7, 2, 3]], nodes))
+    assert np.array_equal(a[0].value, b[0].value)
+    assert np.array_equal(a[1].value, b[1].value)
+    assert (b[2].tolist(), b[3].tolist()) == ([0], [3])
 
 
 def merge_only_model():
+    """Post [v, v] encodes to v (one window reading the first token's id);
+    the merge sums each window of post vectors."""
     cfg = tiny_depression_config(conv_filters=1, merge_window=3, merge_stride=3,
-                                 merge_filters=1)
-    model = DepressionModel(cfg, seed=0)
+                                 merge_filters=1, dense_dims=(1,))
+    model = readout_model(cfg)
+    model.params["emb"][...] = 0.0
+    model.params["emb"][:, 0] = np.arange(cfg.vocab_size)
+    model.params["conv.w"][...] = 0.0
+    model.params["conv.w"][0, 0, 0] = 1.0
+    model.params["conv.b"][...] = 0.0
     model.params["merge.w"][...] = 1.0
     model.params["merge.b"][...] = 0.0
     return model
 
 
+def user_vector(model, post_values):
+    posts = [[v, v] for v in post_values]
+    return model._forward(posts, ParamNodes(model.params))[0].value[1]
+
+
 def test_encode_user_single_window():
-    model = merge_only_model()
-    nodes = ParamNodes(model.params)
-    vecs = [constant(np.array([float(v)])) for v in (1, 2, 3)]
-    assert model.encode_user(vecs, nodes).value == pytest.approx([6.0])
+    assert user_vector(merge_only_model(), (1, 2, 3)) == pytest.approx(6.0)
 
 
 def test_encode_user_two_windows_averaged():
-    model = merge_only_model()
-    nodes = ParamNodes(model.params)
-    vecs = [constant(np.array([float(v)])) for v in (1, 2, 3, 4, 5, 6)]
     # windows sum to 6 and 15; averaged = 10.5
-    assert model.encode_user(vecs, nodes).value == pytest.approx([10.5])
+    assert user_vector(merge_only_model(), (1, 2, 3, 4, 5, 6)) == pytest.approx(10.5)
 
 
 def test_encode_user_pads_short_users():
-    model = merge_only_model()
-    nodes = ParamNodes(model.params)
-    vecs = [constant(np.array([3.0]))]
-    assert model.encode_user(vecs, nodes).value == pytest.approx([3.0])
+    assert user_vector(merge_only_model(), (3,)) == pytest.approx(3.0)
 
 
 def test_encode_user_constant_filter_permutation_invariance():
@@ -136,15 +168,93 @@ def test_encode_user_constant_filter_permutation_invariance():
     cfg = tiny_depression_config(conv_filters=3, merge_window=3, merge_stride=3,
                                  merge_filters=2)
     model = DepressionModel(cfg, seed=1)
-    # constant across window positions: permuting rows inside a window is a no-op
+    model.params["out.w"][...] = rng.standard_normal((2, 3))
+    # constant across window positions: permuting posts inside a window is a
+    # no-op, although it changes the windows that straddle two posts
     model.params["merge.w"][...] = np.repeat(
         rng.standard_normal((3, 1, 2)), 3, axis=1)
     nodes = ParamNodes(model.params)
-    block = [rng.standard_normal(3) for _ in range(3)]
-    base = model.encode_user([constant(v) for v in block], nodes).value
+    block = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 5, 2)]
+    base = model.logits(block, nodes).value
     for perm in ([1, 0, 2], [2, 1, 0], [2, 0, 1]):
-        permuted = model.encode_user([constant(block[i]) for i in perm], nodes).value
+        permuted = model.logits([block[i] for i in perm], nodes).value
         assert np.allclose(base, permuted, atol=1e-12)
+
+
+def random_user(rng, cfg, n_posts, lengths):
+    return [rng.integers(0, cfg.vocab_size, size=int(rng.integers(*lengths)))
+            for _ in range(n_posts)]
+
+
+def test_batched_logits_match_per_post_reference():
+    # The reference encodes post by post with `textbook_conv1d`, as the
+    # paper's model reads; only the order of summation differs.
+    rng = np.random.default_rng(23)
+    cfg = tiny_depression_config(embed_dim=4, conv_window=3, conv_filters=3,
+                                 merge_window=4, merge_stride=2, n_term=7)
+    model = DepressionModel(cfg, seed=6)
+    model.params["out.w"][...] = rng.standard_normal((2, 3))
+    params = dict(model.params.items())
+    users = {
+        "mixed short posts": random_user(rng, cfg, 9, (0, 7)),
+        "posts over n_term": random_user(rng, cfg, 6, (8, 20)),
+        "fewer posts than merge_window": random_user(rng, cfg, 2, (3, 12)),
+        "all posts short": random_user(rng, cfg, 5, (0, 3)),
+        "one post of one window": [[2, 3, 4]],
+    }
+    for what, posts in users.items():
+        logits = model.logits(posts, ParamNodes(model.params)).value
+        expected = depression_reference_logits(params, cfg, posts)
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12, err_msg=what)
+
+
+def test_depression_forward_is_one_graph_per_user(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        op = getattr(models, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return op(*args, **kwargs)
+        return wrapper
+
+    for name in ("embedding_lookup", "conv1d", "stack_rows", "constant"):
+        monkeypatch.setattr(models, name, counted(name))
+    model = DepressionModel(tiny_depression_config())
+    rng = np.random.default_rng(8)
+    for n_posts in (1, 4, 40):
+        calls.clear()
+        model.loss(random_user(rng, model.config, n_posts, (0, 10)) + [[2, 3]], 1,
+                   ParamNodes(model.params))
+        assert calls == {"embedding_lookup": 1, "conv1d": 2}, n_posts
+
+
+@pytest.mark.parametrize("overrides, posts", [
+    ({}, [[2, 3, 4, 5, 6, 7, 2, 3], [6, 7, 2], [5], []]),       # over n_term, short
+    ({"conv_window": 1}, [[2, 3], [4], [5, 6, 7]]),            # adjacent post ranges
+    ({"merge_window": 2, "merge_stride": 1}, [[4, 5, 6], [3, 2, 7, 5]]),
+    ({}, [[2], [3]]),                                          # no post fills a window
+], ids=["over_n_term_and_short", "window_1", "merge_stride_1", "all_short"])
+def test_depression_gradients_of_one_user_graph(overrides, posts):
+    rng = np.random.default_rng(12)
+    model = DepressionModel(tiny_depression_config(**overrides), seed=3)
+    model.params["out.w"][...] = rng.standard_normal((2, 3)) * 0.5
+    # Biases off zero keep the ReLUs of an all-zero input off their kink.
+    for name in ("conv.b", "merge.b", "dense0.b"):
+        model.params[name][...] = rng.uniform(0.05, 0.2, model.params[name].shape)
+
+    def loss_fn(nodes):
+        return model.loss(posts, 0, nodes, train=False)
+
+    worst = finite_difference_check(loss_fn, model.params)
+    assert max(worst.values()) < 1e-4, worst
+
+
+def test_depression_config_rejects_n_term_below_the_window():
+    with pytest.raises(ValueError, match="n_term must cover one convolution window"):
+        tiny_depression_config(n_term=2, conv_window=3)
+    assert tiny_depression_config(n_term=3, conv_window=3).n_term == 3
 
 
 # -- depression model: classification -------------------------------------------
@@ -242,6 +352,15 @@ def test_top_phrases_caps_at_available():
     model = DepressionModel(tiny_depression_config(), seed=2)
     ranked = top_phrases(model, [("u1", [("a", [2, 3, 4])])], m=50)
     assert len(ranked) == 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_top_phrases_rejects_fewer_than_one(m):
+    model = planted_trigram_model()
+    users = [(f"u{i}", [("a", [5, 2, 3, 4])]) for i in range(4)]
+    assert len(top_phrases(model, users, m=1)) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        top_phrases(model, users, m=m)
 
 
 # -- risk model ------------------------------------------------------------------

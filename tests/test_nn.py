@@ -134,6 +134,35 @@ def test_mean_rows():
     assert np.array_equal(mean_rows(single).value, [3.0, -1.0])
 
 
+@pytest.mark.parametrize("starts, stops", [
+    ([0, 2, 2, 5], [2, 2, 5, 7]),      # adjacent ranges, an empty one, ends on the last row
+    ([1, 0, 4], [3, 0, 6]),            # unread rows around and between the ranges
+    ([3, 0], [3, 0]),                  # every range empty
+], ids=["adjacent_empty_last_row", "gaps", "all_empty"])
+def test_mean_rows_ranges_match_loops_and_gradcheck(starts, stops):
+    rng = np.random.default_rng(len(starts))
+    params = ParamStore()
+    params.add("x", rng.standard_normal((7, 3)))
+    out = mean_rows(constant(params["x"]), starts, stops).value
+    for i, (a, b) in enumerate(zip(starts, stops)):
+        expected = params["x"][a:b].mean(axis=0) if b > a else np.zeros(3)
+        np.testing.assert_allclose(out[i], expected, rtol=1e-15, atol=1e-15)
+
+    def loss_fn(nodes):
+        return readout_loss(mean_rows(nodes("x"), starts, stops), np.random.default_rng(2))
+
+    worst = finite_difference_check(loss_fn, params)
+    assert max(worst.values()) < 1e-6, worst
+
+
+def test_mean_rows_rejects_overlapping_or_outside_ranges():
+    x = constant(np.ones((5, 2)))
+    for starts, stops in (([0, 1], [2, 3]), ([2, 0], [4, 2]), ([3], [6]), ([-1], [2]),
+                          ([3], [2])):
+        with pytest.raises(ValueError, match="ordered, disjoint"):
+            mean_rows(x, starts, stops)
+
+
 def test_dense_relu():
     x = constant(np.array([-1.0, 2.0]))
     out = relu(dense(x, constant(np.eye(2)), constant(np.zeros(2))))
@@ -519,6 +548,26 @@ def test_dense_conv1d_keeps_no_window_matrix():
     finally:
         tracemalloc.stop()
     assert held < x.value.nbytes + out.value.nbytes + 16_384, held
+
+
+def test_dense_conv1d_holds_no_window_product():
+    # Forward and backward peak far below one [T x k x l] array (8 MB here):
+    # the conv is k accumulated matmuls, each [windows x l] or [T x d_in].
+    rng = np.random.default_rng(44)
+    t, d, k, l = 2000, 4, 8, 64
+    params = ParamStore()
+    params.add("x", rng.standard_normal((t, d)))
+    params.add("w", rng.standard_normal((d, k, l)))
+    params.add("b", np.zeros(l))
+    nodes = ParamNodes(params)
+    tracemalloc.start()
+    try:
+        backward(pick(mean_rows(conv1d(nodes("x"), nodes("w"), nodes("b"))), 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes("x").grad.shape == (t, d)
+    assert peak < t * k * l * 8 // 2, peak
 
 
 def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
