@@ -212,11 +212,6 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # Sentence encoders
 
-def sentence_hash(sentence: str) -> str:
-    """Stable key for precomputed-vector lookup: sha256 of the raw UTF-8 sentence."""
-    return hashlib.sha256(sentence.encode("utf-8")).hexdigest()
-
-
 class HashedSentenceEncoder:
     """Deterministic feature-hashing sentence vectors.
 
@@ -250,40 +245,6 @@ class HashedSentenceEncoder:
         if norm > 0.0:
             vec /= norm
         return vec
-
-
-class FileSentenceEncoder:
-    """Looks up precomputed sentence vectors keyed by :func:`sentence_hash`.
-
-    The file is line-delimited JSON: ``{"hash": <hex>, "vector": [...]}``.
-    """
-
-    def __init__(self, path: str | Path, dim: int | None = None):
-        self.path = Path(path)
-        self._vectors: dict[str, np.ndarray] = {}
-        for lineno, row in _iter_ndjson(self.path):
-            try:
-                key = row["hash"]
-                vec = np.asarray(row["vector"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{self.path}:{lineno}: bad vector row: {exc}") from None
-            if dim is not None and vec.shape != (dim,):
-                raise CorpusFormatError(
-                    f"{self.path}:{lineno}: vector has dim {vec.shape}, expected ({dim},)")
-            self._vectors[key] = vec
-        dims = {v.shape[0] for v in self._vectors.values()}
-        if len(dims) > 1:
-            raise CorpusFormatError(f"{self.path}: mixed vector dimensions {sorted(dims)}")
-        self.dim = dim if dim is not None else (dims.pop() if dims else 0)
-
-    def encode(self, sentence: str) -> np.ndarray:
-        key = sentence_hash(sentence)
-        try:
-            return self._vectors[key]
-        except KeyError:
-            raise KeyError(
-                f"no precomputed vector for sentence (hash {key[:12]}...): "
-                f"{sentence[:60]!r}") from None
 
 
 # ---------------------------------------------------------------------------

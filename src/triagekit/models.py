@@ -13,7 +13,7 @@ ordinal-margin variant, class_metric_ordinal).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -182,9 +182,20 @@ class DepressionModel:
         params, config, seed, step = load_checkpoint(path)
         if config.get("kind") != cls.kind:
             raise ValueError(f"checkpoint holds {config.get('kind')!r}, not {cls.kind!r}")
-        config = {k: v for k, v in config.items() if k != "kind"}
-        config["dense_dims"] = tuple(config["dense_dims"])
-        return cls(DepressionModelConfig(**config), params), seed, step
+        return cls(_stored_config(DepressionModelConfig, config, path), params), seed, step
+
+
+def _stored_config(config_cls, config: dict, path: str | Path):
+    """``config_cls`` from a checkpoint's config, whose fields besides "kind"
+    must be exactly the class's; a ValueError names the file and the fields."""
+    names = [f.name for f in fields(config_cls)]
+    missing = [name for name in names if name not in config]
+    unknown = sorted(set(config) - set(names) - {"kind"})
+    bad = [f"{what} fields {found}" for what, found in (("missing", missing), ("unknown", unknown))
+           if found]
+    if bad:
+        raise ValueError(f"{path}: checkpoint config has {' and '.join(bad)}")
+    return config_cls(**{name: config[name] for name in names})
 
 
 def top_phrases(model: DepressionModel,
@@ -399,9 +410,7 @@ class RiskModel:
         kind = config.get("kind", "")
         if not kind.startswith(f"{cls.kind}:"):
             raise ValueError(f"checkpoint holds {kind!r}, not a {cls.kind!r} model")
-        config = {k: v for k, v in config.items() if k != "kind"}
-        config["dense_dims"] = tuple(config["dense_dims"])
-        return cls(RiskModelConfig(**config), params), seed, step
+        return cls(_stored_config(RiskModelConfig, config, path), params), seed, step
 
 
 def instance_matrices(instance: ThreadInstance, encoder,

@@ -6,9 +6,10 @@ per op, Adam with bias correction, checkpoint I/O (weights stored as
 float32), and a central finite-difference oracle for verifying every
 gradient. There is no general autodiff beyond the ops defined here.
 
-Adam runs one loop over cache-sized blocks of every parameter (flat slices,
-or gathered live rows), shared by the usable cores on large steps, with
-results bit-identical to a whole-array update.
+A parameter reached only by row writes gets a `RowGrad`, the rows written
+and their sums, never a zeroed table. Adam runs one loop over cache-sized
+blocks of every parameter (flat slices, or gathered live rows), shared by the
+usable cores on large steps, bit-identical to a whole-array update.
 
 `conv1d` is the one convolution, k accumulated matmuls that hold nothing
 larger than the input and the output. Its kernels are laid out [d_in x k x
@@ -50,20 +51,19 @@ def _check_finite(value: np.ndarray, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parameter and gradient stores
+# Parameters and row gradients
 
 class ParamStore:
-    """Ordered map of name -> weight array. Arrays are owned by the store and
-    C-contiguous."""
+    """Ordered map of name -> weight array. Arrays are owned by the store,
+    float64 and C-contiguous."""
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter {name!r}")
-        arr = np.array(values, dtype=self.dtype, order="C")
+        arr = np.array(values, dtype=np.float64, order="C")
         _check_finite(arr, f"parameter {name!r}")
         self._arrays[name] = arr
         return arr
@@ -84,7 +84,7 @@ class ParamStore:
         return iter(self._arrays.items())
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore(self.dtype)
+        dup = ParamStore()
         for name, arr in self._arrays.items():
             dup.add(name, arr)
         return dup
@@ -99,30 +99,21 @@ class ParamStore:
             arr[...] = src
 
 
-class GradStore:
-    """Gradient arrays mirroring a ParamStore's names and shapes exactly.
+class RowGrad:
+    """A gradient that is zero outside some rows of its first axis: ``rows``,
+    sorted and distinct, and ``values`` [len(rows) x ...], their summed
+    gradients. ``np.asarray`` gives the whole array of ``shape``."""
 
-    Arrays given in ``arrays`` are held as they are, not copied; every other
-    parameter gets a zero gradient. ``rows`` maps a parameter to the indices
-    (along its first axis, possibly repeated) of the only rows its gradient
-    may have nonzero; a parameter without an entry has a dense gradient.
-    """
+    __slots__ = ("rows", "values", "shape")
 
-    def __init__(self, params: ParamStore, arrays: Mapping[str, np.ndarray] | None = None,
-                 rows: Mapping[str, np.ndarray] | None = None):
-        arrays = arrays or {}
-        self._arrays = {name: arrays[name] if name in arrays else np.zeros_like(arr)
-                        for name, arr in params.items()}
-        self.rows = dict(rows or {})
+    def __init__(self, rows, values, shape: tuple[int, ...]):
+        self.rows, self.values = np.asarray(rows, dtype=np.intp), np.asarray(values)
+        self.shape = tuple(shape)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def names(self) -> list[str]:
-        return list(self._arrays)
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._arrays.items())
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        whole = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        whole[self.rows] = self.values
+        return whole
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +122,16 @@ class GradStore:
 class Node:
     """One value in the computation graph, with its local backward rule.
 
-    ``rows`` lists the row-index arrays that row-writing backward rules
-    (`embedding_lookup`, `conv1d` of a `SparseRows` input) wrote into
-    ``grad``, while those are its only nonzero rows; any other gradient into
-    the node drops the record.
+    ``grad`` is a `RowGrad` while row-writing backward rules are the only
+    ones to have reached the node, else an array.
     """
 
-    __slots__ = ("value", "grad", "rows", "parents", "_backward")
+    __slots__ = ("value", "grad", "parents", "_backward")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = np.asarray(value)
         _check_finite(self.value, "op output")
-        self.grad: np.ndarray | None = None
-        self.rows: list[np.ndarray] | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.parents = parents
         self._backward = backward
 
@@ -157,7 +145,6 @@ class _ParamNode(Node):
     def __init__(self, value: np.ndarray):
         self.value = value
         self.grad = None
-        self.rows = None
         self.parents = ()
         self._backward = None
 
@@ -170,29 +157,32 @@ def _acc(node: Node, grad: np.ndarray, fresh: bool = False) -> None:
     """Add grad into node's gradient. A ``fresh`` grad, an array the backward
     rule just made and holds nowhere else, becomes the first gradient as it
     is; any other is copied, since it may be a view or shared."""
-    node.rows = None
     if node.grad is None:
         fresh = fresh and grad.dtype == node.value.dtype
         node.grad = grad if fresh else np.array(grad, dtype=node.value.dtype)
     else:
+        node.grad = np.asarray(node.grad)       # a RowGrad turns into its whole array
         node.grad += grad
 
 
 def _acc_rows(node: Node, rows: np.ndarray, drows: np.ndarray) -> None:
-    """Add drows into the distinct rows ``rows`` of node's gradient, and
-    record them while row writes are its only gradients.
+    """Add drows into the sorted, distinct rows ``rows`` of node's gradient.
 
-    The dense gradient is allocated once per graph, not per call, and zeroed
-    in full: glibc raises its mmap threshold to the size of any freed mmapped
-    block (up to 32 MiB), so after the first graph the table comes from the
-    heap, not from fresh pages that rows never written would leave unmapped.
+    While row writes are its only gradients, the gradient stays a `RowGrad`
+    over the union of the rows written, each row summed into zeros in call
+    order, as a dense table would sum it.
     """
-    if node.grad is None:
-        node.grad = np.zeros(node.value.shape, dtype=node.value.dtype)
-        node.rows = []
-    node.grad[rows] += drows
-    if node.rows is not None:
-        node.rows.append(rows)
+    grad = node.grad
+    if grad is None:
+        grad = RowGrad(rows[:0], drows[:0], node.value.shape)
+    if isinstance(grad, RowGrad):
+        union = np.union1d(grad.rows, rows)
+        values = np.zeros((union.size, *drows.shape[1:]), dtype=node.value.dtype)
+        values[np.searchsorted(union, grad.rows)] = grad.values
+        values[np.searchsorted(union, rows)] += drows
+        node.grad = RowGrad(union, values, grad.shape)
+    else:
+        grad[rows] += drows
 
 
 def backward(loss: Node) -> None:
@@ -216,15 +206,15 @@ def backward(loss: Node) -> None:
     loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
     for node in reversed(order):
         if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
+            node._backward(np.asarray(node.grad))
 
 
 class ParamNodes:
     """Per-graph view of a ParamStore: one shared Node per parameter name.
 
-    ``grads`` hands the nodes' own gradient arrays to the GradStore without a
-    copy, with the rows of those written only by row-writing ops;
-    gradients of parameters never touched by the graph come back as zeros.
+    ``grads`` maps each parameter the graph reached to its node's own
+    gradient, an array or a `RowGrad`, without a copy; a parameter the graph
+    did not reach has no entry.
     """
 
     def __init__(self, params: ParamStore):
@@ -238,11 +228,8 @@ class ParamNodes:
             self._nodes[name] = node
         return node
 
-    def grads(self) -> GradStore:
-        touched = {name: node for name, node in self._nodes.items() if node.grad is not None}
-        return GradStore(self.params, {name: node.grad for name, node in touched.items()},
-                         {name: np.concatenate(node.rows) for name, node in touched.items()
-                          if node.rows is not None})
+    def grads(self) -> dict[str, np.ndarray | RowGrad]:
+        return {name: node.grad for name, node in self._nodes.items() if node.grad is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +297,7 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> 
     with dW[:, j] = x[j::stride]^T @ g and, for a dense node x,
     dx[j::stride] += g @ W[:, j]^T; no [T x k x l] product is ever held. A
     constant `SparseRows` x reads only the kernel rows of its nonzero
-    columns, writes the weight gradient on those rows only, with a row record
+    columns, writes the weight gradient on those rows only, as a `RowGrad`
     as `embedding_lookup` does, and gets no gradient.
     """
     sparse = isinstance(x, SparseRows)
@@ -606,11 +593,11 @@ class AdamState:
     """Per-parameter first/second moments, live rows and step count.
 
     ``live`` holds, per parameter, a mask over its rows (first axis) marking
-    those that have ever had a gradient (from `embedding_lookup` or `conv1d`
-    of a `SparseRows` input), or None once the parameter is updated densely
-    (after a dense gradient, or once more than half its rows are live). A
-    row outside the mask has m = v = 0 and a zero gradient, which Adam
-    leaves exactly as they are, so `adam_step` skips it.
+    those that have ever had a gradient, while every gradient it has had was
+    a `RowGrad`; None once the parameter is updated densely (after an array
+    gradient, or once more than half its rows are live). A row outside the
+    mask has m = v = 0 and a zero gradient, which Adam leaves exactly as
+    they are, so `adam_step` skips it.
 
     ``scratch`` holds one set of six block-sized buffers (p, g, m, v and two
     temporaries) per usable core. A block is `_ADAM_BLOCK` elements, or one
@@ -631,7 +618,7 @@ class AdamState:
         self.live: dict[str, np.ndarray | None] = {
             name: np.zeros(arr.shape[:1], dtype=bool) for name, arr in params.items()}
         self.block = max([_ADAM_BLOCK] + [math.prod(arr.shape[1:]) for _, arr in params.items()])
-        self.scratch = [tuple(np.empty(self.block, dtype=params.dtype) for _ in range(6))
+        self.scratch = [tuple(np.empty(self.block) for _ in range(6))
                         for _ in range(_usable_cores())]
 
 
@@ -647,15 +634,20 @@ def _adam_pool(threads: int) -> ThreadPoolExecutor:
 def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
                 p, g, m, v, rows) -> None:
     """Adam on one block, in place: flat slices p, g, m, v of a parameter when
-    ``rows`` is None, else the rows ``rows`` of whole arrays, gathered into
-    ``scratch`` and written back only once they pass the finite check."""
+    ``rows`` is None, else the rows ``rows`` of whole arrays p, m, v, gathered
+    into ``scratch`` and written back only once they pass the finite check;
+    g is then (positions among ``rows``, gradient rows), scattered into zeros."""
     if rows is not None:
         shape = (rows.size, *p.shape[1:])
-        gathered = [buf[:math.prod(shape)].reshape(shape) for buf in scratch[:4]]
-        for src, dst in zip((p, g, m, v), gathered):
+        g_rows, *gathered = (buf[:math.prod(shape)].reshape(shape) for buf in scratch[:4])
+        for src, dst in zip((p, m, v), gathered):
             np.take(src, rows, axis=0, out=dst, mode="clip")
+        at, values = g
+        g = g_rows
+        g.fill(0.0)
+        g[at] = values
         whole = p, m, v
-        p, g, m, v = gathered
+        p, m, v = gathered
     a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[4:])
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=a)
@@ -712,17 +704,19 @@ def _run_blocks(state: AdamState, blocks: list[tuple], elements: int, bc1: float
         raise errors[min(errors)]
 
 
-def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamStore:
+def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
+              state: AdamState) -> ParamStore:
     """One bias-corrected Adam update, in place on the store's arrays.
 
-    Runs m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps)
-    in that operation order, block by block: a dense parameter in contiguous
+    A parameter ``grads`` does not name has a `RowGrad` with no rows. Runs
+    m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps) in
+    that operation order, block by block: a dense parameter in contiguous
     flat slices of `AdamState.block` elements, and a parameter whose
-    gradients have all come with rows (`GradStore.rows`), and of which at
-    most half the rows are live, on its live rows only, as many whole rows
-    as fit a block, gathered into scratch and written back. Every element
-    sees the same operations whatever the blocking, so results are
-    bit-identical to an update of whole arrays. A step that updates at least
+    gradients have all been `RowGrad`s, and of which at most half the rows
+    are live, on its live rows only, as many whole rows as fit a block,
+    gathered into scratch beside the block's gradient rows and written back.
+    Every element sees the same operations whatever the blocking, so results
+    are bit-identical to an update of whole arrays. A step that updates at least
     `_POOL_MIN_BLOCKS` blocks' worth of elements is split over the usable
     cores (`_run_blocks`).
 
@@ -739,22 +733,25 @@ def adam_step(params: ParamStore, grads: GradStore, state: AdamState) -> ParamSt
     blocks: list[tuple] = []
     elements = 0
     for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        live = state.live[name]
-        rows = grads.rows.get(name)
-        if live is not None and rows is not None:
-            live[rows] = True
+        m, v, live = state.m[name], state.v[name], state.live[name]
+        g = grads[name] if name in grads else RowGrad([], np.empty((0, *p.shape[1:])), p.shape)
+        if live is not None and isinstance(g, RowGrad):
+            live[g.rows] = True
             idx = np.flatnonzero(live)
             # With more than half the rows live, gathering and writing back
             # cost more than updating every row.
             if 2 * idx.size <= live.size:
                 row = math.prod(p.shape[1:])
                 per = state.block // max(1, row)
-                blocks += [(name, p, g, m, v, idx[s:s + per]) for s in range(0, idx.size, per)]
+                at = np.searchsorted(idx, g.rows)       # each gradient row's place in idx
+                for s in range(0, idx.size, per):
+                    lo, hi = np.searchsorted(at, (s, s + per))
+                    blocks.append((name, p, (at[lo:hi] - s, g.values[lo:hi]), m, v,
+                                   idx[s:s + per]))
                 elements += idx.size * row
                 continue
         state.live[name] = None
-        flat = [arr.reshape(-1) for arr in (p, g, m, v)]
+        flat = [arr.reshape(-1) for arr in (p, np.asarray(g), m, v)]
         blocks += [(name, *(arr[s:s + state.block] for arr in flat), None)
                    for s in range(0, p.size, state.block)]
         elements += p.size
@@ -777,17 +774,15 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: Param
 
     ``loss_fn`` takes a fresh ParamNodes view and must rebuild the graph on
     every call, deterministically (seed any dropout inside it). Every element
-    of every checked parameter is perturbed; 64-bit stores only.
+    of every checked parameter is perturbed.
     """
-    if params.dtype != np.float64:
-        raise ValueError("finite-difference checks need a float64 store")
     nodes = ParamNodes(params)
     backward(loss_fn(nodes))
     grads = nodes.grads()
     worst: dict[str, float] = {}
     for name in (params.names() if names is None else list(names)):
         flat = params[name].reshape(-1)
-        gflat = grads[name].reshape(-1)
+        gflat = np.asarray(grads.get(name, np.zeros_like(flat))).reshape(-1)
         err = 0.0
         for i in range(flat.size):
             orig = flat[i]
@@ -836,7 +831,7 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
         fh.write("\n")
 
 
-def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[ParamStore, dict, int, int]:
+def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
     """Returns (params, config, seed, step), with each 3-D parameter swapped
     back from the file's [filters x k x d_in] to [d_in x k x filters]."""
     with open(path, encoding="utf-8") as fh:
@@ -844,7 +839,7 @@ def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[ParamStore, dic
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    params = ParamStore(dtype)
+    params = ParamStore()
     order = doc.get("param_order", sorted(doc["params"]))
     for name in order:
         entry = doc["params"][name]

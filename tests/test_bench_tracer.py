@@ -74,6 +74,7 @@ def test_tracer_wraps_library_and_times_training():
     metrics = json.loads(proc.stdout.splitlines()[-1])
     assert metrics["traineval.train_s"] > 0
     assert metrics["nn.adam_ms"] > 0 and metrics["nn.backward_ms"] > 0
+    assert metrics["nn.grads_ms"] > 0       # ParamNodes.grads, wrapped by that name
     assert metrics["models.forward_ms"] > 0
     assert 0 < metrics["corpus.input_density"] < 1
     # both tasks' steps run their ops through the wrapped names

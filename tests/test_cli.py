@@ -441,6 +441,32 @@ def test_risk_predict_blank_target_names_file_line(risk_chain, tmp_path, capsys)
     assert not (tmp_path / "predictions.ndjson").exists()
 
 
+@pytest.mark.parametrize("task", ["risk", "depression"])
+def test_predict_checkpoint_with_bad_config_fields_fails(planted_run, risk_chain, tmp_path,
+                                                         capsys, task):
+    # An unknown field in a risk checkpoint, a missing one in a depression
+    # checkpoint: either is an error naming the file and the field.
+    run_dir = risk_chain[2] if task == "risk" else planted_run[0]
+    for name in ("run.json", "vocab.json"):
+        if (run_dir / name).exists():
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    doc = json.loads((run_dir / "checkpoint.json").read_text())
+    if task == "risk":
+        doc["config"]["bogus"] = 1
+    else:
+        del doc["config"]["n_term"]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    inputs = (risk_chain[1] / "test.threads.ndjson" if task == "risk"
+              else planted_run[1] / "test.posts.ndjson")
+    rc = run_cli(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    field = "unknown fields ['bogus']" if task == "risk" else "missing fields ['n_term']"
+    assert err.startswith(f"error: {checkpoint}: checkpoint config has {field}"), err
+
+
 # ---------------------------------------------------------------------------
 # Dataset construction through the CLI.
 

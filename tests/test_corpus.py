@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from triagekit.corpus import (
     PAD_ID,
     UNK_ID,
     CorpusFormatError,
-    FileSentenceEncoder,
     HashedSentenceEncoder,
     Post,
     RiskLabel,
@@ -18,7 +15,6 @@ from triagekit.corpus import (
     Vocabulary,
     load_users,
     read_threads,
-    sentence_hash,
     split_sentences,
     tokenize,
     word_tokens,
@@ -195,18 +191,6 @@ def test_hashed_encoder_seed_changes_vectors():
     a = HashedSentenceEncoder(dim=128, seed=0).encode("hello there")
     b = HashedSentenceEncoder(dim=128, seed=1).encode("hello there")
     assert not np.array_equal(a, b)
-
-
-def test_file_encoder_lookup_and_missing_key(tmp_path):
-    sent = "A known sentence."
-    path = tmp_path / "vectors.ndjson"
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"hash": sentence_hash(sent), "vector": [1.0, 2.0]}) + "\n")
-    enc = FileSentenceEncoder(path)
-    assert enc.dim == 2
-    assert np.array_equal(enc.encode(sent), np.array([1.0, 2.0]))
-    with pytest.raises(KeyError, match="unseen"):
-        enc.encode("An unseen sentence.")
 
 
 # -- corpus I/O -------------------------------------------------------------

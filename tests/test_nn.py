@@ -11,10 +11,10 @@ import pytest
 from triagekit import nn
 from triagekit.nn import (
     AdamState,
-    GradStore,
     Node,
     ParamNodes,
     ParamStore,
+    RowGrad,
     SparseRows,
     adam_step,
     backward,
@@ -232,6 +232,8 @@ def test_backward_requires_scalar():
 
 
 def test_unused_parameter_gets_zero_gradient():
+    # A parameter the graph did not reach has no entry; Adam reads it as a
+    # zero gradient on no rows and leaves it as it is.
     params = ParamStore()
     params.add("used", np.array([2.0]))
     params.add("frozen", np.array([5.0]))
@@ -239,9 +241,14 @@ def test_unused_parameter_gets_zero_gradient():
     loss = squared_error(nodes("used"), 0.0)
     backward(loss)
     grads = nodes.grads()
-    assert np.array_equal(grads["frozen"], [0.0])
+    assert "frozen" not in grads
     assert np.allclose(grads["used"], [4.0])
     assert grads["used"] is nodes("used").grad
+    state = AdamState(params, lr=0.1)
+    adam_step(params, grads, state)
+    assert np.array_equal(params["frozen"], [5.0]) and state.live["frozen"] is not None
+    worst = finite_difference_check(lambda n: squared_error(n("used"), 0.0), params)
+    assert worst["frozen"] == 0.0 and worst["used"] < 1e-6
 
 
 def test_zero_upstream_gives_zero_grads():
@@ -284,7 +291,9 @@ def test_embedding_gradient_equals_dense_rule():
         np.add.at(table, ids, g)
         expected = table if expected is None else expected + table
     assert len(seen) == 2
-    assert np.array_equal(nodes.grads()["emb"], expected)
+    grad = nodes.grads()["emb"]
+    assert isinstance(grad, RowGrad) and np.array_equal(grad.rows, [0, 3, 7, 12, 29])
+    assert np.array_equal(np.asarray(grad), expected)
 
 
 def _peak_bytes(fn) -> int:
@@ -313,6 +322,41 @@ def test_embedding_backward_allocates_one_table():
         nodes.grads()
 
     assert _peak_bytes(step) < 1.5 * params["emb"].nbytes
+
+
+@pytest.mark.parametrize("kind", ["embedding", "sparse_conv"])
+def test_backward_holds_no_table_sized_gradient(kind):
+    # A few hundred ids into a 60,000 x 50 table (24 MB), or 100 nonzero
+    # columns into a [7200 x 3 x 150] kernel (26 MB): the gradient is the
+    # rows written, and backward and grads() peak far below one table.
+    rng = np.random.default_rng(45)
+    params = ParamStore()
+    if kind == "embedding":
+        params.add("table", rng.uniform(-0.05, 0.05, (60_000, 50)))
+    else:
+        params.add("table", np.zeros((7200, 3, 150)))
+        params.add("b", np.zeros(150))
+
+    def graph():
+        nodes = ParamNodes(params)
+        if kind == "embedding":
+            out = mean_rows(embedding_lookup(nodes("table"), rng.integers(0, 60_000, 300)))
+        else:
+            cols = np.sort(rng.choice(7200, 100, replace=False))
+            x = SparseRows(cols, rng.standard_normal((20, cols.size)), 7200)
+            out = mean_rows(conv1d(x, nodes("table"), nodes("b")))
+        readout = constant(rng.standard_normal((1, out.value.size)))
+        return nodes, squared_error(dense(out, readout, constant(np.zeros(1))), 0.37)
+
+    backward(graph()[1])                # numpy's first-call allocations stay out
+    nodes, loss = graph()
+
+    def step():
+        backward(loss)
+        nodes.grads()
+
+    assert _peak_bytes(step) < params["table"].nbytes / 10
+    assert isinstance(nodes.grads()["table"], RowGrad)
 
 
 def test_shared_node_gradient_accumulates():
@@ -526,13 +570,13 @@ def test_conv1d_matches_textbook_loops(stride):
             readout = dense(flatten(out), constant(g.reshape(1, -1)), constant(np.zeros(1)))
             backward(pick(readout, 0))
             grads = nodes.grads()
-            np.testing.assert_allclose(grads["w"], dw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.asarray(grads["w"]), dw, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(grads["b"], g.sum(axis=0), rtol=1e-12, atol=1e-12)
             if kind == "dense":
                 np.testing.assert_allclose(grads["x"], dx, rtol=1e-12, atol=1e-12)
-        assert not grads["x"].any()
-        assert np.array_equal(grads.rows["w"], sparse.cols)
-        assert not np.any(np.delete(grads["w"], sparse.cols, axis=0))
+        assert "x" not in grads
+        assert np.array_equal(grads["w"].rows, sparse.cols)
+        assert not np.any(np.delete(np.asarray(grads["w"]), sparse.cols, axis=0))
 
 
 def test_dense_conv1d_keeps_no_window_matrix():
@@ -587,8 +631,8 @@ def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
     nodes = ParamNodes(params)
     backward(loss_fn(nodes))
     grads = nodes.grads()
-    assert np.array_equal(np.unique(grads.rows["w"]), [1, 2, 3, 4, 5, 6, 7])
-    assert not grads["w"][[0, 8]].any()
+    assert np.array_equal(grads["w"].rows, [1, 2, 3, 4, 5, 6, 7])
+    assert not np.asarray(grads["w"])[[0, 8]].any()
     worst = finite_difference_check(loss_fn, params)
     assert max(worst.values()) < 1e-4, worst
 
@@ -599,8 +643,7 @@ def test_adam_zero_gradient_keeps_params():
     params = ParamStore()
     params.add("w", np.array([1.0, -2.0]))
     state = AdamState(params, lr=0.1)
-    grads = GradStore(params)
-    adam_step(params, grads, state)
+    adam_step(params, {"w": np.zeros(2)}, state)
     assert np.array_equal(params["w"], [1.0, -2.0])
     assert state.step_count == 1
 
@@ -610,9 +653,7 @@ def test_adam_first_step_hand_value():
     params = ParamStore()
     params.add("w", np.array([0.0]))
     state = AdamState(params, lr=0.1)
-    grads = GradStore(params)
-    grads["w"][...] = 1.0
-    adam_step(params, grads, state)
+    adam_step(params, {"w": np.ones(1)}, state)
     assert params["w"][0] == pytest.approx(-0.1, abs=1e-8)
 
 
@@ -620,10 +661,8 @@ def test_adam_nan_gradient_rejected():
     params = ParamStore()
     params.add("w", np.array([0.0]))
     state = AdamState(params)
-    grads = GradStore(params)
-    grads["w"][...] = np.nan
     with pytest.raises(FloatingPointError):
-        adam_step(params, grads, state)
+        adam_step(params, {"w": np.array([np.nan])}, state)
 
 
 def test_adam_deterministic():
@@ -633,9 +672,7 @@ def test_adam_deterministic():
         params.add("w", rng.standard_normal(6))
         state = AdamState(params, lr=0.01)
         for _ in range(25):
-            grads = GradStore(params)
-            grads["w"][...] = rng.standard_normal(6)
-            adam_step(params, grads, state)
+            adam_step(params, {"w": rng.standard_normal(6)}, state)
         return params["w"].tobytes()
 
     assert run() == run()
@@ -651,9 +688,11 @@ class TextbookAdam:
         self.lr, self.b1, self.b2, self.eps, self.t = lr, b1, b2, eps, 0
 
     def step(self, grads):
+        # Every parameter, with a zero gradient for one grads does not name.
         self.t += 1
         bc1, bc2 = 1.0 - self.b1 ** self.t, 1.0 - self.b2 ** self.t
-        for name, g in grads.items():
+        for name, p in self.p.items():
+            g = np.asarray(grads[name]) if name in grads else np.zeros_like(p)
             self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
             self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
             self.p[name] = self.p[name] - (self.lr * (self.m[name] / bc1)
@@ -675,10 +714,9 @@ def test_adam_matches_textbook_update_bit_for_bit():
     state = AdamState(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     ref = TextbookAdam(params, lr=0.01, b1=0.9, b2=0.999, eps=1e-8)
     for _ in range(25):
-        grads = GradStore(params)
-        for name, shape in shapes.items():
-            if name != "still":
-                grads[name][...] = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        grads = {name: rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+                 for name, shape in shapes.items() if name != "still"}
+        grads["still"] = np.zeros(shapes["still"])
         adam_step(params, grads, state)
         ref.step(grads)
     ref.assert_equal(params, state)
@@ -705,8 +743,8 @@ def test_live_row_adam_matches_dense_adam_bit_for_bit(monkeypatch):
         g = np.zeros((24, 3))
         np.add.at(g, ids, rng.standard_normal((ids.size, 3)) * 10.0 ** rng.uniform(-4, 4))
         g[2], g[3] = 0.0, -0.0
-        grads = GradStore(params, {"emb": g}, rows={"emb": np.concatenate([ids, [2, 3]])})
-        grads["bias"][...] = rng.standard_normal(5)
+        rows = np.unique(np.concatenate([ids, [2, 3]]))
+        grads = {"emb": RowGrad(rows, g[rows], g.shape), "bias": rng.standard_normal(5)}
         adam_step(params, grads, state)
         ref.step(grads)
         ref.assert_equal(params, state)
@@ -731,8 +769,8 @@ def test_lookup_rows_reach_adam_and_match_dense_adam():
                                   + [mean_rows(embedding_lookup(nodes("emb"), ids[0]))]))
         backward(squared_error(dense(flat, nodes("w"), constant(np.zeros(1))), 0.5))
         grads = nodes.grads()
-        assert np.array_equal(np.unique(grads.rows["emb"]), np.unique(np.concatenate(ids)))
-        assert "w" not in grads.rows
+        assert np.array_equal(grads["emb"].rows, np.unique(np.concatenate(ids)))
+        assert not isinstance(grads["w"], RowGrad)
         adam_step(params, grads, state)
         ref.step(grads)
         ref.assert_equal(params, state)
@@ -770,13 +808,40 @@ def test_table_also_used_densely_drops_its_rows(dense_first):
         grads = nodes.grads()
         if mixed:
             assert order == (["dense", "lookup"] if dense_first else ["lookup", "dense"])
-            assert "emb" not in grads.rows
+            assert isinstance(grads["emb"], np.ndarray)
         else:
-            assert set(grads.rows["emb"]) == {1, 4}
+            assert np.array_equal(grads["emb"].rows, [1, 4])
         adam_step(params, grads, state)
         ref.step(grads)
         ref.assert_equal(params, state)
         assert (state.live["emb"] is None) == (step >= 1)
+
+
+def test_user_without_a_window_keeps_the_embedding_live_rows():
+    # Steps on a normal user, a user whose posts are all shorter than the
+    # convolution window (no embedding row reached), and a normal user: the
+    # table stays on live-row Adam, bit-identical to dense Adam.
+    from triagekit.models import DepressionModel, DepressionModelConfig
+
+    config = DepressionModelConfig(vocab_size=60, embed_dim=4, conv_filters=3,
+                                   merge_window=2, merge_stride=2, merge_filters=2,
+                                   dense_dims=(3,), n_term=8)
+    model = DepressionModel(config, seed=2)
+    state = AdamState(model.params, lr=0.01)
+    ref = TextbookAdam(model.params, lr=0.01)
+    rng = np.random.default_rng(34)
+    users = [[rng.integers(2, 60, 6), rng.integers(2, 60, 5)], [[5, 6], [7]],
+             [rng.integers(2, 60, 7)]]
+    for label, posts in enumerate(users):
+        nodes = ParamNodes(model.params)
+        backward(model.loss(posts, label % 2, nodes))
+        grads = nodes.grads()
+        assert ("emb" in grads) == (label != 1)
+        adam_step(model.params, grads, state)
+        ref.step(grads)
+        ref.assert_equal(model.params, state)
+        assert state.live["emb"] is not None
+    assert 0 < state.live["emb"].sum() <= 18
 
 
 def test_adam_nan_in_touched_row_rejected_by_name():
@@ -784,9 +849,7 @@ def test_adam_nan_in_touched_row_rejected_by_name():
     params.add("emb", np.zeros((6, 2)))
     before = params["emb"].copy()
     state = AdamState(params)
-    g = np.zeros((6, 2))
-    g[4, 1] = np.nan
-    grads = GradStore(params, {"emb": g}, rows={"emb": np.array([4])})
+    grads = {"emb": RowGrad([4], [[0.0, np.nan]], (6, 2))}
     with pytest.raises(FloatingPointError, match="non-finite gradient for 'emb'"):
         adam_step(params, grads, state)
     assert np.array_equal(params["emb"], before)
@@ -796,11 +859,9 @@ def test_adam_overflowing_update_names_the_parameter():
     params = ParamStore()
     params.add("w", np.array([-1e308, 0.5]))
     state = AdamState(params, lr=1e308)
-    grads = GradStore(params)
-    grads["w"][...] = 1.0
     with np.errstate(over="ignore"), \
             pytest.raises(FloatingPointError, match="parameter 'w' after the Adam step"):
-        adam_step(params, grads, state)
+        adam_step(params, {"w": np.ones(2)}, state)
 
 
 def test_non_finite_parameter_values_are_caught_where_written_or_used():
@@ -830,17 +891,18 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
     state = AdamState(params)
     # 20k of the table's rows live: 16 gathers of 1310 rows, and with the
     # dense parameters' blocks enough for the worker threads.
-    rows = rng.choice(50_000, 20_000, replace=False)
-    table = np.zeros((50_000, 50))
-    table[rows] = rng.standard_normal((rows.size, 50))
-    grads = GradStore(params, {"emb": table}, rows={"emb": rows})
-    for name, g in grads.items():
-        if name != "emb":
-            g[...] = rng.standard_normal(g.shape)
+    rows = np.sort(rng.choice(50_000, 20_000, replace=False))
+    grads = {name: rng.standard_normal(arr.shape) for name, arr in params.items()
+             if name != "emb"}
+    grads["emb"] = RowGrad(rows, rng.standard_normal((rows.size, 50)), (50_000, 50))
     adam_step(params, grads, state)
     # The bound leaves the 20 MB table nothing: its update stays in scratch.
     assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * dense_bytes
     assert state.live["emb"].sum() == rows.size
+
+
+def zero_grads(params):
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
 def blocked_adam_case(monkeypatch, workers):
@@ -874,15 +936,14 @@ def test_blocked_adam_matches_textbook_update_bit_for_bit(monkeypatch, workers):
     sys.setswitchinterval(1e-6)
     try:
         for step in range(12):
-            arrays, rows = {}, {}
+            grads = {}
             for name in ("emb", "wide"):
                 ids = rng.integers(0, shapes[name][0] // 2, 6)
                 g = np.zeros(shapes[name])
                 np.add.at(g, ids, rng.standard_normal((6, shapes[name][1])))
-                arrays[name], rows[name] = g, ids
-            grads = GradStore(params, arrays, rows=rows)
+                grads[name] = RowGrad(np.unique(ids), g[np.unique(ids)], g.shape)
             for name in ("w", "b"):
-                grads[name][...] = rng.standard_normal(shapes[name]) * 10.0 ** rng.uniform(-4, 4)
+                grads[name] = rng.standard_normal(shapes[name]) * 10.0 ** rng.uniform(-4, 4)
             adam_step(params, grads, state)
             ref.step(grads)
             ref.assert_equal(params, state)
@@ -899,12 +960,11 @@ def test_adam_pool_waits_for_enough_elements(monkeypatch):
     for i in range(10):
         params.add(f"b{i}", np.ones(2))
     state = AdamState(params)
-    grads = GradStore(params)
-    adam_step(params, grads, state)
+    adam_step(params, zero_grads(params), state)
     assert asked == []
     params.add("w", np.ones(32))
     state = AdamState(params)
-    adam_step(params, GradStore(params), state)
+    adam_step(params, zero_grads(params), state)
     assert asked == [2]
 
 
@@ -927,7 +987,7 @@ def test_adam_nan_in_last_blocks_names_first_parameter(monkeypatch, workers):
     params.add("second", np.zeros(40))
     for slow in ("first", "second", None) * 4:
         state = AdamState(params)
-        grads = GradStore(params)
+        grads = zero_grads(params)
         grads["first"][-1] = np.nan
         grads["second"][-1] = np.inf
         with np.errstate(invalid="ignore"), \
