@@ -9,7 +9,14 @@ gradient. There is no general autodiff beyond the ops defined here.
 A parameter reached only by row writes gets a `RowGrad`, the rows written
 and their sums, never a zeroed table. Adam runs one loop over cache-sized
 blocks of every parameter (flat slices, or gathered live rows), shared by the
-usable cores on large steps, bit-identical to a whole-array update.
+usable cores on large steps, bit-identical to a whole-array update. While a
+parameter is updated on its live rows, its moments are kept for those rows
+only, in compact slots of half its rows.
+
+Checkpoints are written and read in fixed-size chunks: a file is the text of
+one whole-document ``json.dump``, but neither it nor any of its base64
+strings is ever held whole, and a loaded parameter is decoded straight into
+its final array.
 
 `conv1d` is the one convolution, k accumulated matmuls that hold nothing
 larger than the input and the output. Its kernels are laid out [d_in x k x
@@ -592,14 +599,20 @@ def _usable_cores() -> int:
 class AdamState:
     """Per-parameter first/second moments, live rows and step count.
 
-    ``live`` holds, per parameter, a mask over its rows (first axis) marking
-    those that have ever had a gradient, while every gradient it has had was
-    a `RowGrad`; None once the parameter is updated densely (after an array
-    gradient, or once more than half its rows are live). A row outside the
-    mask has m = v = 0 and a zero gradient, which Adam leaves exactly as
-    they are, so `adam_step` skips it.
+    ``live`` holds, per parameter, the rows (first axis) that have ever had a
+    gradient, in the order of their first one, while every gradient it has had
+    was a `RowGrad`; None once the parameter is updated densely (after an array
+    gradient, or once more than half its rows are live). A row outside ``live``
+    has m = v = 0 and a zero gradient, which Adam leaves exactly as they are,
+    so `adam_step` skips it and no moments are kept for it: while ``live`` is
+    set, ``m`` and ``v`` are compact [rows // 2 x ...] arrays whose slot i
+    holds the moments of row ``live[i]``, and ``slot`` maps each row to its
+    slot (-1 for a row not live). They come from ``np.zeros``, so a large one
+    takes memory only for the pages its slots reach. Past the half-live switch
+    the moments expand once into whole arrays (`densify`); `moments` gives the
+    whole arrays either way.
 
-    ``scratch`` holds one set of six block-sized buffers (p, g, m, v and two
+    ``scratch`` holds one set of four block-sized buffers (p, g and two
     temporaries) per usable core. A block is `_ADAM_BLOCK` elements, or one
     row of the widest-rowed parameter if that is more, so the scratch does
     not grow with the largest parameter and a step allocates no
@@ -613,13 +626,37 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        compact = {name: (arr.shape[0] // 2 if arr.ndim else 0, *arr.shape[1:])
+                   for name, arr in params.items()}
+        self.m = {name: np.zeros(shape) for name, shape in compact.items()}
+        self.v = {name: np.zeros(shape) for name, shape in compact.items()}
         self.live: dict[str, np.ndarray | None] = {
-            name: np.zeros(arr.shape[:1], dtype=bool) for name, arr in params.items()}
+            name: np.empty(0, dtype=np.intp) for name, _ in params.items()}
+        self.slot: dict[str, np.ndarray | None] = {
+            name: np.full(arr.shape[:1], -1, dtype=np.intp) for name, arr in params.items()}
         self.block = max([_ADAM_BLOCK] + [math.prod(arr.shape[1:]) for _, arr in params.items()])
-        self.scratch = [tuple(np.empty(self.block) for _ in range(6))
+        self.scratch = [tuple(np.empty(self.block) for _ in range(4))
                         for _ in range(_usable_cores())]
+
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The whole-array m and v of a parameter (new arrays while its
+        moments are compact)."""
+        live = self.live[name]
+        if live is None:
+            return self.m[name], self.v[name]
+
+        def whole(compact: np.ndarray) -> np.ndarray:
+            arr = np.zeros((self.slot[name].size, *compact.shape[1:]))
+            arr[live] = compact[:live.size]
+            return arr
+
+        return whole(self.m[name]), whole(self.v[name])
+
+    def densify(self, name: str) -> None:
+        """Update the parameter densely from now on, with whole-array moments."""
+        if self.live[name] is not None:
+            self.m[name], self.v[name] = self.moments(name)
+            self.live[name] = self.slot[name] = None
 
 
 @functools.cache
@@ -634,21 +671,22 @@ def _adam_pool(threads: int) -> ThreadPoolExecutor:
 def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
                 p, g, m, v, rows) -> None:
     """Adam on one block, in place: flat slices p, g, m, v of a parameter when
-    ``rows`` is None, else the rows ``rows`` of whole arrays p, m, v, gathered
-    into ``scratch`` and written back only once they pass the finite check;
-    g is then (positions among ``rows``, gradient rows), scattered into zeros."""
+    ``rows`` is None. Else p is the whole parameter, whose rows ``rows`` are
+    gathered into ``scratch`` and written back only once they pass the finite
+    check; m and v are those rows' compact moments, updated in place; and g
+    is (positions among ``rows``, gradient rows, which of them), scattered
+    into zeros."""
     if rows is not None:
-        shape = (rows.size, *p.shape[1:])
-        g_rows, *gathered = (buf[:math.prod(shape)].reshape(shape) for buf in scratch[:4])
-        for src, dst in zip((p, m, v), gathered):
-            np.take(src, rows, axis=0, out=dst, mode="clip")
-        at, values = g
+        g_rows, p_rows, picked = (buf[:m.size].reshape(m.shape) for buf in scratch[:3])
+        np.take(p, rows, axis=0, out=p_rows, mode="clip")
+        at, values, which = g
+        picked = picked[:which.size]
+        np.take(values, which, axis=0, out=picked, mode="clip")
         g = g_rows
         g.fill(0.0)
-        g[at] = values
-        whole = p, m, v
-        p, m, v = gathered
-    a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[4:])
+        g[at] = picked
+        whole, p = p, p_rows
+    a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[2:])
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=a)
     v *= state.beta2
@@ -665,7 +703,7 @@ def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
             raise FloatingPointError(f"non-finite gradient for {name!r}")
         raise FloatingPointError(f"non-finite values in parameter {name!r} after the Adam step")
     if rows is not None:
-        whole[0][rows], whole[1][rows], whole[2][rows] = p, m, v
+        whole[rows] = p
 
 
 def _run_blocks(state: AdamState, blocks: list[tuple], elements: int, bc1: float,
@@ -713,18 +751,21 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
     that operation order, block by block: a dense parameter in contiguous
     flat slices of `AdamState.block` elements, and a parameter whose
     gradients have all been `RowGrad`s, and of which at most half the rows
-    are live, on its live rows only, as many whole rows as fit a block,
-    gathered into scratch beside the block's gradient rows and written back.
-    Every element sees the same operations whatever the blocking, so results
-    are bit-identical to an update of whole arrays. A step that updates at least
-    `_POOL_MIN_BLOCKS` blocks' worth of elements is split over the usable
-    cores (`_run_blocks`).
+    are live, on its live rows only, as many whole rows as fit a block: the
+    rows of p are gathered into scratch beside the block's gradient rows and
+    written back, and m and v are contiguous slots of the compact moments.
+    A row first reached takes the next free slot. Every element sees the
+    same operations whatever the blocking, so results are bit-identical to an
+    update of whole arrays. A step that updates at least `_POOL_MIN_BLOCKS`
+    blocks' worth of elements is split over the usable cores (`_run_blocks`).
 
     Each block's written entries are scanned once: a non-finite one rejects
     the step, worded as a non-finite gradient or as a non-finite update, by
-    the first failing parameter in store order. Gathered rows are scanned
-    before they are written back; a dense parameter's rejected block is
-    left updated.
+    the first failing parameter in store order. Gathered rows of p are
+    scanned before they are written back, so a rejected live-row block
+    leaves p as it was, while its m and v, updated in place, hold the
+    rejected step; a dense parameter's rejected block is left updated in
+    all three.
     """
     state.step_count += 1
     t = state.step_count
@@ -733,25 +774,30 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
     blocks: list[tuple] = []
     elements = 0
     for name, p in params.items():
-        m, v, live = state.m[name], state.v[name], state.live[name]
         g = grads[name] if name in grads else RowGrad([], np.empty((0, *p.shape[1:])), p.shape)
+        live, slot = state.live[name], state.slot[name]
         if live is not None and isinstance(g, RowGrad):
-            live[g.rows] = True
-            idx = np.flatnonzero(live)
+            new = g.rows[slot[g.rows] < 0]
             # With more than half the rows live, gathering and writing back
             # cost more than updating every row.
-            if 2 * idx.size <= live.size:
+            if 2 * (live.size + new.size) <= slot.size:
+                slot[new] = np.arange(live.size, live.size + new.size)
+                live = state.live[name] = np.concatenate([live, new])
                 row = math.prod(p.shape[1:])
                 per = state.block // max(1, row)
-                at = np.searchsorted(idx, g.rows)       # each gradient row's place in idx
-                for s in range(0, idx.size, per):
-                    lo, hi = np.searchsorted(at, (s, s + per))
-                    blocks.append((name, p, (at[lo:hi] - s, g.values[lo:hi]), m, v,
-                                   idx[s:s + per]))
-                elements += idx.size * row
+                at = slot[g.rows]                       # each gradient row's slot
+                which = np.argsort(at, kind="stable")
+                at = at[which]
+                m, v = state.m[name], state.v[name]
+                for s in range(0, live.size, per):
+                    e = min(s + per, live.size)
+                    lo, hi = np.searchsorted(at, (s, e))
+                    blocks.append((name, p, (at[lo:hi] - s, g.values, which[lo:hi]),
+                                   m[s:e], v[s:e], live[s:e]))
+                elements += live.size * row
                 continue
-        state.live[name] = None
-        flat = [arr.reshape(-1) for arr in (p, np.asarray(g), m, v)]
+        state.densify(name)
+        flat = [arr.reshape(-1) for arr in (p, np.asarray(g), state.m[name], state.v[name])]
         blocks += [(name, *(arr[s:s + state.block] for arr in flat), None)
                    for s in range(0, p.size, state.block)]
         elements += p.size
@@ -801,49 +847,196 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: Param
 # Checkpoints
 
 CHECKPOINT_FORMAT_VERSION = 1
+# Bytes read, or float32 bytes encoded, at a time by checkpoint I/O; a
+# multiple of 4, so that a read of base64 text is whole 4-character groups.
+_IO_CHUNK = 1 << 18
+
+
+def _as_rows(arr: np.ndarray) -> np.ndarray:
+    """The array itself, or a 0-d array as one row."""
+    return arr if arr.ndim else arr.reshape(1)
+
+
+def _write_base64(fh, arr: np.ndarray) -> None:
+    """Write the base64 of arr's little-endian float32 bytes, chunks of whole
+    rows at a time. Bytes beyond a multiple of 3 carry over into the next
+    chunk, so the text is that of the whole array's bytes."""
+    arr = _as_rows(arr)
+    per = max(1, _IO_CHUNK // (4 * max(1, math.prod(arr.shape[1:]))))
+    carry = b""
+    for s in range(0, arr.shape[0], per):
+        data = carry + arr[s:s + per].astype("<f4").tobytes()
+        cut = len(data) - len(data) % 3
+        fh.write(base64.b64encode(memoryview(data)[:cut]).decode("ascii"))
+        carry = data[cut:]
+    fh.write(base64.b64encode(carry).decode("ascii"))
 
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
     """Versioned JSON checkpoint; weights as base64 little-endian float32.
 
-    A 3-D parameter is a `conv1d` kernel, [d_in x k x filters] in memory; the
-    file holds it as [filters x k x d_in].
+    The file is the text ``json.dump(doc, fh, sort_keys=True)`` and a newline
+    would write for doc = {format_version, config, seed, step, param_order,
+    params: {name: {shape, data}}}, written parameter by parameter and each
+    ``data`` string in chunks, so that no whole string is held. A 3-D
+    parameter is a `conv1d` kernel, [d_in x k x filters] in memory; the file
+    holds it as [filters x k x d_in].
     """
-    stored = {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
-              for name, arr in params.items()}
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": dict(config),
-        "seed": int(seed),
-        "step": int(step),
-        "param_order": params.names(),
-        "params": {
-            name: {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii"),
-            }
-            for name, arr in stored.items()
-        },
-    }
+    head = json.dumps({"config": dict(config), "format_version": CHECKPOINT_FORMAT_VERSION,
+                       "param_order": params.names()}, sort_keys=True)
+    tail = json.dumps({"seed": int(seed), "step": int(step)}, sort_keys=True)
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "params": {')
+        for i, (name, arr) in enumerate(sorted(params.items())):
+            stored = arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": "')
+            _write_base64(fh, stored)
+            fh.write(f'", "shape": {json.dumps(list(stored.shape))}}}')
+        fh.write("}, " + tail[1:] + "\n")
+
+
+def _checkpoint_outline(fh, path) -> tuple[dict, dict[str, tuple[int, int]]]:
+    """Pass 1 of `load_checkpoint`: the document with each parameter's
+    ``data`` string emptied, and the byte range [start, end) of each such
+    string's contents in the file, by parameter name.
+
+    The file is read in `_IO_CHUNK`-byte chunks. Outside strings the scan
+    tracks the open objects and arrays and the key each object is at; inside
+    a string it jumps to the next quote, stepping over the byte after each
+    backslash. Only the contents of the value of key "data" of an object at
+    params.<name> are left out of the outline, which `json.loads` parses,
+    escapes and whitespace included.
+    """
+    outline = bytearray()
+    ranges: dict[str, tuple[int, int]] = {}
+    stack: list[list] = []          # per open container: [opener, key, expects a key]
+    in_string = escaped = False
+    offset = 0                      # file offset of the chunk's first byte
+    while chunk := fh.read(_IO_CHUNK):
+        i, n = 0, len(chunk)
+        while i < n:
+            if in_string:
+                if escaped:                 # the byte after a backslash that ended a chunk
+                    stop, quote, escaped = i + 1, -1, False
+                else:
+                    quote = chunk.find(b'"', i)
+                    stop = n if quote < 0 else quote
+                    slash = chunk.find(b"\\", i, stop)
+                    if slash >= 0:          # up to and over the escaped byte
+                        stop, quote, escaped = min(slash + 2, n), -1, slash + 1 == n
+                if keep:
+                    outline += chunk[i:stop]
+                i = stop
+                if quote < 0:
+                    continue
+                in_string = False
+                outline.append(chunk[i])
+                i += 1
+                if is_key:
+                    try:
+                        stack[-1][1] = json.loads(outline[begin:])
+                    except ValueError:      # a bad escape, named by the parse below
+                        stack[-1][1] = None
+                elif not keep:
+                    ranges[stack[1][1]] = (start, offset + quote)
+                continue
+            c = chunk[i:i + 1]
+            outline.append(chunk[i])
+            i += 1
+            top = stack[-1] if stack else None
+            if c == b'"':
+                in_string, begin, start = True, len(outline) - 1, offset + i
+                is_key = top is not None and top[2]
+                keep = not (not is_key and len(stack) == 3 and stack[0][1] == "params"
+                            and all(entry[0] == b"{" for entry in stack)
+                            and stack[2][1] == "data")
+            elif c in (b"{", b"["):
+                stack.append([c, None, c == b"{"])
+            elif c in (b"}", b"]"):
+                if stack:
+                    stack.pop()
+            elif c == b":" and top is not None:
+                top[2] = False
+            elif c == b"," and top is not None:
+                top[2] = top[0] == b"{"
+        offset += n
+    try:
+        doc = json.loads(bytes(outline))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object")
+    return doc, ranges
+
+
+def _read_param(fh, path, name: str, entry, span: tuple[int, int] | None) -> np.ndarray:
+    """Pass 2 of `load_checkpoint`: decode one parameter's base64 from its
+    byte range ``span`` of the file, chunk by chunk, into its final float64
+    array; a kernel is written through a transposed view of its
+    [d_in x k x filters] array."""
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if span is None or not isinstance(shape, list):
+        raise ValueError(f"{path}: parameter {name!r} needs a shape and a data string")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"{path}: parameter {name!r} has a bad shape {shape!r}")
+    size = math.prod(shape)
+    want = 4 * -(-4 * size // 3)                  # base64 characters of its float32 bytes
+    if span[1] - span[0] != want:
+        raise ValueError(f"{path}: parameter {name!r} has {span[1] - span[0]} base64 "
+                         f"characters of data, shape {shape} needs {want}")
+    arr = np.empty(shape[::-1] if len(shape) == 3 else shape)
+    rows = _as_rows(arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
+    row = math.prod(rows.shape[1:])
+    fh.seek(span[0])
+    done, carry, left = 0, b"", want
+    while left:
+        text = fh.read(min(left, _IO_CHUNK))
+        if not text:
+            break
+        left -= len(text)
+        try:
+            data = carry + base64.b64decode(text, validate=True)
+        except ValueError as exc:                 # binascii.Error
+            raise ValueError(f"{path}: parameter {name!r} data is not base64: {exc}") from None
+        whole = min(len(data) // (4 * row), rows.shape[0] - done)
+        values = np.frombuffer(data, "<f4", count=whole * row).reshape(whole, *rows.shape[1:])
+        _check_finite(values, f"parameter {name!r}")
+        rows[done:done + whole] = values
+        done += whole
+        carry = data[4 * row * whole:]
+    if size and (done != rows.shape[0] or carry):
+        raise ValueError(f"{path}: parameter {name!r} data does not decode to shape {shape}")
+    return arr
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
     """Returns (params, config, seed, step), with each 3-D parameter swapped
-    back from the file's [filters x k x d_in] to [d_in x k x filters]."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    params = ParamStore()
-    order = doc.get("param_order", sorted(doc["params"]))
-    for name in order:
-        entry = doc["params"][name]
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-        params.add(name, arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
-    return params, doc["config"], int(doc["seed"]), int(doc["step"])
+    back from the file's [filters x k x d_in] to [d_in x k x filters].
+
+    Reads the file in two passes over fixed-size chunks (`_checkpoint_outline`,
+    then `_read_param` per parameter), so neither the file nor its base64
+    strings, nor a second copy of any parameter, is ever held whole. A
+    missing field, data whose length does not fit its shape, or bad base64
+    is a ValueError naming the file and the field or parameter.
+    """
+    with open(path, "rb") as fh:
+        doc, ranges = _checkpoint_outline(fh, path)
+        version = doc.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
+        for field, kind, what in (("config", dict, "an object"), ("params", dict, "an object"),
+                                  ("seed", int, "an integer"), ("step", int, "an integer")):
+            if field not in doc:
+                raise ValueError(f"{path}: checkpoint has no {field!r} field")
+            if not isinstance(doc[field], kind):
+                raise ValueError(f"{path}: checkpoint field {field!r} is not {what}")
+        entries = doc["params"]
+        params = ParamStore()
+        for name in doc.get("param_order", sorted(entries)):
+            if name in params:
+                raise ValueError(f"{path}: duplicate parameter {name!r}")
+            # The decoded array is the store's own: it is not copied again.
+            params._arrays[name] = _read_param(fh, path, name, entries.get(name),
+                                               ranges.get(name))
+    return params, doc["config"], doc["seed"], doc["step"]

@@ -346,8 +346,11 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     masks come from the `dropout:<step>` stream and
     `step_loss(epoch, index, nodes, rng)` builds that instance's loss. After
     every epoch `validate()` returns the selection metric and the fields of the
-    validation log row; the weights of the best epoch are restored at the end.
-    Any non-finite loss or gradient aborts with a diagnostic.
+    validation log row. The weights of the best epoch are kept: a copy of
+    them is made when an epoch before the last sets a new best, and restored
+    at the end, unless the last epoch is best, whose weights are the model's
+    own and are neither copied nor restored. Any non-finite loss or gradient
+    aborts with a diagnostic.
     """
     mode = model.config.balance
     if mode not in ("weighted", "sampled"):
@@ -383,7 +386,7 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
         log.append({"epoch": epoch, "split": "validation", **fields})
         if metric > best_metric:
             best_epoch, best_metric = epoch, metric
-            best = model.params.copy()
+            best = model.params.copy() if epoch < cfg.epochs - 1 else None
     if best is not None:
         model.params.load_values(best)
     return TrainResult(best_epoch, best_metric, log)

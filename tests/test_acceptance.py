@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from triagekit.cli import main as cli_main
 from triagekit.corpus import (
@@ -40,7 +39,6 @@ from triagekit.models import (
     mse_classify,
 )
 from triagekit.nn import (
-    ParamNodes,
     ParamStore,
     add,
     add_const,
@@ -49,7 +47,6 @@ from triagekit.nn import (
     conv1d,
     cross_entropy,
     dense,
-    dropout,
     embedding_lookup,
     euclidean_distance,
     finite_difference_check,

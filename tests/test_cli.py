@@ -202,6 +202,34 @@ def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     assert "run description" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("missing_field", "checkpoint has no 'seed' field"),
+    ("short_data", "parameter 'conv.w' has 12 base64 characters of data, shape [1, 3, 5] "
+                   "needs 80"),
+    ("bad_base64", "parameter 'conv.w' data is not base64"),
+], ids=["missing_field", "short_data", "bad_base64"])
+def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsys, fault,
+                                                    message):
+    run_dir, data_dir = planted_run
+    for name in ("run.json", "vocab.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    doc = json.loads((run_dir / "checkpoint.json").read_text())
+    entry = doc["params"]["conv.w"]
+    if fault == "missing_field":
+        del doc["seed"]
+    elif fault == "short_data":
+        entry["data"] = entry["data"][:12]
+    else:
+        entry["data"] = "%" + entry["data"][1:]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    rc = run_cli(["predict", "--checkpoint", str(checkpoint),
+                  "--input", str(data_dir / "test.posts.ndjson"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: {message}"), err
+
+
 # ---------------------------------------------------------------------------
 # Training mechanics over a synthetic corpus driven entirely through the CLI.
 
@@ -601,3 +629,41 @@ def test_runtime_error_missing_corpus_files(tmp_path, capsys):
                   "--data", str(empty), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, epochs, best_epoch", [
+    ("depression", 3, 2), ("depression", 4, 2), ("risk", 2, 1), ("risk", 3, 1),
+], ids=["depression-last-best", "depression-earlier-best", "risk-last-best",
+        "risk-earlier-best"])
+def test_reloaded_checkpoint_scores_the_best_validation_metric(depression_chain, risk_chain,
+                                                               tmp_path, capsys, task, epochs,
+                                                               best_epoch):
+    # checkpoint.json, read back from disk and scored on the validation
+    # split, gives run.json's best_metric: when the last epoch is best (its
+    # weights are kept as they are) and when an earlier one is (its copy is
+    # restored over the last epoch's weights, which score differently).
+    if task == "depression":
+        data = depression_chain[1]
+        config = tmp_path / "config.ini"
+        config.write_text(depression_chain[0].read_text().replace("lr = 0.01", "lr = 0.1"))
+        extra = ["--strategy", "earliest", "--n-post", "4"]
+    else:
+        config, data = risk_chain[0], risk_chain[1]
+        extra = ["--variant", "cat_ce"]
+    run_dir = tmp_path / "run"
+    assert run_cli(["train", "--task", task, "--config", str(config), "--data", str(data),
+                    "--out", str(run_dir), "--seed", "2", "--epochs", str(epochs),
+                    *extra]) == 0
+    run = json.loads((run_dir / "run.json").read_text())
+    log = [json.loads(line) for line in (run_dir / "train_log.ndjson").read_text().splitlines()]
+    scores = [row["f1" if task == "depression" else "non_green_f1"]
+              for row in log if row["split"] == "validation"]
+    assert len(scores) == epochs and run["best_epoch"] == best_epoch
+    assert (scores[-1] == run["best_metric"]) == (best_epoch == epochs - 1)
+    assert run_cli(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--split", "validation", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eval.validation.json").read_text())
+    metric = (report["per_class"][1]["f1"] if task == "depression"
+              else report["groupings"]["non_green"]["f1"])
+    assert metric == run["best_metric"]
+    capsys.readouterr()

@@ -11,7 +11,6 @@ import pytest
 from triagekit import nn
 from triagekit.nn import (
     AdamState,
-    Node,
     ParamNodes,
     ParamStore,
     RowGrad,
@@ -700,9 +699,10 @@ class TextbookAdam:
 
     def assert_equal(self, params, state):
         for name, arr in params.items():
+            m, v = state.moments(name)
             assert np.array_equal(arr, self.p[name]), name
-            assert np.array_equal(state.m[name], self.m[name]), name
-            assert np.array_equal(state.v[name], self.v[name]), name
+            assert np.array_equal(m, self.m[name]), name
+            assert np.array_equal(v, self.v[name]), name
 
 
 def test_adam_matches_textbook_update_bit_for_bit():
@@ -749,8 +749,8 @@ def test_live_row_adam_matches_dense_adam_bit_for_bit(monkeypatch):
         ref.step(grads)
         ref.assert_equal(params, state)
         if step == 29:
-            assert state.live["emb"] is not None and not state.live["emb"][0]
-            assert state.live["emb"].sum() > 8
+            assert state.live["emb"] is not None and 0 not in state.live["emb"]
+            assert state.live["emb"].size > 8
     assert state.live["emb"] is None and state.live["bias"] is None
 
 
@@ -774,7 +774,7 @@ def test_lookup_rows_reach_adam_and_match_dense_adam():
         adam_step(params, grads, state)
         ref.step(grads)
         ref.assert_equal(params, state)
-    assert not state.live["emb"][20:].any()
+    assert (state.live["emb"] < 20).all()
 
 
 @pytest.mark.parametrize("dense_first", [False, True], ids=["lookup_first", "dense_first"])
@@ -841,7 +841,7 @@ def test_user_without_a_window_keeps_the_embedding_live_rows():
         ref.step(grads)
         ref.assert_equal(model.params, state)
         assert state.live["emb"] is not None
-    assert 0 < state.live["emb"].sum() <= 18
+    assert 0 < state.live["emb"].size <= 18
 
 
 def test_adam_nan_in_touched_row_rejected_by_name():
@@ -898,7 +898,28 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
     adam_step(params, grads, state)
     # The bound leaves the 20 MB table nothing: its update stays in scratch.
     assert _peak_bytes(lambda: adam_step(params, grads, state)) < 0.5 * dense_bytes
-    assert state.live["emb"].sum() == rows.size
+    assert np.array_equal(state.live["emb"], rows)
+
+
+def test_adam_state_keeps_half_a_row_tracked_table_per_moment():
+    # A 20 MB table updated on its live rows: m and v are slots for half its
+    # rows each, so the state holds at most the table's size in moments
+    # (twice that if they were whole arrays), beside the scratch and the
+    # row-to-slot map.
+    rng = np.random.default_rng(9)
+    params = ParamStore()
+    params.add("emb", np.zeros((50_000, 50)))
+    held = []
+    peak = _peak_bytes(lambda: held.append(AdamState(params)))
+    state = held[0]
+    scratch = sum(buf.nbytes for bufs in state.scratch for buf in bufs)
+    assert peak - scratch - state.slot["emb"].nbytes <= 1.01 * params["emb"].nbytes
+    rows = np.sort(rng.choice(50_000, 20_000, replace=False))
+    grads = {"emb": RowGrad(rows, rng.standard_normal((rows.size, 50)), (50_000, 50))}
+    adam_step(params, grads, state)
+    assert state.m["emb"].shape == state.v["emb"].shape == (25_000, 50)
+    m, v = state.moments("emb")
+    assert np.count_nonzero(m.any(axis=1)) == np.count_nonzero(v.any(axis=1)) == rows.size
 
 
 def zero_grads(params):
@@ -949,7 +970,7 @@ def test_blocked_adam_matches_textbook_update_bit_for_bit(monkeypatch, workers):
             ref.assert_equal(params, state)
     finally:
         sys.setswitchinterval(interval)
-    assert state.live["emb"].sum() > 3 and state.live["wide"].sum() > 1
+    assert state.live["emb"].size > 3 and state.live["wide"].size > 1
     assert asked == ([] if workers == 1 else [workers - 1] * 12)
 
 
@@ -1004,7 +1025,7 @@ def test_adam_scratch_does_not_grow_with_the_largest_parameter():
         return sum(buf.nbytes for bufs in AdamState(params).scratch for buf in bufs)
 
     small, large = scratch_bytes(10), scratch_bytes(200_000)
-    assert small == large == 6 * nn._ADAM_BLOCK * 8 * nn._usable_cores()
+    assert small == large == 4 * nn._ADAM_BLOCK * 8 * nn._usable_cores()
 
 
 def test_dense_backward_keeps_one_weight_gradient():
@@ -1089,3 +1110,131 @@ def test_checkpoint_version_guard(tmp_path):
     path.write_text('{"format_version": 999, "params": {}, "config": {}, "seed": 0, "step": 0}')
     with pytest.raises(ValueError, match="format_version"):
         load_checkpoint(path)
+
+
+def _reference_checkpoint_text(params, config, seed, step):
+    """A checkpoint's text as one whole-document ``json.dumps``."""
+    stored = {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
+              for name, arr in params.items()}
+    doc = {"format_version": 1, "config": dict(config), "seed": seed, "step": step,
+           "param_order": params.names(),
+           "params": {name: {"shape": list(arr.shape),
+                             "data": base64.b64encode(arr.astype("<f4").tobytes()).decode()}
+                      for name, arr in stored.items()}}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _odd_params():
+    """1-D, 2-D, 3-D and empty parameters; a dense.w row is 20 bytes, not a
+    multiple of 3, so row chunks carry bytes into the next."""
+    rng = np.random.default_rng(11)
+    params = ParamStore()
+    params.add("dense.w", rng.standard_normal((9, 5)))
+    params.add("b", rng.standard_normal(7))
+    params.add("conv.w", rng.standard_normal((6, 3, 4)))
+    params.add("none", np.zeros((0, 3)))
+    return params
+
+
+@pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["row", "rows", "whole"])
+def test_streamed_checkpoint_is_the_whole_document_text(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
+    params = _odd_params()
+    config = {"kind": "test", "note": 'a "data": "x" string'}
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, params, config, seed=3, step=4)
+    assert path.read_text() == _reference_checkpoint_text(params, config, 3, 4)
+
+
+@pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["tiny", "small", "large"])
+@pytest.mark.parametrize("layout", ["whole_dump", "indented", "data_in_config"])
+def test_checkpoint_loads_any_layout_of_the_document(tmp_path, monkeypatch, layout, chunk):
+    # A file as a whole-document json.dump wrote it, re-indented, or with
+    # config strings holding '"data": "' and escaped quotes under keys named
+    # "data": each loads to the same arrays, whatever the read size.
+    monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
+    params = _odd_params()
+    config = {"kind": "test", "n": [1, 2]}
+    if layout == "data_in_config":
+        config["data"] = 'say "data": "\\" and \\\\'
+        config["nested"] = {"data": '"data": "', "params": {"w": {"data": "x"}}}
+    text = _reference_checkpoint_text(params, config, 3, 4)
+    if layout == "indented":
+        text = json.dumps(json.loads(text), indent=2)
+    path = tmp_path / "model.ckpt.json"
+    path.write_text(text)
+    loaded, got_config, seed, step = load_checkpoint(path)
+    assert (got_config, seed, step) == (config, 3, 4)
+    assert loaded.names() == params.names()
+    for name, arr in params.items():
+        assert loaded[name].flags["C_CONTIGUOUS"], name
+        assert np.array_equal(loaded[name], arr.astype("<f4")), name
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("no_step", "checkpoint has no 'step' field"),
+    ("no_entry", "parameter 'b' needs a shape and a data string"),
+    ("short_data", "parameter 'b' has 8 base64 characters of data, shape [7] needs 40"),
+    ("bad_base64", "parameter 'b' data is not base64"),
+    ("bad_shape", "parameter 'b' has a bad shape [7.0]"),
+    ("truncated", "not a JSON checkpoint"),
+    ("null_seed", "checkpoint field 'seed' is not an integer"),
+    ("bad_key", "not a JSON checkpoint: Invalid \\escape"),
+], ids=["no_step", "no_entry", "short_data", "bad_base64", "bad_shape", "truncated",
+        "null_seed", "bad_key"])
+def test_malformed_checkpoint_is_an_error_naming_the_file(tmp_path, fault, message):
+    params = _odd_params()
+    text = _reference_checkpoint_text(params, {"kind": "test"}, 3, 4)
+    doc = json.loads(text)
+    entry = doc["params"]["b"]
+    if fault == "no_step":
+        del doc["step"]
+    elif fault == "no_entry":
+        del doc["params"]["b"]
+    elif fault == "short_data":
+        entry["data"] = entry["data"][:8]
+    elif fault == "bad_base64":
+        entry["data"] = "*" + entry["data"][1:]
+    elif fault == "bad_shape":
+        entry["shape"] = [7.0]
+    elif fault == "null_seed":
+        doc["seed"] = None
+    path = tmp_path / "model.ckpt.json"
+    text = text[:len(text) // 2] if fault == "truncated" else json.dumps(doc)
+    if fault == "bad_key":
+        text = text.replace('"step"', '"st\\ep"')
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
+
+
+def _kernel_and_dense_params():
+    rng = np.random.default_rng(12)
+    params = ParamStore()
+    params.add("conv.w", rng.standard_normal((7200, 3, 50)))       # 8.6 MB
+    params.add("dense.w", rng.standard_normal((1000, 1500)))       # 12 MB
+    params.add("dense.b", rng.standard_normal(1000))
+    return params
+
+
+def test_checkpoint_save_holds_no_whole_data_string(tmp_path):
+    params = _kernel_and_dense_params()
+    nbytes = sum(arr.nbytes for _, arr in params.items())
+    path = tmp_path / "model.ckpt.json"
+    peak = _peak_bytes(lambda: save_checkpoint(path, params, {"kind": "test"}, seed=0, step=0))
+    assert peak < nbytes / 10
+
+
+def test_checkpoint_load_holds_one_copy_of_the_parameters(tmp_path):
+    # The file, its base64 strings and a transposed kernel are never held:
+    # loading peaks at about the loaded float64 arrays themselves.
+    params = _kernel_and_dense_params()
+    nbytes = sum(arr.nbytes for _, arr in params.items())
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, params, {"kind": "test"}, seed=0, step=0)
+    loaded = []
+    peak = _peak_bytes(lambda: loaded.append(load_checkpoint(path)[0]))
+    assert peak <= 1.1 * nbytes
+    for name, arr in params.items():
+        assert np.array_equal(loaded[0][name], arr.astype("<f4")), name

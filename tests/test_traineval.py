@@ -26,7 +26,6 @@ from triagekit.corpus import (
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
 from triagekit.nn import ParamStore, pick
 from triagekit.traineval import (
-    EvalReport,
     SelectionConfig,
     SynthDetectionSpec,
     SynthRiskSpec,
@@ -659,28 +658,44 @@ def test_train_restores_best_epoch_weights(run):
     assert kept == at_best
 
 
-@pytest.mark.parametrize("epochs", [0, 3])
-def test_train_copies_weights_only_for_a_best_epoch(monkeypatch, epochs):
+@pytest.mark.parametrize("epochs, metrics, copies, best", [
+    (0, [], 0, (-1, -1.0)),
+    (3, [0.5, 0.25, 0.75], 1, (2, 0.75)),
+    (3, [0.5, 0.75, 0.25], 2, (1, 0.75)),
+], ids=["0", "3", "3-restored"])
+def test_train_copies_weights_only_for_a_best_epoch(monkeypatch, epochs, metrics, copies,
+                                                    best):
     # Without epochs the weights stay as initialised. Otherwise the weights
-    # are copied once per new best epoch (0 and 2 here) and never before
-    # epoch 0, since every metric beats the starting -1.
+    # are copied once per new best epoch before the last (0, and 1 in the
+    # restored case), never before epoch 0, since every metric beats the
+    # starting -1, and never for the last epoch, whose weights are the
+    # model's own. An earlier best epoch's weights are restored at the end.
     params = ParamStore()
     params.add("w", np.array([0.5, -2.0]))
     initial = params["w"].copy()
     model = SimpleNamespace(config=SimpleNamespace(balance="weighted"), params=params)
-    copies = []
+    made = []
     copy = ParamStore.copy
-    monkeypatch.setattr(ParamStore, "copy", lambda self: copies.append(1) or copy(self))
-    metrics = iter([0.5, 0.25, 0.75])
+    monkeypatch.setattr(ParamStore, "copy", lambda self: made.append(1) or copy(self))
+    scores = iter(metrics)
+    after_epoch = []
+
+    def validate():
+        after_epoch.append(params["w"].copy())
+        return next(scores), {}
 
     def step_loss(epoch, idx, nodes, rng):
         return pick(nodes("w"), idx)
 
     result = _train(model, [0, 1], 2, TrainConfig(epochs=epochs, lr=0.1, seed=0), step_loss,
-                    lambda: (next(metrics), {}))
-    assert len(copies) == (0 if epochs == 0 else 2)
-    assert (result.best_epoch, result.best_metric) == ((-1, -1.0) if epochs == 0 else (2, 0.75))
+                    validate)
+    assert len(made) == copies
+    assert (result.best_epoch, result.best_metric) == best
+    kept = initial if epochs == 0 else after_epoch[result.best_epoch]
+    assert np.array_equal(params["w"], kept)
     assert np.array_equal(params["w"], initial) == (epochs == 0)
+    if 0 <= result.best_epoch < epochs - 1:     # the restore moved the weights back
+        assert not np.array_equal(after_epoch[result.best_epoch], after_epoch[-1])
 
 
 def test_write_epoch_log_round_trip(tmp_path):
