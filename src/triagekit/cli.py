@@ -175,6 +175,20 @@ def _sentence_encoder(record: dict) -> HashedSentenceEncoder:
     return HashedSentenceEncoder(**record)
 
 
+def _check_encoder_record(record, path: Path) -> None:
+    """A run.json "encoder" record holds exactly "dim" and "seed", both integers."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: encoder record must be an object, got {record!r}")
+    for what, names in (("unknown", set(record) - {"dim", "seed"}),
+                        ("missing", {"dim", "seed"} - set(record))):
+        if names:
+            raise ValueError(f"{path}: encoder record has {what} fields {sorted(names)}")
+    for name in ("dim", "seed"):
+        if isinstance(record[name], bool) or not isinstance(record[name], int):
+            raise ValueError(f"{path}: encoder {name} must be an integer, "
+                             f"got {record[name]!r}")
+
+
 def _sibling_json(checkpoint: str, name: str, what: str):
     path = Path(checkpoint).parent / name
     if not path.is_file():
@@ -186,6 +200,7 @@ def _load_run_dir(checkpoint: str):
     """(run.json, the model of its task, the vocabulary or None for risk)."""
     run = _sibling_json(checkpoint, "run.json", "run description")
     if run["task"] != "depression":
+        _check_encoder_record(run.get("encoder"), Path(checkpoint).parent / "run.json")
         return run, RiskModel.load(checkpoint)[0], None
     model, _, _ = DepressionModel.load(checkpoint)
     tokens = _sibling_json(checkpoint, "vocab.json", "vocabulary")["tokens"]

@@ -11,8 +11,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
+import numbers
 import os
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -212,38 +215,77 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # Sentence encoders
 
+# Sentences whose encoding an encoder keeps, least recently used out first.
+# Each request of a growing thread re-encodes the thread's earlier posts, so
+# most served sentences were encoded a few requests before. 1024 of them
+# take about 0.5 MB at 7200 dimensions and 8-9 words a sentence.
+_ENCODE_CACHE = 1024
+
+
 class HashedSentenceEncoder:
     """Deterministic feature-hashing sentence vectors.
 
-    Token unigrams and bigrams are hashed into ``dim`` signed buckets and the
-    result is L2-normalized. A stand-in for pretrained sentence vectors: not
+    Token n-grams up to ``max_ngram`` (unigrams and bigrams by default) are
+    hashed with a keyed blake2b into ``dim`` signed buckets and the result is
+    L2-normalized. A stand-in for pretrained sentence vectors: not
     semantically meaningful, but fixed-dimension, deterministic, and disjoint
     token sets give near-orthogonal vectors at reasonable ``dim``.
+
+    The buckets are summed sparsely: the nonzero sums, all integers, are
+    divided by the square root of their sum of squares. That sum is exact in
+    any order and the square root is correctly rounded, so the vector is bit
+    for bit the one a dense ``dim``-wide sum and `np.linalg.norm` give.
+
+    Each encoder keeps the nonzero columns and values of the last
+    `_ENCODE_CACHE` sentences it encoded, so a repeated sentence is
+    hashed once while it stays among them. `encode` returns a new dense
+    vector on every call, which the caller owns.
     """
 
     def __init__(self, dim: int = 7200, seed: int = 0, max_ngram: int = 2):
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ValueError(f"encoder dim must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("encoder dim must be >= 1")
-        self.dim = dim
+        self.dim = int(dim)
         self.seed = seed
         self.max_ngram = max_ngram
-        self._key = hashlib.sha256(f"hashed-encoder:{seed}".encode()).digest()[:16]
+        key = hashlib.sha256(f"hashed-encoder:{seed}".encode()).digest()[:16]
+        # Copied for every n-gram: the same digest as a fresh keyed hash of
+        # it, without setting up the key each time.
+        self._hash = hashlib.blake2b(key=key, digest_size=8)
+        self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
-    def _bucket(self, gram: str) -> tuple[int, float]:
-        h = hashlib.blake2b(gram.encode("utf-8"), key=self._key, digest_size=8).digest()
-        v = int.from_bytes(h, "little")
-        return (v >> 1) % self.dim, 1.0 if v & 1 else -1.0
-
-    def encode(self, sentence: str) -> np.ndarray:
+    def _sparse(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted nonzero columns, their normalized values) of a sentence."""
         toks = word_tokens(sentence)
-        vec = np.zeros(self.dim)
+        copy, dim = self._hash.copy, self.dim
+        sums: dict[int, int] = {}
         for n in range(1, self.max_ngram + 1):
             for i in range(len(toks) - n + 1):
-                idx, sign = self._bucket(" ".join(toks[i:i + n]))
-                vec[idx] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
+                h = copy()
+                h.update(" ".join(toks[i:i + n]).encode("utf-8"))
+                v = int.from_bytes(h.digest(), "little")
+                col = (v >> 1) % dim
+                sums[col] = sums.get(col, 0) + (1 if v & 1 else -1)
+        cols = np.array(sorted(col for col, s in sums.items() if s), dtype=np.intp)
+        values = np.array([sums[col] for col in cols.tolist()], dtype=np.float64)
+        if cols.size:
+            values /= math.sqrt(values @ values)
+        return cols, values
+
+    def encode(self, sentence: str) -> np.ndarray:
+        """The sentence's [dim] vector, a new array on every call."""
+        cache = self._cache
+        hit = cache.get(sentence)
+        if hit is None:
+            hit = cache[sentence] = self._sparse(sentence)
+            if len(cache) > _ENCODE_CACHE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(sentence)
+        vec = np.zeros(self.dim)
+        vec[hit[0]] = hit[1]
         return vec
 
 

@@ -285,7 +285,10 @@ class SparseRows:
     @classmethod
     def from_dense(cls, matrix) -> "SparseRows":
         matrix = np.asarray(matrix)
-        cols = matrix.any(axis=0).nonzero()[0]
+        # One comparison pass, then a boolean reduction: faster than any()
+        # over the floats at thousands of columns, and NaN and -0.0 count
+        # the same way in both.
+        cols = (matrix != 0).any(axis=0).nonzero()[0]
         return cls(cols, matrix.take(cols, axis=1), matrix.shape[1])
 
     @property
@@ -621,6 +624,11 @@ class AdamState:
 
     def __init__(self, params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        # `_adam_block` skips the gradient terms of rows without a gradient,
+        # which is exact only while a product with beta cannot round to -0.
+        for which, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.5 < beta < 1.0:
+                raise ValueError(f"Adam {which} must be in (0.5, 1), got {beta!r}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -674,24 +682,32 @@ def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
     ``rows`` is None. Else p is the whole parameter, whose rows ``rows`` are
     gathered into ``scratch`` and written back only once they pass the finite
     check; m and v are those rows' compact moments, updated in place; and g
-    is (positions among ``rows``, gradient rows, which of them), scattered
-    into zeros."""
+    is (positions among ``rows``, gradient rows, which of them).
+
+    A live row without a gradient this step only decays: m*b1 and v*b2 are
+    what m*b1 + (1-b1)*0 and v*b2 + (1-b2)*0*0 give, bit for bit, because
+    m and v are never -0. They start at +0, a sum is -0 only when both terms
+    are, and with b1, b2 > 0.5 a product with b rounds to -0 only from -0.
+    So the gradient terms are added on the gradient rows alone."""
     if rows is not None:
-        g_rows, p_rows, picked = (buf[:m.size].reshape(m.shape) for buf in scratch[:3])
+        p_rows = scratch[0][:m.size].reshape(m.shape)
         np.take(p, rows, axis=0, out=p_rows, mode="clip")
         at, values, which = g
-        picked = picked[:which.size]
-        np.take(values, which, axis=0, out=picked, mode="clip")
-        g = g_rows
-        g.fill(0.0)
-        g[at] = picked
+        g = scratch[1][:m.size].reshape(m.shape)[:which.size]
+        np.take(values, which, axis=0, out=g, mode="clip")
         whole, p = p, p_rows
     a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[2:])
     m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=a)
     v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=a)
-    v += np.multiply(a, g, out=a)
+    if rows is None:
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+    else:
+        ga = scratch[2][:g.size].reshape(g.shape)
+        m[at] += np.multiply(g, 1.0 - state.beta1, out=ga)
+        np.multiply(g, 1.0 - state.beta2, out=ga)
+        v[at] += np.multiply(ga, g, out=ga)
     np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
     np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
     p -= np.divide(a, b, out=a)
@@ -754,8 +770,11 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
     are live, on its live rows only, as many whole rows as fit a block: the
     rows of p are gathered into scratch beside the block's gradient rows and
     written back, and m and v are contiguous slots of the compact moments.
-    A row first reached takes the next free slot. Every element sees the
-    same operations whatever the blocking, so results are bit-identical to an
+    A row first reached takes the next free slot. A live row without a
+    gradient this step gets m *= b1 and v *= b2 alone: the gradient terms
+    it skips are +0, and adding them changes no bit while b1 and b2 are in
+    (0.5, 1), which `AdamState` requires. Every element sees the same
+    operations whatever the blocking, so results are bit-identical to an
     update of whole arrays. A step that updates at least `_POOL_MIN_BLOCKS`
     blocks' worth of elements is split over the usable cores (`_run_blocks`).
 

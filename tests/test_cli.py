@@ -469,6 +469,32 @@ def test_risk_predict_blank_target_names_file_line(risk_chain, tmp_path, capsys)
     assert not (tmp_path / "predictions.ndjson").exists()
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("unknown_field", "encoder record has unknown fields ['max_ngram']"),
+    ("null_record", "encoder record must be an object, got None"),
+    ("string_dim", "encoder dim must be an integer, got '32'"),
+], ids=["unknown_field", "null_record", "string_dim"])
+def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, capsys, fault,
+                                                       message):
+    _, data, run_dir = risk_chain
+    run = json.loads((run_dir / "run.json").read_text())
+    if fault == "unknown_field":
+        run["encoder"]["max_ngram"] = 3
+    elif fault == "null_record":
+        run["encoder"] = None
+    else:
+        run["encoder"]["dim"] = "32"
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_bytes((run_dir / "checkpoint.json").read_bytes())
+    rc = run_cli(["predict", "--checkpoint", str(checkpoint),
+                  "--input", str(data / "test.threads.ndjson"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.json'}: {message}"), err
+    assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
+
 @pytest.mark.parametrize("task", ["risk", "depression"])
 def test_predict_checkpoint_with_bad_config_fields_fails(planted_run, risk_chain, tmp_path,
                                                          capsys, task):

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from triagekit import corpus
 from triagekit.corpus import (
     CONTROL,
     DIAGNOSED,
@@ -158,8 +161,10 @@ def test_risk_label_total_order():
 def test_hashed_encoder_deterministic():
     enc = HashedSentenceEncoder(dim=128, seed=3)
     a = enc.encode("the same sentence twice")
+    want = a.copy()
+    a[:] = 7.0      # the caller owns the vector: the cached encoding is untouched
     b = enc.encode("the same sentence twice")
-    assert np.array_equal(a, b)
+    assert np.array_equal(b, want)
 
 
 def test_hashed_encoder_empty_is_zero():
@@ -188,9 +193,113 @@ def test_hashed_encoder_self_cosine_and_disjoint_overlap():
 
 
 def test_hashed_encoder_seed_changes_vectors():
-    a = HashedSentenceEncoder(dim=128, seed=0).encode("hello there")
-    b = HashedSentenceEncoder(dim=128, seed=1).encode("hello there")
-    assert not np.array_equal(a, b)
+    # Two seeds share nothing: the second encoder's miss and hit are its own.
+    a = HashedSentenceEncoder(dim=128, seed=0)
+    b = HashedSentenceEncoder(dim=128, seed=1)
+    assert not np.array_equal(a.encode("hello there"), b.encode("hello there"))
+    assert np.array_equal(b.encode("hello there"),
+                          dense_reference_encode("hello there", 128, 1, 2))
+
+
+def dense_reference_encode(sentence, dim, seed, max_ngram):
+    """The encoder as a dense sum: every bucket of a dim-wide vector, then
+    np.linalg.norm, one fresh keyed hash per n-gram."""
+    key = hashlib.sha256(f"hashed-encoder:{seed}".encode()).digest()[:16]
+    toks = word_tokens(sentence)
+    vec = np.zeros(dim)
+    for n in range(1, max_ngram + 1):
+        for i in range(len(toks) - n + 1):
+            digest = hashlib.blake2b(" ".join(toks[i:i + n]).encode("utf-8"), key=key,
+                                     digest_size=8).digest()
+            v = int.from_bytes(digest, "little")
+            vec[(v >> 1) % dim] += 1.0 if v & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def test_hashed_encoder_is_bitwise_the_dense_sum_on_miss_and_hit():
+    # Tiny dims make buckets collide and cancel; a sentence whose words all
+    # cancel at dim 1 encodes to exact zeros.
+    rng = np.random.default_rng(12)
+    words = [f"w{i}" for i in range(30)] + ["naïve", "don't", "ÇA"]
+    sentences = ["", "   ", "!!", "w1 w2"] + [
+        " ".join(rng.choice(words, size=int(rng.integers(1, 12)))) for _ in range(60)]
+    cancelled = 0
+    for dim in (1, 2, 3, 7, 64, 7200):
+        for max_ngram in (1, 2, 3):
+            enc = HashedSentenceEncoder(dim=dim, seed=dim + max_ngram, max_ngram=max_ngram)
+            for sentence in sentences:
+                want = dense_reference_encode(sentence, dim, dim + max_ngram, max_ngram)
+                cancelled += bool(word_tokens(sentence)) and not want.any()
+                for _ in range(2):              # a miss, then a hit
+                    got = enc.encode(sentence)
+                    assert got.shape == (dim,)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert cancelled
+
+
+REAL_BLAKE2B = hashlib.blake2b
+
+
+class CountingBlake2b:
+    """hashlib.blake2b that counts the byte strings it hashes, whether they
+    come with the constructor or through update."""
+
+    grams = 0
+
+    def __init__(self, data=None, **kwargs):
+        self._h = REAL_BLAKE2B(**kwargs)
+        if data is not None:
+            self.update(data)
+
+    def copy(self):
+        dup = object.__new__(CountingBlake2b)
+        dup._h = self._h.copy()
+        return dup
+
+    def update(self, data):
+        CountingBlake2b.grams += 1
+        self._h.update(data)
+
+    def digest(self):
+        return self._h.digest()
+
+
+def test_hashed_encoder_hashes_a_repeated_sentence_once(monkeypatch):
+    monkeypatch.setattr(hashlib, "blake2b", CountingBlake2b)
+    monkeypatch.setattr(CountingBlake2b, "grams", 0)
+    enc = HashedSentenceEncoder(dim=64, seed=2)
+    first = enc.encode("one two three")
+    assert CountingBlake2b.grams == 5               # three unigrams, two bigrams
+    again = enc.encode("one two three")
+    assert CountingBlake2b.grams == 5
+    assert np.array_equal(first, again)
+
+
+def test_hashed_encoder_cache_keeps_the_recently_used(monkeypatch):
+    monkeypatch.setattr(corpus, "_ENCODE_CACHE", 3)
+    monkeypatch.setattr(hashlib, "blake2b", CountingBlake2b)
+    monkeypatch.setattr(CountingBlake2b, "grams", 0)
+    enc = HashedSentenceEncoder(dim=16, seed=1)
+
+    def hashed(sentence):
+        before = CountingBlake2b.grams
+        enc.encode(sentence)
+        return CountingBlake2b.grams > before
+
+    assert [hashed(s) for s in ("a", "b", "c", "a", "d")] == [True] * 3 + [False, True]
+    assert len(enc._cache) == 3
+    # "a" was used after "b", so "b" went out when "d" came in.
+    assert [hashed(s) for s in ("a", "c", "d", "b")] == [False, False, False, True]
+    assert len(enc._cache) == 3
+
+
+@pytest.mark.parametrize("dim", [8.5, "8", True, 0])
+def test_hashed_encoder_rejects_a_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="encoder dim"):
+        HashedSentenceEncoder(dim=dim)
 
 
 # -- corpus I/O -------------------------------------------------------------

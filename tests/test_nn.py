@@ -698,11 +698,25 @@ class TextbookAdam:
                                            / (np.sqrt(self.v[name] / bc2) + self.eps))
 
     def assert_equal(self, params, state):
+        # Bit patterns, so that a -0 where the reference has +0 fails too.
+        def bits(arr):
+            return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
         for name, arr in params.items():
             m, v = state.moments(name)
-            assert np.array_equal(arr, self.p[name]), name
-            assert np.array_equal(m, self.m[name]), name
-            assert np.array_equal(v, self.v[name]), name
+            assert np.array_equal(bits(arr), bits(self.p[name])), name
+            assert np.array_equal(bits(m), bits(self.m[name])), name
+            assert np.array_equal(bits(v), bits(self.v[name])), name
+
+
+@pytest.mark.parametrize("betas", [(0.5, 0.999), (0.9, 1.0), (0.0, 0.999), (0.9, 1.5)])
+def test_adam_rejects_betas_outside_half_to_one(betas):
+    # At beta <= 0.5 a product with beta can round a negative moment to -0,
+    # and the live-row update's skipped +0 terms would then change its sign.
+    params = ParamStore()
+    params.add("w", np.zeros(3))
+    with pytest.raises(ValueError, match=r"must be in \(0.5, 1\)"):
+        AdamState(params, beta1=betas[0], beta2=betas[1])
 
 
 def test_adam_matches_textbook_update_bit_for_bit():
