@@ -105,11 +105,14 @@ class ThreadInstance:
 
 # Word tokens keep internal apostrophes ("wasn't") and drop other punctuation.
 _TOKEN_RE = re.compile(r"\w+(?:'\w+)*")
+# A run of sentence-ending punctuation (group 1), then `str.isspace` characters.
+_BOUNDARY_RE = re.compile(r"([.!?]+)\s+")
 
 DEFAULT_ABBREVIATIONS = (
     "dr.", "mr.", "mrs.", "ms.", "prof.", "st.", "jr.", "sr.",
     "vs.", "etc.", "e.g.", "i.e.", "approx.", "dept.", "est.",
 )
+_DEFAULT_ABBREVIATIONS = frozenset(a.lower() for a in DEFAULT_ABBREVIATIONS)
 
 
 def word_tokens(text: str) -> list[str]:
@@ -134,35 +137,26 @@ def split_sentences(text: str, abbreviations: Iterable[str] | None = None) -> li
     letter. A single period is not a boundary when the preceding word plus the
     period is in the abbreviation list (``"Dr."`` by default).
     """
-    abbrevs = {a.lower() for a in (DEFAULT_ABBREVIATIONS if abbreviations is None
-                                   else abbreviations)}
+    abbrevs = (_DEFAULT_ABBREVIATIONS if abbreviations is None
+               else {a.lower() for a in abbreviations})
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            while j < n and text[j] in ".!?":
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            boundary = k > j and k < n and text[k].isupper()
-            if boundary and j - i == 1 and text[i] == ".":
-                w = i
-                while w > 0 and (text[w - 1].isalnum() or text[w - 1] == "'"):
-                    w -= 1
-                if text[w:i].lower() + "." in abbrevs:
-                    boundary = False
-            if boundary:
-                piece = text[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = k
-            i = j
-        else:
-            i += 1
+    # A punctuation run not followed by whitespace can be no boundary, and
+    # neither can any suffix of it, so each match is a whole run.
+    for m in _BOUNDARY_RE.finditer(text):
+        i, j, k = m.start(), m.end(1), m.end()
+        if k == len(text) or not text[k].isupper():
+            continue
+        if j - i == 1 and text[i] == ".":
+            w = i
+            while w > 0 and (text[w - 1].isalnum() or text[w - 1] == "'"):
+                w -= 1
+            if text[w:i].lower() + "." in abbrevs:
+                continue
+        piece = text[start:j].strip()
+        if piece:
+            sentences.append(piece)
+        start = k
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -215,10 +209,10 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # Sentence encoders
 
-# Sentences whose encoding an encoder keeps, least recently used out first.
-# Each request of a growing thread re-encodes the thread's earlier posts, so
-# most served sentences were encoded a few requests before. 1024 of them
-# take about 0.5 MB at 7200 dimensions and 8-9 words a sentence.
+# Sentences whose read-only (cols, values) an encoder keeps, least recently
+# used out first. Each request of a growing thread re-encodes the thread's
+# earlier posts, so most served sentences were encoded a few requests before.
+# 1024 of them take about 0.5 MB at 7200 dimensions and 8-9 words a sentence.
 _ENCODE_CACHE = 1024
 
 
@@ -236,10 +230,10 @@ class HashedSentenceEncoder:
     any order and the square root is correctly rounded, so the vector is bit
     for bit the one a dense ``dim``-wide sum and `np.linalg.norm` give.
 
-    Each encoder keeps the nonzero columns and values of the last
-    `_ENCODE_CACHE` sentences it encoded, so a repeated sentence is
-    hashed once while it stays among them. `encode` returns a new dense
-    vector on every call, which the caller owns.
+    `encode` gives a sentence's nonzero columns and values. Each encoder
+    keeps them for the last `_ENCODE_CACHE` sentences it encoded, so a
+    repeated sentence is hashed once while it stays among them; the arrays
+    are read-only, as every caller shares them.
     """
 
     def __init__(self, dim: int = 7200, seed: int = 0, max_ngram: int = 2):
@@ -272,10 +266,11 @@ class HashedSentenceEncoder:
         values = np.array([sums[col] for col in cols.tolist()], dtype=np.float64)
         if cols.size:
             values /= math.sqrt(values @ values)
+        cols.flags.writeable = values.flags.writeable = False
         return cols, values
 
-    def encode(self, sentence: str) -> np.ndarray:
-        """The sentence's [dim] vector, a new array on every call."""
+    def encode(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
+        """The sentence's sorted nonzero columns and their values, read-only."""
         cache = self._cache
         hit = cache.get(sentence)
         if hit is None:
@@ -284,9 +279,7 @@ class HashedSentenceEncoder:
                 cache.popitem(last=False)
         else:
             cache.move_to_end(sentence)
-        vec = np.zeros(self.dim)
-        vec[hit[0]] = hit[1]
-        return vec
+        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -304,9 +304,9 @@ class RiskModelConfig:
 class RiskModel:
     """4-level risk classifier over (target, context) sentence-vector inputs.
 
-    Each input is a `SparseRows` matrix (a dense array is converted), and
-    both towers convolve it with `conv1d`, which reads and updates only the
-    ``conv.w`` rows [sentence_dim x window x filters] of its nonzero columns.
+    Each input is a `SparseRows` matrix as `instance_matrices` builds it (a
+    dense array is converted); both towers convolve it with `conv1d`, which
+    reads and updates only the ``conv.w`` rows of its nonzero columns.
     """
 
     kind = "risk"
@@ -414,14 +414,14 @@ class RiskModel:
 
 
 def instance_matrices(instance: ThreadInstance, encoder,
-                      max_sentences: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Dense sentence-vector matrices (target, context), each
-    [max_sentences × dim].
+                      max_sentences: int = 20) -> tuple[SparseRows, SparseRows]:
+    """Sentence-vector matrices (target, context), each [max_sentences × dim]
+    `SparseRows` built from the encoder's (cols, values) pairs.
 
     Only the last `max_sentences` sentences count; shorter inputs are
     zero-padded at the front so recent sentences stay in fixed positions.
-    A target post with no sentences is an error; an empty context is all
-    zeros. `traineval.thread_matrices` keeps them as `SparseRows`.
+    A target post with no sentences is an error; an empty context has no
+    columns.
     """
     target_sentences = split_sentences(instance.target.text)
     if not target_sentences:
@@ -429,12 +429,9 @@ def instance_matrices(instance: ThreadInstance, encoder,
     context_sentences = [s for post in instance.context
                          for s in split_sentences(post.text)]
 
-    def matrix(sentences: list[str]) -> np.ndarray:
-        kept = sentences[-max_sentences:]
-        mat = np.zeros((max_sentences, encoder.dim))
-        for i, sentence in enumerate(kept):
-            mat[max_sentences - len(kept) + i] = encoder.encode(sentence)
-        return mat
+    def matrix(sentences: list[str]) -> SparseRows:
+        return SparseRows.from_rows([encoder.encode(s) for s in sentences[-max_sentences:]],
+                                    max_sentences, encoder.dim)
 
     return matrix(target_sentences), matrix(context_sentences)
 

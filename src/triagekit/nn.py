@@ -265,7 +265,7 @@ class SparseRows:
 
     ``cols`` are the sorted, unique ids of the columns holding a nonzero, and
     ``values`` [T x len(cols)] holds those columns in that order. An all-zero
-    matrix has no columns.
+    matrix has no columns, and `np.asarray` gives the dense matrix.
     """
 
     __slots__ = ("cols", "values", "dim")
@@ -291,9 +291,39 @@ class SparseRows:
         cols = (matrix != 0).any(axis=0).nonzero()[0]
         return cls(cols, matrix.take(cols, axis=1), matrix.shape[1])
 
+    @classmethod
+    def from_rows(cls, rows, n: int, dim: int) -> "SparseRows":
+        """Bit for bit `from_dense` of the [n x dim] matrix whose last rows are
+        the (sorted distinct columns, values) pairs ``rows``, the others zero."""
+        cols = np.concatenate([np.zeros(0, np.intp), *(c for c, _ in rows)])
+        vals = np.concatenate([np.zeros(0), *(v for _, v in rows)])
+        # The sorted union of the columns, at less cost than np.unique.
+        seen = np.zeros(dim, dtype=bool)
+        seen[cols] = True
+        union = seen.nonzero()[0]
+        values = np.zeros((n, union.size))
+        at = np.arange(n - len(rows), n).repeat([len(c) for c, _ in rows])
+        values[at, np.searchsorted(union, cols)] = vals
+        if np.count_nonzero(vals) < vals.size:
+            kept = (values != 0).any(axis=0)
+            union, values = union[kept], values[:, kept]
+        # Valid by construction, so the checks of __init__ are skipped.
+        sparse = object.__new__(cls)
+        sparse.cols, sparse.values, sparse.dim = union, values, dim
+        return sparse
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[0], self.dim
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[0] * self.dim
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        whole = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        whole[:, self.cols] = self.values
+        return whole
 
 
 def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> Node:

@@ -424,12 +424,11 @@ def thread_matrices(instances: Sequence[ThreadInstance], encoder,
                     max_sentences: int = 20) -> list[tuple[SparseRows, SparseRows, int]]:
     """Encode thread instances once into (target, context, label) triples.
 
-    Each `instance_matrices` matrix is kept as its nonzero columns
-    (`SparseRows`): hashed sentence vectors fill a few of thousands of
-    columns, and a dense encoder's vectors fill every column.
+    Each matrix is the `SparseRows` that `instance_matrices` builds: hashed
+    sentence vectors fill a few of thousands of columns, and an encoder of
+    dense vectors fills every column.
     """
-    return [(*map(SparseRows.from_dense, instance_matrices(inst, encoder, max_sentences)),
-             int(inst.label))
+    return [(*instance_matrices(inst, encoder, max_sentences), int(inst.label))
             for inst in instances]
 
 

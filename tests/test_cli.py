@@ -284,14 +284,35 @@ def test_train_writes_run_files(depression_chain, capsys):
     assert all("f1" in row for row in log if row["split"] == "validation")
 
 
-def test_train_same_seed_is_bit_identical(depression_chain, tmp_path):
-    ini, data, run_dir = depression_chain
+@pytest.mark.parametrize("case", ["depression-fixture", "depression-restored", "risk-restored"])
+def test_train_same_seed_is_bit_identical(depression_chain, risk_chain, tmp_path, case):
+    # The fixture run keeps its last epoch; the other two restore an earlier
+    # best epoch's weights over the last epoch's.
+    if case == "depression-fixture":
+        ini, data, run_dir = depression_chain
+        train = ["--task", "depression", "--config", str(ini), "--data", str(data),
+                 "--seed", "5", "--strategy", "earliest", "--n-post", "4"]
+        names = ("checkpoint.json", "vocab.json", "train_log.ndjson")
+    else:
+        if case == "depression-restored":
+            ini = tmp_path / "config.ini"
+            ini.write_text(depression_chain[0].read_text().replace("lr = 0.01", "lr = 0.1"))
+            train = ["--task", "depression", "--data", str(depression_chain[1]), "--epochs", "4",
+                     "--strategy", "earliest", "--n-post", "4"]
+        else:
+            ini = risk_chain[0]
+            train = ["--task", "risk", "--data", str(risk_chain[1]), "--epochs", "3",
+                     "--variant", "cat_ce"]
+        train += ["--config", str(ini), "--seed", "2"]
+        names = ("checkpoint.json", "train_log.ndjson")
+        run_dir = tmp_path / "run1"
+        assert run_cli(["train", *train, "--out", str(run_dir)]) == 0
+        run = json.loads((run_dir / "run.json").read_text())
+        assert run["best_epoch"] < run["epochs"] - 1
     rerun = tmp_path / "run2"
-    rc = run_cli(["train", "--task", "depression", "--config", str(ini),
-                  "--data", str(data), "--out", str(rerun), "--seed", "5",
-                  "--strategy", "earliest", "--n-post", "4"])
+    rc = run_cli(["train", *train, "--out", str(rerun)])
     assert rc == 0
-    for name in ("checkpoint.json", "vocab.json", "train_log.ndjson"):
+    for name in names:
         assert sha256(rerun / name) == sha256(run_dir / name)
 
 

@@ -95,6 +95,70 @@ def test_split_empty_exactly_when_blank(text):
     assert (split_sentences(text) == []) == (not text.strip())
 
 
+def textbook_split_sentences(text, abbreviations=None):
+    """The splitter as a scan over every character, for comparison."""
+    abbrevs = {a.lower() for a in (corpus.DEFAULT_ABBREVIATIONS if abbreviations is None
+                                   else abbreviations)}
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            while j < n and text[j] in ".!?":
+                j += 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            boundary = k > j and k < n and text[k].isupper()
+            if boundary and j - i == 1 and text[i] == ".":
+                w = i
+                while w > 0 and (text[w - 1].isalnum() or text[w - 1] == "'"):
+                    w -= 1
+                if text[w:i].lower() + "." in abbrevs:
+                    boundary = False
+            if boundary:
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(piece)
+                start = k
+            i = j
+        else:
+            i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Letters of every case (titlecase "ǅ" is neither upper nor lower), digits,
+# apostrophes, ASCII and Unicode whitespace (the \x1c-\x1f separators and
+# \x85 are whitespace to str.isspace but not to bytes), and words that end
+# in an abbreviation's letters.
+SPLIT_PIECES = (list("aZxDrÉéΣσǅ09'") + [".", "!", "?", "..", "?!", "...!"]
+                + [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\x1d",
+                   "\x1e", "\x1f", "\x85"]
+                + ["Dr", "dr", "etc", "e.g", "St", "vs", "Mr", "Ab", "X", "É"])
+
+
+@pytest.mark.parametrize("abbreviations", [None, ["ab.", "x.", "É."], []],
+                         ids=["default", "custom", "none"])
+def test_split_matches_the_character_scan(abbreviations):
+    rng = np.random.default_rng(21)
+    texts = ["", ".", "A. ", "A.  \u2003", "Dr. X", "x.\x85Y", "e.g. Z", "Hi!? \u3000"]
+    texts += ["".join(rng.choice(SPLIT_PIECES, size=int(rng.integers(1, 30))))
+              for _ in range(4000)]
+    # Text that ends in punctuation plus whitespace.
+    texts += [text + rng.choice([". ", "! \n", "?\u00a0", "...\x1f"]) for text in texts[:500]]
+    boundaries = 0
+    for text in texts:
+        want = textbook_split_sentences(text, abbreviations)
+        assert split_sentences(text, abbreviations) == want, repr(text)
+        boundaries += len(want) > 1
+    assert boundaries > 500
+
+
 # -- Vocabulary -------------------------------------------------------------
 
 def test_vocab_round_trip():
@@ -158,29 +222,54 @@ def test_risk_label_total_order():
 
 # -- sentence encoders ------------------------------------------------------
 
+def dense_encode(enc, sentence):
+    """The [dim] vector of `enc.encode`'s (cols, values) pair."""
+    cols, values = enc.encode(sentence)
+    vec = np.zeros(enc.dim)
+    vec[cols] = values
+    return vec
+
+
 def test_hashed_encoder_deterministic():
     enc = HashedSentenceEncoder(dim=128, seed=3)
-    a = enc.encode("the same sentence twice")
-    want = a.copy()
-    a[:] = 7.0      # the caller owns the vector: the cached encoding is untouched
-    b = enc.encode("the same sentence twice")
-    assert np.array_equal(b, want)
+    a = dense_encode(enc, "the same sentence twice")
+    b = dense_encode(enc, "the same sentence twice")
+    assert np.array_equal(b, a)
+    assert np.array_equal(dense_encode(HashedSentenceEncoder(dim=128, seed=3),
+                                       "the same sentence twice"), a)
+
+
+def test_hashed_encoder_results_are_read_only():
+    # Every caller shares the cached arrays, so none may write into them.
+    enc = HashedSentenceEncoder(dim=128, seed=3)
+    cols, values = enc.encode("the same sentence twice")
+    want = cols.copy(), values.copy()
+    for arr, item in ((cols, 0), (values, 7.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = item
+        with pytest.raises(ValueError, match="read-only"):
+            arr += item
+    again = enc.encode("the same sentence twice")
+    assert again[0] is cols and again[1] is values
+    assert np.array_equal(cols, want[0]) and np.array_equal(values, want[1])
+    empty_cols, empty_values = enc.encode("")
+    assert not empty_cols.flags.writeable and not empty_values.flags.writeable
 
 
 def test_hashed_encoder_empty_is_zero():
     enc = HashedSentenceEncoder(dim=64, seed=0)
-    assert np.array_equal(enc.encode(""), np.zeros(64))
+    assert np.array_equal(dense_encode(enc, ""), np.zeros(64))
 
 
 def test_hashed_encoder_unit_norm():
     enc = HashedSentenceEncoder(dim=256, seed=1)
-    vec = enc.encode("some nonempty input text")
+    vec = dense_encode(enc, "some nonempty input text")
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
 
 def test_hashed_encoder_self_cosine_and_disjoint_overlap():
     enc = HashedSentenceEncoder(dim=1024, seed=7)
-    a = enc.encode("alpha beta gamma delta epsilon zeta")
+    a = dense_encode(enc, "alpha beta gamma delta epsilon zeta")
     assert float(a @ a) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(11)
     words = [f"w{i}" for i in range(400)]
@@ -188,7 +277,7 @@ def test_hashed_encoder_self_cosine_and_disjoint_overlap():
         picks = rng.choice(len(words), size=12, replace=False)
         left = " ".join(words[i] for i in picks[:6])
         right = " ".join(words[i] for i in picks[6:])
-        cos = float(enc.encode(left) @ enc.encode(right))
+        cos = float(dense_encode(enc, left) @ dense_encode(enc, right))
         assert abs(cos) < 0.2
 
 
@@ -196,8 +285,8 @@ def test_hashed_encoder_seed_changes_vectors():
     # Two seeds share nothing: the second encoder's miss and hit are its own.
     a = HashedSentenceEncoder(dim=128, seed=0)
     b = HashedSentenceEncoder(dim=128, seed=1)
-    assert not np.array_equal(a.encode("hello there"), b.encode("hello there"))
-    assert np.array_equal(b.encode("hello there"),
+    assert not np.array_equal(dense_encode(a, "hello there"), dense_encode(b, "hello there"))
+    assert np.array_equal(dense_encode(b, "hello there"),
                           dense_reference_encode("hello there", 128, 1, 2))
 
 
@@ -234,7 +323,9 @@ def test_hashed_encoder_is_bitwise_the_dense_sum_on_miss_and_hit():
                 want = dense_reference_encode(sentence, dim, dim + max_ngram, max_ngram)
                 cancelled += bool(word_tokens(sentence)) and not want.any()
                 for _ in range(2):              # a miss, then a hit
-                    got = enc.encode(sentence)
+                    cols, values = enc.encode(sentence)
+                    assert np.array_equal(cols, np.flatnonzero(want))
+                    got = dense_encode(enc, sentence)
                     assert got.shape == (dim,)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert cancelled
@@ -275,7 +366,7 @@ def test_hashed_encoder_hashes_a_repeated_sentence_once(monkeypatch):
     assert CountingBlake2b.grams == 5               # three unigrams, two bigrams
     again = enc.encode("one two three")
     assert CountingBlake2b.grams == 5
-    assert np.array_equal(first, again)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
 
 def test_hashed_encoder_cache_keeps_the_recently_used(monkeypatch):

@@ -45,6 +45,7 @@ from triagekit.nn import (
 )
 from triagekit.traineval import TrainConfig, thread_matrices, train_risk
 
+from test_corpus import dense_encode
 from test_nn import textbook_conv1d
 
 
@@ -527,10 +528,25 @@ def make_thread(target_text, context_texts=()):
     return ThreadInstance(target, context, RiskLabel.GREEN)
 
 
+def dense_instance_matrices(instance, encoder, max_sentences):
+    """The risk inputs as dense [max_sentences x dim] matrices, a sentence
+    vector a row, zero-padded at the front: the reference for the sparse
+    build."""
+    def matrix(sentences):
+        kept = sentences[-max_sentences:]
+        mat = np.zeros((max_sentences, encoder.dim))
+        for i, sentence in enumerate(kept):
+            mat[max_sentences - len(kept) + i] = dense_encode(encoder, sentence)
+        return mat
+
+    context = [s for post in instance.context for s in split_sentences(post.text)]
+    return matrix(split_sentences(instance.target.text)), matrix(context)
+
+
 def test_instance_matrices_shapes_and_padding():
     enc = HashedSentenceEncoder(dim=8)
     inst = make_thread("One sentence here. And another one!", ["Earlier post."])
-    target, context = instance_matrices(inst, enc, max_sentences=4)
+    target, context = map(np.asarray, instance_matrices(inst, enc, max_sentences=4))
     assert target.shape == (4, 8) and context.shape == (4, 8)
     # two target sentences occupy the last two rows; the first two are padding
     assert np.array_equal(target[:2], np.zeros((2, 8)))
@@ -543,14 +559,84 @@ def test_instance_matrices_keep_last_sentences():
     sentences = [f"Sentence number {i} is here." for i in range(6)]
     inst = make_thread(" ".join(sentences))
     target, _ = instance_matrices(inst, enc, max_sentences=3)
-    expected = np.stack([enc.encode(s) for s in sentences[-3:]])
-    assert np.allclose(target, expected)
+    expected = np.stack([dense_encode(enc, s) for s in sentences[-3:]])
+    assert np.allclose(np.asarray(target), expected)
 
 
 def test_instance_matrices_empty_context_is_zero():
     enc = HashedSentenceEncoder(dim=8)
     _, context = instance_matrices(make_thread("Hello there."), enc, 4)
     assert np.array_equal(context, np.zeros((4, 8)))
+
+
+class ZeroValuedEncoder:
+    """A duck-typed encoder whose (cols, values) pairs hold exact zeros:
+    column 0 is +0.0 or -0.0 in every sentence, column 2 is -0.0 in some."""
+
+    dim = 5
+
+    def encode(self, sentence):
+        n = len(sentence)
+        return np.array([0, 2, 4]), np.array([-0.0 if n % 2 else 0.0,
+                                              -1.5 if n % 3 else -0.0, float(n)])
+
+
+def cancelling_sentence(encoder):
+    """A sentence with words whose hashed buckets all cancel."""
+    for i in range(1, 200):
+        sentence = f"w0 w{i}"
+        if not encoder.encode(sentence)[0].size:
+            return sentence
+    raise AssertionError("no sentence cancels")
+
+
+def assert_same_sparse_rows(got, want):
+    assert isinstance(got, SparseRows) and got.dim == want.dim
+    assert got.cols.dtype == want.cols.dtype and np.array_equal(got.cols, want.cols)
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def instance_case(name):
+    """(instance, encoder, max_sentences) of an edge of the sparse build."""
+    hashed = HashedSentenceEncoder(dim=7200, seed=4)
+    tiny = HashedSentenceEncoder(dim=1, max_ngram=1)
+    many = " ".join(f"Sentence number {i} is here." for i in range(9))
+    cancel = cancelling_sentence(tiny).capitalize()
+    return {
+        "empty-context": (make_thread("Only the target. Two of them."), hashed, 4),
+        "more-than-max": (make_thread(many, [many, "Short one."]), hashed, 4),
+        "cancelled": (make_thread(f"{cancel}. Kept words here.", [f"{cancel}."]), tiny, 3),
+        "all-cancelled": (make_thread(f"{cancel}.", [f"{cancel}. {cancel}."]), tiny, 3),
+        "repeated": (make_thread("Same again. Same again. Other.", ["Same again."] * 3),
+                     hashed, 6),
+        "exact-zeros": (make_thread("A b. Ccc. Dd dd. E.", ["Ff. Gggggg."]),
+                        ZeroValuedEncoder(), 6),
+        "all-zero-column": (make_thread("Ab. Cd."), ZeroValuedEncoder(), 3),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["empty-context", "more-than-max", "cancelled", "all-cancelled",
+                                  "repeated", "exact-zeros", "all-zero-column"])
+def test_instance_and_thread_matrices_are_from_dense_of_the_reference(name):
+    inst, enc, max_sentences = instance_case(name)
+    want = [SparseRows.from_dense(m) for m in dense_instance_matrices(inst, enc, max_sentences)]
+    got = instance_matrices(inst, enc, max_sentences)
+    (*from_thread, label), = thread_matrices([inst], enc, max_sentences)
+    assert label == int(inst.label)
+    for matrices in (got, from_thread):
+        for sparse, reference in zip(matrices, want):
+            assert_same_sparse_rows(sparse, reference)
+    if name == "empty-context":
+        assert got[1].cols.size == 0 and got[1].values.shape == (4, 0)
+    if name == "all-cancelled":
+        assert got[0].cols.size == got[1].cols.size == 0
+    if name in ("exact-zeros", "all-zero-column"):
+        # Column 0 holds only zeros and is dropped.
+        assert 0 not in got[0].cols and 4 in got[0].cols
+    if name == "exact-zeros":
+        # Column 2 is -1.5 in some rows: kept, with its -0.0 as it was.
+        assert 2 in got[0].cols and 2 in got[1].cols
 
 
 def test_instance_matrices_empty_target_errors():
@@ -725,7 +811,7 @@ def test_thread_matrices_keep_hashed_inputs_compact():
     assert held < 0.05 * dense_bytes, held / dense_bytes
     for (target, context, label), inst in zip(data, threads):
         assert isinstance(target, SparseRows) and label == int(inst.label)
-        dense_target, dense_context = instance_matrices(inst, enc, 20)
+        dense_target, dense_context = dense_instance_matrices(inst, enc, 20)
         for sparse, matrix in ((target, dense_target), (context, dense_context)):
             assert np.array_equal(sparse.cols, np.flatnonzero(matrix.any(axis=0)))
             assert np.array_equal(sparse.values, matrix[:, sparse.cols])
@@ -795,8 +881,8 @@ class VectorTable:
         self.vectors = vectors
         self.dim = len(next(iter(vectors.values())))
 
-    def encode(self, sentence: str) -> np.ndarray:
-        return self.vectors[sentence]
+    def encode(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
+        return np.arange(self.dim), self.vectors[sentence]
 
 
 def test_file_encoder_vectors_take_the_same_path():
@@ -817,7 +903,8 @@ def test_file_encoder_vectors_take_the_same_path():
     train_risk(model, data, data, TrainConfig(epochs=2, lr=0.01, seed=1))
     reference = dict(model.params.items())
     for (target, context, _), inst in zip(data, threads):
-        dense_target, dense_context = instance_matrices(inst, enc, cfg.max_sentences)
+        dense_target, dense_context = map(np.asarray,
+                                          instance_matrices(inst, enc, cfg.max_sentences))
         expected = reference_output(reference, cfg, dense_target, dense_context)
         out = model.forward(target, context, ParamNodes(model.params)).value
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)

@@ -517,6 +517,34 @@ def test_sparse_rows_checks_its_columns():
         SparseRows([0, 1], np.ones((2, 3)), 4)
 
 
+def test_sparse_rows_is_its_dense_matrix():
+    x = np.array([[0.0, 1.5, 0.0, -2.0], [0.0, -0.0, 0.0, 3.0]])
+    sparse = SparseRows.from_dense(x)
+    assert sparse.size == x.size == 8
+    whole = np.asarray(sparse)
+    assert whole.dtype == x.dtype and np.array_equal(whole.view(np.uint64), x.view(np.uint64))
+    assert np.count_nonzero(sparse) == 3
+    assert np.asarray(sparse, dtype=np.float32).dtype == np.float32
+    empty = SparseRows.from_dense(np.zeros((3, 5)))
+    assert empty.size == 15 and np.array_equal(np.asarray(empty), np.zeros((3, 5)))
+
+
+def test_sparse_rows_from_rows_is_from_dense_of_the_stacked_rows():
+    rows = [(np.array([1, 4]), np.array([0.5, -0.0])), (np.array([], dtype=np.intp), np.zeros(0)),
+            (np.array([0, 1, 6]), np.array([-0.0, 2.0, 0.0])), (np.array([4]), np.array([3.0]))]
+    for n in (4, 6):
+        for used in (rows, rows[2:3], []):
+            dense = np.zeros((n, 7))
+            for i, (cols, values) in enumerate(used):
+                dense[n - len(used) + i, cols] = values
+            got, want = SparseRows.from_rows(used, n, 7), SparseRows.from_dense(dense)
+            assert np.array_equal(got.cols, want.cols) and got.cols.dtype == np.intp
+            assert got.values.shape == want.values.shape == (n, want.cols.size)
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    # Columns 0 and 6 hold only zeros; column 4 keeps its -0.0 beside the 3.0.
+    assert np.array_equal(SparseRows.from_rows(rows, 4, 7).cols, [1, 4])
+
+
 @pytest.mark.parametrize("t,d,k,stride,zero_cols", [
     (6, 7, 3, 1, (0, 2, 3, 6)),    # zero columns on both edges
     (5, 4, 2, 1, (0, 1, 2, 3)),    # an all-zero input: an empty context
