@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -307,8 +307,9 @@ def _post_from_row(row: Mapping, where: str) -> Post:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Open ``path`` for writing text through a temporary file beside it.
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for writing text, or bytes if ``binary``, through a
+    temporary file beside it.
 
     The file replaces ``path`` only when the block completes, so a write that
     fails partway leaves an earlier file whole and no temporary file behind.
@@ -316,7 +317,7 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

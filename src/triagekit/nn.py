@@ -13,10 +13,9 @@ usable cores on large steps, bit-identical to a whole-array update. While a
 parameter is updated on its live rows, its moments are kept for those rows
 only, in compact slots of half its rows.
 
-Checkpoints are written and read in fixed-size chunks: a file is the text of
-one whole-document ``json.dump``, but neither it nor any of its base64
-strings is ever held whole, and a loaded parameter is decoded straight into
-its final array.
+A checkpoint is one JSON header line and then every parameter's raw float32
+bytes. It is written and read in chunks of whole rows, so the file is never
+held whole, and a loaded parameter is converted straight into its final array.
 
 `conv1d` is the one convolution, k accumulated matmuls that hold nothing
 larger than the input and the output. Its kernels are laid out [d_in x k x
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import io
 import itertools
 import json
 import math
@@ -137,7 +137,9 @@ class Node:
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = np.asarray(value)
-        _check_finite(self.value, "op output")
+        if not np.all(np.isfinite(self.value)):     # the op is named by its backward rule
+            op = backward.__qualname__.partition(".")[0] if backward else "constant"
+            raise FloatingPointError(f"non-finite values in {op} op output")
         self.grad: np.ndarray | RowGrad | None = None
         self.parents = parents
         self._backward = backward
@@ -895,197 +897,114 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: Param
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-CHECKPOINT_FORMAT_VERSION = 1
-# Bytes read, or float32 bytes encoded, at a time by checkpoint I/O; a
-# multiple of 4, so that a read of base64 text is whole 4-character groups.
+CHECKPOINT_FORMAT_VERSION = 2
+# Bytes of float32 written or read at a time by checkpoint I/O, in whole rows.
 _IO_CHUNK = 1 << 18
 
 
-def _as_rows(arr: np.ndarray) -> np.ndarray:
-    """The array itself, or a 0-d array as one row."""
-    return arr if arr.ndim else arr.reshape(1)
-
-
-def _write_base64(fh, arr: np.ndarray) -> None:
-    """Write the base64 of arr's little-endian float32 bytes, chunks of whole
-    rows at a time. Bytes beyond a multiple of 3 carry over into the next
-    chunk, so the text is that of the whole array's bytes."""
-    arr = _as_rows(arr)
-    per = max(1, _IO_CHUNK // (4 * max(1, math.prod(arr.shape[1:]))))
-    carry = b""
-    for s in range(0, arr.shape[0], per):
-        data = carry + arr[s:s + per].astype("<f4").tobytes()
-        cut = len(data) - len(data) % 3
-        fh.write(base64.b64encode(memoryview(data)[:cut]).decode("ascii"))
-        carry = data[cut:]
-    fh.write(base64.b64encode(carry).decode("ascii"))
+def _file_rows(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of arr as a checkpoint file holds it, a kernel [filters x k x
+    d_in] and a 0-d array as one row, in whole rows of about `_IO_CHUNK`
+    bytes of float32."""
+    rows = arr.transpose(2, 1, 0) if arr.ndim == 3 else arr if arr.ndim else arr.reshape(1)
+    per = max(1, _IO_CHUNK // (4 * max(1, math.prod(rows.shape[1:]))))
+    return (rows[s:s + per] for s in range(0, rows.shape[0], per))
 
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
-    """Versioned JSON checkpoint; weights as base64 little-endian float32.
+    """Versioned checkpoint: one JSON header line, then raw float32 weights.
 
-    The file is the text ``json.dump(doc, fh, sort_keys=True)`` and a newline
-    would write for doc = {format_version, config, seed, step, param_order,
-    params: {name: {shape, data}}}, written parameter by parameter and each
-    ``data`` string in chunks, so that no whole string is held. A 3-D
-    parameter is a `conv1d` kernel, [d_in x k x filters] in memory; the file
-    holds it as [filters x k x d_in].
+    The header is ``json.dumps({config, format_version, params, seed, step},
+    sort_keys=True)`` and a newline, where ``params`` lists ``[name, shape]``
+    in store order. Each parameter's little-endian float32 bytes follow, back
+    to back in that order, written in chunks of whole rows, so that no whole
+    converted copy is held. A 3-D parameter is a `conv1d` kernel, [d_in x k x
+    filters] in memory; the file holds it as [filters x k x d_in].
     """
-    head = json.dumps({"config": dict(config), "format_version": CHECKPOINT_FORMAT_VERSION,
-                       "param_order": params.names()}, sort_keys=True)
-    tail = json.dumps({"seed": int(seed), "step": int(step)}, sort_keys=True)
-    with atomic_open(path) as fh:
-        fh.write(head[:-1] + ', "params": {')
-        for i, (name, arr) in enumerate(sorted(params.items())):
-            stored = arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
-            fh.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": "')
-            _write_base64(fh, stored)
-            fh.write(f'", "shape": {json.dumps(list(stored.shape))}}}')
-        fh.write("}, " + tail[1:] + "\n")
-
-
-def _checkpoint_outline(fh, path) -> tuple[dict, dict[str, tuple[int, int]]]:
-    """Pass 1 of `load_checkpoint`: the document with each parameter's
-    ``data`` string emptied, and the byte range [start, end) of each such
-    string's contents in the file, by parameter name.
-
-    The file is read in `_IO_CHUNK`-byte chunks. Outside strings the scan
-    tracks the open objects and arrays and the key each object is at; inside
-    a string it jumps to the next quote, stepping over the byte after each
-    backslash. Only the contents of the value of key "data" of an object at
-    params.<name> are left out of the outline, which `json.loads` parses,
-    escapes and whitespace included.
-    """
-    outline = bytearray()
-    ranges: dict[str, tuple[int, int]] = {}
-    stack: list[list] = []          # per open container: [opener, key, expects a key]
-    in_string = escaped = False
-    offset = 0                      # file offset of the chunk's first byte
-    while chunk := fh.read(_IO_CHUNK):
-        i, n = 0, len(chunk)
-        while i < n:
-            if in_string:
-                if escaped:                 # the byte after a backslash that ended a chunk
-                    stop, quote, escaped = i + 1, -1, False
-                else:
-                    quote = chunk.find(b'"', i)
-                    stop = n if quote < 0 else quote
-                    slash = chunk.find(b"\\", i, stop)
-                    if slash >= 0:          # up to and over the escaped byte
-                        stop, quote, escaped = min(slash + 2, n), -1, slash + 1 == n
-                if keep:
-                    outline += chunk[i:stop]
-                i = stop
-                if quote < 0:
-                    continue
-                in_string = False
-                outline.append(chunk[i])
-                i += 1
-                if is_key:
-                    try:
-                        stack[-1][1] = json.loads(outline[begin:])
-                    except ValueError:      # a bad escape, named by the parse below
-                        stack[-1][1] = None
-                elif not keep:
-                    ranges[stack[1][1]] = (start, offset + quote)
-                continue
-            c = chunk[i:i + 1]
-            outline.append(chunk[i])
-            i += 1
-            top = stack[-1] if stack else None
-            if c == b'"':
-                in_string, begin, start = True, len(outline) - 1, offset + i
-                is_key = top is not None and top[2]
-                keep = not (not is_key and len(stack) == 3 and stack[0][1] == "params"
-                            and all(entry[0] == b"{" for entry in stack)
-                            and stack[2][1] == "data")
-            elif c in (b"{", b"["):
-                stack.append([c, None, c == b"{"])
-            elif c in (b"}", b"]"):
-                if stack:
-                    stack.pop()
-            elif c == b":" and top is not None:
-                top[2] = False
-            elif c == b"," and top is not None:
-                top[2] = top[0] == b"{"
-        offset += n
-    try:
-        doc = json.loads(bytes(outline))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a checkpoint is a JSON object")
-    return doc, ranges
-
-
-def _read_param(fh, path, name: str, entry, span: tuple[int, int] | None) -> np.ndarray:
-    """Pass 2 of `load_checkpoint`: decode one parameter's base64 from its
-    byte range ``span`` of the file, chunk by chunk, into its final float64
-    array; a kernel is written through a transposed view of its
-    [d_in x k x filters] array."""
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if span is None or not isinstance(shape, list):
-        raise ValueError(f"{path}: parameter {name!r} needs a shape and a data string")
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
-        raise ValueError(f"{path}: parameter {name!r} has a bad shape {shape!r}")
-    size = math.prod(shape)
-    want = 4 * -(-4 * size // 3)                  # base64 characters of its float32 bytes
-    if span[1] - span[0] != want:
-        raise ValueError(f"{path}: parameter {name!r} has {span[1] - span[0]} base64 "
-                         f"characters of data, shape {shape} needs {want}")
-    arr = np.empty(shape[::-1] if len(shape) == 3 else shape)
-    rows = _as_rows(arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
-    row = math.prod(rows.shape[1:])
-    fh.seek(span[0])
-    done, carry, left = 0, b"", want
-    while left:
-        text = fh.read(min(left, _IO_CHUNK))
-        if not text:
-            break
-        left -= len(text)
-        try:
-            data = carry + base64.b64decode(text, validate=True)
-        except ValueError as exc:                 # binascii.Error
-            raise ValueError(f"{path}: parameter {name!r} data is not base64: {exc}") from None
-        whole = min(len(data) // (4 * row), rows.shape[0] - done)
-        values = np.frombuffer(data, "<f4", count=whole * row).reshape(whole, *rows.shape[1:])
-        _check_finite(values, f"parameter {name!r}")
-        rows[done:done + whole] = values
-        done += whole
-        carry = data[4 * row * whole:]
-    if size and (done != rows.shape[0] or carry):
-        raise ValueError(f"{path}: parameter {name!r} data does not decode to shape {shape}")
-    return arr
+    shapes = [[name, list(arr.shape[::-1] if arr.ndim == 3 else arr.shape)]
+              for name, arr in params.items()]
+    header = json.dumps({"config": dict(config), "format_version": CHECKPOINT_FORMAT_VERSION,
+                         "params": shapes, "seed": int(seed), "step": int(step)}, sort_keys=True)
+    with atomic_open(path, binary=True) as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for _, arr in params.items():
+            for rows in _file_rows(arr):
+                fh.write(rows.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
     """Returns (params, config, seed, step), with each 3-D parameter swapped
     back from the file's [filters x k x d_in] to [d_in x k x filters].
 
-    Reads the file in two passes over fixed-size chunks (`_checkpoint_outline`,
-    then `_read_param` per parameter), so neither the file nor its base64
-    strings, nor a second copy of any parameter, is ever held whole. A
-    missing field, data whose length does not fit its shape, or bad base64
-    is a ValueError naming the file and the field or parameter.
+    A format-2 file is read after its header line in chunks of whole rows,
+    each converted straight into its final array, so neither the file nor a
+    second copy of any parameter is held; the body's size is checked against
+    the header's shapes before any array is allocated. A format-1 file, one
+    JSON document of any layout with each parameter's float32 bytes as a
+    base64 ``data`` string, still loads, but is held whole. A missing field,
+    a bad shape, data that does not fit its shape, non-finite values or bad
+    base64 is a ValueError naming the file and the field or parameter.
     """
     with open(path, "rb") as fh:
-        doc, ranges = _checkpoint_outline(fh, path)
+        try:
+            doc = json.loads(fh.readline())
+        except ValueError:          # a format-1 document laid out over several lines
+            fh.seek(0)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a checkpoint is a JSON object")
         version = doc.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
+        if version not in (1, CHECKPOINT_FORMAT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
-        for field, kind, what in (("config", dict, "an object"), ("params", dict, "an object"),
+        v1 = version == 1
+        for field, kind, what in (("config", dict, "an object"),
+                                  ("params", dict if v1 else list, "an object" if v1 else "a list"),
                                   ("seed", int, "an integer"), ("step", int, "an integer")):
             if field not in doc:
                 raise ValueError(f"{path}: checkpoint has no {field!r} field")
             if not isinstance(doc[field], kind):
                 raise ValueError(f"{path}: checkpoint field {field!r} is not {what}")
-        entries = doc["params"]
+        if v1:                      # (name, shape, base64 data) in store order
+            entries = {name: e if isinstance(e, dict) else {} for name, e in doc["params"].items()}
+            layout = [(name, entries.get(name, {}).get("shape"), entries.get(name, {}).get("data"))
+                      for name in doc.get("param_order", sorted(entries))]
+        elif all(isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+                 for item in doc["params"]):
+            layout = [(name, shape, None) for name, shape in doc["params"]]
+        else:
+            raise ValueError(f"{path}: checkpoint field 'params' is not a list of [name, shape]")
+        for name, shape, _ in layout:
+            if not (isinstance(shape, list) and all(
+                    isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+                raise ValueError(f"{path}: parameter {name!r} has a bad shape {shape!r}")
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body != (need := 0 if v1 else sum(4 * math.prod(shape) for _, shape, _ in layout)):
+            raise ValueError(f"{path}: {body} bytes follow the checkpoint header, "
+                             f"the shapes in 'params' need {need}")
         params = ParamStore()
-        for name in doc.get("param_order", sorted(entries)):
+        for name, shape, data in layout:
             if name in params:
                 raise ValueError(f"{path}: duplicate parameter {name!r}")
-            # The decoded array is the store's own: it is not copied again.
-            params._arrays[name] = _read_param(fh, path, name, entries.get(name),
-                                               ranges.get(name))
+            src = fh
+            if v1:
+                try:
+                    raw = base64.b64decode(data, validate=True)
+                except (TypeError, ValueError) as exc:    # no string, or binascii.Error
+                    raise ValueError(f"{path}: parameter {name!r} data is not base64: "
+                                     f"{exc}") from None
+                if len(raw) != 4 * math.prod(shape):
+                    raise ValueError(f"{path}: parameter {name!r} has {len(raw)} bytes of "
+                                     f"data, shape {shape} needs {4 * math.prod(shape)}")
+                src = io.BytesIO(raw)
+            # The array is the store's own, written through the file's layout.
+            arr = params._arrays[name] = np.empty(shape[::-1] if len(shape) == 3 else shape)
+            for rows in _file_rows(arr):
+                values = np.frombuffer(src.read(4 * rows.size), "<f4").reshape(rows.shape)
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{path}: non-finite values in parameter {name!r}")
+                rows[...] = values
     return params, doc["config"], doc["seed"], doc["step"]

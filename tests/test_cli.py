@@ -8,7 +8,7 @@ import pytest
 from triagekit.cli import main
 from triagekit.corpus import CONTROL, DIAGNOSED, Vocabulary, load_users
 from triagekit.models import DepressionModel, DepressionModelConfig
-from triagekit.nn import ParamStore
+from triagekit.nn import ParamStore, load_checkpoint
 from triagekit.traineval import (
     SelectionConfig,
     TrainConfig,
@@ -16,6 +16,8 @@ from triagekit.traineval import (
     tokenize_users,
     train_depression,
 )
+
+from test_nn import format_1_text, join_checkpoint, split_checkpoint
 
 
 def run_cli(argv):
@@ -204,25 +206,30 @@ def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("fault, message", [
     ("missing_field", "checkpoint has no 'seed' field"),
-    ("short_data", "parameter 'conv.w' has 12 base64 characters of data, shape [1, 3, 5] "
-                   "needs 80"),
+    ("short_data", "{short} bytes follow the checkpoint header, the shapes in 'params' "
+                   "need {whole}"),
     ("bad_base64", "parameter 'conv.w' data is not base64"),
 ], ids=["missing_field", "short_data", "bad_base64"])
 def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsys, fault,
                                                     message):
+    # Format-2 files lacking a field or four body bytes, and a format-1 file
+    # with a bad character in a base64 data string.
     run_dir, data_dir = planted_run
     for name in ("run.json", "vocab.json"):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
-    doc = json.loads((run_dir / "checkpoint.json").read_text())
-    entry = doc["params"]["conv.w"]
-    if fault == "missing_field":
-        del doc["seed"]
-    elif fault == "short_data":
-        entry["data"] = entry["data"][:12]
-    else:
-        entry["data"] = "%" + entry["data"][1:]
+    header, body = split_checkpoint((run_dir / "checkpoint.json").read_bytes())
     checkpoint = tmp_path / "checkpoint.json"
-    checkpoint.write_text(json.dumps(doc))
+    if fault == "missing_field":
+        del header["seed"]
+    elif fault == "short_data":
+        message = message.format(short=len(body) - 4, whole=len(body))
+        body = body[:-4]
+    if fault == "bad_base64":
+        doc = json.loads(format_1_text(*load_checkpoint(run_dir / "checkpoint.json")))
+        doc["params"]["conv.w"]["data"] = "%" + doc["params"]["conv.w"]["data"][1:]
+        checkpoint.write_text(json.dumps(doc))
+    else:
+        checkpoint.write_bytes(join_checkpoint(header, body))
     rc = run_cli(["predict", "--checkpoint", str(checkpoint),
                   "--input", str(data_dir / "test.posts.ndjson"), "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -525,13 +532,13 @@ def test_predict_checkpoint_with_bad_config_fields_fails(planted_run, risk_chain
     for name in ("run.json", "vocab.json"):
         if (run_dir / name).exists():
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
-    doc = json.loads((run_dir / "checkpoint.json").read_text())
+    header, body = split_checkpoint((run_dir / "checkpoint.json").read_bytes())
     if task == "risk":
-        doc["config"]["bogus"] = 1
+        header["config"]["bogus"] = 1
     else:
-        del doc["config"]["n_term"]
+        del header["config"]["n_term"]
     checkpoint = tmp_path / "checkpoint.json"
-    checkpoint.write_text(json.dumps(doc))
+    checkpoint.write_bytes(join_checkpoint(header, body))
     inputs = (risk_chain[1] / "test.threads.ndjson" if task == "risk"
               else planted_run[1] / "test.posts.ndjson")
     rc = run_cli(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs),

@@ -658,6 +658,22 @@ def write_v1_checkpoint(path, arrays, kind, cfg, seed, step):
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def assert_saves_back_as_format_2(cls, loaded, tmp_path, seed, step):
+    """Saving a model loaded from a format-1 file writes format 2, which
+    reloads to the same arrays bit for bit and saves again byte for byte."""
+    again = tmp_path / "again.json"
+    loaded.save(again, seed=seed, step=step)
+    assert json.loads(again.read_bytes().split(b"\n", 1)[0])["format_version"] == 2
+    reloaded, got_seed, got_step = cls.load(again)
+    assert (got_seed, got_step) == (seed, step) and reloaded.config == loaded.config
+    assert reloaded.params.names() == loaded.params.names()
+    for name, arr in loaded.params.items():
+        assert np.array_equal(reloaded.params[name], arr), name
+    twice = tmp_path / "twice.json"
+    reloaded.save(twice, seed=seed, step=step)
+    assert twice.read_bytes() == again.read_bytes()
+
+
 def random_file_arrays(rng, params):
     """Random float32-exact arrays for every parameter, kernels [filters x
     window x depth] as a checkpoint file holds them."""
@@ -708,8 +724,9 @@ def test_risk_conv_weights_are_input_column_first_and_keep_the_seeded_init():
 
 @pytest.mark.parametrize("variant", ["cat_ce", "class_metric_ordinal"])
 def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
-    # A hand-built file with conv.w [filters x window x dim] loads input
-    # column first, gives the reference outputs, and saves back byte for byte.
+    # A hand-built format-1 file with conv.w [filters x window x dim] loads
+    # input column first, gives the reference outputs, and saves as format 2
+    # to the same weights.
     cfg = tiny_risk_config(variant, sentence_dim=6, conv_filters=3, dropout=0.0)
     rng = np.random.default_rng(13)
     arrays = random_file_arrays(rng, RiskModel(cfg, seed=2).params)
@@ -733,13 +750,7 @@ def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
             assert loaded.classify(target, context) == metric_classify(
                 expected, reference["classes"])
 
-    # Saving writes the same layout back: the same file, and the same weights.
-    again = tmp_path / "again.json"
-    loaded.save(again, seed=4, step=9)
-    assert again.read_bytes() == path.read_bytes()
-    reloaded = RiskModel.load(again)[0]
-    for name, arr in loaded.params.items():
-        assert np.array_equal(reloaded.params[name], arr), name
+    assert_saves_back_as_format_2(RiskModel, loaded, tmp_path, seed=4, step=9)
 
 
 def depression_reference_logits(params, cfg, posts):
@@ -784,9 +795,7 @@ def test_depression_loads_conv1d_layout_checkpoints(tmp_path):
         expected = depression_reference_logits(reference, cfg, posts)
         np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
 
-    again = tmp_path / "again.json"
-    loaded.save(again, seed=5, step=11)
-    assert again.read_bytes() == path.read_bytes()
+    assert_saves_back_as_format_2(DepressionModel, loaded, tmp_path, seed=5, step=11)
 
 
 def test_depression_kernels_are_input_column_first_and_keep_the_seeded_init():

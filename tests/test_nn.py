@@ -219,7 +219,7 @@ def test_embedding_lookup_rows():
 
 
 def test_non_finite_op_output_raises():
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="non-finite values in constant op output"):
         constant(np.array([1.0, np.inf]))
 
 
@@ -1107,6 +1107,16 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.allclose(loaded[name], arr, atol=1e-6)
 
 
+def split_checkpoint(data: bytes):
+    """A format-2 checkpoint's parsed header line and its float32 body."""
+    head, body = data.split(b"\n", 1)
+    return json.loads(head), body
+
+
+def join_checkpoint(header, body: bytes) -> bytes:
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + body
+
+
 def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
     # Every 3-D parameter is a conv kernel, [d_in x k x filters] in memory
     # and [filters x k x d_in] in the file; other parameters are as they are.
@@ -1116,15 +1126,13 @@ def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
     params.add("dense.w", rng.standard_normal((2, 4)))
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
-    entries = json.loads(path.read_text())["params"]
-
-    def stored(name):
-        raw = base64.b64decode(entries[name]["data"])
-        return np.frombuffer(raw, "<f4").reshape(entries[name]["shape"])
-
-    assert entries["conv.w"]["shape"] == [2, 3, 6]
-    assert np.array_equal(stored("conv.w"), params["conv.w"].transpose(2, 1, 0).astype("<f4"))
-    assert np.array_equal(stored("dense.w"), params["dense.w"].astype("<f4"))
+    header, body = split_checkpoint(path.read_bytes())
+    assert header["params"] == [["conv.w", [2, 3, 6]], ["dense.w", [2, 4]]]
+    stored = np.frombuffer(body, "<f4")
+    assert stored.size == 36 + 8
+    assert np.array_equal(stored[:36].reshape(2, 3, 6),
+                          params["conv.w"].transpose(2, 1, 0).astype("<f4"))
+    assert np.array_equal(stored[36:].reshape(2, 4), params["dense.w"].astype("<f4"))
     loaded = load_checkpoint(path)[0]
     assert loaded["conv.w"].shape == (6, 3, 2) and loaded["conv.w"].flags["C_CONTIGUOUS"]
     for name, arr in params.items():
@@ -1132,6 +1140,13 @@ def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
     again = tmp_path / "again.ckpt.json"
     save_checkpoint(again, loaded, {"kind": "test"}, seed=1, step=2)
     assert again.read_bytes() == path.read_bytes()
+
+
+class _Unconvertible(np.ndarray):
+    """An array whose float32 conversion fails, as a write can fail partway."""
+
+    def astype(self, *args, **kwargs):
+        raise OSError("no space left")
 
 
 def test_failed_checkpoint_save_leaves_earlier_file(tmp_path):
@@ -1147,6 +1162,21 @@ def test_failed_checkpoint_save_leaves_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
 
+def test_checkpoint_save_failing_in_the_body_leaves_earlier_file(tmp_path):
+    params = ParamStore()
+    params.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
+    before = path.read_bytes()
+    params["w"][...] += 1.0
+    # The header and "w" are written before "z" fails.
+    params._arrays["z"] = np.zeros(3).view(_Unconvertible)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, params, {"kind": "test"}, seed=1, step=3)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 999, "params": {}, "config": {}, "seed": 0, "step": 0}')
@@ -1154,21 +1184,33 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
-def _reference_checkpoint_text(params, config, seed, step):
-    """A checkpoint's text as one whole-document ``json.dumps``."""
-    stored = {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
-              for name, arr in params.items()}
+def _stored(params):
+    return [(name, arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
+            for name, arr in params.items()]
+
+
+def _reference_checkpoint_bytes(params, config, seed, step):
+    """A format-2 checkpoint written whole: the header line and every
+    parameter's float32 bytes at once."""
+    header = {"format_version": 2, "config": dict(config), "seed": seed, "step": step,
+              "params": [[name, list(arr.shape)] for name, arr in _stored(params)]}
+    return join_checkpoint(header, b"".join(arr.astype("<f4").tobytes()
+                                             for _, arr in _stored(params)))
+
+
+def format_1_text(params, config, seed, step):
+    """A format-1 checkpoint's text as one whole-document ``json.dumps``."""
     doc = {"format_version": 1, "config": dict(config), "seed": seed, "step": step,
            "param_order": params.names(),
            "params": {name: {"shape": list(arr.shape),
                              "data": base64.b64encode(arr.astype("<f4").tobytes()).decode()}
-                      for name, arr in stored.items()}}
+                      for name, arr in _stored(params)}}
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _odd_params():
-    """1-D, 2-D, 3-D and empty parameters; a dense.w row is 20 bytes, not a
-    multiple of 3, so row chunks carry bytes into the next."""
+    """1-D, 2-D, 3-D and empty parameters; a dense.w row is 20 bytes, so a
+    4-byte chunk still writes and reads whole rows."""
     rng = np.random.default_rng(11)
     params = ParamStore()
     params.add("dense.w", rng.standard_normal((9, 5)))
@@ -1180,27 +1222,34 @@ def _odd_params():
 
 @pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["row", "rows", "whole"])
 def test_streamed_checkpoint_is_the_whole_document_text(tmp_path, monkeypatch, chunk):
+    # Saved in chunks of whole rows, the file is the header line and the
+    # float32 bytes of every parameter written at once; it reads back the same
+    # at that chunk size.
     monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
     params = _odd_params()
-    config = {"kind": "test", "note": 'a "data": "x" string'}
+    config = {"kind": "test", "note": 'a "data": "x" string\nover two lines'}
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, params, config, seed=3, step=4)
-    assert path.read_text() == _reference_checkpoint_text(params, config, 3, 4)
+    assert path.read_bytes() == _reference_checkpoint_bytes(params, config, 3, 4)
+    loaded, got_config, seed, step = load_checkpoint(path)
+    assert (got_config, seed, step) == (config, 3, 4)
+    for name, arr in params.items():
+        assert np.array_equal(loaded[name], arr.astype("<f4")), name
 
 
 @pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["tiny", "small", "large"])
 @pytest.mark.parametrize("layout", ["whole_dump", "indented", "data_in_config"])
 def test_checkpoint_loads_any_layout_of_the_document(tmp_path, monkeypatch, layout, chunk):
-    # A file as a whole-document json.dump wrote it, re-indented, or with
-    # config strings holding '"data": "' and escaped quotes under keys named
-    # "data": each loads to the same arrays, whatever the read size.
+    # A format-1 file as a whole-document json.dump wrote it, re-indented, or
+    # with config strings holding '"data": "' and escaped quotes under keys
+    # named "data": each loads to the same arrays, whatever the read size.
     monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
     params = _odd_params()
     config = {"kind": "test", "n": [1, 2]}
     if layout == "data_in_config":
         config["data"] = 'say "data": "\\" and \\\\'
         config["nested"] = {"data": '"data": "', "params": {"w": {"data": "x"}}}
-    text = _reference_checkpoint_text(params, config, 3, 4)
+    text = format_1_text(params, config, 3, 4)
     if layout == "indented":
         text = json.dumps(json.loads(text), indent=2)
     path = tmp_path / "model.ckpt.json"
@@ -1213,39 +1262,79 @@ def test_checkpoint_loads_any_layout_of_the_document(tmp_path, monkeypatch, layo
         assert np.array_equal(loaded[name], arr.astype("<f4")), name
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("no_step", "checkpoint has no 'step' field"),
-    ("no_entry", "parameter 'b' needs a shape and a data string"),
-    ("short_data", "parameter 'b' has 8 base64 characters of data, shape [7] needs 40"),
+# Faults of a format-1 file, written as its text; the others are of a
+# format-2 file.
+_V1_FAULTS = ("no_entry", "short_data", "bad_base64", "truncated", "bad_key")
+_CHECKPOINT_FAULTS = [
+    ("no_entry", "parameter 'b' has a bad shape None"),
+    ("short_data", "parameter 'b' has 6 bytes of data, shape [7] needs 28"),
     ("bad_base64", "parameter 'b' data is not base64"),
-    ("bad_shape", "parameter 'b' has a bad shape [7.0]"),
     ("truncated", "not a JSON checkpoint"),
-    ("null_seed", "checkpoint field 'seed' is not an integer"),
     ("bad_key", "not a JSON checkpoint: Invalid \\escape"),
-], ids=["no_step", "no_entry", "short_data", "bad_base64", "bad_shape", "truncated",
-        "null_seed", "bad_key"])
+    ("no_step", "checkpoint has no 'step' field"),
+    ("null_seed", "checkpoint field 'seed' is not an integer"),
+    ("version_3", "unsupported checkpoint format_version 3"),
+    ("bad_params", "checkpoint field 'params' is not a list of [name, shape]"),
+    ("bad_shape", "parameter 'b' has a bad shape [7.0]"),
+    ("negative_shape", "parameter 'b' has a bad shape [-7]"),
+    ("duplicate", "duplicate parameter 'b'"),
+    ("truncated_header", "not a JSON checkpoint"),
+    ("short_body", "495 bytes follow the checkpoint header, the shapes in 'params' need 496"),
+    ("trailing_byte", "497 bytes follow the checkpoint header, the shapes in 'params' need 496"),
+    ("huge_shape", "496 bytes follow the checkpoint header, the shapes in 'params' "
+                   f"need {496 - 28 + 4 * 2 ** 40}"),
+    ("nan_body", "non-finite values in parameter 'b'"),
+]
+
+
+@pytest.mark.parametrize("fault, message", _CHECKPOINT_FAULTS,
+                         ids=[fault for fault, _ in _CHECKPOINT_FAULTS])
 def test_malformed_checkpoint_is_an_error_naming_the_file(tmp_path, fault, message):
     params = _odd_params()
-    text = _reference_checkpoint_text(params, {"kind": "test"}, 3, 4)
-    doc = json.loads(text)
-    entry = doc["params"]["b"]
-    if fault == "no_step":
-        del doc["step"]
-    elif fault == "no_entry":
-        del doc["params"]["b"]
-    elif fault == "short_data":
-        entry["data"] = entry["data"][:8]
-    elif fault == "bad_base64":
-        entry["data"] = "*" + entry["data"][1:]
-    elif fault == "bad_shape":
-        entry["shape"] = [7.0]
-    elif fault == "null_seed":
-        doc["seed"] = None
     path = tmp_path / "model.ckpt.json"
-    text = text[:len(text) // 2] if fault == "truncated" else json.dumps(doc)
-    if fault == "bad_key":
-        text = text.replace('"step"', '"st\\ep"')
-    path.write_text(text)
+    if fault in _V1_FAULTS:
+        text = format_1_text(params, {"kind": "test"}, 3, 4)
+        doc = json.loads(text)
+        entry = doc["params"]["b"]
+        if fault == "no_entry":
+            del doc["params"]["b"]
+        elif fault == "short_data":
+            entry["data"] = entry["data"][:8]
+        elif fault == "bad_base64":
+            entry["data"] = "*" + entry["data"][1:]
+        text = text[:len(text) // 2] if fault == "truncated" else json.dumps(doc)
+        if fault == "bad_key":
+            text = text.replace('"step"', '"st\\ep"')
+        path.write_text(text)
+    else:
+        header, body = split_checkpoint(_reference_checkpoint_bytes(params, {"kind": "test"}, 3, 4))
+        # "b" is the second parameter: its 7 floats follow dense.w's 45.
+        entry = header["params"][1]
+        assert entry == ["b", [7]] and len(body) == 4 * (45 + 7 + 72)
+        if fault == "no_step":
+            del header["step"]
+        elif fault == "null_seed":
+            header["seed"] = None
+        elif fault == "version_3":
+            header["format_version"] = 3
+        elif fault == "bad_params":
+            header["params"][1] = {"b": [7]}
+        elif fault == "bad_shape":
+            entry[1] = [7.0]
+        elif fault == "negative_shape":
+            entry[1] = [-7]
+        elif fault == "duplicate":
+            header["params"][0] = ["b", [9, 5]]
+        elif fault == "short_body":
+            body = body[:-1]
+        elif fault == "trailing_byte":
+            body += b"\0"
+        elif fault == "huge_shape":
+            entry[1] = [2 ** 40]
+        elif fault == "nan_body":
+            body = body[:4 * 46] + np.array([np.nan], "<f4").tobytes() + body[4 * 47:]
+        data = join_checkpoint(header, body)
+        path.write_bytes(data[:data.index(b"\n") // 2] if fault == "truncated_header" else data)
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: {message}"), str(err.value)

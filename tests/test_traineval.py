@@ -24,7 +24,7 @@ from triagekit.corpus import (
     write_threads,
 )
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
-from triagekit.nn import ParamStore, pick
+from triagekit.nn import ParamStore, constant, dense, pick
 from triagekit.traineval import (
     SelectionConfig,
     SynthDetectionSpec,
@@ -643,6 +643,24 @@ def test_train_reports_overflowing_update_with_epoch_step_and_parameter():
             RuntimeError, match=r"^training diverged at epoch 0 step 0: "
                                 r"non-finite values in parameter 'w'"):
         _train(model, [0, 1], 2, TrainConfig(epochs=1, lr=1e308, seed=0), step_loss,
+               lambda: (0.0, {}))
+
+
+def test_train_reports_overflowing_op_with_epoch_step_and_op():
+    params = ParamStore()
+    params.add("w", np.array([[1e300]]))
+    params.add("b", np.zeros(1))
+    model = SimpleNamespace(config=SimpleNamespace(balance="weighted"), params=params)
+
+    def step_loss(epoch, idx, nodes, rng):
+        # Epoch 0 trains; in epoch 1 the input times w overflows inside dense.
+        x = constant(np.array([1.0 if epoch == 0 else 1e300]))
+        return pick(dense(x, nodes("w"), nodes("b")), 0)
+
+    with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match=r"^training diverged at epoch 1 step 2: "
+                                r"non-finite values in dense op output$"):
+        _train(model, [0, 1], 2, TrainConfig(epochs=2, lr=1e-3, seed=0), step_loss,
                lambda: (0.0, {}))
 
 
