@@ -33,6 +33,7 @@ from .nn import (
     cross_entropy,
     dense,
     dropout,
+    embedding_conv1d,
     embedding_init,
     embedding_lookup,
     euclidean_distance,
@@ -42,6 +43,7 @@ from .nn import (
     load_checkpoint,
     max_pool,
     mean_rows,
+    no_grad,
     pick,
     relu,
     save_checkpoint,
@@ -92,10 +94,12 @@ class DepressionModel:
     """2-class user-level classifier over token-id post sequences.
 
     One graph per user: the first n_term tokens of every post that fills a
-    window go, concatenated, through one embedding lookup, convolution and
-    ReLU; ranged `mean_rows` averages each post's own windows (never those
-    across two posts) into a row, zero for a post without a window and for
-    each padding slot up to merge_window. The merge conv and dense stack follow.
+    window go, concatenated, through one fused embedding convolution
+    (`embedding_conv1d`) and ReLU; ranged `mean_rows` averages each post's own
+    windows (never those across two posts) into a row, zero for a post without
+    a window and for each padding slot up to merge_window. The merge conv and
+    dense stack follow. `classify_user` runs the forward under `no_grad`, so
+    serving builds no graph and never holds the user's [T x embed_dim] rows.
     """
 
     kind = "depression"
@@ -134,7 +138,10 @@ class DepressionModel:
                  train: bool = False, rng: np.random.Generator | None = None
                  ) -> tuple[Node, Node | None, np.ndarray, np.ndarray]:
         """Logits node, the user's feature map [rows x conv_filters] (None if no
-        post fills a window), and each post's first and past-last row in it."""
+        post fills a window), and each post's first and past-last row in it.
+
+        One embedding convolution and ReLU over all of the user's kept tokens,
+        for training and serving alike."""
         c = self.config
         if not posts_tokens:
             raise ValueError("user has no usable posts")
@@ -145,8 +152,7 @@ class DepressionModel:
         stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
         ids = np.array([tok for toks in kept for tok in toks], dtype=np.intp)
         if ids.size:
-            feat = relu(conv1d(embedding_lookup(nodes("emb"), ids),
-                               nodes("conv.w"), nodes("conv.b")))
+            feat = relu(embedding_conv1d(nodes("emb"), ids, nodes("conv.w"), nodes("conv.b")))
             post_vecs = mean_rows(feat, starts, stops)
         else:
             feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))
@@ -168,8 +174,10 @@ class DepressionModel:
         return cross_entropy(self.logits(posts_tokens, nodes, train, rng), label)
 
     def classify_user(self, posts_tokens) -> np.ndarray:
-        """Probabilities over (control, diagnosed)."""
-        logits = self.logits(posts_tokens, ParamNodes(self.params))
+        """Probabilities over (control, diagnosed), from a forward that builds
+        no graph."""
+        with no_grad():
+            logits = self.logits(posts_tokens, ParamNodes(self.params))
         return softmax(logits.value)
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
@@ -381,10 +389,11 @@ class RiskModel:
 
         The score is the label's softmax probability (cat_ce), the raw
         regression output (mse), or minus the distance to the label's class
-        embedding (metric variants).
+        embedding (metric variants). The forward builds no graph.
         """
         c = self.config
-        out = self.forward(target, context, ParamNodes(self.params)).value
+        with no_grad():
+            out = self.forward(target, context, ParamNodes(self.params)).value
         if c.variant == "cat_ce":
             probs = softmax(out)
             label = RiskLabel(int(np.argmax(probs)))

@@ -17,7 +17,7 @@ A checkpoint is one JSON header line and then every parameter's raw float32
 bytes. It is written and read in chunks of whole rows, so the file is never
 held whole, and a loaded parameter is converted straight into its final array.
 
-`conv1d` is the one convolution, k accumulated matmuls that hold nothing
+`conv1d` is the general convolution, k accumulated matmuls that hold nothing
 larger than the input and the output. Its kernels are laid out [d_in x k x
 filters], input column first, for a dense node input and for a constant
 `SparseRows` input alike; with the latter it reads and writes only the
@@ -26,17 +26,26 @@ has reached. Checkpoint files keep every 3-D parameter (every one is a
 kernel) as [filters x k x d_in]; `save_checkpoint` and `load_checkpoint`
 swap the axes at the file boundary. Sequences concatenated go through each
 op at once; `mean_rows` with row ranges pools each one's own rows.
+`embedding_conv1d` fuses an embedding lookup with the convolution over its
+rows: its forward gathers one block of rows at a time, so the [T x d] rows
+are never held whole, and its output is conv1d's bit for bit.
+
+Under the `no_grad` context manager, for serving, nodes keep no parents and
+no backward rules, so each intermediate array is freed once read, and `relu`
+writes into the array of the op output it is given.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import functools
 import io
 import itertools
 import json
 import math
 import os
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
@@ -126,14 +135,40 @@ class RowGrad:
 # ---------------------------------------------------------------------------
 # Autodiff graph
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph: nodes made inside keep no parents and no backward rule,
+    so every intermediate array is freed once the next op has read it.
+
+    An op output's own new array may then be overwritten by the op it feeds
+    (`relu` writes in place), so a node made inside should be read only
+    through the op it is passed to. A constant's or a parameter's array is
+    never written. The mode is the calling thread's; the previous mode comes
+    back on exit, on an error too.
+    """
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 class Node:
     """One value in the computation graph, with its local backward rule.
 
     ``grad`` is a `RowGrad` while row-writing backward rules are the only
-    ones to have reached the node, else an array.
+    ones to have reached the node, else an array. ``fresh`` marks an op output
+    made under `no_grad` whose array the op allocated and nothing else holds.
     """
 
-    __slots__ = ("value", "grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "parents", "_backward", "fresh")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = np.asarray(value)
@@ -141,8 +176,11 @@ class Node:
             op = backward.__qualname__.partition(".")[0] if backward else "constant"
             raise FloatingPointError(f"non-finite values in {op} op output")
         self.grad: np.ndarray | RowGrad | None = None
-        self.parents = parents
-        self._backward = backward
+        if _grad_mode.enabled:
+            self.parents, self._backward, self.fresh = parents, backward, False
+        else:
+            self.parents, self._backward = (), None
+            self.fresh = backward is not None and self.value.base is None
 
 
 class _ParamNode(Node):
@@ -156,6 +194,7 @@ class _ParamNode(Node):
         self.grad = None
         self.parents = ()
         self._backward = None
+        self.fresh = False
 
 
 def constant(value) -> Node:
@@ -252,14 +291,18 @@ def embedding_lookup(table: Node, ids) -> Node:
     out = table.value[ids]
 
     def back(g):
-        # Sum per distinct row, in position order, then add into the table's
-        # gradient.
-        rows, inverse = np.unique(ids, return_inverse=True)
-        drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
-        np.add.at(drows, inverse, g)
-        _acc_rows(table, rows, drows)
+        _lookup_back(table, ids, g)
 
     return Node(out, (table,), back)
+
+
+def _lookup_back(table: Node, ids: np.ndarray, g: np.ndarray) -> None:
+    """Add g, the gradient of table[ids], into the table's gradient: summed
+    per distinct row, in position order."""
+    rows, inverse = np.unique(ids, return_inverse=True)
+    drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
+    np.add.at(drows, inverse, g)
+    _acc_rows(table, rows, drows)
 
 
 class SparseRows:
@@ -360,27 +403,98 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> 
     out += bias.value
 
     def back(g):
-        dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
+        dw, dx = _conv_grads(xv, w, g, span, stride, input_grad=not sparse)
         if sparse:
             _acc_rows(weights, x.cols, dw)
         else:
             _acc(weights, dw, fresh=True)
-            dx = np.zeros_like(xv)
-            for j in range(k):
-                dx[j:j + span:stride] += g @ w[:, j].T
             _acc(x, dx, fresh=True)
         _acc(bias, g.sum(axis=0))
 
     return Node(out, (weights, bias) if sparse else (x, weights, bias), back)
 
 
-def relu(x: Node) -> Node:
-    mask = x.value > 0
+def _conv_grads(xv: np.ndarray, w: np.ndarray, g: np.ndarray, span: int, stride: int,
+                input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """conv1d's kernel gradient, dW[:, j] = x[j::stride]^T @ g, and, if asked,
+    its input gradient, dx[j::stride] += g @ W[:, j]^T: k matmuls each."""
+    k = w.shape[1]
+    dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
+    if not input_grad:
+        return dw, None
+    dx = np.zeros_like(xv)
+    for j in range(k):
+        dx[j:j + span:stride] += g @ w[:, j].T
+    return dw, dx
+
+
+# Output rows per block of `embedding_conv1d`'s forward.
+_CONV_BLOCK = 4096
+
+
+def embedding_conv1d(table: Node, ids, weights: Node, bias: Node) -> Node:
+    """conv1d(embedding_lookup(table, ids), weights, bias), stride 1, bit for
+    bit, without holding the [T x d] block of embedding rows.
+
+    The forward splits the span = T - k + 1 output rows into ceil(span / 4096)
+    equal blocks. Per block it gathers the block's rows of the table and
+    accumulates its k matmuls into the preallocated output through one reused
+    block-sized temporary. The block size is a BLAS constraint: the rows of a
+    product of m rows match those of the whole product only when both take
+    the same kernel. With OpenBLAS's Haswell kernels at d = 50 and 25 filters
+    they differ for every m <= 800 (the small-matrix kernel) and match from
+    801 on, so a short tail block would change the last bits. Equal blocks
+    hold at least 2048 rows each, and a span that fits one block is conv1d's
+    single matmul per window offset.
+
+    The backward gathers the rows once and runs conv1d's rule and then
+    embedding_lookup's, in their arithmetic.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("embedding_conv1d needs a nonempty 1-D id sequence")
+    d_in = table.value.shape[1]
+    d_w, k, l = weights.value.shape
+    if d_w != d_in:
+        raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
+    if ids.size < k:
+        raise ValueError(f"conv input has {ids.size} rows, needs at least window size {k}")
+    span = ids.size - k + 1
+    w = weights.value
+    blocks = -(-span // _CONV_BLOCK)
+    bounds = [span * i // blocks for i in range(blocks + 1)]
+    out = np.empty((span, l), dtype=table.value.dtype)
+    part = np.empty((-(-span // blocks), l), dtype=out.dtype)   # the largest block's product
+    for start, stop in itertools.pairwise(bounds):
+        n = stop - start
+        x = table.value[ids[start:stop + k - 1]]
+        np.matmul(x[:n], w[:, 0], out=out[start:stop])
+        for j in range(1, k):
+            out[start:stop] += np.matmul(x[j:j + n], w[:, j], out=part[:n])
+    out += bias.value
 
     def back(g):
-        _acc(x, g * mask)
+        dw, dx = _conv_grads(table.value[ids], w, g, span, 1)
+        _acc(weights, dw, fresh=True)
+        _acc(bias, g.sum(axis=0))
+        _lookup_back(table, ids, dx)
 
-    return Node(np.where(mask, x.value, 0.0), (x,), back)
+    return Node(out, (table, weights, bias), back)
+
+
+def relu(x: Node) -> Node:
+    """max(x, 0). The backward rule reads its own output: out > 0 where x > 0.
+    Under `no_grad` it writes into a fresh op output's array and keeps no
+    mask; np.maximum keeps an exact -0.0 that np.where would turn to 0.0."""
+    if _grad_mode.enabled:
+        out = np.where(x.value > 0, x.value, 0.0)
+    else:
+        out = np.maximum(x.value, 0.0, out=x.value if x.fresh else None)
+
+    def back(g):
+        _acc(x, g * (out > 0), fresh=True)
+
+    return Node(out, (x,), back)
 
 
 def max_pool(x: Node, n: int) -> Node:
@@ -541,13 +655,13 @@ def scale(x: Node, c: float) -> Node:
 
 
 def hinge(x: Node) -> Node:
-    """max(0, x) on a scalar node."""
+    """max(0, x) on a scalar node, in an array of its own."""
     active = x.value > 0
 
     def back(g):
         _acc(x, g if active else np.zeros_like(g))
 
-    return Node(x.value if active else np.zeros_like(x.value), (x,), back)
+    return Node(x.value.copy() if active else np.zeros_like(x.value), (x,), back)
 
 
 def euclidean_distance(a: Node, b: Node) -> Node:

@@ -1,5 +1,7 @@
 import base64
+import contextlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -217,7 +219,7 @@ def test_depression_forward_is_one_graph_per_user(monkeypatch):
             return op(*args, **kwargs)
         return wrapper
 
-    for name in ("embedding_lookup", "conv1d", "stack_rows", "constant"):
+    for name in ("embedding_lookup", "embedding_conv1d", "conv1d", "stack_rows", "constant"):
         monkeypatch.setattr(models, name, counted(name))
     model = DepressionModel(tiny_depression_config())
     rng = np.random.default_rng(8)
@@ -225,7 +227,7 @@ def test_depression_forward_is_one_graph_per_user(monkeypatch):
         calls.clear()
         model.loss(random_user(rng, model.config, n_posts, (0, 10)) + [[2, 3]], 1,
                    ParamNodes(model.params))
-        assert calls == {"embedding_lookup": 1, "conv1d": 2}, n_posts
+        assert calls == {"embedding_conv1d": 1, "conv1d": 1}, n_posts
 
 
 @pytest.mark.parametrize("overrides, posts", [
@@ -303,6 +305,81 @@ def test_depression_checkpoint_round_trip(tmp_path):
     posts = [[2, 3, 4], [5, 6, 7]]
     assert np.allclose(loaded.classify_user(posts),
                        model.classify_user(posts), atol=1e-5)
+
+
+# -- serving: a forward under no_grad --------------------------------------------
+
+def perturbed(model, rng):
+    """Every parameter off its init, biases included, so that each ReLU has
+    units on both sides of zero."""
+    for _, arr in model.params.items():
+        arr[...] = rng.uniform(-0.5, 0.5, arr.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind", ["depression", *RISK_VARIANTS])
+def test_serving_returns_the_bits_of_a_graph_forward(kind, monkeypatch):
+    rng = np.random.default_rng(31)
+    if kind == "depression":
+        model = perturbed(DepressionModel(tiny_depression_config(n_term=12)), rng)
+        requests = [(random_user(rng, model.config, n, (0, 15)),) for n in (1, 4, 7)]
+        serve = model.classify_user
+    else:
+        model = perturbed(RiskModel(tiny_risk_config(kind)), rng)
+        requests = [rand_instance_mats(rng, model.config) for _ in range(3)]
+        serve = model.predict
+    parents = []                                # of each dense layer's output node
+
+    def recorded(*args):
+        node = dense(*args)
+        parents.append(node.parents)
+        return node
+
+    monkeypatch.setattr(models, "dense", recorded)
+    served = [serve(*request) for request in requests]
+    assert parents and all(p == () for p in parents)
+    # The same calls with no_grad switched off build the whole graph.
+    monkeypatch.setattr(models, "no_grad", contextlib.nullcontext)
+    parents.clear()
+    for request, got in zip(requests, served):
+        want = serve(*request)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), request
+    assert all(len(p) == 3 for p in parents)
+
+
+def test_classify_user_holds_no_embedding_block():
+    # 520 posts of 100 kept tokens: T = 52,000 rows of 50 floats is 20.8 MB.
+    # A forward that keeps its graph holds the rows, the conv output and the
+    # ReLU's, about 2x that.
+    model = DepressionModel(DepressionModelConfig(vocab_size=5000), seed=1)
+    rng = np.random.default_rng(32)
+    posts = [rng.integers(2, 5000, 100) for _ in range(520)]
+    model.classify_user(posts[:20])             # numpy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.classify_user(posts)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 52_000 * model.config.embed_dim * 8, peak - start
+    assert end - start < 1_000_000, end - start
+
+
+def test_non_finite_embedding_row_names_the_op_and_training_builds_a_graph():
+    model = DepressionModel(tiny_depression_config(), seed=4)
+    posts = [[2, 3, 4, 5], [6, 7, 3]]
+    row = model.params["emb"][3].copy()
+    model.params["emb"][3, 1] = np.inf          # written past the store's checks
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite values in embedding_conv1d"):
+        model.classify_user(posts)
+    model.params["emb"][3] = row
+    nodes = ParamNodes(model.params)
+    loss = model.loss(posts, 1, nodes)
+    assert loss.parents != ()
+    backward(loss)
+    assert {"emb", "conv.w", "conv.b"} <= set(nodes.grads())
 
 
 # -- depression model: phrase attribution ----------------------------------------

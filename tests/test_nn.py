@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -23,6 +24,7 @@ from triagekit.nn import (
     cross_entropy,
     dense,
     dropout,
+    embedding_conv1d,
     embedding_lookup,
     euclidean_distance,
     finite_difference_check,
@@ -31,6 +33,7 @@ from triagekit.nn import (
     load_checkpoint,
     max_pool,
     mean_rows,
+    no_grad,
     pick,
     relu,
     save_checkpoint,
@@ -662,6 +665,147 @@ def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
     assert not np.asarray(grads["w"])[[0, 8]].any()
     worst = finite_difference_check(loss_fn, params)
     assert max(worst.values()) < 1e-4, worst
+
+
+# -- fused embedding convolution and no_grad ---------------------------------
+
+def test_gradcheck_embedding_conv1d():
+    rng = np.random.default_rng(46)
+    for trial in range(6):
+        vocab, d = 6, int(rng.integers(1, 4))
+        k, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ids = rng.integers(0, vocab, size=int(rng.integers(k, 9)))
+        ids[-1] = ids[0]                        # a repeated row
+        params = ParamStore()
+        params.add("emb", rng.standard_normal((vocab, d)) * 0.5)
+        params.add("w", rng.standard_normal((d, k, l)) * 0.5)
+        params.add("b", rng.standard_normal(l) * 0.1)
+
+        def loss_fn(nodes):
+            out = embedding_conv1d(nodes("emb"), ids, nodes("w"), nodes("b"))
+            return readout_loss(relu(out), np.random.default_rng(trial))
+
+        worst = finite_difference_check(loss_fn, params)
+        assert set(worst) == {"emb", "w", "b"}
+        assert max(worst.values()) < 1e-4, worst
+
+
+# Spans of one block, of a short tail under fixed 4096-row blocks (4099 is a
+# 1-row tail, 8195 a 3-row one, 3 * 4096 + 7 a 7-row one) and of the cap user.
+@pytest.mark.parametrize("t", [3, 800, 801, 4098, 4099, 8195, 3 * 4096 + 7, 56_776])
+def test_embedding_conv1d_is_conv1d_of_the_lookup(t):
+    # At the depression model's shapes (d 50, window 3, 25 filters) the
+    # blocked forward is bit for bit the whole-input conv1d.
+    rng = np.random.default_rng(t)
+    table = constant(rng.uniform(-0.05, 0.05, (5000, 50)))
+    w = constant(rng.uniform(-0.2, 0.2, (50, 3, 25)))
+    b = constant(rng.uniform(-0.1, 0.1, 25))
+    ids = rng.integers(0, 5000, t)
+    fused = embedding_conv1d(table, ids, w, b).value
+    assert np.array_equal(fused, conv1d(embedding_lookup(table, ids), w, b).value)
+
+
+@pytest.mark.parametrize("t", [3, 4099])
+def test_embedding_conv1d_gradients_are_lookup_then_conv1d(t):
+    rng = np.random.default_rng(47)
+    params = ParamStore()
+    params.add("emb", rng.uniform(-0.05, 0.05, (300, 50)))
+    params.add("w", rng.uniform(-0.2, 0.2, (50, 3, 25)))
+    params.add("b", rng.uniform(-0.1, 0.1, 25))
+    ids = rng.integers(0, 300, t)
+    g = rng.standard_normal((t - 2, 25))
+    grads = []
+    for fused in (True, False):
+        nodes = ParamNodes(params)
+        if fused:
+            out = embedding_conv1d(nodes("emb"), ids, nodes("w"), nodes("b"))
+        else:
+            out = conv1d(embedding_lookup(nodes("emb"), ids), nodes("w"), nodes("b"))
+        backward(pick(dense(flatten(out), constant(g.reshape(1, -1)), constant(np.zeros(1))), 0))
+        grads.append(nodes.grads())
+    for name in ("emb", "w", "b"):
+        assert np.array_equal(np.asarray(grads[0][name]), np.asarray(grads[1][name])), name
+    assert np.array_equal(grads[0]["emb"].rows, np.unique(ids))
+
+
+def test_embedding_conv1d_rejects_bad_inputs():
+    table, w, b = constant(np.zeros((5, 2))), constant(np.zeros((2, 3, 1))), constant(np.zeros(1))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        embedding_conv1d(table, [], w, b)
+    with pytest.raises(ValueError, match="at least window size 3"):
+        embedding_conv1d(table, [1, 2], w, b)
+    with pytest.raises(ValueError, match="depth 2 != filter depth 4"):
+        embedding_conv1d(table, [1, 2, 3], constant(np.zeros((4, 3, 1))), b)
+
+
+def test_no_grad_builds_no_graph_and_restores_the_mode_after_an_error():
+    x, w, b = constant(np.ones(2)), constant(np.ones((1, 2))), constant(np.zeros(1))
+    with no_grad():
+        out = dense(x, w, b)
+    assert out.parents == () and out._backward is None
+    assert np.array_equal(out.value, [2.0])
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    out = dense(x, w, b)
+    assert len(out.parents) == 3 and out._backward is not None
+    parents = []
+    with no_grad():
+        with no_grad():
+            pass
+        assert dense(x, w, b).parents == ()     # an inner exit keeps the outer mode
+        other = threading.Thread(target=lambda: parents.append(dense(x, w, b).parents))
+        other.start()
+        other.join(timeout=10)
+    assert not other.is_alive() and len(parents[0]) == 3    # the mode is per thread
+    assert dense(x, w, b).parents != ()
+
+
+def test_no_grad_non_finite_output_names_its_op():
+    table = constant(np.ones((3, 2)))
+    table.value[1, 0] = np.inf                  # written past the store's checks
+    w, b = constant(np.ones((2, 2, 1))), constant(np.zeros(1))
+    with no_grad(), pytest.raises(FloatingPointError, match="embedding_conv1d op output"):
+        embedding_conv1d(table, [0, 1, 2], w, b)
+    with no_grad(), np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match="dense op output"):
+        dense(constant(np.ones(2)), constant(np.full((1, 2), 1e308)), constant(np.zeros(1)))
+
+
+def test_no_grad_relu_writes_only_into_a_fresh_op_output():
+    rng = np.random.default_rng(48)
+    a = rng.standard_normal((4, 3))
+    params = ParamStore()
+    params.add("p", a)
+    before = a.copy()
+    a.setflags(write=False)                     # any write into a raises
+    scalar = np.array(0.5)
+    scalar.setflags(write=False)
+    w, b = constant(rng.standard_normal((3, 2, 2))), constant(np.zeros(2))
+    with no_grad():
+        # A constant, a parameter, and op outputs that share their arrays.
+        for node in (constant(a), ParamNodes(params)("p"), flatten(constant(a)),
+                     hinge(constant(scalar))):
+            value = node.value.copy()
+            assert np.array_equal(relu(node).value, np.maximum(value, 0.0))
+            assert np.array_equal(node.value, value)
+        assert np.array_equal(params["p"], before)
+        conv = conv1d(constant(a), w, b)
+        expected = np.maximum(conv.value, 0.0)
+        out = relu(conv)
+        assert out.value is conv.value and np.array_equal(out.value, expected)
+
+
+def test_relu_backward_reads_its_output():
+    # Graph mode keeps no mask: the rule reads out > 0, which is x > 0.
+    x = constant(np.array([[-1.0, 0.0, 2.0], [-0.0, 3.0, -4.0]]))
+    out = relu(x)
+    assert np.array_equal(out.value, [[0.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    assert not np.signbit(out.value).any()
+    out._backward(np.full((2, 3), 5.0))
+    assert np.array_equal(x.grad, [[0.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
+    cells = out._backward.__closure__
+    assert not any(getattr(c.cell_contents, "dtype", None) == bool for c in cells)
 
 
 # -- Adam ---------------------------------------------------------------------
