@@ -130,15 +130,13 @@ def tokenize(text: str, vocab: "Vocabulary") -> list[int]:
     return [vocab.id(tok) for tok in word_tokens(text)]
 
 
-def split_sentences(text: str, abbreviations: Iterable[str] | None = None) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Rule-based sentence splitting.
 
     A boundary is a run of ``.!?`` followed by whitespace and an uppercase
     letter. A single period is not a boundary when the preceding word plus the
-    period is in the abbreviation list (``"Dr."`` by default).
+    period, lowercased, is in `DEFAULT_ABBREVIATIONS` (``"dr."`` and the like).
     """
-    abbrevs = (_DEFAULT_ABBREVIATIONS if abbreviations is None
-               else {a.lower() for a in abbreviations})
     sentences: list[str] = []
     start = 0
     # A punctuation run not followed by whitespace can be no boundary, and
@@ -151,7 +149,7 @@ def split_sentences(text: str, abbreviations: Iterable[str] | None = None) -> li
             w = i
             while w > 0 and (text[w - 1].isalnum() or text[w - 1] == "'"):
                 w -= 1
-            if text[w:i].lower() + "." in abbrevs:
+            if text[w:i].lower() + "." in _DEFAULT_ABBREVIATIONS:
                 continue
         piece = text[start:j].strip()
         if piece:

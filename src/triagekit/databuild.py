@@ -31,8 +31,9 @@ from .corpus import (
     write_posts,
 )
 
-# Editable defaults; real deployments are expected to supply curated lists
-# through the config file.
+# Default lists. Curated ones are passed in code, through `DiagnosisPattern`
+# (phrases and cues) and `BuildConfig` (mental-health communities and
+# terms); the config file's [dataset] section sets no list.
 DEFAULT_DIAGNOSIS_PATTERNS = (
     "diagnosed with depression",
     "diagnosed with clinical depression",

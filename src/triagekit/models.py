@@ -12,6 +12,7 @@ ordinal-margin variant, class_metric_ordinal).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -150,7 +151,7 @@ class DepressionModel:
         lengths = np.array([len(toks) for toks in kept] + [0] * (c.merge_window - len(kept)))
         starts = np.cumsum(lengths) - lengths
         stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
-        ids = np.array([tok for toks in kept for tok in toks], dtype=np.intp)
+        ids = np.fromiter(itertools.chain.from_iterable(kept), np.intp, count=int(lengths.sum()))
         if ids.size:
             feat = relu(embedding_conv1d(nodes("emb"), ids, nodes("conv.w"), nodes("conv.b")))
             post_vecs = mean_rows(feat, starts, stops)

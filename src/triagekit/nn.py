@@ -13,9 +13,10 @@ usable cores on large steps, bit-identical to a whole-array update. While a
 parameter is updated on its live rows, its moments are kept for those rows
 only, in compact slots of half its rows.
 
-A checkpoint is one JSON header line and then every parameter's raw float32
-bytes. It is written and read in chunks of whole rows, so the file is never
-held whole, and a loaded parameter is converted straight into its final array.
+A checkpoint (format 2, the only one read) is one JSON header line and then
+every parameter's raw float32 bytes. It is written and read in chunks of
+whole rows, so the file is never held whole, and a loaded parameter is
+converted straight into its final array.
 
 `conv1d` is the general convolution, k accumulated matmuls that hold nothing
 larger than the input and the output. Its kernels are laid out [d_in x k x
@@ -37,10 +38,8 @@ writes into the array of the op output it is given.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import functools
-import io
 import itertools
 import json
 import math
@@ -1051,73 +1050,49 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
     """Returns (params, config, seed, step), with each 3-D parameter swapped
     back from the file's [filters x k x d_in] to [d_in x k x filters].
 
-    A format-2 file is read after its header line in chunks of whole rows,
-    each converted straight into its final array, so neither the file nor a
-    second copy of any parameter is held; the body's size is checked against
-    the header's shapes before any array is allocated. A format-1 file, one
-    JSON document of any layout with each parameter's float32 bytes as a
-    base64 ``data`` string, still loads, but is held whole. A missing field,
-    a bad shape, data that does not fit its shape, non-finite values or bad
-    base64 is a ValueError naming the file and the field or parameter.
+    The body is read in chunks of whole rows, each converted straight into
+    its final array, so neither the file nor a second copy of any parameter
+    is held; its size is checked against the header's shapes first. A header
+    that is not one JSON line or not format 2 (a format-1 document too), a
+    missing field, a bad shape, a body that does not fit the shapes or
+    non-finite values is a ValueError naming the file and the field.
     """
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.readline())
-        except ValueError:          # a format-1 document laid out over several lines
-            fh.seek(0)
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON checkpoint header line: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: a checkpoint is a JSON object")
         version = doc.get("format_version")
-        if version not in (1, CHECKPOINT_FORMAT_VERSION):
+        if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
-        v1 = version == 1
-        for field, kind, what in (("config", dict, "an object"),
-                                  ("params", dict if v1 else list, "an object" if v1 else "a list"),
+        for field, kind, what in (("config", dict, "an object"), ("params", list, "a list"),
                                   ("seed", int, "an integer"), ("step", int, "an integer")):
             if field not in doc:
                 raise ValueError(f"{path}: checkpoint has no {field!r} field")
             if not isinstance(doc[field], kind):
                 raise ValueError(f"{path}: checkpoint field {field!r} is not {what}")
-        if v1:                      # (name, shape, base64 data) in store order
-            entries = {name: e if isinstance(e, dict) else {} for name, e in doc["params"].items()}
-            layout = [(name, entries.get(name, {}).get("shape"), entries.get(name, {}).get("data"))
-                      for name in doc.get("param_order", sorted(entries))]
-        elif all(isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
-                 for item in doc["params"]):
-            layout = [(name, shape, None) for name, shape in doc["params"]]
-        else:
+        layout = doc["params"]
+        if not all(isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+                   for item in layout):
             raise ValueError(f"{path}: checkpoint field 'params' is not a list of [name, shape]")
-        for name, shape, _ in layout:
+        for name, shape in layout:
             if not (isinstance(shape, list) and all(
                     isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
                 raise ValueError(f"{path}: parameter {name!r} has a bad shape {shape!r}")
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if body != (need := 0 if v1 else sum(4 * math.prod(shape) for _, shape, _ in layout)):
+        if body != (need := sum(4 * math.prod(shape) for _, shape in layout)):
             raise ValueError(f"{path}: {body} bytes follow the checkpoint header, "
                              f"the shapes in 'params' need {need}")
         params = ParamStore()
-        for name, shape, data in layout:
+        for name, shape in layout:
             if name in params:
                 raise ValueError(f"{path}: duplicate parameter {name!r}")
-            src = fh
-            if v1:
-                try:
-                    raw = base64.b64decode(data, validate=True)
-                except (TypeError, ValueError) as exc:    # no string, or binascii.Error
-                    raise ValueError(f"{path}: parameter {name!r} data is not base64: "
-                                     f"{exc}") from None
-                if len(raw) != 4 * math.prod(shape):
-                    raise ValueError(f"{path}: parameter {name!r} has {len(raw)} bytes of "
-                                     f"data, shape {shape} needs {4 * math.prod(shape)}")
-                src = io.BytesIO(raw)
             # The array is the store's own, written through the file's layout.
             arr = params._arrays[name] = np.empty(shape[::-1] if len(shape) == 3 else shape)
             for rows in _file_rows(arr):
-                values = np.frombuffer(src.read(4 * rows.size), "<f4").reshape(rows.shape)
+                values = np.frombuffer(fh.read(4 * rows.size), "<f4").reshape(rows.shape)
                 if not np.isfinite(values).all():
                     raise ValueError(f"{path}: non-finite values in parameter {name!r}")
                 rows[...] = values

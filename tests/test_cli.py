@@ -8,7 +8,7 @@ import pytest
 from triagekit.cli import main
 from triagekit.corpus import CONTROL, DIAGNOSED, Vocabulary, load_users
 from triagekit.models import DepressionModel, DepressionModelConfig
-from triagekit.nn import ParamStore, load_checkpoint
+from triagekit.nn import ParamStore
 from triagekit.traineval import (
     SelectionConfig,
     TrainConfig,
@@ -17,7 +17,7 @@ from triagekit.traineval import (
     train_depression,
 )
 
-from test_nn import format_1_text, join_checkpoint, split_checkpoint
+from test_nn import FORMAT_1_DOC, join_checkpoint, split_checkpoint
 
 
 def run_cli(argv):
@@ -208,12 +208,15 @@ def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     ("missing_field", "checkpoint has no 'seed' field"),
     ("short_data", "{short} bytes follow the checkpoint header, the shapes in 'params' "
                    "need {whole}"),
-    ("bad_base64", "parameter 'conv.w' data is not base64"),
-], ids=["missing_field", "short_data", "bad_base64"])
+    ("nan_body", "non-finite values in parameter 'conv.w'"),
+    ("format_1", "unsupported checkpoint format_version 1"),
+    ("format_1_indented", "not a JSON checkpoint header line"),
+], ids=["missing_field", "short_data", "nan_body", "format_1", "format_1_indented"])
 def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsys, fault,
                                                     message):
-    # Format-2 files lacking a field or four body bytes, and a format-1 file
-    # with a bad character in a base64 data string.
+    # Format-2 files lacking a field, lacking four body bytes, or with a NaN
+    # as the first value of conv.w, and a format-1 document, which is no
+    # longer read, on one line or indented.
     run_dir, data_dir = planted_run
     for name in ("run.json", "vocab.json"):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -224,10 +227,15 @@ def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsy
     elif fault == "short_data":
         message = message.format(short=len(body) - 4, whole=len(body))
         body = body[:-4]
-    if fault == "bad_base64":
-        doc = json.loads(format_1_text(*load_checkpoint(run_dir / "checkpoint.json")))
-        doc["params"]["conv.w"]["data"] = "%" + doc["params"]["conv.w"]["data"][1:]
-        checkpoint.write_text(json.dumps(doc))
+    elif fault == "nan_body":
+        offset = 0
+        for name, shape in header["params"]:
+            if name == "conv.w":
+                break
+            offset += 4 * int(np.prod(shape))
+        body = body[:offset] + np.array([np.nan], "<f4").tobytes() + body[offset + 4:]
+    if fault.startswith("format_1"):
+        checkpoint.write_text(json.dumps(FORMAT_1_DOC, indent=2 if "indented" in fault else None))
     else:
         checkpoint.write_bytes(join_checkpoint(header, body))
     rc = run_cli(["predict", "--checkpoint", str(checkpoint),

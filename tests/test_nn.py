@@ -1,4 +1,3 @@
-import base64
 import json
 import math
 import sys
@@ -1342,16 +1341,6 @@ def _reference_checkpoint_bytes(params, config, seed, step):
                                              for _, arr in _stored(params)))
 
 
-def format_1_text(params, config, seed, step):
-    """A format-1 checkpoint's text as one whole-document ``json.dumps``."""
-    doc = {"format_version": 1, "config": dict(config), "seed": seed, "step": step,
-           "param_order": params.names(),
-           "params": {name: {"shape": list(arr.shape),
-                             "data": base64.b64encode(arr.astype("<f4").tobytes()).decode()}
-                      for name, arr in _stored(params)}}
-    return json.dumps(doc, sort_keys=True) + "\n"
-
-
 def _odd_params():
     """1-D, 2-D, 3-D and empty parameters; a dense.w row is 20 bytes, so a
     4-byte chunk still writes and reads whole rows."""
@@ -1381,40 +1370,9 @@ def test_streamed_checkpoint_is_the_whole_document_text(tmp_path, monkeypatch, c
         assert np.array_equal(loaded[name], arr.astype("<f4")), name
 
 
-@pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["tiny", "small", "large"])
-@pytest.mark.parametrize("layout", ["whole_dump", "indented", "data_in_config"])
-def test_checkpoint_loads_any_layout_of_the_document(tmp_path, monkeypatch, layout, chunk):
-    # A format-1 file as a whole-document json.dump wrote it, re-indented, or
-    # with config strings holding '"data": "' and escaped quotes under keys
-    # named "data": each loads to the same arrays, whatever the read size.
-    monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
-    params = _odd_params()
-    config = {"kind": "test", "n": [1, 2]}
-    if layout == "data_in_config":
-        config["data"] = 'say "data": "\\" and \\\\'
-        config["nested"] = {"data": '"data": "', "params": {"w": {"data": "x"}}}
-    text = format_1_text(params, config, 3, 4)
-    if layout == "indented":
-        text = json.dumps(json.loads(text), indent=2)
-    path = tmp_path / "model.ckpt.json"
-    path.write_text(text)
-    loaded, got_config, seed, step = load_checkpoint(path)
-    assert (got_config, seed, step) == (config, 3, 4)
-    assert loaded.names() == params.names()
-    for name, arr in params.items():
-        assert loaded[name].flags["C_CONTIGUOUS"], name
-        assert np.array_equal(loaded[name], arr.astype("<f4")), name
-
-
-# Faults of a format-1 file, written as its text; the others are of a
-# format-2 file.
-_V1_FAULTS = ("no_entry", "short_data", "bad_base64", "truncated", "bad_key")
 _CHECKPOINT_FAULTS = [
-    ("no_entry", "parameter 'b' has a bad shape None"),
-    ("short_data", "parameter 'b' has 6 bytes of data, shape [7] needs 28"),
-    ("bad_base64", "parameter 'b' data is not base64"),
-    ("truncated", "not a JSON checkpoint"),
-    ("bad_key", "not a JSON checkpoint: Invalid \\escape"),
+    ("truncated", "not a JSON checkpoint header line"),
+    ("bad_key", "not a JSON checkpoint header line: Invalid \\escape"),
     ("no_step", "checkpoint has no 'step' field"),
     ("null_seed", "checkpoint field 'seed' is not an integer"),
     ("version_3", "unsupported checkpoint format_version 3"),
@@ -1422,7 +1380,7 @@ _CHECKPOINT_FAULTS = [
     ("bad_shape", "parameter 'b' has a bad shape [7.0]"),
     ("negative_shape", "parameter 'b' has a bad shape [-7]"),
     ("duplicate", "duplicate parameter 'b'"),
-    ("truncated_header", "not a JSON checkpoint"),
+    ("truncated_header", "not a JSON checkpoint header line"),
     ("short_body", "495 bytes follow the checkpoint header, the shapes in 'params' need 496"),
     ("trailing_byte", "497 bytes follow the checkpoint header, the shapes in 'params' need 496"),
     ("huge_shape", "496 bytes follow the checkpoint header, the shapes in 'params' "
@@ -1436,51 +1394,58 @@ _CHECKPOINT_FAULTS = [
 def test_malformed_checkpoint_is_an_error_naming_the_file(tmp_path, fault, message):
     params = _odd_params()
     path = tmp_path / "model.ckpt.json"
-    if fault in _V1_FAULTS:
-        text = format_1_text(params, {"kind": "test"}, 3, 4)
-        doc = json.loads(text)
-        entry = doc["params"]["b"]
-        if fault == "no_entry":
-            del doc["params"]["b"]
-        elif fault == "short_data":
-            entry["data"] = entry["data"][:8]
-        elif fault == "bad_base64":
-            entry["data"] = "*" + entry["data"][1:]
-        text = text[:len(text) // 2] if fault == "truncated" else json.dumps(doc)
-        if fault == "bad_key":
-            text = text.replace('"step"', '"st\\ep"')
-        path.write_text(text)
-    else:
-        header, body = split_checkpoint(_reference_checkpoint_bytes(params, {"kind": "test"}, 3, 4))
-        # "b" is the second parameter: its 7 floats follow dense.w's 45.
-        entry = header["params"][1]
-        assert entry == ["b", [7]] and len(body) == 4 * (45 + 7 + 72)
-        if fault == "no_step":
-            del header["step"]
-        elif fault == "null_seed":
-            header["seed"] = None
-        elif fault == "version_3":
-            header["format_version"] = 3
-        elif fault == "bad_params":
-            header["params"][1] = {"b": [7]}
-        elif fault == "bad_shape":
-            entry[1] = [7.0]
-        elif fault == "negative_shape":
-            entry[1] = [-7]
-        elif fault == "duplicate":
-            header["params"][0] = ["b", [9, 5]]
-        elif fault == "short_body":
-            body = body[:-1]
-        elif fault == "trailing_byte":
-            body += b"\0"
-        elif fault == "huge_shape":
-            entry[1] = [2 ** 40]
-        elif fault == "nan_body":
-            body = body[:4 * 46] + np.array([np.nan], "<f4").tobytes() + body[4 * 47:]
-        data = join_checkpoint(header, body)
-        path.write_bytes(data[:data.index(b"\n") // 2] if fault == "truncated_header" else data)
+    header, body = split_checkpoint(_reference_checkpoint_bytes(params, {"kind": "test"}, 3, 4))
+    # "b" is the second parameter: its 7 floats follow dense.w's 45.
+    entry = header["params"][1]
+    assert entry == ["b", [7]] and len(body) == 4 * (45 + 7 + 72)
+    if fault == "no_step":
+        del header["step"]
+    elif fault == "null_seed":
+        header["seed"] = None
+    elif fault == "version_3":
+        header["format_version"] = 3
+    elif fault == "bad_params":
+        header["params"][1] = {"b": [7]}
+    elif fault == "bad_shape":
+        entry[1] = [7.0]
+    elif fault == "negative_shape":
+        entry[1] = [-7]
+    elif fault == "duplicate":
+        header["params"][0] = ["b", [9, 5]]
+    elif fault == "short_body":
+        body = body[:-1]
+    elif fault == "trailing_byte":
+        body += b"\0"
+    elif fault == "huge_shape":
+        entry[1] = [2 ** 40]
+    elif fault == "nan_body":
+        body = body[:4 * 46] + np.array([np.nan], "<f4").tobytes() + body[4 * 47:]
+    head, body = join_checkpoint(header, body).split(b"\n", 1)
+    if fault == "truncated":            # half a header line, then the body
+        head = head[:len(head) // 2]
+    elif fault == "bad_key":
+        head = head.replace(b'"step"', b'"st\\ep"')
+    data = head + b"\n" + body
+    path.write_bytes(head[:len(head) // 2] if fault == "truncated_header" else data)
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
+
+
+FORMAT_1_DOC = {"format_version": 1, "config": {"kind": "test"}, "seed": 3, "step": 4,
+                 "param_order": ["b"], "params": {"b": {"shape": [1], "data": "AACAPw=="}}}
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["one_line", "indented"])
+def test_format_1_checkpoint_is_refused_by_name(tmp_path, indent):
+    # A format-1 document, one JSON object with base64 float32 data, is no
+    # longer read, whether written on one line or over several.
+    path = tmp_path / "model.ckpt.json"
+    path.write_text(json.dumps(FORMAT_1_DOC, indent=indent) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    message = ("unsupported checkpoint format_version 1" if indent is None
+               else "not a JSON checkpoint header line")
     assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
 
 
@@ -1502,8 +1467,8 @@ def test_checkpoint_save_holds_no_whole_data_string(tmp_path):
 
 
 def test_checkpoint_load_holds_one_copy_of_the_parameters(tmp_path):
-    # The file, its base64 strings and a transposed kernel are never held:
-    # loading peaks at about the loaded float64 arrays themselves.
+    # The file, a whole parameter's float32 bytes and a transposed kernel are
+    # never held: loading peaks at about the loaded float64 arrays themselves.
     params = _kernel_and_dense_params()
     nbytes = sum(arr.nbytes for _, arr in params.items())
     path = tmp_path / "model.ckpt.json"
