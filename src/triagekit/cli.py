@@ -142,16 +142,6 @@ def _write_json(path: Path, doc) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _print_epoch_lines(log) -> None:
-    for row in log:
-        if row["split"] == "train":
-            print(f"epoch {row['epoch']:>3} train loss {row['loss']:.4f}")
-        else:
-            metrics = " ".join(f"{k} {row[k]:.4f}"
-                               for k in sorted(row) if k not in ("epoch", "split"))
-            print(f"epoch {row['epoch']:>3} validation {metrics}")
-
-
 # ---------------------------------------------------------------------------
 # Runs: users, sentence encoder, checkpoint directory, prediction rows
 
@@ -261,6 +251,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _finish_training(args, out: Path, model: DepressionModel | RiskModel, result,
+                     train_config: TrainConfig, metric: str, **run) -> int:
+    """The end of both train commands: print the epoch lines, save the
+    checkpoint, write run.json (the task's own ``run`` fields beside the ones
+    both tasks share) and train_log.ndjson, and print the closing lines."""
+    for row in result.log:
+        if row["split"] == "train":
+            print(f"epoch {row['epoch']:>3} train loss {row['loss']:.4f}")
+        else:
+            metrics = " ".join(f"{k} {row[k]:.4f}"
+                               for k in sorted(row) if k not in ("epoch", "split"))
+            print(f"epoch {row['epoch']:>3} validation {metrics}")
+    model.save(out / "checkpoint.json", seed=args.seed, step=train_config.epochs)
+    _write_json(out / "run.json", {
+        **run, "task": model.kind, "seed": args.seed, "data": str(Path(args.data)),
+        "epochs": train_config.epochs, "lr": train_config.lr,
+        "best_epoch": result.best_epoch, "best_metric": result.best_metric})
+    write_epoch_log(out / "train_log.ndjson", result.log)
+    print(f"best epoch {result.best_epoch} validation {metric} {result.best_metric:.4f}")
+    print(f"checkpoint written to {out / 'checkpoint.json'}")
+    return 0
+
+
 def _train_depression_cmd(args, out: Path) -> int:
     data = Path(args.data)
     opts = _options(args.config, "depression", n_term=args.n_term,
@@ -280,23 +293,9 @@ def _train_depression_cmd(args, out: Path) -> int:
                                seed=derive_seed(args.seed, "train"))
     model = DepressionModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_depression(model, train_users, val_users, selection, train_config)
-    _print_epoch_lines(result.log)
-    model.save(out / "checkpoint.json", seed=args.seed, step=train_config.epochs)
     _write_json(out / "vocab.json", {"tokens": vocab.tokens()})
-    _write_json(out / "run.json", {
-        "task": "depression",
-        "seed": args.seed,
-        "data": str(data),
-        "selection": asdict(selection),
-        "epochs": train_config.epochs,
-        "lr": train_config.lr,
-        "best_epoch": result.best_epoch,
-        "best_metric": result.best_metric,
-    })
-    write_epoch_log(out / "train_log.ndjson", result.log)
-    print(f"best epoch {result.best_epoch} validation f1 {result.best_metric:.4f}")
-    print(f"checkpoint written to {out / 'checkpoint.json'}")
-    return 0
+    return _finish_training(args, out, model, result, train_config, "f1",
+                            selection=asdict(selection))
 
 
 def _train_risk_cmd(args, out: Path) -> int:
@@ -321,27 +320,11 @@ def _train_risk_cmd(args, out: Path) -> int:
                                seed=derive_seed(args.seed, "train"))
     model = RiskModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_risk(model, train_data, val_data, train_config)
-    _print_epoch_lines(result.log)
-    model.save(out / "checkpoint.json", seed=args.seed, step=train_config.epochs)
-    _write_json(out / "run.json", {
-        "task": "risk",
-        "variant": variant,
-        "seed": args.seed,
-        "data": str(data),
-        "encoder": {"dim": encoder.dim, "seed": encoder.seed},
-        "max_sentences": max_sentences,
-        "val_fraction": val_fraction,
-        "val_split_seed": val_split_seed,
-        "epochs": train_config.epochs,
-        "lr": train_config.lr,
-        "best_epoch": result.best_epoch,
-        "best_metric": result.best_metric,
-    })
-    write_epoch_log(out / "train_log.ndjson", result.log)
-    print(f"best epoch {result.best_epoch} validation non-green f1 "
-          f"{result.best_metric:.4f}")
-    print(f"checkpoint written to {out / 'checkpoint.json'}")
-    return 0
+    return _finish_training(args, out, model, result, train_config, "non-green f1",
+                            variant=variant,
+                            encoder={"dim": encoder.dim, "seed": encoder.seed},
+                            max_sentences=max_sentences, val_fraction=val_fraction,
+                            val_split_seed=val_split_seed)
 
 
 def cmd_train(args) -> int:

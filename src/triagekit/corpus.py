@@ -78,10 +78,14 @@ class UserRecord:
     def __post_init__(self):
         ordered = tuple(sorted(self.posts, key=lambda p: (p.timestamp, p.post_id)))
         object.__setattr__(self, "posts", ordered)
-        if self.label not in (CONTROL, DIAGNOSED):
-            raise ValueError(f"unknown user label {self.label!r}")
-        if (self.diagnosis_post_id is not None) != (self.label == DIAGNOSED):
-            raise ValueError("diagnosis_post_id must be present iff label is diagnosed")
+        _check_user_label(self.label, self.diagnosis_post_id)
+
+
+def _check_user_label(label: str, diagnosis_post_id: str | None) -> None:
+    if label not in (CONTROL, DIAGNOSED):
+        raise ValueError(f"unknown user label {label!r}")
+    if (diagnosis_post_id is not None) != (label == DIAGNOSED):
+        raise ValueError("diagnosis_post_id must be present iff label is diagnosed")
 
 
 @dataclass(frozen=True)
@@ -343,10 +347,12 @@ def read_labels(path: str | Path) -> dict[str, tuple[str, str | None]]:
         try:
             uid = str(row["user_id"])
             label = str(row["label"])
-        except (KeyError, TypeError) as exc:
+            diag = row.get("diagnosis_post_id")
+            diag = str(diag) if diag is not None else None
+            _check_user_label(label, diag)
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}:{lineno}: bad label row: {exc}") from None
-        diag = row.get("diagnosis_post_id")
-        labels[uid] = (label, str(diag) if diag is not None else None)
+        labels[uid] = (label, diag)
     return labels
 
 
@@ -389,16 +395,17 @@ def read_threads(path: str | Path) -> list[ThreadInstance]:
     for lineno, row in _iter_ndjson(path):
         where = f"{path}:{lineno}"
         try:
-            target = _post_from_row(row["target"], where)
-            context = tuple(_post_from_row(c, where) for c in row.get("context", []))
-            label = RiskLabel.parse(row["label"])
+            instance = ThreadInstance(
+                _post_from_row(row["target"], where),
+                tuple(_post_from_row(c, where) for c in row.get("context", [])),
+                RiskLabel.parse(row["label"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{where}: bad thread row: {exc}") from None
         # split_sentences finds no sentence exactly when the text is blank.
-        if not target.text.strip():
+        if not instance.target.text.strip():
             raise CorpusFormatError(
-                f"{where}: target post {target.post_id} has no sentences")
-        instances.append(ThreadInstance(target, context, label))
+                f"{where}: target post {instance.target.post_id} has no sentences")
+        instances.append(instance)
     return instances
 
 

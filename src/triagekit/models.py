@@ -34,7 +34,6 @@ from .nn import (
     cross_entropy,
     dense,
     dropout,
-    embedding_conv1d,
     embedding_init,
     embedding_lookup,
     euclidean_distance,
@@ -95,12 +94,13 @@ class DepressionModel:
     """2-class user-level classifier over token-id post sequences.
 
     One graph per user: the first n_term tokens of every post that fills a
-    window go, concatenated, through one fused embedding convolution
-    (`embedding_conv1d`) and ReLU; ranged `mean_rows` averages each post's own
-    windows (never those across two posts) into a row, zero for a post without
-    a window and for each padding slot up to merge_window. The merge conv and
-    dense stack follow. `classify_user` runs the forward under `no_grad`, so
-    serving builds no graph and never holds the user's [T x embed_dim] rows.
+    window go, concatenated, through one `conv1d` that reads their embedding
+    rows through the ids, a block of at most 4096 windows at a time, and
+    ReLU; ranged `mean_rows` averages each post's own windows (never those
+    across two posts) into a row, zero for a post without a window and for
+    each padding slot up to merge_window. The merge conv and dense stack
+    follow. `classify_user` runs the forward under `no_grad`, so serving
+    builds no graph and never holds the user's [T x embed_dim] rows.
     """
 
     kind = "depression"
@@ -153,7 +153,7 @@ class DepressionModel:
         stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
         ids = np.fromiter(itertools.chain.from_iterable(kept), np.intp, count=int(lengths.sum()))
         if ids.size:
-            feat = relu(embedding_conv1d(nodes("emb"), ids, nodes("conv.w"), nodes("conv.b")))
+            feat = relu(conv1d(nodes("emb"), nodes("conv.w"), nodes("conv.b"), ids=ids))
             post_vecs = mean_rows(feat, starts, stops)
         else:
             feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))

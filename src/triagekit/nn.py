@@ -18,18 +18,18 @@ every parameter's raw float32 bytes. It is written and read in chunks of
 whole rows, so the file is never held whole, and a loaded parameter is
 converted straight into its final array.
 
-`conv1d` is the general convolution, k accumulated matmuls that hold nothing
-larger than the input and the output. Its kernels are laid out [d_in x k x
-filters], input column first, for a dense node input and for a constant
-`SparseRows` input alike; with the latter it reads and writes only the
-kernel rows of the input's nonzero columns, so Adam skips the rows no input
-has reached. Checkpoint files keep every 3-D parameter (every one is a
-kernel) as [filters x k x d_in]; `save_checkpoint` and `load_checkpoint`
-swap the axes at the file boundary. Sequences concatenated go through each
-op at once; `mean_rows` with row ranges pools each one's own rows.
-`embedding_conv1d` fuses an embedding lookup with the convolution over its
-rows: its forward gathers one block of rows at a time, so the [T x d] rows
-are never held whole, and its output is conv1d's bit for bit.
+`conv1d` is the one convolution: per block of at most 4096 output rows (equal
+blocks), k accumulated matmuls into the output, so nothing larger than the
+input and the output is held. Its input is a dense node, a constant
+`SparseRows`, or an embedding table's rows `ids`, gathered one block at a
+time, so the [T x d] rows are never held whole. Its kernels are laid out
+[d_in x k x filters], input column first, for every input; a `SparseRows`
+input reads and writes only the kernel rows of its nonzero columns, so Adam
+skips the rows no input has reached. Checkpoint files keep every 3-D
+parameter (every one is a kernel) as [filters x k x d_in]; `save_checkpoint`
+and `load_checkpoint` swap the axes at the file boundary. Sequences
+concatenated go through each op at once; `mean_rows` with row ranges pools
+each one's own rows.
 
 Under the `no_grad` context manager, for serving, nodes keep no parents and
 no backward rules, so each intermediate array is freed once read, and `relu`
@@ -370,22 +370,50 @@ class SparseRows:
         return whole
 
 
-def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> Node:
+# Output rows per block of `conv1d`'s forward.
+_CONV_BLOCK = 4096
+
+
+def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
+           ids=None) -> Node:
     """1-D convolution over the rows of x [T x d_in] with weights [d_in x k x l].
 
+    x is a dense node, a constant `SparseRows`, or, given ``ids`` (a nonempty
+    1-D id sequence), an embedding table node whose rows ``ids`` are the
+    input, as `embedding_lookup(x, ids)` would give them, never held whole.
     Output is pre-activation: out[r, f] = b[f] + sum over j < k of
     x[r * stride + j] dotted with weights[:, j, f]. Rows past the last full
     window are not covered (output has floor((T - k) / stride) + 1 rows).
 
-    Computed as k accumulated matmuls, out = sum_j x[j::stride] @ W[:, j],
-    with dW[:, j] = x[j::stride]^T @ g and, for a dense node x,
-    dx[j::stride] += g @ W[:, j]^T; no [T x k x l] product is ever held. A
-    constant `SparseRows` x reads only the kernel rows of its nonzero
-    columns, writes the weight gradient on those rows only, as a `RowGrad`
-    as `embedding_lookup` does, and gets no gradient.
+    The forward splits the output rows into ceil(rows / 4096) equal blocks.
+    Per block it slices the input rows the block reads, or gathers them
+    through ``ids``, and accumulates its k matmuls x[j::stride] @ W[:, j]
+    into the preallocated output through one reused block-sized temporary;
+    no [T x k x l] product is held. The block size is a BLAS constraint: the
+    rows of a product of m rows match those of the whole product only when
+    both take the same kernel. With OpenBLAS's Haswell kernels at d = 50 and
+    25 filters they differ for every m <= 800 (the small-matrix kernel) and
+    match from 801 on, so a short tail block would change the last bits.
+    Equal blocks hold at least 2048 rows each, and output that fits one
+    block is one matmul per window offset.
+
+    The backward has dW[:, j] = x[j::stride]^T @ g and dx[j::stride] += g @
+    W[:, j]^T, k matmuls each; a table's rows are gathered once for it, and
+    dx reaches the table as `embedding_lookup`'s gradient does. A constant
+    `SparseRows` x reads only the kernel rows of its nonzero columns, writes
+    the weight gradient on those rows only, as a `RowGrad`, and gets no
+    gradient.
     """
     sparse = isinstance(x, SparseRows)
-    T, d_in = x.shape if sparse else x.value.shape
+    src = x.values if sparse else x.value         # the rows read, or gathered through ids
+    T, d_in = x.shape if sparse else src.shape
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.intp)
+        if sparse:
+            raise ValueError("conv1d reads ids from an embedding table node, not SparseRows")
+        if ids.ndim != 1 or ids.size == 0:
+            raise ValueError("conv1d needs a nonempty 1-D id sequence")
+        T = ids.size
     d_w, k, l = weights.value.shape
     if d_w != d_in:
         raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
@@ -393,92 +421,40 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1) -> 
         raise ValueError(f"conv input has {T} rows, needs at least window size {k}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    span = (T - k) // stride * stride + 1       # input rows from first to last window start
-    xv = x.values if sparse else x.value
+    rows = (T - k) // stride + 1
     w = weights.value[x.cols] if sparse else weights.value
-    out = xv[:span:stride] @ w[:, 0]
-    for j in range(1, k):
-        out += xv[j:j + span:stride] @ w[:, j]
+    blocks = -(-rows // _CONV_BLOCK)
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    out = np.empty((rows, l), dtype=np.result_type(src, w))
+    part = np.empty((-(-rows // blocks), l), dtype=out.dtype)   # the largest block's product
+    for start, stop in itertools.pairwise(bounds):
+        n, at = stop - start, slice(start * stride, (stop - 1) * stride + k)
+        xb = src[at] if ids is None else src[ids[at]]
+        span = (n - 1) * stride + 1             # block rows from first to last window start
+        block, temp = out[start:stop], part[:n]
+        np.matmul(xb[:span:stride], w[:, 0], out=block)
+        for j in range(1, k):
+            block += np.matmul(xb[j:j + span:stride], w[:, j], out=temp)
     out += bias.value
 
     def back(g):
-        dw, dx = _conv_grads(xv, w, g, span, stride, input_grad=not sparse)
+        xv = src if ids is None else src[ids]
+        span = (rows - 1) * stride + 1
+        dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
+        _acc(bias, g.sum(axis=0))
         if sparse:
             _acc_rows(weights, x.cols, dw)
-        else:
-            _acc(weights, dw, fresh=True)
+            return
+        _acc(weights, dw, fresh=True)
+        dx = np.zeros_like(xv)
+        for j in range(k):
+            dx[j:j + span:stride] += g @ w[:, j].T
+        if ids is None:
             _acc(x, dx, fresh=True)
-        _acc(bias, g.sum(axis=0))
+        else:
+            _lookup_back(x, ids, dx)
 
     return Node(out, (weights, bias) if sparse else (x, weights, bias), back)
-
-
-def _conv_grads(xv: np.ndarray, w: np.ndarray, g: np.ndarray, span: int, stride: int,
-                input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """conv1d's kernel gradient, dW[:, j] = x[j::stride]^T @ g, and, if asked,
-    its input gradient, dx[j::stride] += g @ W[:, j]^T: k matmuls each."""
-    k = w.shape[1]
-    dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
-    if not input_grad:
-        return dw, None
-    dx = np.zeros_like(xv)
-    for j in range(k):
-        dx[j:j + span:stride] += g @ w[:, j].T
-    return dw, dx
-
-
-# Output rows per block of `embedding_conv1d`'s forward.
-_CONV_BLOCK = 4096
-
-
-def embedding_conv1d(table: Node, ids, weights: Node, bias: Node) -> Node:
-    """conv1d(embedding_lookup(table, ids), weights, bias), stride 1, bit for
-    bit, without holding the [T x d] block of embedding rows.
-
-    The forward splits the span = T - k + 1 output rows into ceil(span / 4096)
-    equal blocks. Per block it gathers the block's rows of the table and
-    accumulates its k matmuls into the preallocated output through one reused
-    block-sized temporary. The block size is a BLAS constraint: the rows of a
-    product of m rows match those of the whole product only when both take
-    the same kernel. With OpenBLAS's Haswell kernels at d = 50 and 25 filters
-    they differ for every m <= 800 (the small-matrix kernel) and match from
-    801 on, so a short tail block would change the last bits. Equal blocks
-    hold at least 2048 rows each, and a span that fits one block is conv1d's
-    single matmul per window offset.
-
-    The backward gathers the rows once and runs conv1d's rule and then
-    embedding_lookup's, in their arithmetic.
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("embedding_conv1d needs a nonempty 1-D id sequence")
-    d_in = table.value.shape[1]
-    d_w, k, l = weights.value.shape
-    if d_w != d_in:
-        raise ValueError(f"conv input depth {d_in} != filter depth {d_w}")
-    if ids.size < k:
-        raise ValueError(f"conv input has {ids.size} rows, needs at least window size {k}")
-    span = ids.size - k + 1
-    w = weights.value
-    blocks = -(-span // _CONV_BLOCK)
-    bounds = [span * i // blocks for i in range(blocks + 1)]
-    out = np.empty((span, l), dtype=table.value.dtype)
-    part = np.empty((-(-span // blocks), l), dtype=out.dtype)   # the largest block's product
-    for start, stop in itertools.pairwise(bounds):
-        n = stop - start
-        x = table.value[ids[start:stop + k - 1]]
-        np.matmul(x[:n], w[:, 0], out=out[start:stop])
-        for j in range(1, k):
-            out[start:stop] += np.matmul(x[j:j + n], w[:, j], out=part[:n])
-    out += bias.value
-
-    def back(g):
-        dw, dx = _conv_grads(table.value[ids], w, g, span, 1)
-        _acc(weights, dw, fresh=True)
-        _acc(bias, g.sum(axis=0))
-        _lookup_back(table, ids, dx)
-
-    return Node(out, (table, weights, bias), back)
 
 
 def relu(x: Node) -> Node:

@@ -191,6 +191,22 @@ def test_explain_rejects_fewer_than_one_phrase(planted_run, tmp_path, capsys, to
     assert not (tmp_path / "phrases.json").exists()
 
 
+def test_evaluate_bad_label_row_names_its_line(planted_run, tmp_path, capsys):
+    ckpt_dir, data_dir = planted_run
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "test.posts.ndjson").write_bytes((data_dir / "test.posts.ndjson").read_bytes())
+    labels = (data_dir / "test.labels.ndjson").read_text().replace(
+        f'"label": "{DIAGNOSED}"', '"label": "depressed"', 1)
+    (data / "test.labels.ndjson").write_text(labels)
+    rc = run_cli(["evaluate", "--checkpoint", str(ckpt_dir / "checkpoint.json"),
+                  "--data", str(data), "--split", "test", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'test.labels.ndjson'}:1: bad label row: "
+                          "unknown user label 'depressed'"), err
+
+
 def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     ckpt_dir, data_dir = planted_run
     bare = tmp_path / "bare"
@@ -459,6 +475,21 @@ def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_
     assert rc == 1
     assert "error: n_term must cover one convolution window" in capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_predict_late_context_post_names_its_line(risk_chain, tmp_path, capsys):
+    _, _, run_dir = risk_chain
+    post = {"user_id": "u", "community": "c", "text": "Help?"}
+    threads = tmp_path / "threads.ndjson"
+    write_ndjson(threads, [{"target": {**post, "post_id": "t1", "timestamp": 5},
+                            "context": [{**post, "post_id": "c1", "timestamp": 5}],
+                            "label": "green"}])
+    rc = run_cli(["predict", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--input", str(threads), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {threads}:1: bad thread row: "
+                          "context post c1 is not earlier than the target"), err
 
 
 def test_risk_evaluate_all_splits(risk_chain, tmp_path, capsys):

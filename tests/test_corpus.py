@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from triagekit.corpus import (
     UserRecord,
     Vocabulary,
     load_users,
+    read_labels,
     read_threads,
     split_sentences,
     tokenize,
@@ -439,3 +441,31 @@ def test_threads_blank_target_reports_line(tmp_path):
     with pytest.raises(CorpusFormatError,
                        match=r"threads\.ndjson:2: target post t2 has no sentences"):
         read_threads(path)
+
+
+def test_threads_late_context_post_reports_line(tmp_path):
+    path = tmp_path / "threads.ndjson"
+    write_threads(path, [ThreadInstance(make_post("t1", ts=10, text="Help?"), (), RiskLabel.AMBER)])
+    row = {"target": {"post_id": "t2", "user_id": "u", "community": "c", "timestamp": 10,
+                      "text": "Help?"},
+           "context": [{"post_id": "c1", "user_id": "u", "community": "c", "timestamp": 10,
+                        "text": "Same time."}],
+           "label": "green"}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(row) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"threads\.ndjson:2: bad thread row: "
+                                                r"context post c1 is not earlier"):
+        read_threads(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"user_id": "u2", "label": "depressed"}, "unknown user label 'depressed'"),
+    ({"user_id": "u2", "label": DIAGNOSED}, "diagnosis_post_id must be present iff"),
+    ({"user_id": "u2", "label": CONTROL, "diagnosis_post_id": "p1"},
+     "diagnosis_post_id must be present iff"),
+], ids=["unknown_label", "diagnosed_without_post", "control_with_post"])
+def test_bad_label_row_reports_line(tmp_path, row, message):
+    path = tmp_path / "labels.ndjson"
+    path.write_text(json.dumps({"user_id": "u1", "label": CONTROL}) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(CorpusFormatError, match=rf"labels\.ndjson:2: bad label row: {message}"):
+        read_labels(path)

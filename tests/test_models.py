@@ -218,7 +218,7 @@ def test_depression_forward_is_one_graph_per_user(monkeypatch):
             return op(*args, **kwargs)
         return wrapper
 
-    for name in ("embedding_lookup", "embedding_conv1d", "conv1d", "stack_rows", "constant"):
+    for name in ("embedding_lookup", "conv1d", "stack_rows", "constant"):
         monkeypatch.setattr(models, name, counted(name))
     model = DepressionModel(tiny_depression_config())
     rng = np.random.default_rng(8)
@@ -226,7 +226,7 @@ def test_depression_forward_is_one_graph_per_user(monkeypatch):
         calls.clear()
         model.loss(random_user(rng, model.config, n_posts, (0, 10)) + [[2, 3]], 1,
                    ParamNodes(model.params))
-        assert calls == {"embedding_conv1d": 1, "conv1d": 1}, n_posts
+        assert calls == {"conv1d": 2}, n_posts
 
 
 @pytest.mark.parametrize("overrides, posts", [
@@ -371,7 +371,7 @@ def test_non_finite_embedding_row_names_the_op_and_training_builds_a_graph():
     row = model.params["emb"][3].copy()
     model.params["emb"][3, 1] = np.inf          # written past the store's checks
     with np.errstate(invalid="ignore"), \
-            pytest.raises(FloatingPointError, match="non-finite values in embedding_conv1d"):
+            pytest.raises(FloatingPointError, match="non-finite values in conv1d op output"):
         model.classify_user(posts)
     model.params["emb"][3] = row
     nodes = ParamNodes(model.params)

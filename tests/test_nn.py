@@ -23,7 +23,6 @@ from triagekit.nn import (
     cross_entropy,
     dense,
     dropout,
-    embedding_conv1d,
     embedding_lookup,
     euclidean_distance,
     finite_difference_check,
@@ -666,13 +665,14 @@ def test_sparse_conv1d_shared_weights_record_the_union_of_columns():
     assert max(worst.values()) < 1e-4, worst
 
 
-# -- fused embedding convolution and no_grad ---------------------------------
+# -- conv1d over an embedding table's rows, blocking, and no_grad -------------
 
-def test_gradcheck_embedding_conv1d():
+def test_gradcheck_conv1d_over_table_rows():
     rng = np.random.default_rng(46)
     for trial in range(6):
         vocab, d = 6, int(rng.integers(1, 4))
         k, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        stride = 1 + trial % 2
         ids = rng.integers(0, vocab, size=int(rng.integers(k, 9)))
         ids[-1] = ids[0]                        # a repeated row
         params = ParamStore()
@@ -681,7 +681,7 @@ def test_gradcheck_embedding_conv1d():
         params.add("b", rng.standard_normal(l) * 0.1)
 
         def loss_fn(nodes):
-            out = embedding_conv1d(nodes("emb"), ids, nodes("w"), nodes("b"))
+            out = conv1d(nodes("emb"), nodes("w"), nodes("b"), stride=stride, ids=ids)
             return readout_loss(relu(out), np.random.default_rng(trial))
 
         worst = finite_difference_check(loss_fn, params)
@@ -689,23 +689,52 @@ def test_gradcheck_embedding_conv1d():
         assert max(worst.values()) < 1e-4, worst
 
 
+def whole_span_conv1d(x, w, b, stride=1):
+    """conv1d's arithmetic over all windows at once, unblocked: x[:span] @
+    W[:, 0] + x[1:1 + span] @ W[:, 1] + ... + b, each product over the whole
+    span."""
+    k = w.shape[1]
+    span = (x.shape[0] - k) // stride * stride + 1
+    out = x[:span:stride] @ w[:, 0]
+    for j in range(1, k):
+        out += x[j:j + span:stride] @ w[:, j]
+    out += b
+    return out
+
+
+def depression_conv_inputs(seed, t, d=50):
+    """Shapes of the depression model's first stage: window 3, 25 filters."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-0.2, 0.2, (d, 3, 25))
+    return rng, constant(w), constant(rng.uniform(-0.1, 0.1, 25))
+
+
 # Spans of one block, of a short tail under fixed 4096-row blocks (4099 is a
 # 1-row tail, 8195 a 3-row one, 3 * 4096 + 7 a 7-row one) and of the cap user.
 @pytest.mark.parametrize("t", [3, 800, 801, 4098, 4099, 8195, 3 * 4096 + 7, 56_776])
-def test_embedding_conv1d_is_conv1d_of_the_lookup(t):
-    # At the depression model's shapes (d 50, window 3, 25 filters) the
-    # blocked forward is bit for bit the whole-input conv1d.
-    rng = np.random.default_rng(t)
+def test_conv1d_over_table_rows_is_whole_span_conv(t):
+    # The blocked forward over gathered rows is bit for bit the unblocked
+    # products over the whole [T x d] lookup.
+    rng, w, b = depression_conv_inputs(t, t)
     table = constant(rng.uniform(-0.05, 0.05, (5000, 50)))
-    w = constant(rng.uniform(-0.2, 0.2, (50, 3, 25)))
-    b = constant(rng.uniform(-0.1, 0.1, 25))
     ids = rng.integers(0, 5000, t)
-    fused = embedding_conv1d(table, ids, w, b).value
-    assert np.array_equal(fused, conv1d(embedding_lookup(table, ids), w, b).value)
+    out = conv1d(table, w, b, ids=ids).value
+    assert np.array_equal(out, whole_span_conv1d(table.value[ids], w.value, b.value))
+
+
+@pytest.mark.parametrize("t,stride,d", [
+    (8195, 1, 50), (8195, 2, 50), (8195, 15, 50),
+    (15 * 4100 + 3, 15, 25),                   # 4101 output rows: two blocks at stride 15
+])
+def test_dense_conv1d_blocks_are_the_whole_span_conv(t, stride, d):
+    rng, w, b = depression_conv_inputs(t + stride, t, d)
+    x = constant(rng.uniform(-0.05, 0.05, (t, d)))
+    out = conv1d(x, w, b, stride=stride).value
+    assert np.array_equal(out, whole_span_conv1d(x.value, w.value, b.value, stride))
 
 
 @pytest.mark.parametrize("t", [3, 4099])
-def test_embedding_conv1d_gradients_are_lookup_then_conv1d(t):
+def test_conv1d_over_table_rows_gradients_are_lookup_then_conv1d(t):
     rng = np.random.default_rng(47)
     params = ParamStore()
     params.add("emb", rng.uniform(-0.05, 0.05, (300, 50)))
@@ -714,10 +743,10 @@ def test_embedding_conv1d_gradients_are_lookup_then_conv1d(t):
     ids = rng.integers(0, 300, t)
     g = rng.standard_normal((t - 2, 25))
     grads = []
-    for fused in (True, False):
+    for over_rows in (True, False):
         nodes = ParamNodes(params)
-        if fused:
-            out = embedding_conv1d(nodes("emb"), ids, nodes("w"), nodes("b"))
+        if over_rows:
+            out = conv1d(nodes("emb"), nodes("w"), nodes("b"), ids=ids)
         else:
             out = conv1d(embedding_lookup(nodes("emb"), ids), nodes("w"), nodes("b"))
         backward(pick(dense(flatten(out), constant(g.reshape(1, -1)), constant(np.zeros(1))), 0))
@@ -727,14 +756,18 @@ def test_embedding_conv1d_gradients_are_lookup_then_conv1d(t):
     assert np.array_equal(grads[0]["emb"].rows, np.unique(ids))
 
 
-def test_embedding_conv1d_rejects_bad_inputs():
+def test_conv1d_over_table_rows_rejects_bad_inputs():
     table, w, b = constant(np.zeros((5, 2))), constant(np.zeros((2, 3, 1))), constant(np.zeros(1))
     with pytest.raises(ValueError, match="nonempty 1-D"):
-        embedding_conv1d(table, [], w, b)
+        conv1d(table, w, b, ids=[])
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        conv1d(table, w, b, ids=[[1, 2, 3]])
+    with pytest.raises(ValueError, match="not SparseRows"):
+        conv1d(SparseRows.from_dense(np.ones((5, 2))), w, b, ids=[1, 2, 3])
     with pytest.raises(ValueError, match="at least window size 3"):
-        embedding_conv1d(table, [1, 2], w, b)
+        conv1d(table, w, b, ids=[1, 2])
     with pytest.raises(ValueError, match="depth 2 != filter depth 4"):
-        embedding_conv1d(table, [1, 2, 3], constant(np.zeros((4, 3, 1))), b)
+        conv1d(table, constant(np.zeros((4, 3, 1))), b, ids=[1, 2, 3])
 
 
 def test_no_grad_builds_no_graph_and_restores_the_mode_after_an_error():
@@ -764,8 +797,8 @@ def test_no_grad_non_finite_output_names_its_op():
     table = constant(np.ones((3, 2)))
     table.value[1, 0] = np.inf                  # written past the store's checks
     w, b = constant(np.ones((2, 2, 1))), constant(np.zeros(1))
-    with no_grad(), pytest.raises(FloatingPointError, match="embedding_conv1d op output"):
-        embedding_conv1d(table, [0, 1, 2], w, b)
+    with no_grad(), pytest.raises(FloatingPointError, match="conv1d op output"):
+        conv1d(table, w, b, ids=[0, 1, 2])
     with no_grad(), np.errstate(over="ignore"), \
             pytest.raises(FloatingPointError, match="dense op output"):
         dense(constant(np.ones(2)), constant(np.full((1, 2), 1e308)), constant(np.zeros(1)))
