@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -27,7 +28,6 @@ import numpy as np
 from .corpus import (
     CONTROL,
     DIAGNOSED,
-    CorpusFormatError,
     HashedSentenceEncoder,
     UserRecord,
     Vocabulary,
@@ -160,56 +160,62 @@ def _users(posts: Path, labels: Path | None = None, vocab: Vocabulary | None = N
     return tokenize_users(users, vocab), vocab
 
 
-def _sentence_encoder(record: dict) -> HashedSentenceEncoder:
-    """The risk sentence encoder of a run.json "encoder" record ({"dim", "seed"})."""
-    return HashedSentenceEncoder(**record)
-
-
-def _check_encoder_record(record, path: Path) -> None:
-    """A run.json "encoder" record holds exactly "dim" and "seed", both integers."""
+def _sentence_encoder(record) -> HashedSentenceEncoder:
+    """The sentence encoder of a run.json "encoder" record: exactly "dim" and "seed"."""
     if not isinstance(record, dict):
-        raise ValueError(f"{path}: encoder record must be an object, got {record!r}")
+        raise ValueError(f"encoder record must be an object, got {record!r}")
     for what, names in (("unknown", set(record) - {"dim", "seed"}),
                         ("missing", {"dim", "seed"} - set(record))):
         if names:
-            raise ValueError(f"{path}: encoder record has {what} fields {sorted(names)}")
-    for name in ("dim", "seed"):
-        if isinstance(record[name], bool) or not isinstance(record[name], int):
-            raise ValueError(f"{path}: encoder {name} must be an integer, "
-                             f"got {record[name]!r}")
+            raise ValueError(f"encoder record has {what} fields {sorted(names)}")
+    return HashedSentenceEncoder(**record)
 
 
-def _sibling_json(checkpoint: str, name: str, what: str):
+@contextlib.contextmanager
+def _run_file(checkpoint: str, name: str, what: str):
+    """The path of file ``name`` beside the checkpoint. A KeyError, TypeError
+    or ValueError raised in the block fails as ``path: reason``."""
     path = Path(checkpoint).parent / name
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing {what} (expected next to the checkpoint)")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        yield path
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_run_dir(checkpoint: str):
-    """(run.json, the model of its task, the vocabulary or None for risk)."""
-    run = _sibling_json(checkpoint, "run.json", "run description")
-    if run["task"] != "depression":
-        _check_encoder_record(run.get("encoder"), Path(checkpoint).parent / "run.json")
-        return run, RiskModel.load(checkpoint)[0], None
-    model, _, _ = DepressionModel.load(checkpoint)
-    tokens = _sibling_json(checkpoint, "vocab.json", "vocabulary")["tokens"]
-    return run, model, Vocabulary(tokens)
+    """(run.json, its task's model, the vocabulary or None, and what reads an
+    input: a SelectionConfig, or a sentence encoder for risk). The checkpoint loads
+    before run.json's task fields are read, so the other task's checkpoint fails on kind."""
+    with _run_file(checkpoint, "run.json", "run description") as path:
+        run = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(run, dict) or run.get("task") not in ("depression", "risk"):
+            raise ValueError("run description must be an object whose task is depression or risk")
+    if run["task"] == "risk":
+        model, vocab = RiskModel.load(checkpoint)[0], None
+    else:
+        model = DepressionModel.load(checkpoint)[0]
+        with _run_file(checkpoint, "vocab.json", "vocabulary") as path:
+            vocab = Vocabulary(json.loads(path.read_text(encoding="utf-8"))["tokens"])
+    with _run_file(checkpoint, "run.json", "run description"):
+        reader = (_sentence_encoder(run["encoder"]) if vocab is None
+                  else SelectionConfig(**run["selection"]))
+    return run, model, vocab, reader
 
 
-def _prediction_rows(run: dict, model, inputs) -> list[dict]:
-    """One predictions.ndjson row per input user (depression) or thread (risk)."""
+def _prediction_rows(model, reader, inputs) -> list[dict]:
+    """One predictions.ndjson row per input user (depression, ``reader`` its
+    SelectionConfig) or thread (risk, ``reader`` its sentence encoder)."""
     rows = []
-    if run["task"] == "depression":
-        selection = SelectionConfig(**run["selection"])
+    if model.kind == "depression":
         for user in inputs:
-            probs = model.classify_user(select_posts(user, selection))
+            probs = model.classify_user(select_posts(user, reader))
             rows.append({"user_id": user.user_id,
                          "predicted": DIAGNOSED if np.argmax(probs) == 1 else CONTROL,
                          "score": float(probs[1])})
         return rows
-    encoded = thread_matrices(inputs, _sentence_encoder(run["encoder"]),
-                              run["max_sentences"])
+    encoded = thread_matrices(inputs, reader, model.config.max_sentences)
     for inst, (target, context, _) in zip(inputs, encoded):
         label, score = model.predict(target, context)
         rows.append({"post_id": inst.target.post_id, "predicted": label.name.lower(),
@@ -306,7 +312,7 @@ def _train_risk_cmd(args, out: Path) -> int:
     encoder_record = {"seed": derive_seed(args.seed, "encoder")}
     if "encoder_dim" in opts:
         encoder_record["dim"] = opts["encoder_dim"]
-    encoder = _sentence_encoder(encoder_record)
+    encoder = HashedSentenceEncoder(**encoder_record)
     model_config = RiskModelConfig.for_variant(variant, sentence_dim=encoder.dim,
                                                **_pick(opts, RiskModelConfig))
     max_sentences = model_config.max_sentences
@@ -346,17 +352,17 @@ def _risk_threads_for_split(run: dict, data: Path, split: str):
 
 
 def cmd_evaluate(args) -> int:
-    run, model, vocab = _load_run_dir(args.checkpoint)
+    run, model, vocab, reader = _load_run_dir(args.checkpoint)
     data = Path(args.data)
-    if run["task"] == "depression":
+    if model.kind == "depression":
         users, _ = _users(data / f"{args.split}.posts.ndjson",
                           data / f"{args.split}.labels.ndjson", vocab)
-        rows = _prediction_rows(run, model, users)
+        rows = _prediction_rows(model, reader, users)
         report = detection_report([int(u.label == DIAGNOSED) for u in users],
                                   [int(row["predicted"] == DIAGNOSED) for row in rows])
     else:
         threads = _risk_threads_for_split(run, data, args.split)
-        rows = _prediction_rows(run, model, threads)
+        rows = _prediction_rows(model, reader, threads)
         report = triage_report([int(t.label) for t in threads],
                                [row["ordinal"] for row in rows])
     print(report.to_text())
@@ -365,13 +371,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    run, model, vocab = _load_run_dir(args.checkpoint)
+    _, model, vocab, reader = _load_run_dir(args.checkpoint)
     out = Path(args.out)
-    if run["task"] == "depression":
+    if model.kind == "depression":
         inputs, _ = _users(Path(args.input), vocab=vocab)
     else:
         inputs = read_threads(args.input)
-    rows = _prediction_rows(run, model, inputs)
+    rows = _prediction_rows(model, reader, inputs)
     write_epoch_log(out / "predictions.ndjson", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.ndjson'}")
     return 0
@@ -449,15 +455,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_explain(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be at least 1, got {args.top}")
-    run, model, vocab = _load_run_dir(args.checkpoint)
-    if run["task"] != "depression":
+    _, model, vocab, _ = _load_run_dir(args.checkpoint)
+    if model.kind != "depression":
         raise ValueError("explain requires a depression checkpoint")
     data = Path(args.data)
     users, _ = _users(data / f"{args.split}.posts.ndjson",
                       data / f"{args.split}.labels.ndjson", vocab)
-    n_term = run["selection"]["n_term"]
-    users_iter = [(u.user_id, [(p.post_id, p.tokens[:n_term]) for p in u.posts])
-                  for u in users]
+    users_iter = [(u.user_id, [(p.post_id, p.tokens) for p in u.posts]) for u in users]
     phrases = top_phrases(model, users_iter, args.top, vocab)
     print(f"{'score':>10}  {'post':<16} phrase")
     for post_id, tokens, score in phrases:
@@ -560,8 +564,7 @@ def main(argv=None) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except (CorpusFormatError, FileNotFoundError, NotADirectoryError, KeyError,
-            ValueError, RuntimeError, OSError, configparser.Error) as exc:
+    except (KeyError, ValueError, RuntimeError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class RiskLabel(IntEnum):
     @classmethod
     def parse(cls, name: str) -> "RiskLabel":
         try:
-            return cls[name.strip().upper()]
+            return cls[str(name).strip().upper()]
         except KeyError:
             raise ValueError(f"unknown risk label {name!r}") from None
 
@@ -177,6 +177,8 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str]):
         self._id_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens)
+        if isinstance(tokens, str) or not all(isinstance(t, str) for t in self._id_to_token):
+            raise TypeError("vocabulary tokens must be a sequence of strings")
         self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
         if len(self._token_to_id) != len(self._id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
@@ -239,8 +241,9 @@ class HashedSentenceEncoder:
     """
 
     def __init__(self, dim: int = 7200, seed: int = 0, max_ngram: int = 2):
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-            raise ValueError(f"encoder dim must be an integer, got {dim!r}")
+        for name, value in (("dim", dim), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"encoder {name} must be an integer, got {value!r}")
         if dim < 1:
             raise ValueError("encoder dim must be >= 1")
         self.dim = int(dim)
@@ -287,25 +290,32 @@ class HashedSentenceEncoder:
 # ---------------------------------------------------------------------------
 # Line-delimited JSON I/O
 
-def _iter_ndjson(path: Path):
+def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
+    """`parse(row)` of each non-blank line of an ndjson file, in file order.
+
+    A line that is not JSON, or a row that `parse` rejects with a KeyError,
+    TypeError or ValueError, fails as ``path:line: bad <what> row: reason``;
+    a CorpusFormatError that `parse` raises fails as ``path:line: reason``.
+    """
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
+                rows.append(parse(json.loads(line)))
+            except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: bad {what} row: {exc}") from None
+    return rows
 
 
-def _post_from_row(row: Mapping, where: str) -> Post:
-    try:
-        return Post(post_id=str(row["post_id"]), user_id=str(row["user_id"]),
-                    community=str(row["community"]), timestamp=int(row["timestamp"]),
-                    text=str(row["text"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{where}: bad post row: {exc}") from None
+def _post(row: Mapping) -> Post:
+    return Post(post_id=str(row["post_id"]), user_id=str(row["user_id"]),
+                community=str(row["community"]), timestamp=int(row["timestamp"]),
+                text=str(row["text"]))
 
 
 @contextlib.contextmanager
@@ -327,8 +337,7 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 
 def read_posts(path: str | Path) -> list[Post]:
-    path = Path(path)
-    return [_post_from_row(row, f"{path}:{lineno}") for lineno, row in _iter_ndjson(path)]
+    return read_rows(path, "post", _post)
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
@@ -339,21 +348,17 @@ def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
                                  "text": p.text}, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+def _label(row: Mapping) -> tuple[str, tuple[str, str | None]]:
+    uid, label = str(row["user_id"]), str(row["label"])
+    diag = row.get("diagnosis_post_id")
+    diag = str(diag) if diag is not None else None
+    _check_user_label(label, diag)
+    return uid, (label, diag)
+
+
 def read_labels(path: str | Path) -> dict[str, tuple[str, str | None]]:
     """user_id -> (label, diagnosis_post_id or None)."""
-    path = Path(path)
-    labels: dict[str, tuple[str, str | None]] = {}
-    for lineno, row in _iter_ndjson(path):
-        try:
-            uid = str(row["user_id"])
-            label = str(row["label"])
-            diag = row.get("diagnosis_post_id")
-            diag = str(diag) if diag is not None else None
-            _check_user_label(label, diag)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: bad label row: {exc}") from None
-        labels[uid] = (label, diag)
-    return labels
+    return dict(read_rows(path, "label", _label))
 
 
 def write_labels(path: str | Path, users: Iterable[UserRecord]) -> None:
@@ -388,25 +393,19 @@ def load_users(posts_path: str | Path,
     return users
 
 
+def _thread(row: Mapping) -> ThreadInstance:
+    instance = ThreadInstance(_post(row["target"]),
+                              tuple(_post(c) for c in row.get("context", [])),
+                              RiskLabel.parse(row["label"]))
+    # split_sentences finds no sentence exactly when the text is blank.
+    if not instance.target.text.strip():
+        raise CorpusFormatError(f"target post {instance.target.post_id} has no sentences")
+    return instance
+
+
 def read_threads(path: str | Path) -> list[ThreadInstance]:
     """Thread instances: {"target": {post}, "context": [post...], "label": name}."""
-    path = Path(path)
-    instances = []
-    for lineno, row in _iter_ndjson(path):
-        where = f"{path}:{lineno}"
-        try:
-            instance = ThreadInstance(
-                _post_from_row(row["target"], where),
-                tuple(_post_from_row(c, where) for c in row.get("context", [])),
-                RiskLabel.parse(row["label"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{where}: bad thread row: {exc}") from None
-        # split_sentences finds no sentence exactly when the text is blank.
-        if not instance.target.text.strip():
-            raise CorpusFormatError(
-                f"{where}: target post {instance.target.post_id} has no sentences")
-        instances.append(instance)
-    return instances
+    return read_rows(path, "thread", _thread)
 
 
 def write_threads(path: str | Path, instances: Iterable[ThreadInstance]) -> None:

@@ -20,11 +20,10 @@ from typing import Mapping, Sequence
 from .corpus import (
     CONTROL,
     DIAGNOSED,
-    CorpusFormatError,
     UserRecord,
-    _iter_ndjson,
     atomic_open,
     load_users,
+    read_rows,
     token_spans,
     word_tokens,
     write_labels,
@@ -163,18 +162,13 @@ def apply_annotations(candidates: Mapping[str, str],
     line-delimited JSON rows {"post_id": ..., "votes": [true, false, ...]}.
     Candidates whose post has no annotation row are dropped.
     """
-    annotation_path = Path(annotation_path)
-    votes: dict[str, int] = {}
-    for lineno, row in _iter_ndjson(annotation_path):
-        try:
-            post_id = str(row["post_id"])
-            raw = row["votes"]
-            if not isinstance(raw, list) or any(not isinstance(v, bool) for v in raw):
-                raise TypeError("votes must be a list of booleans")
-        except (KeyError, TypeError) as exc:
-            raise CorpusFormatError(
-                f"{annotation_path}:{lineno}: bad annotation row: {exc}") from None
-        votes[post_id] = sum(1 for v in raw if v)
+    def positive_votes(row: Mapping) -> tuple[str, int]:
+        post_id, raw = str(row["post_id"]), row["votes"]
+        if not isinstance(raw, list) or any(not isinstance(v, bool) for v in raw):
+            raise TypeError("votes must be a list of booleans")
+        return post_id, sum(raw)
+
+    votes = dict(read_rows(annotation_path, "annotation", positive_votes))
     return {uid: pid for uid, pid in candidates.items()
             if votes.get(pid, 0) >= min_positive}
 

@@ -189,14 +189,15 @@ class DepressionModel:
     @classmethod
     def load(cls, path: str | Path) -> tuple["DepressionModel", int, int]:
         params, config, seed, step = load_checkpoint(path)
-        if config.get("kind") != cls.kind:
-            raise ValueError(f"checkpoint holds {config.get('kind')!r}, not {cls.kind!r}")
-        return cls(_stored_config(DepressionModelConfig, config, path), params), seed, step
+        model_config = _stored_config(cls.kind, DepressionModelConfig, config, path)
+        return cls(model_config, params), seed, step
 
 
-def _stored_config(config_cls, config: dict, path: str | Path):
-    """``config_cls`` from a checkpoint's config, whose fields besides "kind"
-    must be exactly the class's; a ValueError names the file and the fields."""
+def _stored_config(kind: str, config_cls, config: dict, path: str | Path):
+    """``config_cls`` from the config of a checkpoint of a ``kind`` model, whose
+    other fields must be exactly the class's; a ValueError names the file."""
+    if str(config.get("kind")).partition(":")[0] != kind:
+        raise ValueError(f"{path}: checkpoint holds {config.get('kind')!r}, not a {kind!r} model")
     names = [f.name for f in fields(config_cls)]
     missing = [name for name in names if name not in config]
     unknown = sorted(set(config) - set(names) - {"kind"})
@@ -417,10 +418,7 @@ class RiskModel:
     @classmethod
     def load(cls, path: str | Path) -> tuple["RiskModel", int, int]:
         params, config, seed, step = load_checkpoint(path)
-        kind = config.get("kind", "")
-        if not kind.startswith(f"{cls.kind}:"):
-            raise ValueError(f"checkpoint holds {kind!r}, not a {cls.kind!r} model")
-        return cls(_stored_config(RiskModelConfig, config, path), params), seed, step
+        return cls(_stored_config(cls.kind, RiskModelConfig, config, path), params), seed, step
 
 
 def instance_matrices(instance: ThreadInstance, encoder,

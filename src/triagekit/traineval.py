@@ -320,6 +320,11 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0 or not 0 < self.lr < math.inf:
+            raise ValueError("epochs must be >= 0 and lr finite and > 0, "
+                             f"got epochs {self.epochs}, lr {self.lr}")
+
 
 @dataclass
 class TrainResult:

@@ -562,6 +562,72 @@ def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, cap
     assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
 
+RUN_DIR_FAULTS = {
+    "run_not_json": ("run.json", lambda run: "{task: depression}"),
+    "run_list": ("run.json", lambda run: json.dumps([run])),
+    "run_empty": ("run.json", lambda run: "{}"),
+    "n_post_string": ("run.json", lambda run: json.dumps(
+        {**run, "selection": {**run["selection"], "n_post": "10"}})),
+    "unknown_selection_key": ("run.json", lambda run: json.dumps(
+        {**run, "selection": {**run["selection"], "bogus": 1}})),
+    "vocab_not_json": ("vocab.json", lambda run: '{"tokens": ['),
+    "vocab_tokens_int": ("vocab.json", lambda run: '{"tokens": 5}'),
+    "vocab_token_not_str": ("vocab.json", lambda run: '{"tokens": [1, 2]}'),
+    "vocab_tokens_str": ("vocab.json", lambda run: '{"tokens": "w0 w1"}'),
+}
+
+
+@pytest.mark.parametrize("fault", list(RUN_DIR_FAULTS))
+def test_predict_malformed_run_file_fails_by_name(planted_run, tmp_path, capsys, fault):
+    # Each fault exits 1 with one stderr line that names the file, and no
+    # traceback.
+    run_dir, data_dir = planted_run
+    name, rewrite = RUN_DIR_FAULTS[fault]
+    run = json.loads((run_dir / "run.json").read_text())
+    for other in ("checkpoint.json", "run.json", "vocab.json"):
+        (tmp_path / other).write_bytes((run_dir / other).read_bytes())
+    (tmp_path / name).write_text(rewrite(run))
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                  "--input", str(data_dir / "test.posts.ndjson"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
+
+@pytest.mark.parametrize("task", ["risk", "depression"])
+def test_run_file_of_the_other_task_fails_on_the_checkpoint_kind(planted_run, risk_chain,
+                                                                 tmp_path, capsys, task):
+    # run.json names one task beside the other task's checkpoint.
+    run_dir = planted_run[0] if task == "risk" else risk_chain[2]
+    for name in ("checkpoint.json", "run.json", "vocab.json"):
+        if (run_dir / name).exists():
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    run = json.loads((run_dir / "run.json").read_text())
+    (tmp_path / "run.json").write_text(json.dumps({**run, "task": task}))
+    inputs = (risk_chain[1] / "test.threads.ndjson" if task == "risk"
+              else planted_run[1] / "test.posts.ndjson")
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                  "--input", str(inputs), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    held = "depression" if task == "risk" else "risk:cat_ce"
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'checkpoint.json'}: checkpoint "
+                                       f"holds {held!r}, not a {task!r} model\n")
+
+
+def test_train_rejects_negative_epochs(risk_chain, tmp_path, capsys):
+    ini, data, _ = risk_chain
+    config = tmp_path / "config.ini"
+    config.write_text(ini.read_text().replace("epochs = 2", "epochs = -1"))
+    rc = run_cli(["train", "--task", "risk", "--config", str(config), "--data", str(data),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: epochs must be >= 0 and lr finite and > 0, got epochs -1, lr 0.01")
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("task", ["risk", "depression"])
 def test_predict_checkpoint_with_bad_config_fields_fails(planted_run, risk_chain, tmp_path,
                                                          capsys, task):

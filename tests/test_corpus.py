@@ -19,6 +19,7 @@ from triagekit.corpus import (
     Vocabulary,
     load_users,
     read_labels,
+    read_posts,
     read_threads,
     split_sentences,
     tokenize,
@@ -392,6 +393,18 @@ def test_hashed_encoder_rejects_a_dim_that_is_not_a_positive_integer(dim):
         HashedSentenceEncoder(dim=dim)
 
 
+@pytest.mark.parametrize("seed", [1.0, "1", False, None])
+def test_hashed_encoder_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=f"encoder seed must be an integer, got {seed!r}"):
+        HashedSentenceEncoder(dim=8, seed=seed)
+
+
+@pytest.mark.parametrize("tokens", [[1, 2], ["a", None], [["a"]], "abc"])
+def test_vocabulary_rejects_a_token_that_is_not_a_string(tokens):
+    with pytest.raises(TypeError, match="vocabulary tokens must be a sequence of strings"):
+        Vocabulary(tokens)
+
+
 # -- corpus I/O -------------------------------------------------------------
 
 def test_load_users_round_trip(tmp_path):
@@ -419,6 +432,47 @@ def test_bad_json_reports_line(tmp_path):
                     '"timestamp": 0, "text": ""}\nnot json\n')
     with pytest.raises(CorpusFormatError, match=r":2"):
         load_users(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "bad post row: Expecting value: line 1 column 1"),
+    ('["p2"]', "bad post row: list indices must be integers"),
+    ('{"post_id": "p2", "user_id": "u", "community": "c", "timestamp": "noon", "text": ""}',
+     "bad post row: invalid literal for int()"),
+    ('{"post_id": "p2", "user_id": "u", "community": "c", "timestamp": 0}',
+     "bad post row: 'text'"),
+], ids=["not_json", "not_object", "bad_timestamp", "missing_field"])
+def test_bad_post_row_reports_line(tmp_path, text, message):
+    # A blank line counts toward the line number and is skipped.
+    path = tmp_path / "posts.ndjson"
+    path.write_text('{"post_id": "p1", "user_id": "u", "community": "c", "timestamp": 0, '
+                    f'"text": ""}}\n\n{text}\n')
+    with pytest.raises(CorpusFormatError) as info:
+        read_posts(path)
+    assert str(info.value).startswith(f"{path}:3: {message}"), info.value
+
+
+@pytest.mark.parametrize("where", ["target", "context"])
+def test_thread_with_a_bad_post_names_its_line_once(tmp_path, where):
+    post = {"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0, "text": "Hi."}
+    row = {"target": {**post, "timestamp": 5}, "context": [dict(post)], "label": "green"}
+    del (row["target"] if where == "target" else row["context"][0])["text"]
+    path = tmp_path / "t.ndjson"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        read_threads(path)
+    assert str(info.value) == f"{path}:1: bad thread row: 'text'"
+    assert str(info.value).count(f"{path}:1") == 1
+
+
+@pytest.mark.parametrize("label", [3, None, "purple"])
+def test_thread_with_a_bad_label_reports_line(tmp_path, label):
+    post = {"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0, "text": "Hi."}
+    path = tmp_path / "t.ndjson"
+    path.write_text(json.dumps({"target": post, "label": label}) + "\n")
+    with pytest.raises(CorpusFormatError,
+                       match=rf"t\.ndjson:1: bad thread row: unknown risk label {label!r}"):
+        read_threads(path)
 
 
 def test_threads_round_trip(tmp_path):

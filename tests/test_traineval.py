@@ -158,6 +158,13 @@ def test_select_random_differs_across_users():
     assert len(picks) > 1
 
 
+@pytest.mark.parametrize("epochs, lr", [(-1, 1e-3), (2, 0.0), (2, -1e-3), (2, float("nan")),
+                                        (2, float("inf"))])
+def test_train_config_rejects_negative_epochs_and_a_bad_lr(epochs, lr):
+    with pytest.raises(ValueError, match="epochs must be >= 0 and lr finite and > 0"):
+        TrainConfig(epochs=epochs, lr=lr)
+
+
 def test_selection_config_validation():
     with pytest.raises(ValueError, match="strategy"):
         SelectionConfig("middle")
