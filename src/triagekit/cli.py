@@ -340,14 +340,15 @@ def cmd_train(args) -> int:
     return _train_risk_cmd(args, out)
 
 
-def _risk_threads_for_split(run: dict, data: Path, split: str):
+def _risk_threads_for_split(checkpoint: str, run: dict, data: Path, split: str):
     if split == "test":
         return read_threads(data / "test.threads.ndjson")
     threads = read_threads(data / "train.threads.ndjson")
     if split == "train":
         return threads
-    _, held = stratified_split([int(t.label) for t in threads],
-                               run["val_fraction"], run["val_split_seed"])
+    with _run_file(checkpoint, "run.json", "run description"):
+        _, held = stratified_split([int(t.label) for t in threads],
+                                   run["val_fraction"], run["val_split_seed"])
     return [threads[i] for i in held]
 
 
@@ -361,7 +362,7 @@ def cmd_evaluate(args) -> int:
         report = detection_report([int(u.label == DIAGNOSED) for u in users],
                                   [int(row["predicted"] == DIAGNOSED) for row in rows])
     else:
-        threads = _risk_threads_for_split(run, data, args.split)
+        threads = _risk_threads_for_split(args.checkpoint, run, data, args.split)
         rows = _prediction_rows(model, reader, threads)
         report = triage_report([int(t.label) for t in threads],
                                [row["ordinal"] for row in rows])

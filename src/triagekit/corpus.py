@@ -336,6 +336,11 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
+def _post_row(p: Post) -> dict:
+    return {"post_id": p.post_id, "user_id": p.user_id, "community": p.community,
+            "timestamp": p.timestamp, "text": p.text}
+
+
 def read_posts(path: str | Path) -> list[Post]:
     return read_rows(path, "post", _post)
 
@@ -343,9 +348,7 @@ def read_posts(path: str | Path) -> list[Post]:
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
     with atomic_open(path) as fh:
         for p in posts:
-            fh.write(json.dumps({"post_id": p.post_id, "user_id": p.user_id,
-                                 "community": p.community, "timestamp": p.timestamp,
-                                 "text": p.text}, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(_post_row(p), sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _label(row: Mapping) -> tuple[str, tuple[str, str | None]]:
@@ -409,13 +412,9 @@ def read_threads(path: str | Path) -> list[ThreadInstance]:
 
 
 def write_threads(path: str | Path, instances: Iterable[ThreadInstance]) -> None:
-    def post_row(p: Post) -> dict:
-        return {"post_id": p.post_id, "user_id": p.user_id, "community": p.community,
-                "timestamp": p.timestamp, "text": p.text}
-
     with atomic_open(path) as fh:
         for inst in instances:
-            row = {"target": post_row(inst.target),
-                   "context": [post_row(c) for c in inst.context],
+            row = {"target": _post_row(inst.target),
+                   "context": [_post_row(c) for c in inst.context],
                    "label": inst.label.name.lower()}
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")

@@ -56,6 +56,52 @@ from .nn import (
 RISK_VARIANTS = ("cat_ce", "mse", "class_metric", "class_metric_ordinal")
 
 
+def _check_config(config, length: str, sizes: Sequence[str]) -> None:
+    """Range checks both model configs share; field ``length`` is the input
+    length, which must cover one convolution window."""
+    for name in sizes:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)!r}")
+    if any(width < 1 for width in config.dense_dims):
+        raise ValueError(f"dense_dims entries must be at least 1, got {list(config.dense_dims)}")
+    if getattr(config, length) < config.conv_window:
+        raise ValueError(f"{length} must cover one convolution window")
+    if not 0.0 <= config.dropout < 1.0:
+        raise ValueError("dropout must be in [0, 1)")
+    if config.balance not in ("weighted", "sampled"):
+        raise ValueError(f"unknown balance mode {config.balance!r}")
+
+
+def _kernel(rng: np.random.Generator, filters: int, window: int, depth: int) -> np.ndarray:
+    """A Glorot kernel drawn [filters x window x depth], the checkpoint layout,
+    and returned transposed, as `conv1d` reads it."""
+    return glorot_uniform(rng, (filters, window, depth), window * depth, filters
+                          ).transpose(2, 1, 0)
+
+
+def _add_head(p: ParamStore, rng: np.random.Generator, width: int,
+              dense_dims: Sequence[int], output_dim: int) -> None:
+    """The dense stack over ``width`` inputs, then a zero output layer, so an
+    untrained model's output is the same for every input."""
+    for i, out_width in enumerate(dense_dims):
+        p.add(f"dense{i}.w", glorot_uniform(rng, (out_width, width), width, out_width))
+        p.add(f"dense{i}.b", np.zeros(out_width))
+        width = out_width
+    p.add("out.w", np.zeros((output_dim, width)))
+    p.add("out.b", np.zeros(output_dim))
+
+
+def _head(h: Node, nodes: ParamNodes, config, train: bool,
+          rng: np.random.Generator | None) -> Node:
+    """The dense stack (ReLU, then dropout when the config sets a rate) and
+    the output layer, as `_add_head` made them."""
+    for i in range(len(config.dense_dims)):
+        h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
+        if config.dropout > 0.0:
+            h = dropout(h, config.dropout, rng=rng, train=train)
+    return dense(h, nodes("out.w"), nodes("out.b"))
+
+
 # ---------------------------------------------------------------------------
 # Depression detection model
 
@@ -84,10 +130,8 @@ class DepressionModelConfig:
         object.__setattr__(self, "dense_dims", tuple(self.dense_dims))
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover the reserved ids")
-        if self.n_term < self.conv_window:
-            raise ValueError("n_term must cover one convolution window")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        _check_config(self, "n_term", ("embed_dim", "conv_window", "conv_filters",
+                                       "merge_window", "merge_stride", "merge_filters"))
 
 
 class DepressionModel:
@@ -115,24 +159,11 @@ class DepressionModel:
         rng = np.random.default_rng(seed)
         p = ParamStore()
         p.add("emb", embedding_init(rng, (c.vocab_size, c.embed_dim)))
-        # Kernels are drawn [filters x window x depth], the checkpoint layout,
-        # and stored transposed, as `conv1d` reads them.
-        p.add("conv.w", glorot_uniform(rng, (c.conv_filters, c.conv_window, c.embed_dim),
-                                       c.conv_window * c.embed_dim, c.conv_filters
-                                       ).transpose(2, 1, 0))
+        p.add("conv.w", _kernel(rng, c.conv_filters, c.conv_window, c.embed_dim))
         p.add("conv.b", np.zeros(c.conv_filters))
-        p.add("merge.w", glorot_uniform(
-            rng, (c.merge_filters, c.merge_window, c.conv_filters),
-            c.merge_window * c.conv_filters, c.merge_filters).transpose(2, 1, 0))
+        p.add("merge.w", _kernel(rng, c.merge_filters, c.merge_window, c.conv_filters))
         p.add("merge.b", np.zeros(c.merge_filters))
-        width = c.merge_filters
-        for i, out_width in enumerate(c.dense_dims):
-            p.add(f"dense{i}.w", glorot_uniform(rng, (out_width, width), width, out_width))
-            p.add(f"dense{i}.b", np.zeros(out_width))
-            width = out_width
-        # Zero output layer: an untrained model is exactly uniform.
-        p.add("out.w", np.zeros((2, width)))
-        p.add("out.b", np.zeros(2))
+        _add_head(p, rng, c.merge_filters, c.dense_dims, 2)
         return p
 
     def _forward(self, posts_tokens: Sequence[Sequence[int]], nodes: ParamNodes,
@@ -159,12 +190,8 @@ class DepressionModel:
             feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))
         h = mean_rows(relu(conv1d(post_vecs, nodes("merge.w"), nodes("merge.b"),
                                   stride=c.merge_stride)))
-        for i in range(len(c.dense_dims)):
-            h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
-            if c.dropout > 0.0:
-                h = dropout(h, c.dropout, rng=rng, train=train)
         n = len(kept)
-        return dense(h, nodes("out.w"), nodes("out.b")), feat, starts[:n], stops[:n]
+        return _head(h, nodes, c, train, rng), feat, starts[:n], stops[:n]
 
     def logits(self, posts_tokens, nodes: ParamNodes, train: bool = False,
                rng: np.random.Generator | None = None) -> Node:
@@ -182,9 +209,7 @@ class DepressionModel:
         return softmax(logits.value)
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
-        config = {"kind": self.kind, **asdict(self.config)}
-        config["dense_dims"] = list(self.config.dense_dims)
-        save_checkpoint(path, self.params, config, seed, step)
+        save_checkpoint(path, self.params, {"kind": self.kind, **asdict(self.config)}, seed, step)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["DepressionModel", int, int]:
@@ -277,10 +302,12 @@ class RiskModelConfig:
         object.__setattr__(self, "dense_dims", tuple(self.dense_dims))
         if self.variant not in RISK_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_sentences < self.conv_window:
-            raise ValueError("max_sentences must cover one convolution window")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        _check_config(self, "max_sentences",
+                      ("sentence_dim", "conv_window", "conv_filters", "pool_n", "n_classes"))
+        if self.margin < 0:
+            raise ValueError(f"margin must be at least 0, got {self.margin!r}")
+        if not self.dense_dims and self.variant not in ("cat_ce", "mse"):
+            raise ValueError(f"dense_dims must not be empty for variant {self.variant!r}")
 
     @classmethod
     def for_variant(cls, variant: str, sentence_dim: int = 7200,
@@ -296,10 +323,8 @@ class RiskModelConfig:
             "class_metric_ordinal": dict(conv_filters=100, dense_dims=(150, 150),
                                          dropout=0.3, balance="sampled", margin=0.5),
         }
-        if variant not in table:
-            raise ValueError(f"unknown variant {variant!r}")
-        fields = {**table[variant], **overrides}
-        return cls(variant=variant, sentence_dim=sentence_dim, **fields)
+        return cls(variant=variant, sentence_dim=sentence_dim,
+                   **{**table.get(variant, {}), **overrides})
 
     @property
     def output_dim(self) -> int:
@@ -330,19 +355,10 @@ class RiskModel:
         c = self.config
         rng = np.random.default_rng(seed)
         p = ParamStore()
-        # Drawn [filters x window x dim] and transposed, as in DepressionModel.
-        p.add("conv.w", glorot_uniform(
-            rng, (c.conv_filters, c.conv_window, c.sentence_dim),
-            c.conv_window * c.sentence_dim, c.conv_filters).transpose(2, 1, 0))
+        p.add("conv.w", _kernel(rng, c.conv_filters, c.conv_window, c.sentence_dim))
         p.add("conv.b", np.zeros(c.conv_filters))
         pooled_rows = math.ceil((c.max_sentences - c.conv_window + 1) / c.pool_n)
-        width = 2 * pooled_rows * c.conv_filters
-        for i, out_width in enumerate(c.dense_dims):
-            p.add(f"dense{i}.w", glorot_uniform(rng, (out_width, width), width, out_width))
-            p.add(f"dense{i}.b", np.zeros(out_width))
-            width = out_width
-        p.add("out.w", np.zeros((c.output_dim, width)))
-        p.add("out.b", np.zeros(c.output_dim))
+        _add_head(p, rng, 2 * pooled_rows * c.conv_filters, c.dense_dims, c.output_dim)
         if c.variant in ("class_metric", "class_metric_ordinal"):
             p.add("classes", embedding_init(rng, (c.n_classes, c.output_dim)))
         return p
@@ -360,13 +376,8 @@ class RiskModel:
                 nodes: ParamNodes, train: bool = False,
                 rng: np.random.Generator | None = None) -> Node:
         """Head output node: logits [4] (cat_ce), score [1] (mse), or X [d]."""
-        c = self.config
         h = concat(self._tower(target, nodes), self._tower(context, nodes))
-        for i in range(len(c.dense_dims)):
-            h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
-            if c.dropout > 0.0:
-                h = dropout(h, c.dropout, rng=rng, train=train)
-        return dense(h, nodes("out.w"), nodes("out.b"))
+        return _head(h, nodes, self.config, train, rng)
 
     def loss(self, target: SparseRows | np.ndarray, context: SparseRows | np.ndarray,
              label: int, nodes: ParamNodes, train: bool = True,
@@ -412,7 +423,6 @@ class RiskModel:
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
         config = {"kind": f"{self.kind}:{self.config.variant}", **asdict(self.config)}
-        config["dense_dims"] = list(self.config.dense_dims)
         save_checkpoint(path, self.params, config, seed, step)
 
     @classmethod

@@ -46,7 +46,7 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -712,6 +712,9 @@ _ADAM_BLOCK = 1 << 16
 # saves. Elements, not blocks, are counted, since every bias vector is a
 # block of its own.
 _POOL_MIN_BLOCKS = 8
+# Adam's moment decays and epsilon. Both betas must lie in (0.5, 1), where a
+# product with a beta never rounds to -0, for `_adam_block`'s skipped terms.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _usable_cores() -> int:
@@ -721,7 +724,8 @@ def _usable_cores() -> int:
 
 
 class AdamState:
-    """Per-parameter first/second moments, live rows and step count.
+    """Per-parameter first/second moments, live rows and step count, for Adam
+    at rate ``lr`` with the fixed `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
 
     ``live`` holds, per parameter, the rows (first axis) that have ever had a
     gradient, in the order of their first one, while every gradient it has had
@@ -743,17 +747,8 @@ class AdamState:
     parameter-sized temporaries.
     """
 
-    def __init__(self, params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        # `_adam_block` skips the gradient terms of rows without a gradient,
-        # which is exact only while a product with beta cannot round to -0.
-        for which, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.5 < beta < 1.0:
-                raise ValueError(f"Adam {which} must be in (0.5, 1), got {beta!r}")
+    def __init__(self, params: ParamStore, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         compact = {name: (arr.shape[0] // 2 if arr.ndim else 0, *arr.shape[1:])
                    for name, arr in params.items()}
@@ -818,19 +813,19 @@ def _adam_block(state: AdamState, scratch, bc1: float, bc2: float, name: str,
         np.take(values, which, axis=0, out=g, mode="clip")
         whole, p = p, p_rows
     a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[2:])
-    m *= state.beta1
-    v *= state.beta2
+    m *= ADAM_BETA1
+    v *= ADAM_BETA2
     if rows is None:
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
-        np.multiply(g, 1.0 - state.beta2, out=a)
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         v += np.multiply(a, g, out=a)
     else:
         ga = scratch[2][:g.size].reshape(g.shape)
-        m[at] += np.multiply(g, 1.0 - state.beta1, out=ga)
-        np.multiply(g, 1.0 - state.beta2, out=ga)
+        m[at] += np.multiply(g, 1.0 - ADAM_BETA1, out=ga)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=ga)
         v[at] += np.multiply(ga, g, out=ga)
     np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
-    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
     p -= np.divide(a, b, out=a)
     # A non-finite gradient entry always makes its parameter entry
     # non-finite (NaN stays NaN, inf/inf is NaN), so the written entries are
@@ -883,7 +878,8 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
               state: AdamState) -> ParamStore:
     """One bias-corrected Adam update, in place on the store's arrays.
 
-    A parameter ``grads`` does not name has a `RowGrad` with no rows. Runs
+    A parameter ``grads`` does not name has a `RowGrad` with no rows. Runs,
+    with b1, b2 and eps the fixed `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`,
     m += (1-b1)*g; v += ((1-b2)*g)*g; p -= lr*(m/bc1) / (sqrt(v/bc2)+eps) in
     that operation order, block by block: a dense parameter in contiguous
     flat slices of `AdamState.block` elements, and a parameter whose
@@ -893,11 +889,11 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
     written back, and m and v are contiguous slots of the compact moments.
     A row first reached takes the next free slot. A live row without a
     gradient this step gets m *= b1 and v *= b2 alone: the gradient terms
-    it skips are +0, and adding them changes no bit while b1 and b2 are in
-    (0.5, 1), which `AdamState` requires. Every element sees the same
-    operations whatever the blocking, so results are bit-identical to an
-    update of whole arrays. A step that updates at least `_POOL_MIN_BLOCKS`
-    blocks' worth of elements is split over the usable cores (`_run_blocks`).
+    it skips are +0, and adding them changes no bit because b1 and b2 are in
+    (0.5, 1). Every element sees the same operations whatever the blocking,
+    so results are bit-identical to an update of whole arrays. A step that
+    updates at least `_POOL_MIN_BLOCKS` blocks' worth of elements is split
+    over the usable cores (`_run_blocks`).
 
     Each block's written entries are scanned once: a non-finite one rejects
     the step, worded as a non-finite gradient or as a non-finite update, by
@@ -909,8 +905,8 @@ def adam_step(params: ParamStore, grads: Mapping[str, np.ndarray | RowGrad],
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     blocks: list[tuple] = []
     elements = 0
     for name, p in params.items():
@@ -953,20 +949,21 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def finite_difference_check(loss_fn: Callable[[ParamNodes], Node], params: ParamStore,
-                            eps: float = 1e-5,
-                            names: Iterable[str] | None = None) -> dict[str, float]:
-    """Max relative error of analytic vs central-difference gradients, per parameter.
+def finite_difference_check(loss_fn: Callable[[ParamNodes], Node],
+                            params: ParamStore) -> dict[str, float]:
+    """Max relative error of analytic vs central-difference gradients, for
+    every parameter of the store.
 
     ``loss_fn`` takes a fresh ParamNodes view and must rebuild the graph on
     every call, deterministically (seed any dropout inside it). Every element
-    of every checked parameter is perturbed.
+    of every parameter is moved by ±1e-5 in turn.
     """
+    eps = 1e-5
     nodes = ParamNodes(params)
     backward(loss_fn(nodes))
     grads = nodes.grads()
     worst: dict[str, float] = {}
-    for name in (params.names() if names is None else list(names)):
+    for name in params.names():
         flat = params[name].reshape(-1)
         gflat = np.asarray(grads.get(name, np.zeros_like(flat))).reshape(-1)
         err = 0.0

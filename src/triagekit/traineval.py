@@ -159,27 +159,26 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _per_class_prf(matrix: list[list[int]]) -> list[dict[str, float]]:
-    n = len(matrix)
-    scores = []
-    for c in range(n):
+def _scores(gold: Sequence[int], pred: Sequence[int], n_classes: int
+            ) -> tuple[list[list[int]], list[dict[str, float]], float]:
+    """Confusion matrix, per-class precision/recall/F1, and accuracy (0 with
+    no instances) of labels in range(n_classes), each taken as an int."""
+    matrix = confusion_matrix([int(y) for y in gold], [int(y) for y in pred], n_classes)
+    per_class = []
+    for c in range(n_classes):
         tp = matrix[c][c]
-        fp = sum(matrix[g][c] for g in range(n)) - tp
+        fp = sum(matrix[g][c] for g in range(n_classes)) - tp
         fn = sum(matrix[c]) - tp
         precision, recall, f1 = _prf(tp, fp, fn)
-        scores.append({"precision": precision, "recall": recall, "f1": f1})
-    return scores
+        per_class.append({"precision": precision, "recall": recall, "f1": f1})
+    n = len(gold)
+    return matrix, per_class, sum(matrix[c][c] for c in range(n_classes)) / n if n else 0.0
 
 
-def binary_metrics(gold: Sequence[int], pred: Sequence[int],
-                   positive: int = 1) -> tuple[float, float, float]:
-    """Precision, recall, F1 of the positive class; 0/0 counts as 0."""
-    if len(gold) != len(pred):
-        raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
-    tp = sum(1 for g, p in zip(gold, pred) if g == positive and p == positive)
-    fp = sum(1 for g, p in zip(gold, pred) if g != positive and p == positive)
-    fn = sum(1 for g, p in zip(gold, pred) if g == positive and p != positive)
-    return _prf(tp, fp, fn)
+def binary_metrics(gold: Sequence[int], pred: Sequence[int]) -> tuple[float, float, float]:
+    """Precision, recall, F1 of class 1 over 0/1 labels; 0/0 counts as 0."""
+    scores = _scores(gold, pred, 2)[1][1]
+    return scores["precision"], scores["recall"], scores["f1"]
 
 
 @dataclass
@@ -234,15 +233,12 @@ class EvalReport:
 def _collapse_stats(gold: Sequence[int], pred: Sequence[int],
                     to_positive) -> dict[str, float]:
     """Binary collapse scores: macro-F1 over both meta-classes plus extras."""
-    g2 = [int(to_positive(y)) for y in gold]
-    p2 = [int(to_positive(y)) for y in pred]
-    matrix = confusion_matrix(g2, p2, 2)
-    scores = _per_class_prf(matrix)
-    correct = matrix[0][0] + matrix[1][1]
+    _, scores, accuracy = _scores([to_positive(y) for y in gold],
+                                  [to_positive(y) for y in pred], 2)
     return {
         "f1": (scores[0]["f1"] + scores[1]["f1"]) / 2,
         "positive_f1": scores[1]["f1"],
-        "accuracy": correct / len(g2) if g2 else 0.0,
+        "accuracy": accuracy,
     }
 
 
@@ -256,13 +252,7 @@ def triage_report(gold: Sequence[int], pred: Sequence[int]) -> EvalReport:
     positive meta-class F1 is included separately); all averages F1 over the
     four classes.
     """
-    gold = [int(y) for y in gold]
-    pred = [int(y) for y in pred]
-    matrix = confusion_matrix(gold, pred, 4)
-    per_class = _per_class_prf(matrix)
-    n = len(gold)
-    accuracy = sum(matrix[c][c] for c in range(4)) / n if n else 0.0
-
+    matrix, per_class, accuracy = _scores(gold, pred, 4)
     elevated = [(g, p) for g, p in zip(gold, pred) if g != 0]
     non_green_acc = (sum(1 for g, p in elevated if g == p) / len(elevated)
                      if elevated else 0.0)
@@ -278,18 +268,12 @@ def triage_report(gold: Sequence[int], pred: Sequence[int]) -> EvalReport:
             "accuracy": accuracy,
         },
     }
-    return EvalReport(4, n, matrix, per_class, accuracy, groupings)
+    return EvalReport(4, len(gold), matrix, per_class, accuracy, groupings)
 
 
 def detection_report(gold: Sequence[int], pred: Sequence[int]) -> EvalReport:
     """2-class evaluation for the user-level detection task."""
-    gold = [int(y) for y in gold]
-    pred = [int(y) for y in pred]
-    matrix = confusion_matrix(gold, pred, 2)
-    per_class = _per_class_prf(matrix)
-    n = len(gold)
-    accuracy = (matrix[0][0] + matrix[1][1]) / n if n else 0.0
-    return EvalReport(2, n, matrix, per_class, accuracy)
+    return EvalReport(2, len(gold), *_scores(gold, pred, 2))
 
 
 def mcnemar(pred_a: Sequence[int], pred_b: Sequence[int],
@@ -357,9 +341,6 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     own and are neither copied nor restored. Any non-finite loss or gradient
     aborts with a diagnostic.
     """
-    mode = model.config.balance
-    if mode not in ("weighted", "sampled"):
-        raise ValueError(f"unknown balance mode {mode!r}")
     state = AdamState(model.params, lr=cfg.lr)
     # Every metric is at least 0 and beats -1, so epoch 0 always sets the
     # first best; only a run of 0 epochs ends without one.
@@ -369,7 +350,7 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     step = 0
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, f"epoch:{epoch}"))
-        order = _epoch_order(labels, mode, n_classes, rng)
+        order = _epoch_order(labels, model.config.balance, n_classes, rng)
         total = 0.0
         for idx, weight in order:
             nodes = ParamNodes(model.params)

@@ -1,11 +1,13 @@
+import configparser
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triagekit.cli import main
+from triagekit.cli import OPTIONS, main
 from triagekit.corpus import CONTROL, DIAGNOSED, Vocabulary, load_users
 from triagekit.models import DepressionModel, DepressionModelConfig
 from triagekit.nn import ParamStore
@@ -477,6 +479,34 @@ def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("task, variant, line, message", [
+    ("risk", "cat_ce", "pool_n = 0", "pool_n must be at least 1, got 0"),
+    ("risk", "cat_ce", "max_sentences = 0", "max_sentences must cover one convolution window"),
+    ("risk", "mse", "dense_dims = 8,0", "dense_dims entries must be at least 1, got [8, 0]"),
+    ("risk", "class_metric", "dense_dims =",
+     "dense_dims must not be empty for variant 'class_metric'"),
+    ("risk", "class_metric_ordinal", "margin = -0.5", "margin must be at least 0, got -0.5"),
+    ("depression", None, "embed_dim = -3", "embed_dim must be at least 1, got -3"),
+    ("depression", None, "merge_stride = 0", "merge_stride must be at least 1, got 0"),
+    ("depression", None, "conv_filters = 0", "conv_filters must be at least 1, got 0"),
+], ids=["pool_n", "max_sentences", "dense_width", "metric_no_dense", "margin", "embed_dim",
+        "merge_stride", "conv_filters"])
+def test_train_out_of_range_model_config_fails_by_field(depression_chain, risk_chain, tmp_path,
+                                                        capsys, task, variant, line, message):
+    # Each bad value exits 1 with one error line naming its field, before any training.
+    data = (depression_chain if task == "depression" else risk_chain)[1]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{task}]\n{line}\nepochs = 1\n")
+    rc = run_cli(["train", "--task", task, *(["--variant", variant] if variant else []),
+                  "--config", str(bad), "--data", str(data),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_predict_late_context_post_names_its_line(risk_chain, tmp_path, capsys):
     _, _, run_dir = risk_chain
     post = {"user_id": "u", "community": "c", "text": "Help?"}
@@ -560,6 +590,32 @@ def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'run.json'}: {message}"), err
     assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing_val_fraction", "'val_fraction'"),
+    ("string_val_fraction", "'<' not supported between instances of 'float' and 'str'"),
+], ids=["missing_val_fraction", "string_val_fraction"])
+def test_risk_evaluate_validation_bad_split_record_fails_by_name(risk_chain, tmp_path, capsys,
+                                                                 fault, message):
+    # The validation split is rebuilt from run.json's val_fraction and
+    # val_split_seed; a bad one fails naming run.json.
+    _, data, run_dir = risk_chain
+    run = json.loads((run_dir / "run.json").read_text())
+    if fault == "missing_val_fraction":
+        del run["val_fraction"]
+    else:
+        run["val_fraction"] = str(run["val_fraction"])
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_bytes((run_dir / "checkpoint.json").read_bytes())
+    rc = run_cli(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                  "--split", "validation", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.json'}: {message}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "out" / "eval.validation.json").exists()
 
 
 RUN_DIR_FAULTS = {
@@ -826,3 +882,20 @@ def test_reloaded_checkpoint_scores_the_best_validation_metric(depression_chain,
               else report["groupings"]["non_green"]["f1"])
     assert metric == run["best_metric"]
     capsys.readouterr()
+
+
+def test_readme_configuration_block_documents_every_option():
+    # README's INI block lists each section's options as `name = value` lines,
+    # and [risk]'s architecture overrides in a comment; together they are
+    # exactly cli.OPTIONS, and each documented value parses with its cast.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_string(block)
+    assert sorted(cp.sections()) == sorted(OPTIONS)
+    overrides = set(re.findall(r"\w+", re.search(r"overrides:(.*?)—", block, re.S).group(1)))
+    for section in cp.sections():
+        documented = set(cp[section]) | (overrides if section == "risk" else set())
+        assert documented == set(OPTIONS[section]), section
+        for name, value in cp[section].items():
+            OPTIONS[section][name](value)

@@ -913,23 +913,13 @@ class TextbookAdam:
             assert np.array_equal(bits(v), bits(self.v[name])), name
 
 
-@pytest.mark.parametrize("betas", [(0.5, 0.999), (0.9, 1.0), (0.0, 0.999), (0.9, 1.5)])
-def test_adam_rejects_betas_outside_half_to_one(betas):
-    # At beta <= 0.5 a product with beta can round a negative moment to -0,
-    # and the live-row update's skipped +0 terms would then change its sign.
-    params = ParamStore()
-    params.add("w", np.zeros(3))
-    with pytest.raises(ValueError, match=r"must be in \(0.5, 1\)"):
-        AdamState(params, beta1=betas[0], beta2=betas[1])
-
-
 def test_adam_matches_textbook_update_bit_for_bit():
     rng = np.random.default_rng(8)
     shapes = {"big": (7, 9), "vec": (5,), "cube": (2, 3, 4), "one": (1,), "still": (4, 3)}
     params = ParamStore()
     for name, shape in shapes.items():
         params.add(name, rng.standard_normal(shape))
-    state = AdamState(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState(params, lr=0.01)
     ref = TextbookAdam(params, lr=0.01, b1=0.9, b2=0.999, eps=1e-8)
     for _ in range(25):
         grads = {name: rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)

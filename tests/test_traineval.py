@@ -242,12 +242,9 @@ def test_unknown_balance_mode_rejected(train, epochs):
 
 
 def test_unknown_model_balance_mode_rejected():
-    data = tiny_risk_data(2)
-    cfg = RiskModelConfig.for_variant("mse", sentence_dim=6, conv_filters=5, pool_n=2,
-                                      dense_dims=(10,), max_sentences=4,
-                                      balance="wieghted")
     with pytest.raises(ValueError, match="unknown balance mode 'wieghted'"):
-        train_risk(RiskModel(cfg), data, data, TrainConfig(epochs=1))
+        RiskModelConfig.for_variant("mse", sentence_dim=6, conv_filters=5, pool_n=2,
+                                    dense_dims=(10,), max_sentences=4, balance="wieghted")
 
 
 # ---------------------------------------------------------------------------
