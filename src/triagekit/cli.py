@@ -227,10 +227,8 @@ def _prediction_rows(model, reader, inputs) -> list[dict]:
 # Subcommands
 
 def cmd_build_dataset(args) -> int:
-    opts = _options(args.config, "dataset")
-    if "tolerance" in opts:
-        opts["tol"] = opts.pop("tolerance")
-    report = build_dataset(args.posts, args.out, args.annotations, BuildConfig(**opts))
+    config = BuildConfig(**_options(args.config, "dataset"))
+    report = build_dataset(args.posts, args.out, args.annotations, config)
     print(report.to_text())
     if report.n_control_pool == 0:
         print("error: control pool is empty — no eligible control users",

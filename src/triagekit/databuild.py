@@ -30,10 +30,11 @@ from .corpus import (
     write_posts,
 )
 
-# Default lists. Curated ones are passed in code, through `DiagnosisPattern`
-# (phrases and cues) and `BuildConfig` (mental-health communities and
-# terms); the config file's [dataset] section sets no list.
-DEFAULT_DIAGNOSIS_PATTERNS = (
+# Curated lists. Each is edited here as a constant; the config file's
+# [dataset] section sets none of them, and a test holds their conditions:
+# every pattern is lowercase and has word tokens, and no negation or
+# hypothetical cue shares a word with a pattern.
+DIAGNOSIS_PATTERNS = (
     "diagnosed with depression",
     "diagnosed with clinical depression",
     "diagnosed with major depression",
@@ -43,20 +44,20 @@ DEFAULT_DIAGNOSIS_PATTERNS = (
     "diagnosis of depression",
 )
 
-DEFAULT_NEGATION_CUES = (
+NEGATION_CUES = (
     "not", "never", "no", "none", "nothing", "nobody", "without",
     "isn't", "wasn't", "aren't", "weren't", "don't", "doesn't", "didn't",
     "haven't", "hasn't", "hadn't", "can't", "couldn't", "wouldn't", "shouldn't",
 )
 
-DEFAULT_HYPOTHETICAL_CUES = (
+HYPOTHETICAL_CUES = (
     "if", "unless", "wish", "wished", "wishing", "imagine", "imagined",
     "suppose", "supposing", "pretend", "pretending", "hypothetically",
     "maybe", "perhaps", "might", "would", "could", "probably", "wonder",
     "wondering", "worried",
 )
 
-DEFAULT_MH_COMMUNITIES = frozenset({
+MH_COMMUNITIES = frozenset({
     "adhd", "anxiety", "bipolar", "bipolarreddit", "bpd", "cptsd", "depressed",
     "depression", "eatingdisorders", "getting_over_it", "mentalhealth",
     "mentalillness", "ocd", "psychiatry", "psychotherapy", "ptsd", "sad",
@@ -64,7 +65,7 @@ DEFAULT_MH_COMMUNITIES = frozenset({
     "suicidewatch", "therapy", "traumatoolbox",
 })
 
-DEFAULT_MH_TERMS = frozenset({
+MH_TERMS = frozenset({
     "adhd", "antidepressant", "antidepressants", "anxiety", "anxious",
     "bipolar", "counseling", "counselling", "depressed", "depression",
     "diagnosed", "diagnosis", "dysthymia", "mania", "manic", "ocd", "panic",
@@ -74,39 +75,10 @@ DEFAULT_MH_TERMS = frozenset({
 })
 
 QUOTE_CHARS = '"“”'
+CUE_WINDOW = 5
 
-
-@dataclass(frozen=True)
-class DiagnosisPattern:
-    """Literal diagnosis phrases plus the guards that reject false positives.
-
-    A phrase match is discarded when a negation or hypothetical cue occurs
-    within `window` tokens before it, or when it sits inside double quotation
-    marks (odd number of quote characters before the match).
-    """
-
-    patterns: tuple[str, ...] = DEFAULT_DIAGNOSIS_PATTERNS
-    negation_cues: tuple[str, ...] = DEFAULT_NEGATION_CUES
-    hypothetical_cues: tuple[str, ...] = DEFAULT_HYPOTHETICAL_CUES
-    quote_chars: str = QUOTE_CHARS
-    window: int = 5
-
-    def __post_init__(self):
-        if not self.patterns:
-            raise ValueError("at least one diagnosis pattern is required")
-        for pat in self.patterns:
-            if pat != pat.lower():
-                raise ValueError(f"pattern must be lowercase: {pat!r}")
-            if not word_tokens(pat):
-                raise ValueError(f"pattern has no word tokens: {pat!r}")
-        pattern_tokens = {tok for pat in self.patterns for tok in word_tokens(pat)}
-        for cue in self.negation_cues + self.hypothetical_cues:
-            if any(tok in pattern_tokens for tok in word_tokens(cue)):
-                raise ValueError(f"cue {cue!r} overlaps the pattern vocabulary")
-
-    def cue_token_seqs(self) -> list[tuple[str, ...]]:
-        return [tuple(word_tokens(c))
-                for c in self.negation_cues + self.hypothetical_cues]
+_PATTERN_SEQS = tuple(tuple(word_tokens(p)) for p in DIAGNOSIS_PATTERNS)
+_CUE_SEQS = tuple(tuple(word_tokens(c)) for c in NEGATION_CUES + HYPOTHETICAL_CUES)
 
 
 def _contains_seq(haystack: Sequence[str], needle: Sequence[str]) -> bool:
@@ -117,37 +89,33 @@ def _contains_seq(haystack: Sequence[str], needle: Sequence[str]) -> bool:
                for i in range(len(haystack) - n + 1))
 
 
-def find_pattern_span(text: str, pat: DiagnosisPattern) -> tuple[int, int] | None:
+def find_pattern_span(text: str) -> tuple[int, int] | None:
     """Earliest accepted pattern occurrence in `text` as a token-index span.
 
-    Occurrences preceded by a negation/hypothetical cue within the window,
-    or lying inside quotation marks, are skipped; a later clean occurrence
-    still counts.
+    Occurrences preceded by a negation/hypothetical cue within CUE_WINDOW
+    tokens, or lying inside quotation marks (an odd number of QUOTE_CHARS
+    before them), are skipped; a later clean occurrence still counts.
     """
     spans = token_spans(text)
     tokens = [tok for tok, _ in spans]
-    pattern_seqs = [tuple(word_tokens(p)) for p in pat.patterns]
-    cue_seqs = pat.cue_token_seqs()
     for i in range(len(tokens)):
-        for seq in pattern_seqs:
+        for seq in _PATTERN_SEQS:
             if tuple(tokens[i:i + len(seq)]) != seq:
                 continue
-            window = tokens[max(0, i - pat.window):i]
-            if any(_contains_seq(window, cue) for cue in cue_seqs):
+            window = tokens[max(0, i - CUE_WINDOW):i]
+            if any(_contains_seq(window, cue) for cue in _CUE_SEQS):
                 continue
-            quotes_before = sum(text.count(ch, 0, spans[i][1])
-                                for ch in pat.quote_chars)
+            quotes_before = sum(text.count(ch, 0, spans[i][1]) for ch in QUOTE_CHARS)
             if quotes_before % 2 == 1:
                 continue
             return (i, i + len(seq))
     return None
 
 
-def find_diagnosis_post(user: UserRecord,
-                        pat: DiagnosisPattern) -> tuple[str, tuple[int, int]] | None:
+def find_diagnosis_post(user: UserRecord) -> tuple[str, tuple[int, int]] | None:
     """(post_id, token span) of the user's earliest accepted diagnosis claim."""
     for post in user.posts:
-        span = find_pattern_span(post.text, pat)
+        span = find_pattern_span(post.text)
         if span is not None:
             return post.post_id, span
     return None
@@ -155,7 +123,7 @@ def find_diagnosis_post(user: UserRecord,
 
 def apply_annotations(candidates: Mapping[str, str],
                       annotation_path: str | Path,
-                      min_positive: int = 2) -> dict[str, str]:
+                      min_positive: int) -> dict[str, str]:
     """Keep candidates whose diagnosis post has enough positive votes.
 
     `candidates` maps user_id to diagnosis post_id. The annotation file is
@@ -174,7 +142,7 @@ def apply_annotations(candidates: Mapping[str, str],
 
 
 def eligible_diagnosed(user: UserRecord, diagnosis_post_id: str,
-                       min_prior_posts: int = 100) -> bool:
+                       min_prior_posts: int) -> bool:
     """True when the user has enough posts from before the diagnosis post."""
     by_id = {p.post_id: p for p in user.posts}
     diagnosis = by_id[diagnosis_post_id]
@@ -182,20 +150,18 @@ def eligible_diagnosed(user: UserRecord, diagnosis_post_id: str,
     return prior >= min_prior_posts
 
 
-def _offending(post, mh_communities: frozenset[str], mh_terms: frozenset[str]) -> bool:
-    if post.community.lower() in mh_communities:
+def _offending(post) -> bool:
+    if post.community.lower() in MH_COMMUNITIES:
         return True
-    return any(tok in mh_terms for tok in word_tokens(post.text))
+    return any(tok in MH_TERMS for tok in word_tokens(post.text))
 
 
-def eligible_control(user: UserRecord, mh_communities: frozenset[str],
-                     mh_terms: frozenset[str]) -> bool:
+def eligible_control(user: UserRecord) -> bool:
     """True when no post is in a mental-health community or mentions a term."""
-    return not any(_offending(p, mh_communities, mh_terms) for p in user.posts)
+    return not any(_offending(p) for p in user.posts)
 
 
-def scrub_diagnosed_posts(user: UserRecord, mh_communities: frozenset[str],
-                          mh_terms: frozenset[str]) -> UserRecord:
+def scrub_diagnosed_posts(user: UserRecord) -> UserRecord:
     """Drop the diagnosis post and every mental-health post from a diagnosed user.
 
     Idempotent; may return a user with no posts left (callers must exclude
@@ -204,8 +170,7 @@ def scrub_diagnosed_posts(user: UserRecord, mh_communities: frozenset[str],
     if user.label != DIAGNOSED:
         raise ValueError("scrubbing applies to diagnosed users only")
     kept = tuple(p for p in user.posts
-                 if p.post_id != user.diagnosis_post_id
-                 and not _offending(p, mh_communities, mh_terms))
+                 if p.post_id != user.diagnosis_post_id and not _offending(p))
     return UserRecord(user.user_id, kept, DIAGNOSED, user.diagnosis_post_id)
 
 
@@ -226,20 +191,16 @@ class SubredditDistribution:
         object.__setattr__(self, "probs", dict(self.probs))
 
 
-def subreddit_distribution(user: UserRecord,
-                           ignore_mh_for_diagnosed: bool = False,
-                           mh_communities: frozenset[str] = DEFAULT_MH_COMMUNITIES,
-                           ) -> SubredditDistribution:
+def subreddit_distribution(user: UserRecord) -> SubredditDistribution:
     """Empirical distribution of the user's posts over communities.
 
-    With the flag set, a diagnosed user's posts to mental-health communities
-    do not count.
+    A diagnosed user's posts to mental-health communities do not count.
     """
-    skip_mh = ignore_mh_for_diagnosed and user.label == DIAGNOSED
+    skip_mh = user.label == DIAGNOSED
     counts: dict[str, int] = {}
     for post in user.posts:
         community = post.community.lower()
-        if skip_mh and community in mh_communities:
+        if skip_mh and community in MH_COMMUNITIES:
             continue
         counts[community] = counts.get(community, 0) + 1
     total = sum(counts.values())
@@ -293,8 +254,8 @@ class MatchResult:
 
 def greedy_match(diagnosed: Sequence[MatchCandidate],
                  pool: Sequence[MatchCandidate],
-                 k: int = 12,
-                 tol: float = 0.10) -> MatchResult:
+                 k: int,
+                 tol: float) -> MatchResult:
     """Assign each diagnosed user the k closest unmatched controls.
 
     Processing follows the input order of `diagnosed`. A control is eligible
@@ -327,13 +288,19 @@ SPLITS = ("train", "validation", "test")
 
 @dataclass(frozen=True)
 class BuildConfig:
-    pattern: DiagnosisPattern = DiagnosisPattern()
-    mh_communities: frozenset[str] = DEFAULT_MH_COMMUNITIES
-    mh_terms: frozenset[str] = DEFAULT_MH_TERMS
+    """The settings of the config file's [dataset] section."""
+
     k: int = 12
-    tol: float = 0.10
+    tolerance: float = 0.10
     min_prior_posts: int = 100
     min_positive_votes: int = 2
+
+    def __post_init__(self):
+        for name, low in (("k", 1), ("min_prior_posts", 0), ("min_positive_votes", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and at least 0, got {self.tolerance!r}")
 
 
 @dataclass
@@ -393,7 +360,7 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
 
     candidates: dict[str, tuple[str, tuple[int, int]]] = {}
     for uid in sorted(users):
-        hit = find_diagnosis_post(users[uid], config.pattern)
+        hit = find_diagnosis_post(users[uid])
         if hit is not None:
             candidates[uid] = hit
     report.n_candidates = len(candidates)
@@ -406,8 +373,7 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
 
     # Control pool: users with no pattern match that pass the content filters.
     pool_users = {uid: u for uid, u in users.items()
-                  if uid not in candidates
-                  and eligible_control(u, config.mh_communities, config.mh_terms)}
+                  if uid not in candidates and eligible_control(u)}
     report.n_control_pool = len(pool_users)
 
     # Diagnosed users: enough history before the diagnosis, non-empty after
@@ -420,7 +386,7 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
         record = UserRecord(uid, users[uid].posts, DIAGNOSED, post_id)
         if not eligible_diagnosed(record, post_id, config.min_prior_posts):
             continue
-        clean = scrub_diagnosed_posts(record, config.mh_communities, config.mh_terms)
+        clean = scrub_diagnosed_posts(record)
         if not clean.posts:
             report.n_scrubbed_empty += 1
             continue
@@ -428,16 +394,12 @@ def build_dataset(posts_path: str | Path, out_dir: str | Path,
         scrubbed[uid] = clean
     report.n_diagnosed = len(diagnosed_users)
 
-    diag_candidates = [
-        MatchCandidate(uid, len(u.posts),
-                       subreddit_distribution(u, ignore_mh_for_diagnosed=True,
-                                              mh_communities=config.mh_communities))
-        for uid, u in sorted(diagnosed_users.items())]
-    pool_candidates = [
-        MatchCandidate(uid, len(u.posts), subreddit_distribution(u))
-        for uid, u in sorted(pool_users.items())]
+    diag_candidates = [MatchCandidate(uid, len(u.posts), subreddit_distribution(u))
+                       for uid, u in sorted(diagnosed_users.items())]
+    pool_candidates = [MatchCandidate(uid, len(u.posts), subreddit_distribution(u))
+                       for uid, u in sorted(pool_users.items())]
 
-    result = greedy_match(diag_candidates, pool_candidates, config.k, config.tol)
+    result = greedy_match(diag_candidates, pool_candidates, config.k, config.tolerance)
     report.short_matches = result.short_matches()
     report.n_matched_controls = sum(len(v) for v in result.matches.values())
     for pairs in result.matches.values():

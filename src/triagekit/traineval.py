@@ -39,8 +39,16 @@ DETECTION_CLASS_NAMES = ("control", "diagnosed")
 
 def derive_seed(master: int, name: str) -> int:
     """Stable 64-bit seed for the named stream of a master seed."""
+    _check_seed(master)
     digest = hashlib.sha256(f"{master}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _check_seed(seed) -> None:
+    # A seed is formatted into the stream name, so 7.0 or "7" would seed
+    # other streams than 7.
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +71,7 @@ class SelectionConfig:
             raise ValueError(f"unknown selection strategy {self.strategy!r}")
         if self.n_post < 1 or self.n_term < 1:
             raise ValueError("n_post and n_term must be positive")
+        _check_seed(self.seed)
 
 
 def tokenize_users(users: Iterable[UserRecord],
@@ -143,6 +152,9 @@ def confusion_matrix(gold: Sequence[int], pred: Sequence[int],
         raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
     matrix = [[0] * n_classes for _ in range(n_classes)]
     for g, p in zip(gold, pred):
+        for kind, y in (("gold", g), ("predicted", p)):
+            if not 0 <= y < n_classes:
+                raise ValueError(f"{kind} label {y!r} outside range({n_classes})")
         matrix[g][p] += 1
     return matrix
 
@@ -195,11 +207,8 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_text(self, class_names: Sequence[str] | None = None) -> str:
-        names = list(class_names or
-                     (RISK_CLASS_NAMES if self.n_classes == 4 else
-                      DETECTION_CLASS_NAMES if self.n_classes == 2 else
-                      [f"class{i}" for i in range(self.n_classes)]))
+    def to_text(self) -> str:
+        names = RISK_CLASS_NAMES if self.n_classes == 4 else DETECTION_CLASS_NAMES
         width = max(9, max(len(n) for n in names) + 1)
         lines = []
         if self.groupings:

@@ -595,7 +595,10 @@ def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, cap
 @pytest.mark.parametrize("fault, message", [
     ("missing_val_fraction", "'val_fraction'"),
     ("string_val_fraction", "'<' not supported between instances of 'float' and 'str'"),
-], ids=["missing_val_fraction", "string_val_fraction"])
+    ("float_val_split_seed", "seed must be an integer, got 7.0"),
+    ("string_val_split_seed", "seed must be an integer, got '7'"),
+], ids=["missing_val_fraction", "string_val_fraction", "float_val_split_seed",
+        "string_val_split_seed"])
 def test_risk_evaluate_validation_bad_split_record_fails_by_name(risk_chain, tmp_path, capsys,
                                                                  fault, message):
     # The validation split is rebuilt from run.json's val_fraction and
@@ -604,8 +607,10 @@ def test_risk_evaluate_validation_bad_split_record_fails_by_name(risk_chain, tmp
     run = json.loads((run_dir / "run.json").read_text())
     if fault == "missing_val_fraction":
         del run["val_fraction"]
-    else:
+    elif fault == "string_val_fraction":
         run["val_fraction"] = str(run["val_fraction"])
+    else:
+        run["val_split_seed"] = 7.0 if fault == "float_val_split_seed" else "7"
     (tmp_path / "run.json").write_text(json.dumps(run))
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_bytes((run_dir / "checkpoint.json").read_bytes())
@@ -626,6 +631,10 @@ RUN_DIR_FAULTS = {
         {**run, "selection": {**run["selection"], "n_post": "10"}})),
     "unknown_selection_key": ("run.json", lambda run: json.dumps(
         {**run, "selection": {**run["selection"], "bogus": 1}})),
+    "float_selection_seed": ("run.json", lambda run: json.dumps(
+        {**run, "selection": {**run["selection"], "seed": 7.0}})),
+    "bool_selection_seed": ("run.json", lambda run: json.dumps(
+        {**run, "selection": {**run["selection"], "seed": True}})),
     "vocab_not_json": ("vocab.json", lambda run: '{"tokens": ['),
     "vocab_tokens_int": ("vocab.json", lambda run: '{"tokens": 5}'),
     "vocab_token_not_str": ("vocab.json", lambda run: '{"tokens": [1, 2]}'),
@@ -771,6 +780,30 @@ def test_build_dataset_deterministic(tmp_path, capsys):
                        for kind in ("posts", "labels")])
     assert hashes[0] == hashes[1]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("k = 0", "k must be at least 1, got 0"),
+    ("k = -1", "k must be at least 1, got -1"),
+    ("tolerance = -0.5", "tolerance must be finite and at least 0, got -0.5"),
+    ("tolerance = nan", "tolerance must be finite and at least 0, got nan"),
+    ("min_prior_posts = -1", "min_prior_posts must be at least 0, got -1"),
+    ("min_positive_votes = 0", "min_positive_votes must be at least 1, got 0"),
+], ids=["k_zero", "k_negative", "tolerance_negative", "tolerance_nan", "min_prior_posts",
+        "min_positive_votes"])
+def test_build_dataset_out_of_range_config_fails_by_field(tmp_path, capsys, line, message):
+    # Each bad value exits 1 with one error line naming its field, before any output.
+    posts_path, votes_path, _ = raw_corpus(tmp_path)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[dataset]\n{line}\n")
+    out = tmp_path / "out"
+    rc = run_cli(["build-dataset", "--posts", str(posts_path), "--annotations", str(votes_path),
+                  "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (out / "report.txt").exists()
 
 
 def test_build_dataset_empty_pool_fails(tmp_path, capsys):

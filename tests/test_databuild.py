@@ -5,10 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from triagekit.corpus import CONTROL, DIAGNOSED, CorpusFormatError, Post, UserRecord
+from triagekit.corpus import (
+    CONTROL,
+    DIAGNOSED,
+    CorpusFormatError,
+    Post,
+    UserRecord,
+    word_tokens,
+)
 from triagekit.databuild import (
+    DIAGNOSIS_PATTERNS,
+    HYPOTHETICAL_CUES,
+    NEGATION_CUES,
     BuildConfig,
-    DiagnosisPattern,
     MatchCandidate,
     MatchResult,
     SubredditDistribution,
@@ -24,8 +33,6 @@ from triagekit.databuild import (
     subreddit_distribution,
 )
 
-PAT = DiagnosisPattern()
-
 
 def make_post(pid, uid, community="games", ts=0, text="hello world"):
     return Post(pid, uid, community, ts, text)
@@ -40,39 +47,39 @@ def make_user(uid, texts, label=CONTROL, diag=None, community="games"):
 # -- diagnosis pattern matching ----------------------------------------------
 
 def test_plain_claim_matches():
-    assert find_pattern_span("I was just diagnosed with depression.", PAT) is not None
+    assert find_pattern_span("I was just diagnosed with depression.") is not None
 
 
 def test_hypothetical_claim_rejected():
-    assert find_pattern_span("if I was diagnosed with depression", PAT) is None
+    assert find_pattern_span("if I was diagnosed with depression") is None
 
 
 def test_negated_claim_rejected():
-    assert find_pattern_span("it's not like I've been diagnosed with depression", PAT) is None
+    assert find_pattern_span("it's not like I've been diagnosed with depression") is None
 
 
 def test_quoted_claim_rejected():
-    assert find_pattern_span('she told me "I was diagnosed with depression"', PAT) is None
+    assert find_pattern_span('she told me "I was diagnosed with depression"') is None
     # after the closing quote the quote count is even again
-    assert find_pattern_span('she said "hello". I was diagnosed with depression.', PAT) is not None
+    assert find_pattern_span('she said "hello". I was diagnosed with depression.') is not None
 
 
 def test_cue_window_is_five_tokens():
     blocked = "if a b c d diagnosed with depression"        # cue 5 back
     clear = "if a b c d e diagnosed with depression"        # cue 6 back
-    assert find_pattern_span(blocked, PAT) is None
-    assert find_pattern_span(clear, PAT) is not None
+    assert find_pattern_span(blocked) is None
+    assert find_pattern_span(clear) is not None
 
 
 def test_span_is_token_range():
-    span = find_pattern_span("I was just diagnosed with depression.", PAT)
+    span = find_pattern_span("I was just diagnosed with depression.")
     assert span == (3, 6)
 
 
 def test_blocked_then_clean_occurrence_matches():
     text = ("if I was diagnosed with depression I would know. "
             "Well, yesterday I actually was diagnosed with depression.")
-    span = find_pattern_span(text, PAT)
+    span = find_pattern_span(text)
     assert span is not None and span[0] > 3
 
 
@@ -81,22 +88,24 @@ def test_earliest_post_wins():
                             "doctor diagnosed me with depression",
                             "again: diagnosed with depression"],
                      DIAGNOSED, "u1-p1")
-    hit = find_diagnosis_post(user, PAT)
+    hit = find_diagnosis_post(user)
     assert hit is not None and hit[0] == "u1-p1"
 
 
 def test_no_match_returns_none():
     user = make_user("u2", ["a fine day", "no complaints"])
-    assert find_diagnosis_post(user, PAT) is None
+    assert find_diagnosis_post(user) is None
 
 
-def test_pattern_validation():
-    with pytest.raises(ValueError, match="lowercase"):
-        DiagnosisPattern(patterns=("Diagnosed With Depression",))
-    with pytest.raises(ValueError, match="overlaps"):
-        DiagnosisPattern(negation_cues=("depression",))
-    with pytest.raises(ValueError, match="at least one"):
-        DiagnosisPattern(patterns=())
+def test_curated_lists_hold_their_conditions():
+    # Patterns are lowercase and non-empty, and no cue shares a word with a
+    # pattern (a cue inside a claim would block the claim itself).
+    assert DIAGNOSIS_PATTERNS
+    for pat in DIAGNOSIS_PATTERNS:
+        assert pat == pat.lower() and word_tokens(pat), pat
+    pattern_words = {tok for pat in DIAGNOSIS_PATTERNS for tok in word_tokens(pat)}
+    for cue in NEGATION_CUES + HYPOTHETICAL_CUES:
+        assert word_tokens(cue) and not pattern_words & set(word_tokens(cue)), cue
 
 
 # -- annotations ---------------------------------------------------------------
@@ -114,7 +123,7 @@ def test_annotation_threshold(tmp_path):
         {"post_id": "b", "votes": [True, False, False]},
         {"post_id": "c", "votes": []},
     ])
-    kept = apply_annotations({"u1": "a", "u2": "b", "u3": "c", "u4": "d"}, path)
+    kept = apply_annotations({"u1": "a", "u2": "b", "u3": "c", "u4": "d"}, path, 2)
     assert kept == {"u1": "a"}
 
 
@@ -125,7 +134,7 @@ def test_annotation_bad_row_reports_line(tmp_path):
         {"post_id": "b", "votes": [1, 0]},
     ])
     with pytest.raises(CorpusFormatError, match=":2"):
-        apply_annotations({"u1": "a"}, path)
+        apply_annotations({"u1": "a"}, path, 2)
 
 
 # -- eligibility and scrubbing -------------------------------------------------
@@ -137,38 +146,32 @@ def user_with_priors(n_prior):
 
 
 def test_prior_post_threshold():
-    assert eligible_diagnosed(user_with_priors(100), "diag")
-    assert not eligible_diagnosed(user_with_priors(99), "diag")
-    assert not eligible_diagnosed(user_with_priors(0), "diag")
+    assert eligible_diagnosed(user_with_priors(100), "diag", 100)
+    assert not eligible_diagnosed(user_with_priors(99), "diag", 100)
+    assert not eligible_diagnosed(user_with_priors(0), "diag", 100)
 
 
 def test_control_eligibility():
-    mh_comms = frozenset({"depression"})
-    mh_terms = frozenset({"depressed"})
     in_comm = make_user("c1", ["fine"], community="depression")
     term = make_user("c2", ["I feel depressed today"])
     clean = make_user("c3", ["what a game"])
-    assert not eligible_control(in_comm, mh_comms, mh_terms)
-    assert not eligible_control(term, mh_comms, mh_terms)
-    assert eligible_control(clean, mh_comms, mh_terms)
+    assert not eligible_control(in_comm)
+    assert not eligible_control(term)
+    assert eligible_control(clean)
 
 
 def test_scrub_removes_offending_and_diagnosis():
-    mh_comms = frozenset({"depression"})
-    mh_terms = frozenset({"depression", "diagnosed"})
     posts = [make_post(f"m{i}", "u", "depression", i, "ok") for i in range(3)]
     posts += [make_post(f"g{i}", "u", "games", 10 + i, "fun") for i in range(6)]
     posts.append(make_post("diag", "u", "games", 99, "diagnosed with depression"))
     user = UserRecord("u", tuple(posts), DIAGNOSED, "diag")
-    clean = scrub_diagnosed_posts(user, mh_comms, mh_terms)
+    clean = scrub_diagnosed_posts(user)
     assert len(clean.posts) == 6
     assert all(p.community == "games" and p.post_id != "diag" for p in clean.posts)
 
 
 def test_scrub_idempotent():
     rng = np.random.default_rng(11)
-    mh_comms = frozenset({"depression", "anxiety"})
-    mh_terms = frozenset({"depressed", "diagnosed"})
     comms = ["games", "news", "depression", "anxiety"]
     texts = ["fine day", "feeling depressed", "diagnosed with depression", "gg"]
     for trial in range(20):
@@ -178,14 +181,14 @@ def test_scrub_idempotent():
         posts.append(make_post(f"diag{trial}", "u", "games", 999,
                                "diagnosed with depression"))
         user = UserRecord("u", tuple(posts), DIAGNOSED, f"diag{trial}")
-        once = scrub_diagnosed_posts(user, mh_comms, mh_terms)
-        twice = scrub_diagnosed_posts(once, mh_comms, mh_terms)
+        once = scrub_diagnosed_posts(user)
+        twice = scrub_diagnosed_posts(once)
         assert once == twice
 
 
 def test_scrub_requires_diagnosed():
     with pytest.raises(ValueError):
-        scrub_diagnosed_posts(make_user("c", ["hey"]), frozenset(), frozenset())
+        scrub_diagnosed_posts(make_user("c", ["hey"]))
 
 
 # -- distributions and distance -------------------------------------------------
@@ -206,11 +209,9 @@ def test_subreddit_distribution_single():
 def test_subreddit_distribution_ignores_mh_for_diagnosed():
     posts = [make_post(f"m{i}", "u", "depression", i, "ok") for i in range(2)]
     posts += [make_post(f"a{i}", "u", "aww", 10 + i, "ok") for i in range(2)]
-    user = UserRecord("u", tuple(posts), DIAGNOSED, "m0")
-    dist = subreddit_distribution(user, ignore_mh_for_diagnosed=True,
-                                  mh_communities=frozenset({"depression"}))
+    dist = subreddit_distribution(UserRecord("u", tuple(posts), DIAGNOSED, "m0"))
     assert dist.probs == {"aww": 1.0}
-    both = subreddit_distribution(user, ignore_mh_for_diagnosed=False)
+    both = subreddit_distribution(UserRecord("u", tuple(posts)))
     assert both.probs == {"aww": 0.5, "depression": 0.5}
 
 
@@ -218,8 +219,7 @@ def test_subreddit_distribution_empty_errors():
     user = UserRecord("u", (make_post("m0", "u", "depression", 0, "x"),),
                       DIAGNOSED, "m0")
     with pytest.raises(ValueError, match="no counted posts"):
-        subreddit_distribution(user, ignore_mh_for_diagnosed=True,
-                               mh_communities=frozenset({"depression"}))
+        subreddit_distribution(user)
 
 
 def test_distribution_validation():
@@ -302,7 +302,7 @@ def oracle_match(diagnosed, pool, k, tol):
 def test_match_shortage_is_flagged():
     diag = [cand("d1", 10, {"a": 1.0})]
     pool = [cand(f"c{i}", 10, {"a": 1.0}) for i in range(3)]
-    res = greedy_match(diag, pool, k=12)
+    res = greedy_match(diag, pool, k=12, tol=0.10)
     assert len(res.matches["d1"]) == 3
     assert res.short_matches() == {"d1": 3}
 
@@ -312,7 +312,7 @@ def test_match_post_count_window():
     pool = [cand("in-low", 9, {"a": 1.0}),
             cand("in-high", 11, {"a": 1.0}),
             cand("out", 12, {"a": 1.0})]
-    res = greedy_match(diag, pool, k=12)
+    res = greedy_match(diag, pool, k=12, tol=0.10)
     assert [c for c, _ in res.matches["d1"]] == ["in-high", "in-low"]
 
 
@@ -321,7 +321,7 @@ def test_match_without_replacement_and_tiebreak():
     diag = [cand("d1", 10, {"a": 1.0}), cand("d2", 10, {"a": 1.0})]
     pool = [cand("c2", 10, {"a": 1.0}), cand("c1", 10, {"a": 1.0}),
             cand("c3", 10, {"a": 0.5, "b": 0.5})]
-    res = greedy_match(diag, pool, k=1)
+    res = greedy_match(diag, pool, k=1, tol=0.10)
     assert res.matches["d1"] == (("c1", 0.0),)
     assert [c for c, _ in res.matches["d2"]] == ["c2"]
 
@@ -432,7 +432,7 @@ def build_corpus(tmp_path):
 
 
 def pipeline_config():
-    return BuildConfig(k=2, tol=0.5, min_prior_posts=3)
+    return BuildConfig(k=2, tolerance=0.5, min_prior_posts=3)
 
 
 def test_pipeline_end_to_end(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -308,6 +309,18 @@ def test_confusion_matrix_counts():
 def test_confusion_matrix_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         confusion_matrix([0, 1], [0], 2)
+
+
+@pytest.mark.parametrize("gold, pred, message", [
+    ([-1, 0], [0, 0], "gold label -1 outside range(2)"),
+    ([0, 1], [0, 2], "predicted label 2 outside range(2)"),
+], ids=["negative_gold", "predicted_past_last_class"])
+def test_confusion_matrix_rejects_label_outside_range(gold, pred, message):
+    # A negative label would otherwise count as the last class.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        confusion_matrix(gold, pred, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        binary_metrics(gold, pred)
 
 
 def test_binary_metrics_hand_case():
