@@ -110,11 +110,16 @@ OPTIONS = {
 }
 
 
-def _options(config_path: str | None, section: str, **flags) -> dict:
-    """The section's settings: flags that were given, then the INI file.
+@contextlib.contextmanager
+def _options(config_path: str | None, section: str, **flags):
+    """The section's settings, for the block that builds its configs: flags
+    that were given, then the INI file.
 
     Options the file omits are absent, so the library default applies. A
-    value that does not cast fails as `[<section>] <option>: <reason>`.
+    value that does not cast fails as `[<section>] <option>: <reason>`, and
+    so does a ValueError raised in the block whose message opens with an
+    option the file set: every range check opens its message with the field
+    it rejects.
     """
     cp = configparser.ConfigParser()
     if config_path is not None:
@@ -127,8 +132,16 @@ def _options(config_path: str | None, section: str, **flags) -> dict:
                 opts[option] = cast(cp.get(section, option))
             except ValueError as exc:
                 raise ValueError(f"[{section}] {option}: {exc}") from None
-    opts.update((name, value) for name, value in flags.items() if value is not None)
-    return opts
+    given = {name: value for name, value in flags.items() if value is not None}
+    from_file = set(opts) - set(given)
+    opts.update(given)
+    try:
+        yield opts
+    except ValueError as exc:
+        option, _, reason = str(exc).partition(" ")
+        if option not in from_file:
+            raise
+        raise ValueError(f"[{section}] {option}: {reason}") from None
 
 
 def _pick(opts: dict, cls) -> dict:
@@ -227,7 +240,8 @@ def _prediction_rows(model, reader, inputs) -> list[dict]:
 # Subcommands
 
 def cmd_build_dataset(args) -> int:
-    config = BuildConfig(**_options(args.config, "dataset"))
+    with _options(args.config, "dataset") as opts:
+        config = BuildConfig(**opts)
     report = build_dataset(args.posts, args.out, args.annotations, config)
     print(report.to_text())
     if report.n_control_pool == 0:
@@ -239,13 +253,11 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    opts = _options(args.config, f"synth.{args.task}")
-    if args.task == "depression":
-        spec = SynthDetectionSpec(**opts, seed=args.seed)
-        paths = synth_detection_corpus(spec, out)
-    else:
-        spec = SynthRiskSpec(**opts, seed=args.seed)
-        paths = synth_risk_corpus(spec, out)
+    with _options(args.config, f"synth.{args.task}") as opts:
+        spec_cls = SynthDetectionSpec if args.task == "depression" else SynthRiskSpec
+        spec = spec_cls(**opts, seed=args.seed)
+    write = synth_detection_corpus if args.task == "depression" else synth_risk_corpus
+    paths = write(spec, out)
     _write_json(out / "synth.json", {
         "task": args.task,
         "spec": asdict(spec),
@@ -280,21 +292,21 @@ def _finish_training(args, out: Path, model: DepressionModel | RiskModel, result
 
 def _train_depression_cmd(args, out: Path) -> int:
     data = Path(args.data)
-    opts = _options(args.config, "depression", n_term=args.n_term,
-                    strategy=args.strategy, n_post=args.n_post, epochs=args.epochs)
-    vocab_opts = {"min_freq": opts["min_freq"]} if "min_freq" in opts else {}
-    train_users, vocab = _users(data / "train.posts.ndjson",
-                                data / "train.labels.ndjson", **vocab_opts)
-    val_users, _ = _users(data / "validation.posts.ndjson",
-                          data / "validation.labels.ndjson", vocab)
-    model_config = DepressionModelConfig(vocab_size=len(vocab),
-                                         **_pick(opts, DepressionModelConfig))
-    # Posts are cut to the model's n_term, however it was set.
-    selection = SelectionConfig(**{**_pick(opts, SelectionConfig),
-                                   "n_term": model_config.n_term,
-                                   "seed": derive_seed(args.seed, "selection")})
-    train_config = TrainConfig(**_pick(opts, TrainConfig),
-                               seed=derive_seed(args.seed, "train"))
+    with _options(args.config, "depression", n_term=args.n_term, strategy=args.strategy,
+                  n_post=args.n_post, epochs=args.epochs) as opts:
+        vocab_opts = {"min_freq": opts["min_freq"]} if "min_freq" in opts else {}
+        train_users, vocab = _users(data / "train.posts.ndjson",
+                                    data / "train.labels.ndjson", **vocab_opts)
+        val_users, _ = _users(data / "validation.posts.ndjson",
+                              data / "validation.labels.ndjson", vocab)
+        model_config = DepressionModelConfig(vocab_size=len(vocab),
+                                             **_pick(opts, DepressionModelConfig))
+        # Posts are cut to the model's n_term, however it was set.
+        selection = SelectionConfig(**{**_pick(opts, SelectionConfig),
+                                       "n_term": model_config.n_term,
+                                       "seed": derive_seed(args.seed, "selection")})
+        train_config = TrainConfig(**_pick(opts, TrainConfig),
+                                   seed=derive_seed(args.seed, "train"))
     model = DepressionModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_depression(model, train_users, val_users, selection, train_config)
     _write_json(out / "vocab.json", {"tokens": vocab.tokens()})
@@ -304,15 +316,17 @@ def _train_depression_cmd(args, out: Path) -> int:
 
 def _train_risk_cmd(args, out: Path) -> int:
     data = Path(args.data)
-    opts = _options(args.config, "risk", variant=args.variant, epochs=args.epochs)
+    with _options(args.config, "risk", variant=args.variant, epochs=args.epochs) as opts:
+        variant = opts.pop("variant", RISK_VARIANT)
+        encoder_record = {"seed": derive_seed(args.seed, "encoder")}
+        if "encoder_dim" in opts:
+            encoder_record["dim"] = opts["encoder_dim"]
+        encoder = HashedSentenceEncoder(**encoder_record)
+        model_config = RiskModelConfig.for_variant(variant, sentence_dim=encoder.dim,
+                                                   **_pick(opts, RiskModelConfig))
+        train_config = TrainConfig(**_pick(opts, TrainConfig),
+                                   seed=derive_seed(args.seed, "train"))
     threads = read_threads(data / "train.threads.ndjson")
-    variant = opts.pop("variant", RISK_VARIANT)
-    encoder_record = {"seed": derive_seed(args.seed, "encoder")}
-    if "encoder_dim" in opts:
-        encoder_record["dim"] = opts["encoder_dim"]
-    encoder = HashedSentenceEncoder(**encoder_record)
-    model_config = RiskModelConfig.for_variant(variant, sentence_dim=encoder.dim,
-                                               **_pick(opts, RiskModelConfig))
     max_sentences = model_config.max_sentences
     val_fraction = opts.get("val_fraction", RISK_VAL_FRACTION)
     val_split_seed = derive_seed(args.seed, "val-split")
@@ -320,8 +334,6 @@ def _train_risk_cmd(args, out: Path) -> int:
                                   val_fraction, val_split_seed)
     train_data = thread_matrices([threads[i] for i in kept], encoder, max_sentences)
     val_data = thread_matrices([threads[i] for i in held], encoder, max_sentences)
-    train_config = TrainConfig(**_pick(opts, TrainConfig),
-                               seed=derive_seed(args.seed, "train"))
     model = RiskModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_risk(model, train_data, val_data, train_config)
     return _finish_training(args, out, model, result, train_config, "non-green f1",

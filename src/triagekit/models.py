@@ -67,9 +67,9 @@ def _check_config(config, length: str, sizes: Sequence[str]) -> None:
     if getattr(config, length) < config.conv_window:
         raise ValueError(f"{length} must cover one convolution window")
     if not 0.0 <= config.dropout < 1.0:
-        raise ValueError("dropout must be in [0, 1)")
+        raise ValueError(f"dropout must be in [0, 1), got {config.dropout!r}")
     if config.balance not in ("weighted", "sampled"):
-        raise ValueError(f"unknown balance mode {config.balance!r}")
+        raise ValueError(f"balance must be 'weighted' or 'sampled', got {config.balance!r}")
 
 
 def _kernel(rng: np.random.Generator, filters: int, window: int, depth: int) -> np.ndarray:
@@ -301,7 +301,8 @@ class RiskModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "dense_dims", tuple(self.dense_dims))
         if self.variant not in RISK_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"variant must be one of {', '.join(RISK_VARIANTS)}, "
+                             f"got {self.variant!r}")
         _check_config(self, "max_sentences",
                       ("sentence_dim", "conv_window", "conv_filters", "pool_n", "n_classes"))
         if self.margin < 0:

@@ -217,12 +217,14 @@ def _acc_rows(node: Node, rows: np.ndarray, drows: np.ndarray) -> None:
 
     While row writes are its only gradients, the gradient stays a `RowGrad`
     over the union of the rows written, each row summed into zeros in call
-    order, as a dense table would sum it.
+    order, as a dense table would sum it. The first write is stored as
+    drows + 0.0, with no union: the same bits as a sum into zeros, -0.0
+    turned to +0.0 included.
     """
     grad = node.grad
     if grad is None:
-        grad = RowGrad(rows[:0], drows[:0], node.value.shape)
-    if isinstance(grad, RowGrad):
+        node.grad = RowGrad(rows, np.add(drows, 0.0, dtype=node.value.dtype), node.value.shape)
+    elif isinstance(grad, RowGrad):
         union = np.union1d(grad.rows, rows)
         values = np.zeros((union.size, *drows.shape[1:]), dtype=node.value.dtype)
         values[np.searchsorted(union, grad.rows)] = grad.values
@@ -282,6 +284,10 @@ class ParamNodes:
 # ---------------------------------------------------------------------------
 # Ops
 
+# Positions per chunk of `_lookup_back`'s flat scatter index.
+_SCATTER_CHUNK = 4096
+
+
 def embedding_lookup(table: Node, ids) -> Node:
     """Rows of an embedding table for a sequence of token ids: [T x d]."""
     ids = np.asarray(ids, dtype=np.intp)
@@ -297,10 +303,23 @@ def embedding_lookup(table: Node, ids) -> Node:
 
 def _lookup_back(table: Node, ids: np.ndarray, g: np.ndarray) -> None:
     """Add g, the gradient of table[ids], into the table's gradient: summed
-    per distinct row, in position order."""
+    per distinct row, in position order.
+
+    The sums are `np.add.at` over the flat elements of the distinct rows,
+    element c of position i going to inverse[i] * width + c, which runs about
+    three times faster than `np.add.at` over whole rows (800 or 150k ids of
+    width 50). Every element still sums its contributions in position order,
+    starting from 0.0, so the result is bit for bit the row-wise one. The
+    flat index is built for `_SCATTER_CHUNK` positions at a time, chunk after
+    chunk, so no [T x width] index is ever held.
+    """
     rows, inverse = np.unique(ids, return_inverse=True)
     drows = np.zeros((rows.size, *g.shape[1:]), dtype=table.value.dtype)
-    np.add.at(drows, inverse, g)
+    g = g.reshape(ids.size, -1)
+    width = g.shape[1]
+    for s in range(0, ids.size, _SCATTER_CHUNK):
+        at = inverse[s:s + _SCATTER_CHUNK, None] * width + np.arange(width)
+        np.add.at(drows.reshape(-1), at.reshape(-1), g[s:s + _SCATTER_CHUNK].reshape(-1))
     _acc_rows(table, rows, drows)
 
 
@@ -398,8 +417,11 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     block is one matmul per window offset.
 
     The backward has dW[:, j] = x[j::stride]^T @ g and dx[j::stride] += g @
-    W[:, j]^T, k matmuls each; a table's rows are gathered once for it, and
-    dx reaches the table as `embedding_lookup`'s gradient does. A constant
+    W[:, j]^T, k matmuls each. Each dW[:, j] product is written straight into
+    one preallocated [d_in x k x l] array, and the dx products share one
+    reused temporary. A table's rows are gathered once for dW and freed,
+    with that temporary, before dx reaches the table as
+    `embedding_lookup`'s gradient does (`_lookup_back`). A constant
     `SparseRows` x reads only the kernel rows of its nonzero columns, writes
     the weight gradient on those rows only, as a `RowGrad`, and gets no
     gradient.
@@ -440,15 +462,20 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     def back(g):
         xv = src if ids is None else src[ids]
         span = (rows - 1) * stride + 1
-        dw = np.stack([xv[j:j + span:stride].T @ g for j in range(k)], axis=1)
+        dw = np.empty((xv.shape[1], k, l), dtype=np.result_type(xv, g))
+        for j in range(k):
+            np.matmul(xv[j:j + span:stride].T, g, out=dw[:, j])
         _acc(bias, g.sum(axis=0))
         if sparse:
             _acc_rows(weights, x.cols, dw)
             return
         _acc(weights, dw, fresh=True)
         dx = np.zeros_like(xv)
+        del xv                                  # gathered rows: freed before the scatter
+        part = np.empty((rows, d_in), dtype=np.result_type(g, w))
         for j in range(k):
-            dx[j:j + span:stride] += g @ w[:, j].T
+            dx[j:j + span:stride] += np.matmul(g, w[:, j].T, out=part)
+        del part
         if ids is None:
             _acc(x, dx, fresh=True)
         else:
@@ -710,8 +737,13 @@ _ADAM_BLOCK = 1 << 16
 # Full blocks of elements a step must update before the cores share it; a
 # smaller step runs inline, where waking the workers would cost more than it
 # saves. Elements, not blocks, are counted, since every bias vector is a
-# block of its own.
-_POOL_MIN_BLOCKS = 8
+# block of its own. A depression-paper benchmark epoch on 2 cores (60 steps
+# of 40k-690k live elements, 41 of them under 8 blocks and 16 under 4)
+# trained in a median 0.201 / 0.187 / 0.185 / 0.183 s at thresholds
+# 8 / 4 / 2 / 1 (8 seeds each). 4 keeps every acceptance-scale model inline:
+# the risk variants at 64-dim x 8 sentences have 125k-243k parameters, under
+# 4 x 64k, and those slowed when the workers woke on every step.
+_POOL_MIN_BLOCKS = 4
 # Adam's moment decays and epsilon. Both betas must lie in (0.5, 1), where a
 # product with a beta never rounds to -0, for `_adam_block`'s skipped terms.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

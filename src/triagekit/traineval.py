@@ -68,9 +68,11 @@ class SelectionConfig:
 
     def __post_init__(self):
         if self.strategy not in SELECTION_STRATEGIES:
-            raise ValueError(f"unknown selection strategy {self.strategy!r}")
-        if self.n_post < 1 or self.n_term < 1:
-            raise ValueError("n_post and n_term must be positive")
+            raise ValueError(f"strategy must be one of {', '.join(SELECTION_STRATEGIES)}, "
+                             f"got {self.strategy!r}")
+        for name in ("n_post", "n_term"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         _check_seed(self.seed)
 
 
@@ -314,9 +316,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or not 0 < self.lr < math.inf:
-            raise ValueError("epochs must be >= 0 and lr finite and > 0, "
-                             f"got epochs {self.epochs}, lr {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and greater than 0, got {self.lr!r}")
 
 
 @dataclass
@@ -499,9 +502,10 @@ class SynthDetectionSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.signal_rate <= 1.0:
-            raise ValueError("signal_rate must be in [0, 1]")
-        if self.n_positive < 1 or self.n_controls_per < 1:
-            raise ValueError("need at least one positive and one control per positive")
+            raise ValueError(f"signal_rate must be in [0, 1], got {self.signal_rate!r}")
+        for name in ("n_positive", "n_controls_per"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 SIGNAL_PHRASES = (("sig0", "sig1", "sig2"), ("sig3", "sig4", "sig5"))
@@ -591,9 +595,9 @@ class SynthRiskSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.drift <= 1.0:
-            raise ValueError("drift must be in [0, 1]")
+            raise ValueError(f"drift must be in [0, 1], got {self.drift!r}")
         if self.signal_per_level < 1:
-            raise ValueError("signal_per_level must be >= 1")
+            raise ValueError(f"signal_per_level must be at least 1, got {self.signal_per_level!r}")
 
 
 def _synth_sentence(level: int, spec: SynthRiskSpec,

@@ -449,7 +449,8 @@ def test_train_unknown_balance_mode_fails(risk_chain, tmp_path, capsys):
                   "--config", str(bad), "--data", str(data),
                   "--out", str(tmp_path / "run"), "--seed", "11"])
     assert rc == 1
-    assert "unknown balance mode 'wieghted'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: [risk] balance: must be 'weighted' or 'sampled', got 'wieghted'\n")
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
@@ -480,20 +481,33 @@ def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_
 
 
 @pytest.mark.parametrize("task, variant, line, message", [
-    ("risk", "cat_ce", "pool_n = 0", "pool_n must be at least 1, got 0"),
-    ("risk", "cat_ce", "max_sentences = 0", "max_sentences must cover one convolution window"),
-    ("risk", "mse", "dense_dims = 8,0", "dense_dims entries must be at least 1, got [8, 0]"),
+    ("risk", "cat_ce", "pool_n = 0", "[risk] pool_n: must be at least 1, got 0"),
+    ("risk", "cat_ce", "max_sentences = 0",
+     "[risk] max_sentences: must cover one convolution window"),
+    ("risk", "mse", "dense_dims = 8,0",
+     "[risk] dense_dims: entries must be at least 1, got [8, 0]"),
     ("risk", "class_metric", "dense_dims =",
-     "dense_dims must not be empty for variant 'class_metric'"),
-    ("risk", "class_metric_ordinal", "margin = -0.5", "margin must be at least 0, got -0.5"),
-    ("depression", None, "embed_dim = -3", "embed_dim must be at least 1, got -3"),
-    ("depression", None, "merge_stride = 0", "merge_stride must be at least 1, got 0"),
-    ("depression", None, "conv_filters = 0", "conv_filters must be at least 1, got 0"),
+     "[risk] dense_dims: must not be empty for variant 'class_metric'"),
+    ("risk", "class_metric_ordinal", "margin = -0.5",
+     "[risk] margin: must be at least 0, got -0.5"),
+    ("depression", None, "embed_dim = -3", "[depression] embed_dim: must be at least 1, got -3"),
+    ("depression", None, "merge_stride = 0",
+     "[depression] merge_stride: must be at least 1, got 0"),
+    ("depression", None, "conv_filters = 0",
+     "[depression] conv_filters: must be at least 1, got 0"),
+    ("depression", None, "lr = -1",
+     "[depression] lr: must be finite and greater than 0, got -1.0"),
+    ("depression", None, "strategy = newest",
+     "[depression] strategy: must be one of earliest, latest, random, got 'newest'"),
+    ("risk", None, "lr = nan", "[risk] lr: must be finite and greater than 0, got nan"),
+    ("risk", None, "variant = cnn",
+     "[risk] variant: must be one of cat_ce, mse, class_metric, class_metric_ordinal, got 'cnn'"),
 ], ids=["pool_n", "max_sentences", "dense_width", "metric_no_dense", "margin", "embed_dim",
-        "merge_stride", "conv_filters"])
+        "merge_stride", "conv_filters", "depression_lr", "strategy", "risk_lr", "variant"])
 def test_train_out_of_range_model_config_fails_by_field(depression_chain, risk_chain, tmp_path,
                                                         capsys, task, variant, line, message):
-    # Each bad value exits 1 with one error line naming its field, before any training.
+    # Each bad value exits 1 with one error line naming its section and field,
+    # before any training.
     data = (depression_chain if task == "depression" else risk_chain)[1]
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[{task}]\n{line}\nepochs = 1\n")
@@ -505,6 +519,15 @@ def test_train_out_of_range_model_config_fails_by_field(depression_chain, risk_c
     assert err.startswith(f"error: {message}"), err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_flag_range_error_names_no_section(risk_chain, tmp_path, capsys):
+    # --epochs overrides the file's epochs, so the error names the field alone.
+    ini, data, _ = risk_chain
+    rc = run_cli(["train", "--task", "risk", "--config", str(ini), "--data", str(data),
+                  "--epochs", "-1", "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: epochs must be at least 0, got -1\n"
 
 
 def test_predict_late_context_post_names_its_line(risk_chain, tmp_path, capsys):
@@ -689,7 +712,7 @@ def test_train_rejects_negative_epochs(risk_chain, tmp_path, capsys):
                   "--out", str(tmp_path / "run"), "--seed", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: epochs must be >= 0 and lr finite and > 0, got epochs -1, lr 0.01")
+        "error: [risk] epochs: must be at least 0, got -1")
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
@@ -783,16 +806,17 @@ def test_build_dataset_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("k = 0", "k must be at least 1, got 0"),
-    ("k = -1", "k must be at least 1, got -1"),
-    ("tolerance = -0.5", "tolerance must be finite and at least 0, got -0.5"),
-    ("tolerance = nan", "tolerance must be finite and at least 0, got nan"),
-    ("min_prior_posts = -1", "min_prior_posts must be at least 0, got -1"),
-    ("min_positive_votes = 0", "min_positive_votes must be at least 1, got 0"),
+    ("k = 0", "[dataset] k: must be at least 1, got 0"),
+    ("k = -1", "[dataset] k: must be at least 1, got -1"),
+    ("tolerance = -0.5", "[dataset] tolerance: must be finite and at least 0, got -0.5"),
+    ("tolerance = nan", "[dataset] tolerance: must be finite and at least 0, got nan"),
+    ("min_prior_posts = -1", "[dataset] min_prior_posts: must be at least 0, got -1"),
+    ("min_positive_votes = 0", "[dataset] min_positive_votes: must be at least 1, got 0"),
 ], ids=["k_zero", "k_negative", "tolerance_negative", "tolerance_nan", "min_prior_posts",
         "min_positive_votes"])
 def test_build_dataset_out_of_range_config_fails_by_field(tmp_path, capsys, line, message):
-    # Each bad value exits 1 with one error line naming its field, before any output.
+    # Each bad value exits 1 with one error line naming its section and field,
+    # before any output.
     posts_path, votes_path, _ = raw_corpus(tmp_path)
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[dataset]\n{line}\n")

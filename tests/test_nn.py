@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from triagekit import nn
+from triagekit.models import RISK_VARIANTS, RiskModel, RiskModelConfig
 from triagekit.nn import (
     AdamState,
     ParamNodes,
@@ -294,6 +295,53 @@ def test_embedding_gradient_equals_dense_rule():
     grad = nodes.grads()["emb"]
     assert isinstance(grad, RowGrad) and np.array_equal(grad.rows, [0, 3, 7, 12, 29])
     assert np.array_equal(np.asarray(grad), expected)
+
+
+def _row_scatter(ids, g):
+    """The row-wise reference: one `np.add.at` over whole rows."""
+    rows, inverse = np.unique(ids, return_inverse=True)
+    drows = np.zeros((rows.size, *g.shape[1:]))
+    np.add.at(drows, inverse, g)
+    return rows, drows
+
+
+@pytest.mark.parametrize("t, row", [(7, (1,)), (300, (50,)), (9000, (1,)), (9000, (50,)),
+                                    (300, ()), (300, (2, 3))],
+                         ids=["short_width_1", "width_50", "chunks_width_1", "chunks_width_50",
+                              "vector_table", "matrix_rows"])
+def test_lookup_back_flat_scatter_is_the_row_scatter_bit_for_bit(t, row):
+    # Zipf ids repeat; entries span sixteen orders of magnitude, so another
+    # summation order changes bits; a fifth are -0.0, and the last id occurs
+    # once with only -0.0, which a sum from 0.0 turns into +0.0. 9000 ids
+    # take three chunks of the flat index.
+    rng = np.random.default_rng(t + len(row))
+    ids = np.minimum(rng.zipf(1.3, t), 400) - 1
+    ids[-1] = 450
+    g = rng.standard_normal((t, *row)) * 10.0 ** rng.uniform(-8, 8, (t, *row))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[-1] = -0.0
+    table = nn._ParamNode(np.zeros((500, *row)))
+    nn._lookup_back(table, ids, g)
+    rows, drows = _row_scatter(ids, g)
+    assert isinstance(table.grad, RowGrad) and np.array_equal(table.grad.rows, rows)
+    assert table.grad.values.shape == drows.shape
+    assert table.grad.values.tobytes() == drows.tobytes()
+    assert not np.signbit(table.grad.values[-1]).any()
+
+
+def test_lookup_back_holds_no_whole_flat_index():
+    # 60,000 ids over 100 rows of width 50: a flat index for every position
+    # would be 24 MB, one chunk's of 4096 positions is 1.6 MB, and the whole
+    # call, np.unique included, stays under a quarter of 24 MB.
+    rng = np.random.default_rng(46)
+    t, width = 60_000, 50
+    ids = rng.integers(0, 100, t)
+    g = rng.standard_normal((t, width))
+    table = nn._ParamNode(np.zeros((100, width)))
+    nn._lookup_back(table, ids[:10], g[:10])   # numpy's first-call allocations stay out
+    table.grad = None
+    assert _peak_bytes(lambda: nn._lookup_back(table, ids, g)) < t * width * 8 / 4
+    assert table.grad.values.tobytes() == _row_scatter(ids, g)[1].tobytes()
 
 
 def _peak_bytes(fn) -> int:
@@ -1183,18 +1231,38 @@ def test_blocked_adam_matches_textbook_update_bit_for_bit(monkeypatch, workers):
 
 
 def test_adam_pool_waits_for_enough_elements(monkeypatch):
-    # Ten two-element vectors are ten blocks but under eight blocks of work.
+    # Two-element vectors are a block each, so they make more blocks than
+    # `_POOL_MIN_BLOCKS` well before they make that many blocks of elements.
+    # One vector short of the threshold runs inline; at it, the step is shared.
     asked = blocked_adam_case(monkeypatch, 3)
+    vectors = nn._POOL_MIN_BLOCKS * nn._ADAM_BLOCK // 2
     params = ParamStore()
-    for i in range(10):
+    for i in range(vectors - 1):
         params.add(f"b{i}", np.ones(2))
     state = AdamState(params)
+    assert len(params) > nn._POOL_MIN_BLOCKS
     adam_step(params, zero_grads(params), state)
     assert asked == []
-    params.add("w", np.ones(32))
+    params.add("last", np.ones(2))
     state = AdamState(params)
     adam_step(params, zero_grads(params), state)
     assert asked == [2]
+
+
+@pytest.mark.parametrize("variant", RISK_VARIANTS)
+def test_adam_on_acceptance_scale_risk_model_runs_inline(monkeypatch, variant):
+    # Criterion 7's models (64-dim sentences, 8 of them; 125k to 243k
+    # parameters) slowed when the pool woke on every step. A step with a
+    # dense gradient for every parameter, the largest a step can be, stays
+    # inline with the default block size.
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    asked = []
+    pool = nn._adam_pool
+    monkeypatch.setattr(nn, "_adam_pool", lambda threads: asked.append(threads) or pool(threads))
+    model = RiskModel(RiskModelConfig.for_variant(variant, sentence_dim=64, max_sentences=8),
+                      seed=0)
+    adam_step(model.params, zero_grads(model.params), AdamState(model.params))
+    assert asked == []
 
 
 @pytest.mark.parametrize("workers", [1, 3], ids=["inline", "workers"])
