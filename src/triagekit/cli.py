@@ -7,7 +7,8 @@ written into the --out directory. Exit codes: 0 success, 1 runtime failure,
 identical invocations produce byte-identical outputs.
 
 A setting comes from its flag, else from the INI file (`OPTIONS` lists what
-each section may set), else from the library's own default. A checkpoint
+each section may set), else from the library's own default; the library
+object that uses a setting checks its range. A checkpoint
 directory holds `checkpoint.json`, `run.json` and, for depression, `vocab.json`;
 `evaluate`, `predict` and `explain` read it with one loader, and `evaluate`
 scores the rows that `predict` writes.
@@ -31,6 +32,7 @@ from .corpus import (
     HashedSentenceEncoder,
     UserRecord,
     Vocabulary,
+    at_least,
     atomic_open,
     load_users,
     read_threads,
@@ -50,6 +52,7 @@ from .traineval import (
     SynthDetectionSpec,
     SynthRiskSpec,
     TrainConfig,
+    chosen_posts,
     derive_seed,
     detection_report,
     select_posts,
@@ -65,8 +68,7 @@ from .traineval import (
 )
 
 GRADCHECK_THRESHOLD = 1e-4
-# Risk settings the library has no default for.
-RISK_VARIANT = "cat_ce"
+# The one setting the library has no default for: stratified_split takes it.
 RISK_VAL_FRACTION = 0.15
 
 
@@ -200,7 +202,8 @@ def _run_file(checkpoint: str, name: str, what: str):
 def _load_run_dir(checkpoint: str):
     """(run.json, its task's model, the vocabulary or None, and what reads an
     input: a SelectionConfig, or a sentence encoder for risk). The checkpoint loads
-    before run.json's task fields are read, so the other task's checkpoint fails on kind."""
+    before run.json's task fields are read, so the other task's checkpoint fails on kind,
+    and the reader's width (encoder dim, or selection n_term) must be the model's."""
     with _run_file(checkpoint, "run.json", "run description") as path:
         run = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(run, dict) or run.get("task") not in ("depression", "risk"):
@@ -212,8 +215,14 @@ def _load_run_dir(checkpoint: str):
         with _run_file(checkpoint, "vocab.json", "vocabulary") as path:
             vocab = Vocabulary(json.loads(path.read_text(encoding="utf-8"))["tokens"])
     with _run_file(checkpoint, "run.json", "run description"):
-        reader = (_sentence_encoder(run["encoder"]) if vocab is None
-                  else SelectionConfig(**run["selection"]))
+        if vocab is None:
+            reader = _sentence_encoder(run["encoder"])
+            name, value, model_value = "encoder dim", reader.dim, model.config.sentence_dim
+        else:
+            reader = SelectionConfig(**run["selection"])
+            name, value, model_value = "selection n_term", reader.n_term, model.config.n_term
+        if value != model_value:
+            raise ValueError(f"{name} {value} differs from the checkpoint's {model_value}")
     return run, model, vocab, reader
 
 
@@ -297,8 +306,10 @@ def _train_depression_cmd(args, out: Path) -> int:
         vocab_opts = {"min_freq": opts["min_freq"]} if "min_freq" in opts else {}
         train_users, vocab = _users(data / "train.posts.ndjson",
                                     data / "train.labels.ndjson", **vocab_opts)
-        val_users, _ = _users(data / "validation.posts.ndjson",
-                              data / "validation.labels.ndjson", vocab)
+        val_posts = data / "validation.posts.ndjson"
+        val_users, _ = _users(val_posts, data / "validation.labels.ndjson", vocab)
+        if not val_users:
+            raise ValueError(f"{val_posts}: no users to validate on")
         model_config = DepressionModelConfig(vocab_size=len(vocab),
                                              **_pick(opts, DepressionModelConfig))
         # Posts are cut to the model's n_term, however it was set.
@@ -317,27 +328,24 @@ def _train_depression_cmd(args, out: Path) -> int:
 def _train_risk_cmd(args, out: Path) -> int:
     data = Path(args.data)
     with _options(args.config, "risk", variant=args.variant, epochs=args.epochs) as opts:
-        variant = opts.pop("variant", RISK_VARIANT)
-        encoder_record = {"seed": derive_seed(args.seed, "encoder")}
-        if "encoder_dim" in opts:
-            encoder_record["dim"] = opts["encoder_dim"]
-        encoder = HashedSentenceEncoder(**encoder_record)
-        model_config = RiskModelConfig.for_variant(variant, sentence_dim=encoder.dim,
+        dim = {"dim": opts["encoder_dim"]} if "encoder_dim" in opts else {}
+        encoder = HashedSentenceEncoder(seed=derive_seed(args.seed, "encoder"), **dim)
+        model_config = RiskModelConfig.for_variant(sentence_dim=encoder.dim,
                                                    **_pick(opts, RiskModelConfig))
         train_config = TrainConfig(**_pick(opts, TrainConfig),
                                    seed=derive_seed(args.seed, "train"))
-    threads = read_threads(data / "train.threads.ndjson")
+        threads = read_threads(data / "train.threads.ndjson")
+        val_fraction = opts.get("val_fraction", RISK_VAL_FRACTION)
+        val_split_seed = derive_seed(args.seed, "val-split")
+        kept, held = stratified_split([int(t.label) for t in threads],
+                                      val_fraction, val_split_seed)
     max_sentences = model_config.max_sentences
-    val_fraction = opts.get("val_fraction", RISK_VAL_FRACTION)
-    val_split_seed = derive_seed(args.seed, "val-split")
-    kept, held = stratified_split([int(t.label) for t in threads],
-                                  val_fraction, val_split_seed)
     train_data = thread_matrices([threads[i] for i in kept], encoder, max_sentences)
     val_data = thread_matrices([threads[i] for i in held], encoder, max_sentences)
     model = RiskModel(model_config, seed=derive_seed(args.seed, "init"))
     result = train_risk(model, train_data, val_data, train_config)
     return _finish_training(args, out, model, result, train_config, "non-green f1",
-                            variant=variant,
+                            variant=model_config.variant,
                             encoder={"dim": encoder.dim, "seed": encoder.seed},
                             max_sentences=max_sentences, val_fraction=val_fraction,
                             val_split_seed=val_split_seed)
@@ -464,15 +472,16 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.top < 1:
-        raise ValueError(f"--top must be at least 1, got {args.top}")
-    _, model, vocab, _ = _load_run_dir(args.checkpoint)
+    at_least(1, **{"--top": args.top})
+    _, model, vocab, selection = _load_run_dir(args.checkpoint)
     if model.kind != "depression":
         raise ValueError("explain requires a depression checkpoint")
     data = Path(args.data)
     users, _ = _users(data / f"{args.split}.posts.ndjson",
                       data / f"{args.split}.labels.ndjson", vocab)
-    users_iter = [(u.user_id, [(p.post_id, p.tokens) for p in u.posts]) for u in users]
+    # The posts that predict scores: the run's own selection.
+    users_iter = [(u.user_id, [(p.post_id, p.tokens) for p in chosen_posts(u, selection)])
+                  for u in users]
     phrases = top_phrases(model, users_iter, args.top, vocab)
     print(f"{'score':>10}  {'post':<16} phrase")
     for post_id, tokens, score in phrases:

@@ -36,6 +36,14 @@ class CorpusFormatError(ValueError):
     """A corpus, label, or thread file failed to parse; message carries file:line."""
 
 
+def at_least(low, **values) -> None:
+    """Fail as ``<name> must be at least <low>, got <value>`` on a value below
+    ``low`` or NaN."""
+    for name, value in values.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be at least {low}, got {value!r}")
+
+
 class RiskLabel(IntEnum):
     """Ordinal self-harm risk severity of a forum post."""
 
@@ -185,6 +193,7 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str], min_freq: int = 5) -> "Vocabulary":
+        at_least(1, min_freq=min_freq)
         counts: dict[str, int] = {}
         for text in texts:
             for tok in word_tokens(text):
@@ -241,11 +250,10 @@ class HashedSentenceEncoder:
     """
 
     def __init__(self, dim: int = 7200, seed: int = 0, max_ngram: int = 2):
-        for name, value in (("dim", dim), ("seed", seed)):
+        for name, value in (("encoder_dim", dim), ("encoder_seed", seed)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"encoder {name} must be an integer, got {value!r}")
-        if dim < 1:
-            raise ValueError("encoder dim must be >= 1")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        at_least(1, encoder_dim=dim)
         self.dim = int(dim)
         self.seed = seed
         self.max_ngram = max_ngram
@@ -377,8 +385,8 @@ def load_users(posts_path: str | Path,
                labels_path: str | Path | None = None) -> dict[str, UserRecord]:
     """Group a posts file (and optional labels file) into UserRecords.
 
-    Users absent from the labels file default to control. post_id uniqueness
-    is enforced corpus-wide.
+    Users absent from the labels file default to control; a labelled user
+    without posts is an error. post_id uniqueness is enforced corpus-wide.
     """
     posts = read_posts(posts_path)
     seen: set[str] = set()
@@ -389,6 +397,10 @@ def load_users(posts_path: str | Path,
         seen.add(p.post_id)
         by_user.setdefault(p.user_id, []).append(p)
     labels = read_labels(labels_path) if labels_path is not None else {}
+    unposted = sorted(set(labels) - set(by_user))
+    if unposted:
+        raise CorpusFormatError(f"{labels_path}: user {unposted[0]!r} has a label but no "
+                                f"posts in {posts_path}")
     users: dict[str, UserRecord] = {}
     for uid, user_posts in by_user.items():
         label, diag = labels.get(uid, (CONTROL, None))

@@ -21,6 +21,7 @@ from .corpus import (
     CONTROL,
     DIAGNOSED,
     UserRecord,
+    at_least,
     atomic_open,
     load_users,
     read_rows,
@@ -296,9 +297,8 @@ class BuildConfig:
     min_positive_votes: int = 2
 
     def __post_init__(self):
-        for name, low in (("k", 1), ("min_prior_posts", 0), ("min_positive_votes", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        at_least(1, k=self.k, min_positive_votes=self.min_positive_votes)
+        at_least(0, min_prior_posts=self.min_prior_posts)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and at least 0, got {self.tolerance!r}")
 

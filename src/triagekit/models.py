@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import RiskLabel, ThreadInstance, Vocabulary, split_sentences
+from .corpus import RiskLabel, ThreadInstance, Vocabulary, at_least, split_sentences
 from .nn import (
     Node,
     ParamNodes,
@@ -59,9 +59,7 @@ RISK_VARIANTS = ("cat_ce", "mse", "class_metric", "class_metric_ordinal")
 def _check_config(config, length: str, sizes: Sequence[str]) -> None:
     """Range checks both model configs share; field ``length`` is the input
     length, which must cover one convolution window."""
-    for name in sizes:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)!r}")
+    at_least(1, **{name: getattr(config, name) for name in sizes})
     if any(width < 1 for width in config.dense_dims):
         raise ValueError(f"dense_dims entries must be at least 1, got {list(config.dense_dims)}")
     if getattr(config, length) < config.conv_window:
@@ -128,8 +126,7 @@ class DepressionModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dense_dims", tuple(self.dense_dims))
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must cover the reserved ids")
+        at_least(2, vocab_size=self.vocab_size)  # the reserved ids
         _check_config(self, "n_term", ("embed_dim", "conv_window", "conv_filters",
                                        "merge_window", "merge_stride", "merge_filters"))
 
@@ -246,8 +243,7 @@ def top_phrases(model: DepressionModel,
     (post_id, window tokens, score) triples, strongest first. When a
     vocabulary is given, windows are returned as token strings.
     """
-    if m < 1:
-        raise ValueError(f"the number of phrases must be at least 1, got {m}")
+    at_least(1, m=m)
     k = model.config.conv_window
     ranked: list[tuple[str, tuple, float]] = []
     for _, posts in users:
@@ -305,15 +301,13 @@ class RiskModelConfig:
                              f"got {self.variant!r}")
         _check_config(self, "max_sentences",
                       ("sentence_dim", "conv_window", "conv_filters", "pool_n", "n_classes"))
-        if self.margin < 0:
-            raise ValueError(f"margin must be at least 0, got {self.margin!r}")
+        at_least(0, margin=self.margin)
         if not self.dense_dims and self.variant not in ("cat_ce", "mse"):
             raise ValueError(f"dense_dims must not be empty for variant {self.variant!r}")
 
     @classmethod
-    def for_variant(cls, variant: str, sentence_dim: int = 7200,
-                    **overrides) -> "RiskModelConfig":
-        """Per-variant defaults: filters, dense widths, dropout, balancing."""
+    def for_variant(cls, variant: str = "cat_ce", **overrides) -> "RiskModelConfig":
+        """Per-variant defaults (cat_ce's if none is named): filters, widths, dropout, balance."""
         table = {
             "cat_ce": dict(conv_filters=150, dense_dims=(250, 250),
                            dropout=0.3, balance="weighted", margin=1.0),
@@ -324,8 +318,7 @@ class RiskModelConfig:
             "class_metric_ordinal": dict(conv_filters=100, dense_dims=(150, 150),
                                          dropout=0.3, balance="sampled", margin=0.5),
         }
-        return cls(variant=variant, sentence_dim=sentence_dim,
-                   **{**table.get(variant, {}), **overrides})
+        return cls(variant=variant, **{**table.get(variant, {}), **overrides})
 
     @property
     def output_dim(self) -> int:
@@ -433,7 +426,7 @@ class RiskModel:
 
 
 def instance_matrices(instance: ThreadInstance, encoder,
-                      max_sentences: int = 20) -> tuple[SparseRows, SparseRows]:
+                      max_sentences: int) -> tuple[SparseRows, SparseRows]:
     """Sentence-vector matrices (target, context), each [max_sentences × dim]
     `SparseRows` built from the encoder's (cols, values) pairs.
 

@@ -24,6 +24,7 @@ from .corpus import (
     ThreadInstance,
     UserRecord,
     Vocabulary,
+    at_least,
     atomic_open,
     tokenize,
     write_labels,
@@ -70,9 +71,7 @@ class SelectionConfig:
         if self.strategy not in SELECTION_STRATEGIES:
             raise ValueError(f"strategy must be one of {', '.join(SELECTION_STRATEGIES)}, "
                              f"got {self.strategy!r}")
-        for name in ("n_post", "n_term"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        at_least(1, n_post=self.n_post, n_term=self.n_term)
         _check_seed(self.seed)
 
 
@@ -86,24 +85,27 @@ def tokenize_users(users: Iterable[UserRecord],
     return out
 
 
-def select_posts(user: UserRecord, cfg: SelectionConfig) -> list[tuple[int, ...]]:
-    """Up to n_post token sequences in time order, each cut to n_term tokens.
+def chosen_posts(user: UserRecord, cfg: SelectionConfig) -> tuple[Post, ...]:
+    """Up to n_post of the user's posts, in time order.
 
     The random strategy draws a per-user stream from the config seed, so the
-    selection is a pure function of (user, cfg).
+    choice is a pure function of (user, cfg).
     """
     posts = user.posts
     if cfg.strategy == "earliest":
-        chosen = posts[:cfg.n_post]
-    elif cfg.strategy == "latest":
-        chosen = posts[-cfg.n_post:]
-    elif len(posts) <= cfg.n_post:
-        chosen = posts
-    else:
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"select:{user.user_id}"))
-        keep = np.sort(rng.choice(len(posts), size=cfg.n_post, replace=False))
-        chosen = tuple(posts[i] for i in keep)
-    return [tuple(p.tokens[:cfg.n_term]) for p in chosen]
+        return posts[:cfg.n_post]
+    if cfg.strategy == "latest":
+        return posts[-cfg.n_post:]
+    if len(posts) <= cfg.n_post:
+        return posts
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"select:{user.user_id}"))
+    keep = np.sort(rng.choice(len(posts), size=cfg.n_post, replace=False))
+    return tuple(posts[i] for i in keep)
+
+
+def select_posts(user: UserRecord, cfg: SelectionConfig) -> list[tuple[int, ...]]:
+    """The token sequences of `chosen_posts`, each cut to n_term tokens."""
+    return [tuple(p.tokens[:cfg.n_term]) for p in chosen_posts(user, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +318,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be at least 0, got {self.epochs!r}")
+        at_least(0, epochs=self.epochs)
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and greater than 0, got {self.lr!r}")
 
@@ -419,12 +420,11 @@ def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
 
 
 def thread_matrices(instances: Sequence[ThreadInstance], encoder,
-                    max_sentences: int = 20) -> list[tuple[SparseRows, SparseRows, int]]:
+                    max_sentences: int) -> list[tuple[SparseRows, SparseRows, int]]:
     """Encode thread instances once into (target, context, label) triples.
 
-    Each matrix is the `SparseRows` that `instance_matrices` builds: hashed
-    sentence vectors fill a few of thousands of columns, and an encoder of
-    dense vectors fills every column.
+    Each matrix is the `SparseRows` that `instance_matrices` builds, whose
+    hashed sentence vectors fill a few of the encoder's columns.
     """
     return [(*instance_matrices(inst, encoder, max_sentences), int(inst.label))
             for inst in instances]
@@ -467,17 +467,17 @@ def train_risk(model: RiskModel,
                   validate)
 
 
-def stratified_split(labels: Sequence[int], frac: float,
+def stratified_split(labels: Sequence[int], val_fraction: float,
                      seed: int) -> tuple[list[int], list[int]]:
-    """Indices (kept, held out) with `frac` of each class held out, >= 1 each."""
-    if not 0.0 < frac < 1.0:
-        raise ValueError("held-out fraction must be in (0, 1)")
+    """Indices (kept, held out) with `val_fraction` of each class held out, >= 1 each."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction!r}")
     rng = np.random.default_rng(derive_seed(seed, "stratified-split"))
     held: list[int] = []
     for c in sorted(set(labels)):
         idx = [i for i, y in enumerate(labels) if y == c]
         perm = rng.permutation(len(idx))
-        n_held = max(1, int(frac * len(idx)))
+        n_held = max(1, int(val_fraction * len(idx)))
         held.extend(idx[j] for j in perm[:n_held])
     held_set = set(held)
     kept = [i for i in range(len(labels)) if i not in held_set]
@@ -496,24 +496,28 @@ class SynthDetectionSpec:
     posts_per_user: int = 50
     signal_rate: float = 0.05
     vocab_size: int = 2000
-    tokens_per_post: tuple[int, int] = (8, 18)
-    n_communities: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.signal_rate <= 1.0:
             raise ValueError(f"signal_rate must be in [0, 1], got {self.signal_rate!r}")
-        for name in ("n_positive", "n_controls_per"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        at_least(1, n_positive=self.n_positive, n_controls_per=self.n_controls_per,
+                 posts_per_user=self.posts_per_user, vocab_size=self.vocab_size)
 
 
 SIGNAL_PHRASES = (("sig0", "sig1", "sig2"), ("sig3", "sig4", "sig5"))
+# Shapes of the synthetic corpora that no spec sets; a pair is an inclusive range.
+TOKENS_PER_POST = (8, 18)
+N_COMMUNITIES = 8
+SENTENCES_PER_TARGET = (3, 6)
+CONTEXT_POSTS = (0, 3)
+WORDS_PER_SENTENCE = (6, 10)
+N_SIGNAL_WORDS = 4
 
 
-def _synth_posts(uid: str, community_count: int, spec: SynthDetectionSpec,
-                 rng: np.random.Generator, with_signal: bool) -> list[Post]:
-    lo, hi = spec.tokens_per_post
+def _synth_posts(uid: str, spec: SynthDetectionSpec, rng: np.random.Generator,
+                 with_signal: bool) -> list[Post]:
+    lo, hi = TOKENS_PER_POST
     posts = []
     for i in range(spec.posts_per_user):
         words = [f"w{int(w):04d}" for w in
@@ -522,7 +526,7 @@ def _synth_posts(uid: str, community_count: int, spec: SynthDetectionSpec,
             phrase = SIGNAL_PHRASES[int(rng.integers(0, len(SIGNAL_PHRASES)))]
             at = int(rng.integers(0, len(words) + 1))
             words[at:at] = list(phrase)
-        community = f"forum{int(rng.integers(0, community_count))}"
+        community = f"forum{int(rng.integers(0, N_COMMUNITIES))}"
         posts.append(Post(f"{uid}-p{i:03d}", uid, community, i, " ".join(words)))
     return posts
 
@@ -542,11 +546,11 @@ def synth_detection_corpus(spec: SynthDetectionSpec,
     users: list[UserRecord] = []
     for i in range(spec.n_positive):
         uid = f"pos{i:04d}"
-        posts = _synth_posts(uid, spec.n_communities, spec, rng, with_signal=True)
+        posts = _synth_posts(uid, spec, rng, with_signal=True)
         users.append(UserRecord(uid, tuple(posts), DIAGNOSED, posts[0].post_id))
     for i in range(spec.n_positive * spec.n_controls_per):
         uid = f"ctl{i:04d}"
-        posts = _synth_posts(uid, spec.n_communities, spec, rng, with_signal=False)
+        posts = _synth_posts(uid, spec, rng, with_signal=False)
         users.append(UserRecord(uid, tuple(posts)))
 
     labels = [int(u.label == DIAGNOSED) for u in users]
@@ -574,7 +578,7 @@ def synth_detection_corpus(spec: SynthDetectionSpec,
 class SynthRiskSpec:
     """Synthetic ordinal thread corpus: severity = planted-phrase intensity.
 
-    Each severity level above green has its own pool of `n_signal_words`
+    Each severity level above green has its own pool of `N_SIGNAL_WORDS`
     signal words; a label-y sentence carries signal_per_level * y words drawn
     from level y's pool. Sentences occasionally drift one level (controlled
     by `drift`) and then carry the drifted level's vocabulary, so severity is
@@ -584,11 +588,7 @@ class SynthRiskSpec:
 
     n_train: int = 800
     n_test: int = 200
-    sentences_per_target: tuple[int, int] = (3, 6)
-    context_posts: tuple[int, int] = (0, 3)
-    words_per_sentence: tuple[int, int] = (6, 10)
     vocab_size: int = 500
-    n_signal_words: int = 4
     signal_per_level: int = 3
     drift: float = 0.1
     seed: int = 0
@@ -596,31 +596,31 @@ class SynthRiskSpec:
     def __post_init__(self):
         if not 0.0 <= self.drift <= 1.0:
             raise ValueError(f"drift must be in [0, 1], got {self.drift!r}")
-        if self.signal_per_level < 1:
-            raise ValueError(f"signal_per_level must be at least 1, got {self.signal_per_level!r}")
+        at_least(1, n_train=self.n_train, n_test=self.n_test, vocab_size=self.vocab_size,
+                 signal_per_level=self.signal_per_level)
 
 
 def _synth_sentence(level: int, spec: SynthRiskSpec,
                     rng: np.random.Generator) -> str:
-    lo, hi = spec.words_per_sentence
+    lo, hi = WORDS_PER_SENTENCE
     words = [f"v{int(w):03d}" for w in
              rng.integers(0, spec.vocab_size, size=int(rng.integers(lo, hi + 1)))]
     if float(rng.random()) < spec.drift:
         level = min(3, max(0, level + (1 if rng.random() < 0.5 else -1)))
     for _ in range(spec.signal_per_level * level):
-        word = f"risk{level}x{int(rng.integers(0, spec.n_signal_words))}"
+        word = f"risk{level}x{int(rng.integers(0, N_SIGNAL_WORDS))}"
         words.insert(int(rng.integers(0, len(words) + 1)), word)
     return " ".join(words) + "."
 
 
 def _synth_thread(index: int, label: int, spec: SynthRiskSpec,
                   rng: np.random.Generator) -> ThreadInstance:
-    lo_s, hi_s = spec.sentences_per_target
+    lo_s, hi_s = SENTENCES_PER_TARGET
     n_sent = max(1, int(rng.integers(lo_s, hi_s + 1)))
     target_text = " ".join(_synth_sentence(label, spec, rng)
                            for _ in range(n_sent))
     target = Post(f"t{index:05d}", f"u{index % 50:03d}", "forum", 1000, target_text)
-    lo, hi = spec.context_posts
+    lo, hi = CONTEXT_POSTS
     n_ctx = int(rng.integers(lo, hi + 1))
     context = tuple(
         Post(f"t{index:05d}-c{j}", f"u{(index + j) % 50:03d}", "forum", j,

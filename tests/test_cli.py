@@ -2,6 +2,7 @@ import configparser
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from triagekit.models import DepressionModel, DepressionModelConfig
 from triagekit.nn import ParamStore
 from triagekit.traineval import (
     SelectionConfig,
+    SynthDetectionSpec,
+    SynthRiskSpec,
     TrainConfig,
     derive_seed,
     tokenize_users,
@@ -166,6 +169,23 @@ def test_explain_recovers_planted_phrase(planted_run, tmp_path, capsys):
     assert all(s > 0 for s in scores)
 
 
+def test_explain_reads_the_posts_predict_reads(planted_run, tmp_path, capsys):
+    # With the latest post alone selected, the planted "-a" posts, the first
+    # of each user, are never read, so no phrase can come from them.
+    ckpt_dir, data_dir = planted_run
+    run = json.loads((ckpt_dir / "run.json").read_text())
+    run["selection"].update(strategy="latest", n_post=1)
+    for name in ("checkpoint.json", "vocab.json"):
+        (tmp_path / name).write_bytes((ckpt_dir / name).read_bytes())
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    rc = run_cli(["explain", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                  "--data", str(data_dir), "--split", "test", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = json.loads((tmp_path / "phrases.json").read_text())
+    assert len(rows) == 6 and all(row["post_id"].endswith("-b") for row in rows), rows
+    capsys.readouterr()
+
+
 def test_explain_rejects_risk_checkpoint(planted_run, tmp_path, capsys):
     ckpt_dir, data_dir = planted_run
     other = tmp_path / "riskish"
@@ -207,6 +227,23 @@ def test_evaluate_bad_label_row_names_its_line(planted_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data / 'test.labels.ndjson'}:1: bad label row: "
                           "unknown user label 'depressed'"), err
+
+
+def test_evaluate_label_row_without_posts_names_the_user(planted_run, tmp_path, capsys):
+    ckpt_dir, data_dir = planted_run
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("test.posts.ndjson", "test.labels.ndjson"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    with open(data / "test.labels.ndjson", "a") as fh:
+        fh.write(json.dumps({"user_id": "ghost", "label": CONTROL}) + "\n")
+    rc = run_cli(["evaluate", "--checkpoint", str(ckpt_dir / "checkpoint.json"),
+                  "--data", str(data), "--split", "test", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'test.labels.ndjson'}: user 'ghost' has a label but no posts "
+        f"in {data / 'test.posts.ndjson'}\n")
+    assert not (tmp_path / "out" / "eval.test.json").exists()
 
 
 def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
@@ -469,6 +506,24 @@ def test_train_bad_config_value_names_its_option(depression_chain, risk_chain, t
     assert f"error: [{task}] {option}: invalid literal" in capsys.readouterr().err
 
 
+def test_train_depression_empty_validation_split_fails_by_name(depression_chain, tmp_path,
+                                                              capsys):
+    # As build-dataset writes it for fewer than two diagnosed users: no
+    # epoch could score a validation F1 above 0.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.posts.ndjson", "train.labels.ndjson"):
+        (data / name).write_bytes((depression_chain[1] / name).read_bytes())
+    for name in ("validation.posts.ndjson", "validation.labels.ndjson"):
+        (data / name).write_text("")
+    rc = run_cli(["train", "--task", "depression", "--config", str(depression_chain[0]),
+                  "--data", str(data), "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'validation.posts.ndjson'}: no users to validate on\n")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_path,
                                                          capsys):
     # Every post would encode to zero: only out.b would ever get a gradient.
@@ -592,8 +647,9 @@ def test_risk_predict_blank_target_names_file_line(risk_chain, tmp_path, capsys)
 @pytest.mark.parametrize("fault, message", [
     ("unknown_field", "encoder record has unknown fields ['max_ngram']"),
     ("null_record", "encoder record must be an object, got None"),
-    ("string_dim", "encoder dim must be an integer, got '32'"),
-], ids=["unknown_field", "null_record", "string_dim"])
+    ("string_dim", "encoder_dim must be an integer, got '32'"),
+    ("narrow_dim", "encoder dim 8 differs from the checkpoint's 32"),
+], ids=["unknown_field", "null_record", "string_dim", "narrow_dim"])
 def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, capsys, fault,
                                                        message):
     _, data, run_dir = risk_chain
@@ -603,7 +659,7 @@ def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, cap
     elif fault == "null_record":
         run["encoder"] = None
     else:
-        run["encoder"]["dim"] = "32"
+        run["encoder"]["dim"] = "32" if fault == "string_dim" else 8
     (tmp_path / "run.json").write_text(json.dumps(run))
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_bytes((run_dir / "checkpoint.json").read_bytes())
@@ -658,6 +714,9 @@ RUN_DIR_FAULTS = {
         {**run, "selection": {**run["selection"], "seed": 7.0}})),
     "bool_selection_seed": ("run.json", lambda run: json.dumps(
         {**run, "selection": {**run["selection"], "seed": True}})),
+    # Posts would be cut shorter than the model's n_term (12).
+    "n_term_below_model": ("run.json", lambda run: json.dumps(
+        {**run, "selection": {**run["selection"], "n_term": 6}})),
     "vocab_not_json": ("vocab.json", lambda run: '{"tokens": ['),
     "vocab_tokens_int": ("vocab.json", lambda run: '{"tokens": 5}'),
     "vocab_token_not_str": ("vocab.json", lambda run: '{"tokens": [1, 2]}'),
@@ -830,6 +889,92 @@ def test_build_dataset_out_of_range_config_fails_by_field(tmp_path, capsys, line
     assert not (out / "report.txt").exists()
 
 
+# One out-of-range or unparsable value for every option of cli.OPTIONS, with
+# the reason its error line gives.
+AT_LEAST_1 = "must be at least 1, got 0"
+OPTION_FAULTS = {
+    "dataset": {
+        "k": ("0", AT_LEAST_1),
+        "tolerance": ("-0.5", "must be finite and at least 0, got -0.5"),
+        "min_prior_posts": ("-1", "must be at least 0, got -1"),
+        "min_positive_votes": ("many", "invalid literal for int() with base 10: 'many'"),
+    },
+    "synth.depression": {
+        "n_positive": ("0", AT_LEAST_1),
+        "n_controls_per": ("0", AT_LEAST_1),
+        "posts_per_user": ("0", AT_LEAST_1),
+        "signal_rate": ("2", "must be in [0, 1], got 2.0"),
+        "vocab_size": ("0", AT_LEAST_1),
+    },
+    "synth.risk": {
+        "n_train": ("-1", "must be at least 1, got -1"),
+        "n_test": ("0", AT_LEAST_1),
+        "vocab_size": ("0", AT_LEAST_1),
+        "signal_per_level": ("0", AT_LEAST_1),
+        "drift": ("1.5", "must be in [0, 1], got 1.5"),
+    },
+    "depression": {
+        "embed_dim": ("0", AT_LEAST_1),
+        "conv_window": ("0", AT_LEAST_1),
+        "conv_filters": ("0", AT_LEAST_1),
+        "merge_window": ("0", AT_LEAST_1),
+        "merge_stride": ("0", AT_LEAST_1),
+        "merge_filters": ("0", AT_LEAST_1),
+        "dense_dims": ("6,0", "entries must be at least 1, got [6, 0]"),
+        "dropout": ("1", "must be in [0, 1), got 1.0"),
+        "n_term": ("2", "must cover one convolution window"),
+        "n_post": ("0", AT_LEAST_1),
+        "strategy": ("newest", "must be one of earliest, latest, random, got 'newest'"),
+        "balance": ("even", "must be 'weighted' or 'sampled', got 'even'"),
+        "min_freq": ("-3", "must be at least 1, got -3"),
+        "epochs": ("-1", "must be at least 0, got -1"),
+        "lr": ("0", "must be finite and greater than 0, got 0.0"),
+    },
+    "risk": {
+        "variant": ("cnn", "must be one of cat_ce, mse, class_metric, class_metric_ordinal, "
+                           "got 'cnn'"),
+        "encoder_dim": ("0", AT_LEAST_1),
+        "max_sentences": ("2", "must cover one convolution window"),
+        "val_fraction": ("2", "must be in (0, 1), got 2.0"),
+        "epochs": ("1.5", "invalid literal for int() with base 10: '1.5'"),
+        "lr": ("nan", "must be finite and greater than 0, got nan"),
+        "conv_filters": ("0", AT_LEAST_1),
+        "pool_n": ("0", AT_LEAST_1),
+        "dropout": ("-0.1", "must be in [0, 1), got -0.1"),
+        "margin": ("nan", "must be at least 0, got nan"),
+        "balance": ("even", "must be 'weighted' or 'sampled', got 'even'"),
+        "dense_dims": ("8,x", "invalid literal for int() with base 10: 'x'"),
+    },
+}
+
+
+@pytest.mark.parametrize("section, option",
+                         [(section, option) for section in OPTIONS for option in OPTIONS[section]],
+                         ids=[f"{section}.{option}" for section in OPTIONS
+                              for option in OPTIONS[section]])
+def test_every_ini_option_fails_by_section_and_option(depression_chain, risk_chain, tmp_path,
+                                                      capsys, section, option):
+    # Cases come from cli.OPTIONS, so an option without a fault here fails:
+    # none can land without a range rule. Each bad value exits 1 with one
+    # error line naming its section and option, and writes nothing.
+    value, reason = OPTION_FAULTS[section][option]
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{option} = {value}\n")
+    out = tmp_path / "out"
+    if section == "dataset":
+        posts_path = raw_corpus(tmp_path)[0]
+        argv = ["build-dataset", "--posts", str(posts_path)]
+    elif section.startswith("synth."):
+        argv = ["synth", "--task", section.partition(".")[2], "--seed", "1"]
+    else:
+        data = (depression_chain if section == "depression" else risk_chain)[1]
+        argv = ["train", "--task", section, "--data", str(data), "--seed", "1"]
+    rc = run_cli([*argv, "--config", str(ini), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: [{section}] {option}: {reason}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_build_dataset_empty_pool_fails(tmp_path, capsys):
     posts_path, votes_path, ini = raw_corpus(tmp_path, with_controls=False)
     rc = run_cli(["build-dataset", "--posts", str(posts_path),
@@ -956,3 +1101,10 @@ def test_readme_configuration_block_documents_every_option():
         assert documented == set(OPTIONS[section]), section
         for name, value in cp[section].items():
             OPTIONS[section][name](value)
+
+
+@pytest.mark.parametrize("section, spec", [("synth.depression", SynthDetectionSpec),
+                                           ("synth.risk", SynthRiskSpec)])
+def test_synth_spec_fields_are_its_options_and_the_seed(section, spec):
+    # A spec field that no option sets would be a knob no caller turns.
+    assert {f.name for f in fields(spec)} == set(OPTIONS[section]) | {"seed"}

@@ -389,13 +389,13 @@ def test_hashed_encoder_cache_keeps_the_recently_used(monkeypatch):
 
 @pytest.mark.parametrize("dim", [8.5, "8", True, 0])
 def test_hashed_encoder_rejects_a_dim_that_is_not_a_positive_integer(dim):
-    with pytest.raises(ValueError, match="encoder dim"):
+    with pytest.raises(ValueError, match="encoder_dim"):
         HashedSentenceEncoder(dim=dim)
 
 
 @pytest.mark.parametrize("seed", [1.0, "1", False, None])
 def test_hashed_encoder_rejects_a_seed_that_is_not_an_integer(seed):
-    with pytest.raises(ValueError, match=f"encoder seed must be an integer, got {seed!r}"):
+    with pytest.raises(ValueError, match=f"encoder_seed must be an integer, got {seed!r}"):
         HashedSentenceEncoder(dim=8, seed=seed)
 
 
@@ -424,6 +424,16 @@ def test_load_users_duplicate_post_id(tmp_path):
     write_posts(ppath, [make_post("p1"), make_post("p1")])
     with pytest.raises(CorpusFormatError, match="duplicate"):
         load_users(ppath)
+
+
+def test_load_users_label_without_posts_names_file_and_user(tmp_path):
+    ppath, lpath = tmp_path / "posts.ndjson", tmp_path / "labels.ndjson"
+    write_posts(ppath, [make_post("p1", "u1")])
+    lpath.write_text(json.dumps({"user_id": "u1", "label": CONTROL}) + "\n"
+                     + json.dumps({"user_id": "ghost", "label": CONTROL}) + "\n")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{lpath}: user 'ghost' has a label but no posts in {ppath}$"):
+        load_users(ppath, lpath)
 
 
 def test_bad_json_reports_line(tmp_path):

@@ -170,9 +170,9 @@ def test_train_config_rejects_negative_epochs_and_a_bad_lr(epochs, lr):
 def test_selection_config_validation():
     with pytest.raises(ValueError, match="strategy"):
         SelectionConfig("middle")
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="n_post must be at least 1, got 0"):
         SelectionConfig("earliest", n_post=0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="n_term must be at least 1, got 0"):
         SelectionConfig("earliest", n_term=0)
 
 
