@@ -30,6 +30,7 @@ from .corpus import (
     CONTROL,
     DIAGNOSED,
     HashedSentenceEncoder,
+    RiskLabel,
     UserRecord,
     Vocabulary,
     at_least,
@@ -123,10 +124,7 @@ def _options(config_path: str | None, section: str, **flags):
     option the file set: every range check opens its message with the field
     it rejects.
     """
-    cp = configparser.ConfigParser()
-    if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            cp.read_file(fh)
+    cp = _read_ini(config_path)
     opts = {}
     for option, cast in OPTIONS[section].items():
         if cp.has_option(section, option):
@@ -144,6 +142,29 @@ def _options(config_path: str | None, section: str, **flags):
         if option not in from_file:
             raise
         raise ValueError(f"[{section}] {option}: {reason}") from None
+
+
+def _read_ini(path: str | None) -> configparser.ConfigParser:
+    """The INI file at ``path`` (none: no settings). A file that is not UTF-8,
+    or a line outside any section or that sets nothing, fails in one line
+    that names the file."""
+    cp = configparser.ConfigParser()
+    if path is None:
+        return cp
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        cp.read_string(text, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:
+        lineno, reason = exc.lineno, "comes before any [section] header"
+    except configparser.ParsingError as exc:
+        lineno, reason = exc.errors[0][0], "is not an 'option = value' line"
+    else:
+        return cp
+    line = text.splitlines()[lineno - 1].strip()
+    raise ValueError(f"{path}:{lineno}: {line!r} {reason}")
 
 
 def _pick(opts: dict, cls) -> dict:
@@ -299,6 +320,14 @@ def _finish_training(args, out: Path, model: DepressionModel | RiskModel, result
     return 0
 
 
+def _check_classes(path: Path, labels: list[int], n_classes: int) -> None:
+    """Training needs an instance of every class; a ValueError names the
+    file the training split comes from."""
+    missing = sorted(set(range(n_classes)) - set(labels))
+    if missing:
+        raise ValueError(f"{path}: the training split has no instances of classes {missing}")
+
+
 def _train_depression_cmd(args, out: Path) -> int:
     data = Path(args.data)
     with _options(args.config, "depression", n_term=args.n_term, strategy=args.strategy,
@@ -310,6 +339,8 @@ def _train_depression_cmd(args, out: Path) -> int:
         val_users, _ = _users(val_posts, data / "validation.labels.ndjson", vocab)
         if not val_users:
             raise ValueError(f"{val_posts}: no users to validate on")
+        _check_classes(data / "train.labels.ndjson",
+                       [int(u.label == DIAGNOSED) for u in train_users], 2)
         model_config = DepressionModelConfig(vocab_size=len(vocab),
                                              **_pick(opts, DepressionModelConfig))
         # Posts are cut to the model's n_term, however it was set.
@@ -339,6 +370,8 @@ def _train_risk_cmd(args, out: Path) -> int:
         val_split_seed = derive_seed(args.seed, "val-split")
         kept, held = stratified_split([int(t.label) for t in threads],
                                       val_fraction, val_split_seed)
+    _check_classes(data / "train.threads.ndjson", [int(threads[i].label) for i in kept],
+                   len(RiskLabel))
     max_sentences = model_config.max_sentences
     train_data = thread_matrices([threads[i] for i in kept], encoder, max_sentences)
     val_data = thread_matrices([threads[i] for i in held], encoder, max_sentences)
@@ -359,23 +392,27 @@ def cmd_train(args) -> int:
 
 
 def _risk_threads_for_split(checkpoint: str, run: dict, data: Path, split: str):
-    if split == "test":
-        return read_threads(data / "test.threads.ndjson")
-    threads = read_threads(data / "train.threads.ndjson")
-    if split == "train":
-        return threads
-    with _run_file(checkpoint, "run.json", "run description"):
-        _, held = stratified_split([int(t.label) for t in threads],
-                                   run["val_fraction"], run["val_split_seed"])
-    return [threads[i] for i in held]
+    """The threads of a split; none fails naming the file they come from."""
+    path = data / f"{'test' if split == 'test' else 'train'}.threads.ndjson"
+    threads = read_threads(path)
+    if split == "validation":
+        with _run_file(checkpoint, "run.json", "run description"):
+            _, held = stratified_split([int(t.label) for t in threads],
+                                       run["val_fraction"], run["val_split_seed"])
+        threads = [threads[i] for i in held]
+    if not threads:
+        raise ValueError(f"{path}: no {split} threads to evaluate")
+    return threads
 
 
 def cmd_evaluate(args) -> int:
     run, model, vocab, reader = _load_run_dir(args.checkpoint)
     data = Path(args.data)
     if model.kind == "depression":
-        users, _ = _users(data / f"{args.split}.posts.ndjson",
-                          data / f"{args.split}.labels.ndjson", vocab)
+        posts = data / f"{args.split}.posts.ndjson"
+        users, _ = _users(posts, data / f"{args.split}.labels.ndjson", vocab)
+        if not users:
+            raise ValueError(f"{posts}: no users to evaluate")
         rows = _prediction_rows(model, reader, users)
         report = detection_report([int(u.label == DIAGNOSED) for u in users],
                                   [int(row["predicted"] == DIAGNOSED) for row in rows])

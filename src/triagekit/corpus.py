@@ -301,18 +301,18 @@ class HashedSentenceEncoder:
 def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
     """`parse(row)` of each non-blank line of an ndjson file, in file order.
 
-    A line that is not JSON, or a row that `parse` rejects with a KeyError,
-    TypeError or ValueError, fails as ``path:line: bad <what> row: reason``;
-    a CorpusFormatError that `parse` raises fails as ``path:line: reason``.
+    Lines end at a newline byte. A line that is not UTF-8 or not JSON, or a
+    row that `parse` rejects with a KeyError, TypeError or ValueError, fails
+    as ``path:line: bad <what> row: reason``; a CorpusFormatError that
+    `parse` raises fails as ``path:line: reason``.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                rows.append(parse(json.loads(line)))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    rows.append(parse(json.loads(line)))
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:

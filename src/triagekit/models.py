@@ -135,13 +135,14 @@ class DepressionModel:
     """2-class user-level classifier over token-id post sequences.
 
     One graph per user: the first n_term tokens of every post that fills a
-    window go, concatenated, through one `conv1d` that reads their embedding
-    rows through the ids, a block of at most 4096 windows at a time, and
-    ReLU; ranged `mean_rows` averages each post's own windows (never those
-    across two posts) into a row, zero for a post without a window and for
-    each padding slot up to merge_window. The merge conv and dense stack
-    follow. `classify_user` runs the forward under `no_grad`, so serving
-    builds no graph and never holds the user's [T x embed_dim] rows.
+    window go, concatenated, through one `conv1d` over the embedding table's
+    rows ``ids``, which multiplies each distinct token's row by the kernel
+    once, and ReLU; ranged `mean_rows` averages each post's own windows
+    (never those across two posts) into a row, zero for a post without a
+    window and for each padding slot up to merge_window. The merge conv and
+    dense stack follow. `classify_user` runs the forward under `no_grad`, so
+    serving builds no graph. No [T x embed_dim] array of the user's rows is
+    built, in training or serving.
     """
 
     kind = "depression"

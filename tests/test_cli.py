@@ -524,6 +524,75 @@ def test_train_depression_empty_validation_split_fails_by_name(depression_chain,
     assert list((tmp_path / "run").iterdir()) == []
 
 
+def test_train_non_utf8_validation_posts_name_file_and_line(depression_chain, tmp_path,
+                                                            capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.posts.ndjson", "train.labels.ndjson", "validation.posts.ndjson",
+                 "validation.labels.ndjson"):
+        (data / name).write_bytes((depression_chain[1] / name).read_bytes())
+    posts = data / "validation.posts.ndjson"
+    lines = posts.read_bytes().count(b"\n")
+    with open(posts, "ab") as fh:
+        fh.write(b"\xff\xfe")
+    rc = run_cli(["train", "--task", "depression", "--config", str(depression_chain[0]),
+                  "--data", str(data), "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {posts}:{lines + 1}: bad post row: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("task", ["depression", "risk"])
+def test_train_split_without_a_class_names_its_file(depression_chain, tmp_path, capsys, task):
+    data = tmp_path / "data"
+    if task == "risk":
+        # Two threads: stratified_split holds out one of each class, so the
+        # training split keeps none.
+        ini = tmp_path / "config.ini"
+        ini.write_text("[synth.risk]\nn_train = 2\nn_test = 4\nvocab_size = 80\n"
+                       "[risk]\nencoder_dim = 32\nepochs = 1\n")
+        assert run_cli(["synth", "--task", "risk", "--config", str(ini),
+                        "--out", str(data), "--seed", "3"]) == 0
+        path, missing = data / "train.threads.ndjson", [0, 1, 2, 3]
+    else:
+        # The training users without the diagnosed ones.
+        ini, source = depression_chain[0], depression_chain[1]
+        data.mkdir()
+        for name in ("validation.posts.ndjson", "validation.labels.ndjson"):
+            (data / name).write_bytes((source / name).read_bytes())
+        kept = {row["user_id"] for row in map(json.loads, (source / "train.labels.ndjson")
+                                              .read_text().splitlines())
+                if row["label"] == CONTROL}
+        for name in ("train.posts.ndjson", "train.labels.ndjson"):
+            rows = [json.loads(line) for line in (source / name).read_text().splitlines()]
+            write_ndjson(data / name, [row for row in rows if row["user_id"] in kept])
+        path, missing = data / "train.labels.ndjson", [1]
+    capsys.readouterr()
+    rc = run_cli(["train", "--task", task, "--config", str(ini), "--data", str(data),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: the training split has no instances of classes {missing}\n")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("epochs = 1\n", 1, "'epochs = 1' comes before any [section] header"),
+    ("[risk]\nepochs = 1\nlr\n", 3, "'lr' is not an 'option = value' line"),
+], ids=["no_section_header", "no_value"])
+def test_train_unreadable_ini_fails_in_one_line_naming_it(risk_chain, tmp_path, capsys,
+                                                          text, lineno, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    rc = run_cli(["train", "--task", "risk", "--config", str(ini), "--data", str(risk_chain[1]),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {ini}:{lineno}: {message}\n"
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_path,
                                                          capsys):
     # Every post would encode to zero: only out.b would ever get a gradient.
@@ -610,6 +679,26 @@ def test_risk_evaluate_all_splits(risk_chain, tmp_path, capsys):
         doc = json.loads((tmp_path / f"eval.{split}.json").read_text())
         assert doc["n_classes"] == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("task", ["depression", "risk"])
+def test_evaluate_empty_split_fails_by_name(planted_run, risk_chain, tmp_path, capsys, task):
+    data = tmp_path / "data"
+    data.mkdir()
+    if task == "depression":
+        run_dir = planted_run[0]
+        for name in ("test.posts.ndjson", "test.labels.ndjson"):
+            (data / name).write_text("")
+        message = f"{data / 'test.posts.ndjson'}: no users to evaluate"
+    else:
+        run_dir = risk_chain[2]
+        (data / "test.threads.ndjson").write_text("")
+        message = f"{data / 'test.threads.ndjson'}: no test threads to evaluate"
+    rc = run_cli(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--data", str(data), "--split", "test", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_risk_predict_rows(risk_chain, tmp_path, capsys):

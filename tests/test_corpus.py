@@ -462,6 +462,20 @@ def test_bad_post_row_reports_line(tmp_path, text, message):
     assert str(info.value).startswith(f"{path}:3: {message}"), info.value
 
 
+@pytest.mark.parametrize("read, what", [(read_posts, "post"), (read_labels, "label"),
+                                        (read_threads, "thread")],
+                         ids=["posts", "labels", "threads"])
+def test_line_that_is_not_utf8_names_file_and_line(tmp_path, read, what):
+    # Bytes ff fe appended after a blank line: a decode error of that line,
+    # not of the file.
+    path = tmp_path / "rows.ndjson"
+    path.write_bytes(b"\n\xff\xfe")
+    with pytest.raises(CorpusFormatError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}:2: bad {what} row: 'utf-8' codec can't decode "
+                               "byte 0xff in position 0: invalid start byte")
+
+
 @pytest.mark.parametrize("where", ["target", "context"])
 def test_thread_with_a_bad_post_names_its_line_once(tmp_path, where):
     post = {"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0, "text": "Hi."}
