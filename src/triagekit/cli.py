@@ -145,10 +145,16 @@ def _options(config_path: str | None, section: str, **flags):
 
 
 def _read_ini(path: str | None) -> configparser.ConfigParser:
-    """The INI file at ``path`` (none: no settings). A file that is not UTF-8,
-    or a line outside any section or that sets nothing, fails in one line
-    that names the file."""
-    cp = configparser.ConfigParser()
+    """The INI file at ``path`` (none: no settings), read without
+    interpolation, so a '%' is a plain character.
+
+    A file that is not UTF-8, a line outside any section or that sets
+    nothing, a section or option set twice, and a section that no command
+    reads (none of `OPTIONS`) each fail in one line that names the file. An
+    option that `OPTIONS` does not list for its section fails as
+    `[<section>] <option>: unknown option`.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
     if path is None:
         return cp
     try:
@@ -161,7 +167,21 @@ def _read_ini(path: str | None) -> configparser.ConfigParser:
         lineno, reason = exc.lineno, "comes before any [section] header"
     except configparser.ParsingError as exc:
         lineno, reason = exc.errors[0][0], "is not an 'option = value' line"
+    except configparser.DuplicateSectionError as exc:
+        lineno, reason = exc.lineno, f"opens [{exc.section}] a second time"
+    except configparser.DuplicateOptionError as exc:
+        lineno, reason = exc.lineno, f"sets [{exc.section}] {exc.option} a second time"
     else:
+        unknown = [s for s in cp.sections() if s not in OPTIONS]
+        if cp.defaults():
+            unknown.append(cp.default_section)
+        if unknown:
+            raise ValueError(f"{path}: no command reads section [{unknown[0]}]; the sections "
+                             f"are {', '.join(f'[{s}]' for s in OPTIONS)}")
+        for section in cp.sections():
+            for option in cp.options(section):
+                if option not in OPTIONS[section]:
+                    raise ValueError(f"[{section}] {option}: unknown option")
         return cp
     line = text.splitlines()[lineno - 1].strip()
     raise ValueError(f"{path}:{lineno}: {line!r} {reason}")
@@ -517,9 +537,9 @@ def cmd_explain(args) -> int:
     users, _ = _users(data / f"{args.split}.posts.ndjson",
                       data / f"{args.split}.labels.ndjson", vocab)
     # The posts that predict scores: the run's own selection.
-    users_iter = [(u.user_id, [(p.post_id, p.tokens) for p in chosen_posts(u, selection)])
-                  for u in users]
-    phrases = top_phrases(model, users_iter, args.top, vocab)
+    chosen = [([p.post_id for p in chosen_posts(u, selection)], select_posts(u, selection))
+              for u in users]
+    phrases = top_phrases(model, chosen, args.top, vocab)
     print(f"{'score':>10}  {'post':<16} phrase")
     for post_id, tokens, score in phrases:
         print(f"{score:>10.4f}  {post_id:<16} {' '.join(str(t) for t in tokens)}")

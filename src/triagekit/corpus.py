@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import numbers
 import os
 import re
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -60,33 +61,59 @@ class RiskLabel(IntEnum):
             raise ValueError(f"unknown risk label {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
+    """One forum post, slotted, since a corpus holds many.
+
+    ``tokens`` holds the post's vocabulary ids, or nothing before
+    tokenization. A post of `traineval.tokenize_users` keeps no text, and its
+    ``tokens`` is a read-only int32 view of its slice of the user's
+    `UserRecord.token_ids`. Tokens take no part in equality or hashing.
+    """
+
     post_id: str
     user_id: str
     community: str
     timestamp: int
     text: str
-    tokens: tuple[int, ...] = ()
+    tokens: Sequence[int] = field(default=(), compare=False)
 
-    def with_tokens(self, tokens: Sequence[int]) -> "Post":
-        return Post(self.post_id, self.user_id, self.community,
-                    self.timestamp, self.text, tuple(tokens))
+
+# The token id dtype: no vocabulary reaches 2**31 words.
+TOKEN_DTYPE = np.int32
 
 
 @dataclass(frozen=True)
 class UserRecord:
-    """A user's time-ordered posts plus their control/diagnosed label."""
+    """A user's time-ordered posts plus their control/diagnosed label.
+
+    ``token_ids`` holds all the posts' tokens in post order, as one read-only
+    int32 array; post i's are ``token_ids[token_offsets[i]:token_offsets[i + 1]]``.
+    When not given, both are built from the posts' ``tokens``; when given,
+    the posts must come in time order. Neither takes part in equality or
+    hashing.
+    """
 
     user_id: str
     posts: tuple[Post, ...]
     label: str = CONTROL
     diagnosis_post_id: str | None = None
+    token_ids: np.ndarray | None = field(default=None, compare=False, repr=False)
+    token_offsets: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.posts, key=lambda p: (p.timestamp, p.post_id)))
-        object.__setattr__(self, "posts", ordered)
         _check_user_label(self.label, self.diagnosis_post_id)
+        if self.token_offsets is None:
+            lengths = [len(p.tokens) for p in ordered]
+            ids = np.fromiter(itertools.chain.from_iterable(p.tokens for p in ordered),
+                              TOKEN_DTYPE, count=sum(lengths))
+            ids.flags.writeable = False
+            object.__setattr__(self, "token_ids", ids)
+            object.__setattr__(self, "token_offsets", np.cumsum([0] + lengths))
+        elif ordered != self.posts or len(self.token_offsets) != len(ordered) + 1:
+            raise ValueError("token arrays need one offset per post and the posts in time order")
+        object.__setattr__(self, "posts", ordered)
 
 
 def _check_user_label(label: str, diagnosis_post_id: str | None) -> None:
@@ -139,7 +166,7 @@ def token_spans(text: str) -> list[tuple[str, int]]:
 
 def tokenize(text: str, vocab: "Vocabulary") -> list[int]:
     """Map text to vocabulary ids; out-of-vocabulary words map to the unknown id."""
-    return [vocab.id(tok) for tok in word_tokens(text)]
+    return list(map(vocab._token_to_id.get, word_tokens(text), itertools.repeat(UNK_ID)))
 
 
 def split_sentences(text: str) -> list[str]:
@@ -194,10 +221,9 @@ class Vocabulary:
     @classmethod
     def from_texts(cls, texts: Iterable[str], min_freq: int = 5) -> "Vocabulary":
         at_least(1, min_freq=min_freq)
-        counts: dict[str, int] = {}
+        counts: Counter[str] = Counter()
         for text in texts:
-            for tok in word_tokens(text):
-                counts[tok] = counts.get(tok, 0) + 1
+            counts.update(word_tokens(text))
         kept = [t for t, c in counts.items() if c >= min_freq]
         kept.sort(key=lambda t: (-counts[t], t))
         return cls(kept)
@@ -320,10 +346,13 @@ def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
     return rows
 
 
-def _post(row: Mapping) -> Post:
-    return Post(post_id=str(row["post_id"]), user_id=str(row["user_id"]),
-                community=str(row["community"]), timestamp=int(row["timestamp"]),
-                text=str(row["text"]))
+def _post(row: Mapping, strings: dict[str, str]) -> Post:
+    """A post row's Post; its user id and community are the equal string in
+    ``strings`` if there is one, so the posts of one file share them."""
+    user_id, community = str(row["user_id"]), str(row["community"])
+    return Post(post_id=str(row["post_id"]), user_id=strings.setdefault(user_id, user_id),
+                community=strings.setdefault(community, community),
+                timestamp=int(row["timestamp"]), text=str(row["text"]))
 
 
 @contextlib.contextmanager
@@ -350,7 +379,8 @@ def _post_row(p: Post) -> dict:
 
 
 def read_posts(path: str | Path) -> list[Post]:
-    return read_rows(path, "post", _post)
+    strings: dict[str, str] = {}
+    return read_rows(path, "post", lambda row: _post(row, strings))
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
@@ -408,9 +438,9 @@ def load_users(posts_path: str | Path,
     return users
 
 
-def _thread(row: Mapping) -> ThreadInstance:
-    instance = ThreadInstance(_post(row["target"]),
-                              tuple(_post(c) for c in row.get("context", [])),
+def _thread(row: Mapping, strings: dict[str, str]) -> ThreadInstance:
+    instance = ThreadInstance(_post(row["target"], strings),
+                              tuple(_post(c, strings) for c in row.get("context", [])),
                               RiskLabel.parse(row["label"]))
     # split_sentences finds no sentence exactly when the text is blank.
     if not instance.target.text.strip():
@@ -420,7 +450,8 @@ def _thread(row: Mapping) -> ThreadInstance:
 
 def read_threads(path: str | Path) -> list[ThreadInstance]:
     """Thread instances: {"target": {post}, "context": [post...], "label": name}."""
-    return read_rows(path, "thread", _thread)
+    strings: dict[str, str] = {}
+    return read_rows(path, "thread", lambda row: _thread(row, strings))
 
 
 def write_threads(path: str | Path, instances: Iterable[ThreadInstance]) -> None:

@@ -16,11 +16,18 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import RiskLabel, ThreadInstance, Vocabulary, at_least, split_sentences
+from .corpus import (
+    TOKEN_DTYPE,
+    RiskLabel,
+    ThreadInstance,
+    Vocabulary,
+    at_least,
+    split_sentences,
+)
 from .nn import (
     Node,
     ParamNodes,
@@ -28,6 +35,7 @@ from .nn import (
     SparseRows,
     add_const,
     backward,
+    checkpoint_shape,
     concat,
     constant,
     conv1d,
@@ -89,6 +97,34 @@ def _add_head(p: ParamStore, rng: np.random.Generator, width: int,
     p.add("out.b", np.zeros(output_dim))
 
 
+def _head_shapes(width: int, dense_dims: Sequence[int], output_dim: int
+                 ) -> dict[str, tuple[int, ...]]:
+    """The shapes of the parameters `_add_head` makes."""
+    shapes = {}
+    for i, out_width in enumerate(dense_dims):
+        shapes[f"dense{i}.w"], shapes[f"dense{i}.b"] = (out_width, width), (out_width,)
+        width = out_width
+    return {**shapes, "out.w": (output_dim, width), "out.b": (output_dim,)}
+
+
+def _check_shapes(path: str | Path, params: ParamStore,
+                  shapes: dict[str, tuple[int, ...]]) -> None:
+    """A ValueError naming the checkpoint unless it holds exactly the
+    parameters of ``shapes`` (its config's, in memory layout); shapes are
+    reported in the file's layout, as its header gives them."""
+    for name, want in shapes.items():
+        if name not in params:
+            raise ValueError(f"{path}: checkpoint has no parameter {name!r}, "
+                             f"its config gives shape {checkpoint_shape(want)}")
+        have = params[name].shape
+        if have != want:
+            raise ValueError(f"{path}: parameter {name!r} has shape {checkpoint_shape(have)}, "
+                             f"its config gives {checkpoint_shape(want)}")
+    unknown = [name for name in params.names() if name not in shapes]
+    if unknown:
+        raise ValueError(f"{path}: parameter {unknown[0]!r} is not one its config gives")
+
+
 def _head(h: Node, nodes: ParamNodes, config, train: bool,
           rng: np.random.Generator | None) -> Node:
     """The dense stack (ReLU, then dropout when the config sets a rate) and
@@ -131,8 +167,26 @@ class DepressionModelConfig:
                                        "merge_window", "merge_stride", "merge_filters"))
 
 
+class Selection(NamedTuple):
+    """A user's posts as the model reads them: one flat int32 id array, post
+    i's ids being the ``lengths[i]`` after the first ``lengths[:i].sum()``.
+    `traineval.select_posts` builds one from a tokenized user."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, posts_tokens: Sequence[Sequence[int]]) -> "Selection":
+        """The selection of each post's whole token sequence."""
+        lengths = np.array([len(toks) for toks in posts_tokens], dtype=np.intp)
+        ids = np.fromiter(itertools.chain.from_iterable(posts_tokens), TOKEN_DTYPE,
+                          count=int(lengths.sum()))
+        return cls(ids, lengths)
+
+
 class DepressionModel:
-    """2-class user-level classifier over token-id post sequences.
+    """2-class user-level classifier over a user's posts, read as a
+    `Selection` of token ids.
 
     One graph per user: the first n_term tokens of every post that fills a
     window go, concatenated, through one `conv1d` over the embedding table's
@@ -164,23 +218,38 @@ class DepressionModel:
         _add_head(p, rng, c.merge_filters, c.dense_dims, 2)
         return p
 
-    def _forward(self, posts_tokens: Sequence[Sequence[int]], nodes: ParamNodes,
+    @staticmethod
+    def param_shapes(c: DepressionModelConfig) -> dict[str, tuple[int, ...]]:
+        """The shape of each parameter a model of config ``c`` has, in store order."""
+        return {"emb": (c.vocab_size, c.embed_dim),
+                "conv.w": (c.embed_dim, c.conv_window, c.conv_filters),
+                "conv.b": (c.conv_filters,),
+                "merge.w": (c.conv_filters, c.merge_window, c.merge_filters),
+                "merge.b": (c.merge_filters,),
+                **_head_shapes(c.merge_filters, c.dense_dims, 2)}
+
+    def _forward(self, posts: Selection | Sequence[Sequence[int]], nodes: ParamNodes,
                  train: bool = False, rng: np.random.Generator | None = None
                  ) -> tuple[Node, Node | None, np.ndarray, np.ndarray]:
         """Logits node, the user's feature map [rows x conv_filters] (None if no
         post fills a window), and each post's first and past-last row in it.
 
-        One embedding convolution and ReLU over all of the user's kept tokens,
-        for training and serving alike."""
+        ``posts`` is a `Selection`, read as it is, or one token sequence per
+        post, converted to one. One embedding convolution and ReLU over all of
+        the user's kept tokens, for training and serving alike."""
         c = self.config
-        if not posts_tokens:
+        ids, lengths = posts if isinstance(posts, Selection) else Selection.of(posts)
+        if not lengths.size:
             raise ValueError("user has no usable posts")
-        # A post's kept tokens, or none for a post without a window.
-        kept = [toks[:c.n_term] if len(toks) >= c.conv_window else () for toks in posts_tokens]
-        lengths = np.array([len(toks) for toks in kept] + [0] * (c.merge_window - len(kept)))
+        # A post's first n_term ids are kept, or none for a post without a window.
+        kept = np.where(lengths >= c.conv_window, np.minimum(lengths, c.n_term), 0)
+        if (kept != lengths).any():
+            at = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            ids = ids[at < np.repeat(kept, lengths)]
+        n = kept.size
+        lengths = np.concatenate([kept, np.zeros(max(c.merge_window - n, 0), kept.dtype)])
         starts = np.cumsum(lengths) - lengths
         stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
-        ids = np.fromiter(itertools.chain.from_iterable(kept), np.intp, count=int(lengths.sum()))
         if ids.size:
             feat = relu(conv1d(nodes("emb"), nodes("conv.w"), nodes("conv.b"), ids=ids))
             post_vecs = mean_rows(feat, starts, stops)
@@ -188,22 +257,21 @@ class DepressionModel:
             feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))
         h = mean_rows(relu(conv1d(post_vecs, nodes("merge.w"), nodes("merge.b"),
                                   stride=c.merge_stride)))
-        n = len(kept)
         return _head(h, nodes, c, train, rng), feat, starts[:n], stops[:n]
 
-    def logits(self, posts_tokens, nodes: ParamNodes, train: bool = False,
+    def logits(self, posts, nodes: ParamNodes, train: bool = False,
                rng: np.random.Generator | None = None) -> Node:
-        return self._forward(posts_tokens, nodes, train, rng)[0]
+        return self._forward(posts, nodes, train, rng)[0]
 
-    def loss(self, posts_tokens, label: int, nodes: ParamNodes,
+    def loss(self, posts, label: int, nodes: ParamNodes,
              train: bool = True, rng: np.random.Generator | None = None) -> Node:
-        return cross_entropy(self.logits(posts_tokens, nodes, train, rng), label)
+        return cross_entropy(self.logits(posts, nodes, train, rng), label)
 
-    def classify_user(self, posts_tokens) -> np.ndarray:
+    def classify_user(self, posts) -> np.ndarray:
         """Probabilities over (control, diagnosed), from a forward that builds
         no graph."""
         with no_grad():
-            logits = self.logits(posts_tokens, ParamNodes(self.params))
+            logits = self.logits(posts, ParamNodes(self.params))
         return softmax(logits.value)
 
     def save(self, path: str | Path, seed: int = 0, step: int = 0) -> None:
@@ -213,6 +281,7 @@ class DepressionModel:
     def load(cls, path: str | Path) -> tuple["DepressionModel", int, int]:
         params, config, seed, step = load_checkpoint(path)
         model_config = _stored_config(cls.kind, DepressionModelConfig, config, path)
+        _check_shapes(path, params, cls.param_shapes(model_config))
         return cls(model_config, params), seed, step
 
 
@@ -232,26 +301,27 @@ def _stored_config(kind: str, config_cls, config: dict, path: str | Path):
 
 
 def top_phrases(model: DepressionModel,
-                users: Iterable[tuple[str, Sequence[tuple[str, Sequence[int]]]]],
+                users: Iterable[tuple[Sequence[str], Selection | Sequence[Sequence[int]]]],
                 m: int,
                 vocab: Vocabulary | None = None) -> list[tuple[str, tuple, float]]:
     """Convolution windows that push hardest toward the diagnosed class.
 
     Each window of each post is scored by its strongest post-ReLU feature
     weighted by that feature's contribution to the diagnosed logit; only the
-    best window per user competes. `users` yields
-    (user_id, [(post_id, tokens), ...]); the result is the top m
-    (post_id, window tokens, score) triples, strongest first. When a
-    vocabulary is given, windows are returned as token strings.
+    best window per user competes. `users` yields (post ids, posts) per user,
+    the posts as `DepressionModel._forward` reads them; post i's id is
+    ``post_ids[i]``. The result is the top m (post_id, window token ids,
+    score) triples, strongest first, the ids Python ints; when a vocabulary
+    is given, windows are returned as token strings.
     """
     at_least(1, m=m)
     k = model.config.conv_window
     ranked: list[tuple[str, tuple, float]] = []
-    for _, posts in users:
-        if not posts:
+    for post_ids, posts in users:
+        posts = posts if isinstance(posts, Selection) else Selection.of(posts)
+        if not posts.lengths.size:
             continue
-        logits, feat, starts, stops = model._forward([toks for _, toks in posts],
-                                                     ParamNodes(model.params))
+        logits, feat, starts, stops = model._forward(posts, ParamNodes(model.params))
         if feat is None:
             continue
         backward(pick(logits, 1))
@@ -261,8 +331,9 @@ def top_phrases(model: DepressionModel,
                 key=lambda i: contribution[starts[i]:stops[i]].max())
         window = contribution[starts[i]:stops[i]]
         row = int(np.argmax(window))
-        post_id, toks = posts[i]
-        ranked.append((post_id, tuple(toks[row:row + k]), float(window[row])))
+        # A window lies within its post's first n_term ids, as selected.
+        at = int(posts.lengths[:i].sum()) + row
+        ranked.append((post_ids[i], tuple(posts.ids[at:at + k].tolist()), float(window[row])))
     ranked.sort(key=lambda t: (-t[2], t[0]))
     ranked = ranked[:m]
     if vocab is not None:
@@ -322,6 +393,12 @@ class RiskModelConfig:
         return cls(variant=variant, **{**table.get(variant, {}), **overrides})
 
     @property
+    def head_width(self) -> int:
+        """Width of the dense stack's input: both towers' pooled features."""
+        return 2 * math.ceil((self.max_sentences - self.conv_window + 1) / self.pool_n
+                             ) * self.conv_filters
+
+    @property
     def output_dim(self) -> int:
         """Width of the head: class count, scalar, or embedding dimension."""
         if self.variant == "cat_ce":
@@ -352,11 +429,20 @@ class RiskModel:
         p = ParamStore()
         p.add("conv.w", _kernel(rng, c.conv_filters, c.conv_window, c.sentence_dim))
         p.add("conv.b", np.zeros(c.conv_filters))
-        pooled_rows = math.ceil((c.max_sentences - c.conv_window + 1) / c.pool_n)
-        _add_head(p, rng, 2 * pooled_rows * c.conv_filters, c.dense_dims, c.output_dim)
+        _add_head(p, rng, c.head_width, c.dense_dims, c.output_dim)
         if c.variant in ("class_metric", "class_metric_ordinal"):
             p.add("classes", embedding_init(rng, (c.n_classes, c.output_dim)))
         return p
+
+    @staticmethod
+    def param_shapes(c: RiskModelConfig) -> dict[str, tuple[int, ...]]:
+        """The shape of each parameter a model of config ``c`` has, in store order."""
+        shapes = {"conv.w": (c.sentence_dim, c.conv_window, c.conv_filters),
+                  "conv.b": (c.conv_filters,),
+                  **_head_shapes(c.head_width, c.dense_dims, c.output_dim)}
+        if c.variant in ("class_metric", "class_metric_ordinal"):
+            shapes["classes"] = (c.n_classes, c.output_dim)
+        return shapes
 
     def _tower(self, matrix: SparseRows | np.ndarray, nodes: ParamNodes) -> Node:
         c = self.config
@@ -423,7 +509,9 @@ class RiskModel:
     @classmethod
     def load(cls, path: str | Path) -> tuple["RiskModel", int, int]:
         params, config, seed, step = load_checkpoint(path)
-        return cls(_stored_config(cls.kind, RiskModelConfig, config, path), params), seed, step
+        model_config = _stored_config(cls.kind, RiskModelConfig, config, path)
+        _check_shapes(path, params, cls.param_shapes(model_config))
+        return cls(model_config, params), seed, step
 
 
 def instance_matrices(instance: ThreadInstance, encoder,

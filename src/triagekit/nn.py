@@ -49,7 +49,7 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -1094,6 +1094,12 @@ def _file_rows(arr: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[s:s + per] for s in range(0, rows.shape[0], per))
 
 
+def checkpoint_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    """A parameter's shape in a checkpoint file from its shape in memory, or
+    back: a 3-D parameter is a `conv1d` kernel, stored filter first."""
+    return tuple(shape[::-1]) if len(shape) == 3 else tuple(shape)
+
+
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
     """Versioned checkpoint: one JSON header line, then raw float32 weights.
@@ -1105,8 +1111,7 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
     converted copy is held. A 3-D parameter is a `conv1d` kernel, [d_in x k x
     filters] in memory; the file holds it as [filters x k x d_in].
     """
-    shapes = [[name, list(arr.shape[::-1] if arr.ndim == 3 else arr.shape)]
-              for name, arr in params.items()]
+    shapes = [[name, list(checkpoint_shape(arr.shape))] for name, arr in params.items()]
     header = json.dumps({"config": dict(config), "format_version": CHECKPOINT_FORMAT_VERSION,
                          "params": shapes, "seed": int(seed), "step": int(step)}, sort_keys=True)
     with atomic_open(path, binary=True) as fh:
@@ -1160,7 +1165,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
             if name in params:
                 raise ValueError(f"{path}: duplicate parameter {name!r}")
             # The array is the store's own, written through the file's layout.
-            arr = params._arrays[name] = np.empty(shape[::-1] if len(shape) == 3 else shape)
+            arr = params._arrays[name] = np.empty(checkpoint_shape(shape))
             for rows in _file_rows(arr):
                 values = np.frombuffer(fh.read(4 * rows.size), "<f4").reshape(rows.shape)
                 if not np.isfinite(values).all():

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import (
     DIAGNOSED,
+    TOKEN_DTYPE,
     Post,
     RiskLabel,
     ThreadInstance,
@@ -31,7 +32,7 @@ from .corpus import (
     write_posts,
     write_threads,
 )
-from .models import DepressionModel, RiskModel, instance_matrices
+from .models import DepressionModel, RiskModel, Selection, instance_matrices
 from .nn import AdamState, Node, ParamNodes, SparseRows, adam_step, backward, scale
 
 RISK_CLASS_NAMES = ("green", "amber", "red", "crisis")
@@ -77,12 +78,39 @@ class SelectionConfig:
 
 def tokenize_users(users: Iterable[UserRecord],
                    vocab: Vocabulary) -> list[UserRecord]:
-    """Users with every post's text mapped to vocabulary token ids."""
+    """Users with every post's text mapped to vocabulary token ids, compact.
+
+    Each user's ids are stored once, as one read-only int32 array with
+    per-post offsets (`UserRecord.token_ids`, `token_offsets`); a post's
+    ``tokens`` is a view of its slice, and the posts keep no text.
+    """
     out = []
     for u in users:
-        posts = tuple(p.with_tokens(tokenize(p.text, vocab)) for p in u.posts)
-        out.append(UserRecord(u.user_id, posts, u.label, u.diagnosis_post_id))
+        ids: list[int] = []
+        ends = [0]
+        for p in u.posts:
+            ids += tokenize(p.text, vocab)
+            ends.append(len(ids))
+        flat = np.array(ids, dtype=TOKEN_DTYPE)
+        flat.flags.writeable = False
+        posts = tuple(Post(p.post_id, p.user_id, p.community, p.timestamp, "", flat[a:b])
+                      for p, a, b in zip(u.posts, ends, ends[1:]))
+        out.append(UserRecord(u.user_id, posts, u.label, u.diagnosis_post_id,
+                              flat, np.array(ends)))
     return out
+
+
+def _chosen(user: UserRecord, cfg: SelectionConfig) -> np.ndarray:
+    """The indices of `chosen_posts` among the user's posts, ascending."""
+    n = len(user.posts)
+    if cfg.strategy == "earliest":
+        return np.arange(min(n, cfg.n_post))
+    if cfg.strategy == "latest":
+        return np.arange(max(n - cfg.n_post, 0), n)
+    if n <= cfg.n_post:
+        return np.arange(n)
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"select:{user.user_id}"))
+    return np.sort(rng.choice(n, size=cfg.n_post, replace=False))
 
 
 def chosen_posts(user: UserRecord, cfg: SelectionConfig) -> tuple[Post, ...]:
@@ -92,20 +120,19 @@ def chosen_posts(user: UserRecord, cfg: SelectionConfig) -> tuple[Post, ...]:
     choice is a pure function of (user, cfg).
     """
     posts = user.posts
-    if cfg.strategy == "earliest":
-        return posts[:cfg.n_post]
-    if cfg.strategy == "latest":
-        return posts[-cfg.n_post:]
-    if len(posts) <= cfg.n_post:
-        return posts
-    rng = np.random.default_rng(derive_seed(cfg.seed, f"select:{user.user_id}"))
-    keep = np.sort(rng.choice(len(posts), size=cfg.n_post, replace=False))
-    return tuple(posts[i] for i in keep)
+    return tuple(posts[i] for i in _chosen(user, cfg).tolist())
 
 
-def select_posts(user: UserRecord, cfg: SelectionConfig) -> list[tuple[int, ...]]:
-    """The token sequences of `chosen_posts`, each cut to n_term tokens."""
-    return [tuple(p.tokens[:cfg.n_term]) for p in chosen_posts(user, cfg)]
+def select_posts(user: UserRecord, cfg: SelectionConfig) -> Selection:
+    """The token ids of `chosen_posts`, each post cut to n_term tokens, as a
+    `Selection`: one flat int32 array and the posts' lengths, gathered from
+    the user's `token_offsets` with no loop over posts or tokens."""
+    keep = _chosen(user, cfg)
+    starts = user.token_offsets[keep]
+    lengths = np.minimum(user.token_offsets[keep + 1] - starts, cfg.n_term)
+    # Output position j of post i reads token_ids[starts[i] + j - (sum of earlier lengths)].
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return Selection(user.token_ids[shift + np.arange(shift.size)], lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +425,26 @@ def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
     """Train the detection model on the selected posts of each user.
 
     Runs the shared loop `_train` with one user per step; the weights kept
-    are those of the epoch with the best validation positive-class F1.
+    are those of the epoch with the best validation positive-class F1. A
+    user's posts are selected where they are read, at each step and each
+    validation, so no copy of every selection is held.
     """
-    def examples(users):
-        return [(select_posts(u, selection), int(u.label == DIAGNOSED))
-                for u in sorted(users, key=lambda u: u.user_id)]
-
-    train_examples, val_examples = examples(train_users), examples(val_users)
-    gold = [y for _, y in val_examples]
+    train_users, val_users = (sorted(users, key=lambda u: u.user_id)
+                              for users in (train_users, val_users))
+    labels = [int(u.label == DIAGNOSED) for u in train_users]
+    gold = [int(u.label == DIAGNOSED) for u in val_users]
 
     def step_loss(epoch, idx, nodes, rng):
-        posts, label = train_examples[idx]
-        return model.loss(posts, label, nodes, train=True, rng=rng)
+        return model.loss(select_posts(train_users[idx], selection), labels[idx], nodes,
+                          train=True, rng=rng)
 
     def validate():
-        pred = [int(np.argmax(model.classify_user(posts))) for posts, _ in val_examples]
+        pred = [int(np.argmax(model.classify_user(select_posts(u, selection))))
+                for u in val_users]
         precision, recall, f1 = binary_metrics(gold, pred)
         return f1, {"precision": precision, "recall": recall, "f1": f1}
 
-    return _train(model, [y for _, y in train_examples], 2, cfg, step_loss, validate)
+    return _train(model, labels, 2, cfg, step_loss, validate)
 
 
 def thread_matrices(instances: Sequence[ThreadInstance], encoder,

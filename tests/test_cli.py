@@ -266,12 +266,16 @@ def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     ("nan_body", "non-finite values in parameter 'conv.w'"),
     ("format_1", "unsupported checkpoint format_version 1"),
     ("format_1_indented", "not a JSON checkpoint header line"),
-], ids=["missing_field", "short_data", "nan_body", "format_1", "format_1_indented"])
+    ("emb_shape", "parameter 'emb' has shape (5, 15), its config gives (15, 5)"),
+    ("kernel_shape", "parameter 'conv.w' has shape (5, 3, 1), its config gives (1, 3, 5)"),
+], ids=["missing_field", "short_data", "nan_body", "format_1", "format_1_indented",
+        "emb_shape", "kernel_shape"])
 def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsys, fault,
                                                     message):
-    # Format-2 files lacking a field, lacking four body bytes, or with a NaN
-    # as the first value of conv.w, and a format-1 document, which is no
-    # longer read, on one line or indented.
+    # Format-2 files lacking a field, lacking four body bytes, with a NaN
+    # as the first value of conv.w, or with a parameter's header shape
+    # reversed (same byte count, shape in the file's layout), and a format-1
+    # document, which is no longer read, on one line or indented.
     run_dir, data_dir = planted_run
     for name in ("run.json", "vocab.json"):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -289,6 +293,10 @@ def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsy
                 break
             offset += 4 * int(np.prod(shape))
         body = body[:offset] + np.array([np.nan], "<f4").tobytes() + body[offset + 4:]
+    elif fault.endswith("_shape"):
+        name = "emb" if fault == "emb_shape" else "conv.w"
+        header["params"] = [[n, shape[::-1] if n == name else shape]
+                            for n, shape in header["params"]]
     if fault.startswith("format_1"):
         checkpoint.write_text(json.dumps(FORMAT_1_DOC, indent=2 if "indented" in fault else None))
     else:
@@ -581,7 +589,10 @@ def test_train_split_without_a_class_names_its_file(depression_chain, tmp_path, 
 @pytest.mark.parametrize("text, lineno, message", [
     ("epochs = 1\n", 1, "'epochs = 1' comes before any [section] header"),
     ("[risk]\nepochs = 1\nlr\n", 3, "'lr' is not an 'option = value' line"),
-], ids=["no_section_header", "no_value"])
+    ("[risk]\nepochs = 1\n\n[risk]\nlr = 0.1\n", 4, "'[risk]' opens [risk] a second time"),
+    ("[risk]\nepochs = 1\nlr = 0.1\nepochs = 2\n", 4,
+     "'epochs = 2' sets [risk] epochs a second time"),
+], ids=["no_section_header", "no_value", "duplicate_section", "duplicate_option"])
 def test_train_unreadable_ini_fails_in_one_line_naming_it(risk_chain, tmp_path, capsys,
                                                           text, lineno, message):
     ini = tmp_path / "bad.ini"
@@ -591,6 +602,47 @@ def test_train_unreadable_ini_fails_in_one_line_naming_it(risk_chain, tmp_path, 
     assert rc == 1
     assert capsys.readouterr().err == f"error: {ini}:{lineno}: {message}\n"
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_ini_percent_is_a_plain_character(risk_chain, tmp_path, capsys):
+    # Values are read without interpolation, so the cast reports the value.
+    ini = tmp_path / "pct.ini"
+    ini.write_text("[risk]\nlr = 1%\n")
+    rc = run_cli(["train", "--task", "risk", "--config", str(ini), "--data", str(risk_chain[1]),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [risk] lr: could not convert string to float: '1%'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[risk]\nepoch = 1\n", "[risk] epoch: unknown option"),
+    ("[depression]\nepochs = 1\n[risk]\nepoch = 1\n", "[risk] epoch: unknown option"),
+    ("[rsk]\nepochs = 1\n", "{ini}: no command reads section [rsk]; the sections are [dataset], "
+                             "[synth.depression], [synth.risk], [depression], [risk]"),
+    ("[DEFAULT]\nepochs = 1\n[risk]\nlr = 0.1\n", "{ini}: no command reads section [DEFAULT]; "),
+], ids=["unknown_option", "unknown_option_in_another_known_section", "unknown_section",
+        "default_section"])
+def test_train_unknown_ini_option_or_section_fails_before_training(risk_chain, tmp_path,
+                                                                   capsys, text, message):
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text)
+    rc = run_cli(["train", "--task", "risk", "--config", str(ini), "--data", str(risk_chain[1]),
+                  "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(ini=ini)}") and err.count("\n") == 1, err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_one_ini_file_serves_both_train_tasks(depression_chain, risk_chain, tmp_path, capsys):
+    # A known section that the command does not read is allowed.
+    ini = tmp_path / "train.ini"
+    ini.write_text("[depression]\nepochs = 1\n\n[risk]\nepochs = 1\nencoder_dim = 32\n")
+    for task, chain in (("depression", depression_chain), ("risk", risk_chain)):
+        rc = run_cli(["train", "--task", task, "--config", str(ini), "--data", str(chain[1]),
+                      "--out", str(tmp_path / task), "--seed", "1"])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((tmp_path / task / "run.json").read_text())["epochs"] == 1
 
 
 def test_train_depression_rejects_n_term_below_the_window(depression_chain, tmp_path,

@@ -42,6 +42,7 @@ from triagekit.nn import (
     glorot_uniform,
     max_pool,
     relu,
+    save_checkpoint,
     softmax,
 )
 from triagekit.traineval import TrainConfig, thread_matrices, train_risk
@@ -404,8 +405,8 @@ def planted_trigram_model():
 def test_top_phrases_finds_planted_trigram():
     model = planted_trigram_model()
     users = [
-        ("u1", [("a", [5, 5, 2, 3, 4, 5]), ("b", [5, 5, 5, 5])]),
-        ("u2", [("c", [5, 2, 5, 3, 5, 4])]),
+        (["a", "b"], [[5, 5, 2, 3, 4, 5], [5, 5, 5, 5]]),
+        (["c"], [[5, 2, 5, 3, 5, 4]]),
     ]
     ranked = top_phrases(model, users, m=2)
     assert ranked[0][0] == "a"
@@ -416,7 +417,7 @@ def test_top_phrases_finds_planted_trigram():
 
 def test_top_phrases_zero_model_scores_zero():
     model = DepressionModel(tiny_depression_config(), seed=2)
-    users = [("u1", [("a", [2, 3, 4, 5])]), ("u2", [("b", [6, 7, 2])])]
+    users = [(["a"], [[2, 3, 4, 5]]), (["b"], [[6, 7, 2]])]
     ranked = top_phrases(model, users, m=10)
     assert len(ranked) == 2
     assert all(score == 0.0 for _, _, score in ranked)
@@ -424,17 +425,62 @@ def test_top_phrases_zero_model_scores_zero():
 
 def test_top_phrases_caps_at_available():
     model = DepressionModel(tiny_depression_config(), seed=2)
-    ranked = top_phrases(model, [("u1", [("a", [2, 3, 4])])], m=50)
+    ranked = top_phrases(model, [(["a"], [[2, 3, 4]])], m=50)
     assert len(ranked) == 1
 
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_top_phrases_rejects_fewer_than_one(m):
     model = planted_trigram_model()
-    users = [(f"u{i}", [("a", [5, 2, 3, 4])]) for i in range(4)]
+    users = [(["a"], [[5, 2, 3, 4]]) for _ in range(4)]
     assert len(top_phrases(model, users, m=1)) == 1
     with pytest.raises(ValueError, match="at least 1"):
         top_phrases(model, users, m=m)
+
+
+@pytest.mark.parametrize("cls, config", [
+    (DepressionModel, tiny_depression_config()),
+    (DepressionModel, tiny_depression_config(dense_dims=(), conv_window=3, merge_stride=1)),
+    (DepressionModel, DepressionModelConfig(vocab_size=50)),
+    *[(RiskModel, RiskModelConfig(variant, sentence_dim=7, conv_filters=3, pool_n=2,
+                                  dense_dims=dims, max_sentences=6))
+      for variant in RISK_VARIANTS for dims in ((5, 4), ())
+      if dims or variant in ("cat_ce", "mse")],
+], ids=["depression", "depression_no_dense", "depression_default",
+        "cat_ce", "cat_ce_no_dense", "mse", "mse_no_dense", "class_metric",
+        "class_metric_ordinal"])
+def test_param_shapes_are_the_shapes_a_model_is_built_with(cls, config):
+    # Checkpoint loading checks against these shapes, which no second
+    # parameter set is built for.
+    assert list(cls.param_shapes(config).items()) == [
+        (name, arr.shape) for name, arr in cls(config).params.items()]
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("other_config", "parameter 'conv.w' has shape (3, 3, 7), its config gives (4, 3, 7)"),
+    ("missing", "checkpoint has no parameter 'out.b', its config gives shape (4,)"),
+    ("extra", "parameter 'spare' is not one its config gives"),
+], ids=["other_config", "missing", "extra"])
+def test_checkpoint_shapes_must_be_its_configs(tmp_path, fault, message):
+    config = RiskModelConfig("cat_ce", sentence_dim=7, conv_filters=3, pool_n=2,
+                             dense_dims=(5,), max_sentences=6)
+    params = RiskModel(config).params
+    if fault == "other_config":
+        config = RiskModelConfig("cat_ce", sentence_dim=7, conv_filters=4, pool_n=2,
+                                 dense_dims=(5,), max_sentences=6)
+    else:
+        kept = ParamStore()
+        for name, arr in params.items():
+            if not (fault == "missing" and name == "out.b"):
+                kept.add(name, arr)
+        if fault == "extra":
+            kept.add("spare", np.zeros(2))
+        params = kept
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, {"kind": "risk:cat_ce", **asdict(config)}, 0, 0)
+    with pytest.raises(ValueError) as exc:
+        RiskModel.load(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 # -- risk model ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tests for selection, balancing, metrics, training loops, and synthetic data."""
 
+import gc
 import json
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +19,8 @@ from triagekit.corpus import (
     RiskLabel,
     ThreadInstance,
     UserRecord,
+    Vocabulary,
+    load_users,
     read_labels,
     read_posts,
     read_threads,
@@ -25,13 +29,14 @@ from triagekit.corpus import (
     write_threads,
 )
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
-from triagekit.nn import ParamStore, constant, dense, pick
+from triagekit.nn import ParamNodes, ParamStore, constant, dense, pick
 from triagekit.traineval import (
     SelectionConfig,
     SynthDetectionSpec,
     SynthRiskSpec,
     TrainConfig,
     _epoch_order,
+    chosen_posts,
     _train,
     binary_metrics,
     class_weights,
@@ -43,6 +48,8 @@ from triagekit.traineval import (
     stratified_split,
     synth_detection_corpus,
     synth_risk_corpus,
+    tokenize,
+    tokenize_users,
     train_depression,
     train_risk,
     triage_report,
@@ -116,38 +123,44 @@ def test_derive_seed_deterministic_and_distinct():
     assert all(0 <= s < 2 ** 64 for s in seen)
 
 
+def post_tuples(selection):
+    """A `Selection` as one tuple of Python ints per post."""
+    ids, lengths = selection
+    return [tuple(ids[end - n:end].tolist()) for n, end in zip(lengths, np.cumsum(lengths))]
+
+
 def test_select_earliest_latest():
-    user = make_user("u", [[1, 2, 3]] * 5)
-    user = UserRecord("u", tuple(p.with_tokens((i,)) for i, p in enumerate(user.posts)))
+    user = make_user("u", [[i] for i in range(5)])
     early = select_posts(user, SelectionConfig("earliest", n_post=2, n_term=5))
     late = select_posts(user, SelectionConfig("latest", n_post=2, n_term=5))
-    assert early == [(0,), (1,)]
-    assert late == [(3,), (4,)]
+    assert post_tuples(early) == [(0,), (1,)]
+    assert post_tuples(late) == [(3,), (4,)]
 
 
 def test_select_truncates_terms():
     user = make_user("u", [list(range(30))])
     out = select_posts(user, SelectionConfig("earliest", n_post=5, n_term=4))
-    assert out == [(0, 1, 2, 3)]
+    assert post_tuples(out) == [(0, 1, 2, 3)]
 
 
 def test_select_random_is_ordered_subset_and_deterministic():
     user = make_user("u", [[i] for i in range(40)])
     cfg = SelectionConfig("random", n_post=10, n_term=5, seed=3)
-    first = select_posts(user, cfg)
-    assert first == select_posts(user, cfg)
+    first = post_tuples(select_posts(user, cfg))
+    assert first == post_tuples(select_posts(user, cfg))
     assert len(first) == 10
     flat = [toks[0] for toks in first]
     assert flat == sorted(flat)
     assert len(set(flat)) == 10
-    other = select_posts(user, SelectionConfig("random", n_post=10, n_term=5, seed=4))
+    other = post_tuples(select_posts(user, SelectionConfig("random", n_post=10, n_term=5,
+                                                           seed=4)))
     assert first != other  # overwhelmingly likely across seeds
 
 
 def test_select_random_small_user_keeps_everything():
     user = make_user("u", [[1], [2], [3]])
     out = select_posts(user, SelectionConfig("random", n_post=10, n_term=5, seed=0))
-    assert out == [(1,), (2,), (3,)]
+    assert post_tuples(out) == [(1,), (2,), (3,)]
 
 
 def test_select_random_differs_across_users():
@@ -155,8 +168,138 @@ def test_select_random_differs_across_users():
     picks = set()
     for uid in ("a", "b", "c", "d"):
         user = make_user(uid, [[i] for i in range(30)])
-        picks.add(tuple(select_posts(user, cfg)))
+        picks.add(tuple(post_tuples(select_posts(user, cfg))))
     assert len(picks) > 1
+
+
+def reference_chosen(user, cfg):
+    """The posts chosen_posts returned before it chose by index."""
+    posts = user.posts
+    if cfg.strategy == "earliest":
+        return posts[:cfg.n_post]
+    if cfg.strategy == "latest":
+        return posts[-cfg.n_post:]
+    if len(posts) <= cfg.n_post:
+        return posts
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"select:{user.user_id}"))
+    return tuple(posts[i] for i in np.sort(rng.choice(len(posts), size=cfg.n_post,
+                                                      replace=False)))
+
+
+def reference_selection(user, cfg):
+    """The token tuples select_posts returned before selections were flat:
+    each chosen post's tokens[:n_term]."""
+    return [tuple(int(t) for t in p.tokens[:cfg.n_term]) for p in reference_chosen(user, cfg)]
+
+
+def write_user_texts(path, users):
+    """A posts file of {user id: [post text, ...]}, timestamps in post order."""
+    write_posts(path, [Post(f"{uid}-p{i:03d}", uid, f"forum{i % 3}", 1_600_000_000 + 60 * i, text)
+                       for uid, texts in users.items() for i, text in enumerate(texts)])
+
+
+def tokenized_users(tmp_path):
+    """Tokenized users: one above n_post = 6, posts shorter than the window
+    and than n_term = 5, empty posts, and a user with no usable post."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(30)]
+
+    def text(n):
+        return " ".join(words[int(i)] for i in rng.integers(0, 30, size=n))
+
+    users = {"big": [text(int(n)) for n in rng.integers(0, 12, size=17)],
+             "small": [text(7), "", text(2), text(5), "", text(1)],
+             "unusable": ["", text(2), "", text(1)],
+             "one": [text(9)]}
+    write_user_texts(tmp_path / "posts.ndjson", users)
+    loaded = load_users(tmp_path / "posts.ndjson")
+    vocab = Vocabulary.from_texts((p.text for u in loaded.values() for p in u.posts), min_freq=2)
+    return tokenize_users([loaded[uid] for uid in sorted(loaded)], vocab), loaded, vocab
+
+
+@pytest.mark.parametrize("strategy", ["earliest", "latest", "random"])
+def test_flat_selection_equals_per_post_token_slices(tmp_path, strategy):
+    users, _, _ = tokenized_users(tmp_path)
+    model = tiny_detection_model(vocab_size=40, n_term=5, merge_window=2, merge_stride=2)
+    for seed in (0, 1):
+        cfg = SelectionConfig(strategy, n_post=6, n_term=5, seed=seed)
+        for user in users:
+            selection = select_posts(user, cfg)
+            expected = reference_selection(user, cfg)
+            assert selection.ids.dtype == np.int32
+            assert post_tuples(selection) == expected, user.user_id
+            assert chosen_posts(user, cfg) == reference_chosen(user, cfg)
+            # The model reads the flat selection as it reads the tuples.
+            assert np.array_equal(model.classify_user(selection), model.classify_user(expected))
+    big = next(u for u in users if u.user_id == "big")
+    assert len(big.posts) == 17 and any(len(p.tokens) == 0 for p in big.posts)
+
+
+def test_selection_of_a_user_without_posts_or_usable_posts(tmp_path):
+    users, _, _ = tokenized_users(tmp_path)
+    unusable = next(u for u in users if u.user_id == "unusable")
+    cfg = SelectionConfig("earliest", n_post=6, n_term=5)
+    selection = select_posts(unusable, cfg)
+    assert selection.lengths.tolist() == [0, 2, 0, 1] and post_tuples(selection) == \
+        reference_selection(unusable, cfg)
+    model = tiny_detection_model(vocab_size=40, n_term=5)
+    logits, feat, starts, stops = model._forward(selection, ParamNodes(model.params))
+    assert feat is None and (stops == starts).all()
+    empty = UserRecord("none", ())
+    assert select_posts(empty, cfg).lengths.size == 0
+    with pytest.raises(ValueError, match="user has no usable posts"):
+        model.classify_user(select_posts(empty, cfg))
+
+
+def test_tokenized_post_holds_no_text_and_no_python_int_per_token(tmp_path):
+    users, loaded, vocab = tokenized_users(tmp_path)
+    for user in users:
+        assert user.token_ids.dtype == np.int32 and not user.token_ids.flags.writeable
+        offsets = user.token_offsets
+        for i, (post, source) in enumerate(zip(user.posts, loaded[user.user_id].posts)):
+            assert post.text == "" and post == Post(source.post_id, source.user_id,
+                                                    source.community, source.timestamp, "")
+            assert not hasattr(post, "__dict__")          # slotted
+            assert isinstance(post.tokens, np.ndarray) and post.tokens.dtype == np.int32
+            assert post.tokens.base is user.token_ids and not post.tokens.flags.writeable
+            assert post.tokens.tolist() == tokenize(source.text, vocab)
+            assert post.tokens.size == offsets[i + 1] - offsets[i]
+        # Token arrays take no part in equality or hashing.
+        assert user == UserRecord(user.user_id, tuple(Post(p.post_id, p.user_id, p.community,
+                                                           p.timestamp, "") for p in user.posts),
+                                  user.label, user.diagnosis_post_id)
+        assert len({user, user}) == 1 and len({*user.posts}) == len(user.posts)
+    # Posts of one file share their user id and community strings.
+    posts = [p for u in loaded.values() for p in u.posts]
+    assert len({id(p.community) for p in posts}) == len({p.community for p in posts}) == 3
+    assert len({id(p.user_id) for p in posts}) == len(loaded)
+
+
+def test_tokenized_corpus_holds_at_most_half_the_bytes_per_token(tmp_path):
+    # The memory a tokenized corpus holds: read with load_users, tokenized,
+    # the loaded users dropped. 2000 posts of 20-60 Zipf words (79,909
+    # tokens), vocabulary 2904. Before token ids were compact, the tokenized
+    # posts kept their text and a tuple of Python ints each: 24.72 bytes a
+    # token; now 12.00.
+    rng = np.random.default_rng(27)
+    write_user_texts(tmp_path / "posts.ndjson", {
+        f"u{u:03d}": [" ".join(f"w{int(w):04d}" for w in
+                               rng.zipf(1.3, size=int(rng.integers(20, 61))) % 3000)
+                      for _ in range(50)]
+        for u in range(40)})
+    path = tmp_path / "posts.ndjson"
+    vocab = Vocabulary.from_texts((p.text for u in load_users(path).values() for p in u.posts),
+                                  min_freq=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        users = tokenize_users(load_users(path).values(), vocab)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_tokens = sum(len(p.tokens) for u in users for p in u.posts)
+    assert (n_tokens, len(vocab)) == (79909, 2904)
+    assert held / n_tokens <= 24.72 / 2
 
 
 @pytest.mark.parametrize("epochs, lr", [(-1, 1e-3), (2, 0.0), (2, -1e-3), (2, float("nan")),
