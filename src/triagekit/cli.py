@@ -4,7 +4,8 @@ Subcommands: build-dataset, synth, train, evaluate, predict, gradcheck,
 explain. Human-readable tables go to stdout; machine-readable JSON is always
 written into the --out directory. Exit codes: 0 success, 1 runtime failure,
 2 usage error. All randomness flows from --seed through named streams, so
-identical invocations produce byte-identical outputs.
+identical invocations produce byte-identical outputs. A command accepts
+--config and --seed only if it reads them.
 
 A setting comes from its flag, else from the INI file (`OPTIONS` lists what
 each section may set), else from the library's own default; the library
@@ -560,30 +561,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "depression detection and risk triage models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=None):
-        p.add_argument("--config", type=_existing_file,
-                       help="INI config file; flags override its values")
+    def add_common(p, config: bool = False):
+        """--out, and --config for a command that reads it."""
+        if config:
+            p.add_argument("--config", type=_existing_file,
+                           help="INI config file; flags override its values")
         p.add_argument("--out", required=True,
                        help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="master seed for all randomness")
 
     p = sub.add_parser("build-dataset",
                        help="match diagnosed users with controls into splits")
-    add_common(p)
+    add_common(p, config=True)
     p.add_argument("--posts", required=True, type=_existing_file,
                    help="posts ndjson file")
     p.add_argument("--annotations", type=_existing_file,
                    help="optional annotation votes ndjson")
-    p.set_defaults(func=cmd_build_dataset, needs_seed=False)
+    p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    add_common(p)
+    add_common(p, config=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="master seed for all randomness")
     p.add_argument("--task", required=True, choices=("depression", "risk"))
-    p.set_defaults(func=cmd_synth, needs_seed=True)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
-    add_common(p)
+    add_common(p, config=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="master seed for all randomness")
     p.add_argument("--task", required=True, choices=("depression", "risk"))
     p.add_argument("--variant", choices=RISK_VARIANTS,
                    help="risk model variant (risk task only)")
@@ -596,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tokens kept per post (depression)")
     p.add_argument("--strategy", choices=("earliest", "latest", "random"),
                    help="post selection strategy (depression)")
-    p.set_defaults(func=cmd_train, needs_seed=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split")
     add_common(p)
@@ -604,20 +609,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, type=_existing_dir)
     p.add_argument("--split", required=True,
                    choices=("train", "validation", "test"))
-    p.set_defaults(func=cmd_evaluate, needs_seed=False)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="label new inputs with a checkpoint")
     add_common(p)
     p.add_argument("--checkpoint", required=True, type=_existing_file)
     p.add_argument("--input", required=True, type=_existing_file,
                    help="posts ndjson (depression) or threads ndjson (risk)")
-    p.set_defaults(func=cmd_predict, needs_seed=False)
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference verification of all gradients")
-    add_common(p, seed_default=0)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed for all randomness")
     p.add_argument("--task", choices=("depression", "risk", "all"), default="all")
-    p.set_defaults(func=cmd_gradcheck, needs_seed=False)
+    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("explain",
                        help="report the phrases driving diagnosed predictions")
@@ -628,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("train", "validation", "test"))
     p.add_argument("-m", "--top", type=int, default=20,
                    help="number of phrases to report")
-    p.set_defaults(func=cmd_explain, needs_seed=False)
+    p.set_defaults(func=cmd_explain)
 
     return parser
 
@@ -636,8 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.needs_seed and args.seed is None:
-        parser.error(f"--seed is required for {args.command}")
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)

@@ -224,8 +224,10 @@ class Vocabulary:
         counts: Counter[str] = Counter()
         for text in texts:
             counts.update(word_tokens(text))
-        kept = [t for t, c in counts.items() if c >= min_freq]
-        kept.sort(key=lambda t: (-counts[t], t))
+        # Most frequent first, ties in string order: the order of the key
+        # (-count, token), from two sorts that compare no tuples.
+        kept = sorted(t for t, c in counts.items() if c >= min_freq)
+        kept.sort(key=counts.__getitem__, reverse=True)
         return cls(kept)
 
     def id(self, token: str) -> int:

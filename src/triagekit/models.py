@@ -239,17 +239,18 @@ class DepressionModel:
         the user's kept tokens, for training and serving alike."""
         c = self.config
         ids, lengths = posts if isinstance(posts, Selection) else Selection.of(posts)
-        if not lengths.size:
+        n = lengths.size
+        if not n:
             raise ValueError("user has no usable posts")
-        # A post's first n_term ids are kept, or none for a post without a window.
-        kept = np.where(lengths >= c.conv_window, np.minimum(lengths, c.n_term), 0)
-        if (kept != lengths).any():
+        # A post's first n_term ids are kept, or none for a post without a
+        # window; so are none for each padding slot up to merge_window.
+        kept = np.zeros(max(n, c.merge_window), dtype=lengths.dtype)
+        np.minimum(lengths, c.n_term, out=kept[:n], where=lengths >= c.conv_window)
+        if (kept[:n] != lengths).any():
             at = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            ids = ids[at < np.repeat(kept, lengths)]
-        n = kept.size
-        lengths = np.concatenate([kept, np.zeros(max(c.merge_window - n, 0), kept.dtype)])
-        starts = np.cumsum(lengths) - lengths
-        stops = starts + np.maximum(lengths - c.conv_window + 1, 0)
+            ids = ids[at < np.repeat(kept[:n], lengths)]
+        starts = np.cumsum(kept) - kept
+        stops = starts + np.maximum(kept - (c.conv_window - 1), 0)
         if ids.size:
             feat = relu(conv1d(nodes("emb"), nodes("conv.w"), nodes("conv.b"), ids=ids))
             post_vecs = mean_rows(feat, starts, stops)

@@ -58,13 +58,17 @@ from .corpus import atomic_open
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-# Every op output is checked for NaN/Inf, because a poisoned value is much
-# harder to trace later than at the op that produced it. Parameters are
-# checked where they are written (ParamStore.add and load_values, adam_step),
-# not on every graph: a value written into a store from outside the library
-# is caught by the first op output it reaches.
+# Every op output that can hold a NaN/Inf is checked for one, because a
+# poisoned value is much harder to trace later than at the op that produced
+# it. An op that only selects, moves or clamps values (`relu`, `max_pool`,
+# `concat`, `flatten`, `stack_rows`, `pick`, `hinge`) cannot make one from
+# finite inputs, so it skips the scan unless it reads a parameter node:
+# constants and op outputs were checked when made. Parameters are checked
+# where they are written (ParamStore.add and load_values, adam_step), not on
+# every graph: a value written into a store from outside the library is
+# caught by the first op output it reaches.
 def _check_finite(value: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -165,16 +169,21 @@ def no_grad():
 class Node:
     """One value in the computation graph, with its local backward rule.
 
+    The value is scanned for NaN/Inf, naming the op, unless ``scan`` is
+    false, which an op passes only when it cannot make a non-finite value
+    from finite inputs and no input is a parameter node (`_reads_param`).
     ``grad`` is a `RowGrad` while row-writing backward rules are the only
-    ones to have reached the node, else an array. ``fresh`` marks an op output
-    made under `no_grad` whose array the op allocated and nothing else holds.
+    ones to have reached the node, else an array. ``fresh`` marks an op
+    output made under `no_grad` whose array the op allocated and nothing
+    else holds.
     """
 
     __slots__ = ("value", "grad", "parents", "_backward", "fresh")
 
-    def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
+    def __init__(self, value, parents: tuple = (), backward: Callable | None = None,
+                 scan: bool = True):
         self.value = np.asarray(value)
-        if not np.all(np.isfinite(self.value)):     # the op is named by its backward rule
+        if scan and not np.isfinite(self.value).all():  # the op is named by its backward rule
             op = backward.__qualname__.partition(".")[0] if backward else "constant"
             raise FloatingPointError(f"non-finite values in {op} op output")
         self.grad: np.ndarray | RowGrad | None = None
@@ -201,6 +210,13 @@ class _ParamNode(Node):
 
 def constant(value) -> Node:
     return Node(value)
+
+
+def _reads_param(*inputs: Node) -> bool:
+    """Whether an op that cannot turn finite inputs into a non-finite output
+    must still scan it: when an input is a parameter node, whose array may
+    have been written from outside the store since its last check."""
+    return any(type(node) is _ParamNode for node in inputs)
 
 
 def _acc(node: Node, grad: np.ndarray, fresh: bool = False) -> None:
@@ -414,9 +430,13 @@ class SparseRows:
 
 # Output rows per block of `conv1d`'s forward.
 _CONV_BLOCK = 4096
-# Distinct rows per product, and output rows per gather, of `conv1d` over a
-# table's rows.
+# Distinct rows per product of `conv1d` over a table's rows. The chunk size
+# picks the BLAS kernel, so it also fixes the bits.
 _TABLE_BLOCK = 512
+# Output rows per gather of `conv1d` over a table's rows: a median
+# depression request is one gather per window offset, and the gather
+# buffer stays small beside the output at the 1500-post cap.
+_GATHER_BLOCK = 2048
 
 
 def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
@@ -450,11 +470,12 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
 
     Over a table's rows, the U distinct ids are found once (`_distinct`).
     Per window offset j, in order, the distinct rows times W[:, j] ([U x l],
-    512 rows a matmul, which measured faster than one whole product) are
-    gathered to the windows' positions, 512 output rows at a time: offset
-    0's products, then += offset 1's, and so on, then the bias. Only one
-    offset's products are held, and the distinct rows are gathered again per
-    offset rather than kept. The backward sums g per distinct id for each
+    512 rows a matmul, which measured faster than one whole product; the
+    chunk size picks the BLAS kernel, so it also fixes the bits) are
+    gathered to the windows' positions with `ndarray.take`, 2048 output
+    rows at a time: offset 0's products, then += offset 1's, and so on,
+    then the bias. Only one offset's products are held, and the distinct
+    rows are gathered again per offset rather than kept. The backward sums g per distinct id for each
     offset (G_j, `_scatter_rows`), so dW[:, j] = E^T G_j over the distinct
     rows E, and the table's rows get sum over j of G_j @ W[:, j]^T, as a
     `RowGrad`; no [T x d] array is built. Against the position-order
@@ -466,7 +487,9 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     src = x.values if sparse else x.value         # the rows read, or the table
     T, d_in = x.shape if sparse else src.shape
     if ids is not None:
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":      # integer ids, int32 ones too, are read uncopied
+            ids = ids.astype(np.intp)
         if sparse:
             raise ValueError("conv1d reads ids from an embedding table node, not SparseRows")
         if ids.ndim != 1 or ids.size == 0:
@@ -499,19 +522,19 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
         # to the windows' positions.
         table_rows, inverse = _distinct(ids, src.shape[0])
         prod = np.empty((table_rows.size, l), dtype=out.dtype)
-        temp = np.empty((min(rows, _TABLE_BLOCK), l), dtype=out.dtype)
+        temp = np.empty((min(rows, _GATHER_BLOCK), l), dtype=out.dtype)
         for j in range(k):
             for s in range(0, table_rows.size, _TABLE_BLOCK):
-                np.matmul(src[table_rows[s:s + _TABLE_BLOCK]], w[:, j],
+                np.matmul(src.take(table_rows[s:s + _TABLE_BLOCK], axis=0), w[:, j],
                           out=prod[s:s + _TABLE_BLOCK])
             at = inverse[j:j + span:stride]
-            for s in range(0, rows, _TABLE_BLOCK):
-                block = out[s:s + _TABLE_BLOCK]
+            for s in range(0, rows, _GATHER_BLOCK):
+                block = out[s:s + _GATHER_BLOCK]
                 if j == 0:
-                    np.take(prod, at[s:s + _TABLE_BLOCK], axis=0, out=block, mode="clip")
+                    prod.take(at[s:s + _GATHER_BLOCK], axis=0, out=block, mode="clip")
                 else:
-                    block += np.take(prod, at[s:s + _TABLE_BLOCK], axis=0,
-                                     out=temp[:block.shape[0]], mode="clip")
+                    block += prod.take(at[s:s + _GATHER_BLOCK], axis=0,
+                                       out=temp[:block.shape[0]], mode="clip")
         del prod, temp
     out += bias.value
 
@@ -561,7 +584,7 @@ def relu(x: Node) -> Node:
     def back(g):
         _acc(x, g * (out > 0), fresh=True)
 
-    return Node(out, (x,), back)
+    return Node(out, (x,), back, scan=_reads_param(x))
 
 
 def max_pool(x: Node, n: int) -> Node:
@@ -583,33 +606,50 @@ def max_pool(x: Node, n: int) -> Node:
         dx[row_idx, np.arange(cols)] = g                      # one entry per (row, column)
         _acc(x, dx, fresh=True)
 
-    return Node(out, (x,), back)
+    return Node(out, (x,), back, scan=_reads_param(x))
 
 
 def mean_rows(x: Node, starts=None, stops=None) -> Node:
     """Column means of x [R x l] as [l]: average pooling over all rows. Given
     row ranges, one mean per range [starts[i], stops[i]) as [n x l] instead,
-    zero for an empty range; nonempty ranges lie in row order, disjoint."""
+    zero for an empty range; nonempty ranges lie in row order, disjoint.
+
+    Every sum is `np.add.reduceat`'s. ``cumsum``, ``np.mean`` and
+    ``add.reduce`` add a range's rows in other orders, which changes the
+    last bits. The whole-matrix mean is the reduceat of the one range
+    [0, R). Ranges are read through one array of bounds: 0, then each
+    nonempty range's start and stop, then R."""
     rows, cols = x.value.shape
-    whole = starts is None
-    starts, stops = np.array([[0], [rows]] if whole else [starts, stops], dtype=np.intp)
+    if starts is None:
+        out = (np.add.reduceat(x.value, [0], axis=0)[0] / rows if rows
+               else np.zeros(cols, x.value.dtype))
+
+        def back_whole(g):                            # no rows get no gradient rows
+            _acc(x, np.broadcast_to(g / max(rows, 1), (rows, cols)))
+
+        return Node(out, (x,), back_whole)
+    starts = np.asarray(starts, dtype=np.intp)
+    stops = np.asarray(stops, dtype=np.intp)
     full = stops > starts
     counts = (stops - starts)[full]
-    bounds = np.stack([starts[full], stops[full]], axis=1).ravel()
-    spans = np.diff(bounds, prepend=0, append=rows)     # gap, range, gap, ..., range, gap
-    if (stops < starts).any() or (spans < 0).any():
+    bounds = np.empty(2 * counts.size + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, rows
+    bounds[1:-1:2], bounds[2:-1:2] = starts[full], stops[full]
+    if (stops < starts).any() or (bounds[1:] < bounds[:-1]).any():
         raise ValueError("mean_rows ranges must be ordered, disjoint row ranges of x")
     # In turn, sums of each range and of the gap after it (the last runs to the end).
-    sums = np.add.reduceat(x.value, bounds[:-1] if rows in bounds[-1:] else bounds, axis=0)
+    sums = np.add.reduceat(x.value, bounds[1:-2] if bounds[-2] == rows else bounds[1:-1],
+                           axis=0)
     out = np.zeros((starts.size, cols), dtype=x.value.dtype)
     out[full] = sums[::2] / counts[:, None]
 
     def back(g):
-        parts = np.zeros((spans.size, cols), dtype=x.value.dtype)
+        parts = np.zeros((bounds.size - 1, cols), dtype=x.value.dtype)
         parts[1::2] = g.reshape(-1, cols)[full] / counts[:, None]
-        _acc(x, np.repeat(parts, spans, axis=0), fresh=True)
+        # Rows of gap, range, gap, ..., range, gap.
+        _acc(x, np.repeat(parts, np.diff(bounds), axis=0), fresh=True)
 
-    return Node(out[0] if whole else out, (x,), back)
+    return Node(out, (x,), back)
 
 
 def dense(x: Node, weights: Node, bias: Node) -> Node:
@@ -655,7 +695,7 @@ def concat(a: Node, b: Node) -> Node:
         _acc(a, g[:na])
         _acc(b, g[na:])
 
-    return Node(np.concatenate([a.value, b.value]), (a, b), back)
+    return Node(np.concatenate([a.value, b.value]), (a, b), back, scan=_reads_param(a, b))
 
 
 def flatten(x: Node) -> Node:
@@ -664,7 +704,7 @@ def flatten(x: Node) -> Node:
     def back(g):
         _acc(x, g.reshape(shape))
 
-    return Node(x.value.reshape(-1), (x,), back)
+    return Node(x.value.reshape(-1), (x,), back, scan=_reads_param(x))
 
 
 def stack_rows(rows: list[Node]) -> Node:
@@ -677,7 +717,7 @@ def stack_rows(rows: list[Node]) -> Node:
         for i, r in enumerate(rows):
             _acc(r, g[i])
 
-    return Node(out, tuple(rows), back)
+    return Node(out, tuple(rows), back, scan=_reads_param(*rows))
 
 
 def pick(x: Node, index: int) -> Node:
@@ -688,7 +728,7 @@ def pick(x: Node, index: int) -> Node:
         dx[index] = g
         _acc(x, dx)
 
-    return Node(x.value[index], (x,), back)
+    return Node(x.value[index], (x,), back, scan=_reads_param(x))
 
 
 def add(a: Node, b: Node) -> Node:
@@ -728,7 +768,8 @@ def hinge(x: Node) -> Node:
     def back(g):
         _acc(x, g if active else np.zeros_like(g))
 
-    return Node(x.value.copy() if active else np.zeros_like(x.value), (x,), back)
+    return Node(x.value.copy() if active else np.zeros_like(x.value), (x,), back,
+                scan=_reads_param(x))
 
 
 def euclidean_distance(a: Node, b: Node) -> Node:

@@ -1153,6 +1153,30 @@ def test_usage_error_missing_seed(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["build-dataset", "--posts", "{file}"], "--seed"),
+    (["evaluate", "--checkpoint", "{file}", "--data", "{dir}", "--split", "test"], "--config"),
+    (["evaluate", "--checkpoint", "{file}", "--data", "{dir}", "--split", "test"], "--seed"),
+    (["predict", "--checkpoint", "{file}", "--input", "{file}"], "--config"),
+    (["predict", "--checkpoint", "{file}", "--input", "{file}"], "--seed"),
+    (["explain", "--checkpoint", "{file}", "--data", "{dir}", "--split", "test"], "--config"),
+    (["explain", "--checkpoint", "{file}", "--data", "{dir}", "--split", "test"], "--seed"),
+    (["gradcheck", "--task", "depression"], "--config"),
+], ids=["build-dataset-seed", "evaluate-config", "evaluate-seed", "predict-config",
+        "predict-seed", "explain-config", "explain-seed", "gradcheck-config"])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # A typo'd INI file that the strict check would reject, were it read.
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[rsk]\nepoch = 1\n")
+    value = str(ini) if flag == "--config" else "3"
+    argv = [arg.format(file=ini, dir=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_unknown_command(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate", "--out", str(tmp_path)])

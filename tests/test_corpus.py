@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ def test_vocab_deterministic_order():
     assert v1.tokens() == v2.tokens()
     # frequency-major, then lexicographic
     assert v1.tokens() == ["a", "c", "b"]
+
+
+def test_vocab_order_is_the_count_then_token_key_with_ties_and_non_ascii():
+    rng = np.random.default_rng(28)
+    words = ["straße", "strasse", "émoji", "emoji", "日本", "日本語", "ångström", "zebra",
+             "Zebra", "a", "b10", "b9", "ünïcode", "ü", "u", "z", "ß", "ſ", "Ω", "ω"]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 12)))) for _ in range(60)]
+    counts = Counter(t for text in texts for t in word_tokens(text))
+    assert len(set(counts.values())) < len(counts)              # some counts tie
+    for min_freq in (1, 3, 7):
+        kept = [t for t, c in counts.items() if c >= min_freq]
+        assert Vocabulary.from_texts(texts, min_freq=min_freq).tokens() == sorted(
+            kept, key=lambda t: (-counts[t], t))
 
 
 # -- domain types -----------------------------------------------------------

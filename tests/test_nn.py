@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import sys
@@ -162,6 +163,116 @@ def test_mean_rows_rejects_overlapping_or_outside_ranges():
                           ([3], [2])):
         with pytest.raises(ValueError, match="ordered, disjoint"):
             mean_rows(x, starts, stops)
+
+
+def _interleaved_mean_rows(x, starts, stops):
+    """`mean_rows` as formulated before its bounds became one array: the
+    output and the backward rule's gradient for an output gradient g."""
+    rows, cols = x.shape
+    whole = starts is None
+    starts, stops = np.array([[0], [rows]] if whole else [starts, stops], dtype=np.intp)
+    full = stops > starts
+    counts = (stops - starts)[full]
+    bounds = np.stack([starts[full], stops[full]], axis=1).ravel()
+    spans = np.diff(bounds, prepend=0, append=rows)
+    sums = np.add.reduceat(x, bounds[:-1] if rows in bounds[-1:] else bounds, axis=0)
+    out = np.zeros((starts.size, cols))
+    out[full] = sums[::2] / counts[:, None]
+
+    def grad(g):
+        parts = np.zeros((spans.size, cols))
+        parts[1::2] = g.reshape(-1, cols)[full] / counts[:, None]
+        return np.repeat(parts, spans, axis=0)
+
+    return out[0] if whole else out, grad
+
+
+@pytest.mark.parametrize("rows, starts, stops", [
+    (40, None, None),
+    (1, None, None),
+    (0, None, None),
+    (40, [0, 2, 2, 5, 9], [2, 2, 5, 9, 40]),      # adjacent, an empty range, ends on the last row
+    (40, [1, 0, 4, 30, 40], [3, 0, 27, 39, 40]),  # gaps, empty ranges, one past the last row
+    (40, [3, 0], [3, 0]),                         # every range empty
+], ids=["whole", "one_row", "no_rows", "adjacent_empty_last_row", "gaps", "all_empty"])
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["plain", "negative_zero"])
+def test_mean_rows_is_bit_equal_to_the_interleaved_formulation(rows, starts, stops,
+                                                               negative_zero):
+    rng = np.random.default_rng(rows + 7)
+    # Magnitudes over many decades, so a change of summation order shows.
+    x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 9, (rows, 3))
+    if negative_zero:
+        x[::2] = -0.0
+        x[:, 2] = -0.0
+    expected, expected_grad = _interleaved_mean_rows(x, starts, stops)
+    node = constant(x)
+    out = mean_rows(node, starts, stops)
+    assert out.value.shape == expected.shape
+    assert out.value.tobytes() == expected.tobytes()       # -0.0 and +0.0 told apart
+    if negative_zero and (rows if starts is None else np.greater(stops, starts).any()):
+        assert np.signbit(out.value[..., 2]).any()
+    for seed in range(2):
+        g = np.random.default_rng(seed).standard_normal(expected.shape) * 1e3
+        node.grad = None
+        out._backward(g)
+        assert np.asarray(node.grad).tobytes() == expected_grad(g).tobytes()
+
+
+# Ops whose output only selects, moves or clamps their inputs' values, so it
+# is finite whenever they are; they skip the finite scan unless an input is a
+# parameter node.
+SCAN_FREE_OPS = {
+    "relu": lambda a, b: relu(a),
+    "max_pool": lambda a, b: max_pool(a, 2),
+    "concat": lambda a, b: concat(flatten(a), flatten(b)),
+    "flatten": lambda a, b: flatten(a),
+    "stack_rows": lambda a, b: stack_rows([flatten(a), flatten(b)]),
+    "pick": lambda a, b: pick(flatten(a), 1),
+    "hinge": lambda a, b: hinge(pick(flatten(a), 0)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SCAN_FREE_OPS))
+@pytest.mark.parametrize("grad_mode", [True, False], ids=["graph", "no_grad"])
+def test_scan_free_ops_give_finite_outputs_at_the_largest_floats(op, grad_mode):
+    big = np.array([[1.7e308, -1.7e308, 0.0], [-1.7e308, 1.7e308, -0.0],
+                    [5e-324, -1.7e308, 1.7e308]])
+    with contextlib.nullcontext() if grad_mode else no_grad():
+        out = SCAN_FREE_OPS[op](constant(big), constant(-big))
+    assert np.isfinite(out.value).all()
+    assert np.abs(out.value).max() == 1.7e308
+
+
+# Each scan-free op on a parameter of a shape it reads.
+POISONED_READS = {
+    "relu": ((3, 3), relu),
+    "max_pool": ((3, 3), lambda p: max_pool(p, 2)),
+    "flatten": ((3, 3), flatten),
+    "concat": ((3,), lambda p: concat(p, p)),
+    "stack_rows": ((3,), lambda p: stack_rows([p])),
+    "pick": ((3,), lambda p: pick(p, 1)),
+    "hinge": ((), hinge),
+}
+
+
+@pytest.mark.parametrize("op", sorted(POISONED_READS))
+@pytest.mark.parametrize("grad_mode", [True, False], ids=["graph", "no_grad"])
+def test_scan_free_op_on_a_poisoned_parameter_raises_naming_the_op(op, grad_mode):
+    shape, read = POISONED_READS[op]
+    params = ParamStore()
+    params.add("p", np.ones(shape))
+    params["p"].flat[min(1, params["p"].size - 1)] = np.inf    # past the store's checks
+    with contextlib.nullcontext() if grad_mode else no_grad(), \
+            pytest.raises(FloatingPointError, match=f"non-finite values in {op} op output"):
+        read(ParamNodes(params)("p"))
+
+
+def test_relu_of_a_nan_parameter_raises_where_its_output_keeps_the_nan():
+    params = ParamStore()
+    params.add("p", np.ones(4))
+    params["p"][2] = np.nan
+    with no_grad(), pytest.raises(FloatingPointError, match="relu op output"):
+        relu(ParamNodes(params)("p"))
 
 
 def test_dense_relu():
@@ -780,6 +891,37 @@ def test_conv1d_over_table_rows_is_whole_span_conv(t):
     ids = rng.integers(0, 5000, t)
     out = conv1d(table, w, b, ids=ids).value
     assert_close_to_scale(out, whole_span_conv1d(table.value[ids], w.value, b.value))
+
+
+def table_conv1d_in_512_row_gathers(table, w, b, ids):
+    """conv1d over a table's rows as formulated with 512-row products and
+    512-row gathers, offset after offset, then the bias."""
+    rows_, inverse = np.unique(ids, return_inverse=True)
+    k, l = w.shape[1:]
+    n = ids.size - k + 1
+    out = np.empty((n, l))
+    for j in range(k):
+        prod = np.empty((rows_.size, l))
+        for s in range(0, rows_.size, 512):
+            np.matmul(table[rows_[s:s + 512]], w[:, j], out=prod[s:s + 512])
+        at = inverse[j:j + n]
+        for s in range(0, n, 512):
+            if j == 0:
+                out[s:s + 512] = prod[at[s:s + 512]]
+            else:
+                out[s:s + 512] += prod[at[s:s + 512]]
+    return out + b
+
+
+@pytest.mark.parametrize("t", [3, 515, 2050, 4099, 8195])
+def test_conv1d_over_table_rows_gathers_in_any_blocks_with_the_same_bits(t):
+    rng, w, b = depression_conv_inputs(t + 1, t)
+    table = constant(rng.uniform(-0.05, 0.05, (3000, 50)))
+    ids = rng.integers(0, 3000, t)
+    with no_grad():
+        out = conv1d(table, w, b, ids=ids).value
+    assert out.tobytes() == table_conv1d_in_512_row_gathers(
+        table.value, w.value, b.value, ids).tobytes()
 
 
 @pytest.mark.parametrize("t,stride,d", [
