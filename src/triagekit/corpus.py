@@ -348,13 +348,43 @@ def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
     return rows
 
 
+# How an error names the kind of a JSON value.
+_JSON_KINDS = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array",
+               int: "a number", float: "a number", str: "a string"}
+
+
+def _checked_fields(row: Mapping) -> tuple[str, str, str, int, str]:
+    """A post row's (post_id, user_id, community, timestamp, text), checked
+    and converted: an id is a string or a number, read as its string; the
+    text is a string; the timestamp is an integer, a whole float or a string
+    spelling an integer, read as an int. Another kind is a ValueError naming
+    the field."""
+    strings = []
+    for name in ("post_id", "user_id", "community", "text"):
+        value = row[name]
+        kind = _JSON_KINDS[type(value)]
+        allowed = ("a string",) if name == "text" else ("a string", "a number")
+        if kind not in allowed:
+            raise ValueError(f"{name} must be {' or '.join(allowed)}, got {kind}")
+        strings.append(str(value))
+    timestamp = row["timestamp"]
+    if isinstance(timestamp, float) and timestamp.is_integer():
+        timestamp = int(timestamp)
+    elif type(timestamp) not in (int, str):
+        got = repr(timestamp) if isinstance(timestamp, float) else _JSON_KINDS[type(timestamp)]
+        raise ValueError(f"timestamp must be an integer, got {got}")
+    post_id, user_id, community, text = strings
+    return post_id, user_id, community, int(timestamp), text
+
+
 def _post(row: Mapping, strings: dict[str, str]) -> Post:
-    """A post row's Post; its user id and community are the equal string in
-    ``strings`` if there is one, so the posts of one file share them."""
-    user_id, community = str(row["user_id"]), str(row["community"])
-    return Post(post_id=str(row["post_id"]), user_id=strings.setdefault(user_id, user_id),
+    """A post row's Post, its fields as `_checked_fields` reads them; its
+    user id and community are the equal string in ``strings`` if there is
+    one, so the posts of one file share them."""
+    post_id, user_id, community, timestamp, text = _checked_fields(row)
+    return Post(post_id=post_id, user_id=strings.setdefault(user_id, user_id),
                 community=strings.setdefault(community, community),
-                timestamp=int(row["timestamp"]), text=str(row["text"]))
+                timestamp=timestamp, text=text)
 
 
 @contextlib.contextmanager

@@ -139,6 +139,12 @@ def _head(h: Node, nodes: ParamNodes, config, train: bool,
 # ---------------------------------------------------------------------------
 # Depression detection model
 
+# Kept positions per chunk of the depression model's first stage. A chunk's
+# feature map is [_CHUNK x conv_filters] at most (1.6 MB at 25 filters), and a
+# user of up to 8192 kept positions, beyond the benchmark's p90 of about 5.4k,
+# is one chunk and pays for one distinct-id pass.
+_CHUNK = 8192
+
 @dataclass(frozen=True)
 class DepressionModelConfig:
     """Architecture of the user-level depression classifier.
@@ -188,15 +194,20 @@ class DepressionModel:
     """2-class user-level classifier over a user's posts, read as a
     `Selection` of token ids.
 
-    One graph per user: the first n_term tokens of every post that fills a
-    window go, concatenated, through one `conv1d` over the embedding table's
-    rows ``ids``, which multiplies each distinct token's row by the kernel
-    once, and ReLU; ranged `mean_rows` averages each post's own windows
-    (never those across two posts) into a row, zero for a post without a
-    window and for each padding slot up to merge_window. The merge conv and
-    dense stack follow. `classify_user` runs the forward under `no_grad`, so
-    serving builds no graph. No [T x embed_dim] array of the user's rows is
-    built, in training or serving.
+    One graph per user. The first n_term tokens of every post that fills a
+    window are kept, and the posts are cut into chunks of whole posts of at
+    most `_CHUNK` kept positions (n_term if more). Each chunk's tokens go,
+    concatenated, through one `conv1d` over the embedding table's rows
+    ``ids``, which multiplies each distinct token's row by the kernel once,
+    and ReLU; ranged `mean_rows` averages each post's own windows (never
+    those across two posts) into a row, zero for a post without a window and
+    for each padding slot up to merge_window. The chunks' rows are joined
+    (`concat`), and the merge conv and dense stack follow. A user within one
+    chunk, as every user up to the p90 of the benchmark's serve users is,
+    takes one pass. `classify_user` runs the forward under `no_grad`, so
+    serving builds no graph and frees each chunk's feature map once pooled:
+    a request holds one chunk's map, not the user's. No [T x embed_dim]
+    array of the user's rows is built, in training or serving.
     """
 
     kind = "depression"
@@ -229,14 +240,19 @@ class DepressionModel:
                 **_head_shapes(c.merge_filters, c.dense_dims, 2)}
 
     def _forward(self, posts: Selection | Sequence[Sequence[int]], nodes: ParamNodes,
-                 train: bool = False, rng: np.random.Generator | None = None
-                 ) -> tuple[Node, Node | None, np.ndarray, np.ndarray]:
-        """Logits node, the user's feature map [rows x conv_filters] (None if no
-        post fills a window), and each post's first and past-last row in it.
+                 train: bool = False, rng: np.random.Generator | None = None,
+                 maps: list[Node] | None = None) -> tuple[Node, np.ndarray, np.ndarray]:
+        """Logits node, and each post's first and past-last row in the user's
+        feature map [rows x conv_filters], row r being the window at kept
+        position r.
 
         ``posts`` is a `Selection`, read as it is, or one token sequence per
-        post, converted to one. One embedding convolution and ReLU over all of
-        the user's kept tokens, for training and serving alike."""
+        post, converted to one. The first stage (the embedding convolution,
+        ReLU and each post's mean) runs per chunk of whole posts holding at
+        most max(`_CHUNK`, n_term) kept positions; a user within one chunk
+        goes through it once. Given a list ``maps``, each chunk's map is made
+        under `no_grad` and joins the graph as a constant, appended to
+        ``maps``, so a backward stops at the maps."""
         c = self.config
         ids, lengths = posts if isinstance(posts, Selection) else Selection.of(posts)
         n = lengths.size
@@ -247,18 +263,46 @@ class DepressionModel:
         kept = np.zeros(max(n, c.merge_window), dtype=lengths.dtype)
         np.minimum(lengths, c.n_term, out=kept[:n], where=lengths >= c.conv_window)
         if (kept[:n] != lengths).any():
-            at = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            ids = ids[at < np.repeat(kept[:n], lengths)]
-        starts = np.cumsum(kept) - kept
+            # Each post's run of kept ids, then its run of cut ones, as one
+            # mask of a byte per id.
+            runs = np.empty(2 * n, dtype=lengths.dtype)
+            runs[::2], runs[1::2] = kept[:n], lengths - kept[:n]
+            ids = ids[np.repeat(np.arange(2 * n) % 2 == 0, runs)]
+        ends = np.cumsum(kept)
+        starts = ends - kept
         stops = starts + np.maximum(kept - (c.conv_window - 1), 0)
+
+        def pooled(a: int, b: int) -> Node:
+            """The means of posts a to b - 1, from a map of their kept ids
+            alone."""
+            lo, hi = starts[a], ends[b - 1]
+            conv = (nodes("emb"), nodes("conv.w"), nodes("conv.b"))
+            if maps is None:
+                feat = relu(conv1d(*conv, ids=ids[lo:hi]))
+            else:
+                with no_grad():
+                    value = relu(conv1d(*conv, ids=ids[lo:hi])).value
+                # Where np.maximum keeps a -0.0 (its pick between equal zeros
+                # is the platform's), the graph's relu gives +0.0; adding +0.0
+                # does the same and changes no other value.
+                feat = constant(np.add(value, 0.0, out=value))
+                maps.append(feat)
+            return mean_rows(feat, starts[a:b] - lo, stops[a:b] - lo)
+
         if ids.size:
-            feat = relu(conv1d(nodes("emb"), nodes("conv.w"), nodes("conv.b"), ids=ids))
-            post_vecs = mean_rows(feat, starts, stops)
+            # Each chunk's first post, as many whole posts as fit the limit,
+            # then past the last; the last chunk takes the padding slots.
+            limit = max(_CHUNK, c.n_term)
+            bounds = [0]
+            while ends[-1] - starts[bounds[-1]] > limit:
+                bounds.append(np.searchsorted(ends, starts[bounds[-1]] + limit, side="right"))
+            bounds.append(kept.size)
+            post_vecs = concat(*(pooled(a, b) for a, b in itertools.pairwise(bounds)))
         else:
-            feat, post_vecs = None, constant(np.zeros((starts.size, c.conv_filters)))
+            post_vecs = constant(np.zeros((starts.size, c.conv_filters)))
         h = mean_rows(relu(conv1d(post_vecs, nodes("merge.w"), nodes("merge.b"),
                                   stride=c.merge_stride)))
-        return _head(h, nodes, c, train, rng), feat, starts[:n], stops[:n]
+        return _head(h, nodes, c, train, rng), starts[:n], stops[:n]
 
     def logits(self, posts, nodes: ParamNodes, train: bool = False,
                rng: np.random.Generator | None = None) -> Node:
@@ -322,11 +366,19 @@ def top_phrases(model: DepressionModel,
         posts = posts if isinstance(posts, Selection) else Selection.of(posts)
         if not posts.lengths.size:
             continue
-        logits, feat, starts, stops = model._forward(posts, ParamNodes(model.params))
-        if feat is None:
+        maps: list[Node] = []
+        logits, starts, stops = model._forward(posts, ParamNodes(model.params), maps=maps)
+        if not maps:
             continue
         backward(pick(logits, 1))
-        contribution = (feat.value * feat.grad).max(axis=1)
+        # Row r of the user's map is the window at kept position r; the k - 1
+        # windows across two chunks lie in no post's range and stay 0.
+        contribution = np.zeros(int(stops[-1]))
+        at = 0
+        for feat in maps:
+            rows = feat.value.shape[0]
+            contribution[at:at + rows] = (feat.value * feat.grad).max(axis=1)
+            at += rows + k - 1
         # The user's best window; max() keeps the first post of a tie.
         i = max(np.flatnonzero(stops > starts),
                 key=lambda i: contribution[starts[i]:stops[i]].max())

@@ -32,7 +32,8 @@ skips the rows no input has reached. Checkpoint files keep every 3-D
 parameter (every one is a kernel) as [filters x k x d_in]; `save_checkpoint`
 and `load_checkpoint` swap the axes at the file boundary. Sequences
 concatenated go through each op at once; `mean_rows` with row ranges pools
-each one's own rows.
+each one's own rows, and n-ary `concat` joins pooled rows, so a long run of
+sequences can go through in chunks, one chunk's output held at a time.
 
 Under the `no_grad` context manager, for serving, nodes keep no parents and
 no backward rules, so each intermediate array is freed once read, and `relu`
@@ -238,13 +239,17 @@ def _acc_rows(node: Node, rows: np.ndarray, drows: np.ndarray) -> None:
     over the union of the rows written, each row summed into zeros in call
     order, as a dense table would sum it. The first write is stored as
     drows + 0.0, with no union: the same bits as a sum into zeros, -0.0
-    turned to +0.0 included.
+    turned to +0.0 included. The union is read from one boolean mask over
+    the rows, as `_distinct` reads ids (about 0.1 against 1.5 ms for
+    `np.union1d` of two 8k-row sets of a 60k-row table).
     """
     grad = node.grad
     if grad is None:
         node.grad = RowGrad(rows, np.add(drows, 0.0, dtype=node.value.dtype), node.value.shape)
     elif isinstance(grad, RowGrad):
-        union = np.union1d(grad.rows, rows)
+        seen = np.zeros(grad.shape[0], dtype=bool)
+        seen[grad.rows] = seen[rows] = True
+        union = seen.nonzero()[0]
         values = np.zeros((union.size, *drows.shape[1:]), dtype=node.value.dtype)
         values[np.searchsorted(union, grad.rows)] = grad.values
         values[np.searchsorted(union, rows)] += drows
@@ -433,10 +438,9 @@ _CONV_BLOCK = 4096
 # Distinct rows per product of `conv1d` over a table's rows. The chunk size
 # picks the BLAS kernel, so it also fixes the bits.
 _TABLE_BLOCK = 512
-# Output rows per gather of `conv1d` over a table's rows: a median
-# depression request is one gather per window offset, and the gather
-# buffer stays small beside the output at the 1500-post cap.
-_GATHER_BLOCK = 2048
+# Output rows per gather of `conv1d` over a table's rows: the gather
+# buffer stays small beside a depression chunk's output (8192 rows).
+_GATHER_BLOCK = 1024
 
 
 def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
@@ -472,13 +476,14 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     Per window offset j, in order, the distinct rows times W[:, j] ([U x l],
     512 rows a matmul, which measured faster than one whole product; the
     chunk size picks the BLAS kernel, so it also fixes the bits) are
-    gathered to the windows' positions with `ndarray.take`, 2048 output
+    gathered to the windows' positions with `ndarray.take`, 1024 output
     rows at a time: offset 0's products, then += offset 1's, and so on,
-    then the bias. Only one offset's products are held, and the distinct
-    rows are gathered again per offset rather than kept. The backward sums g per distinct id for each
-    offset (G_j, `_scatter_rows`), so dW[:, j] = E^T G_j over the distinct
-    rows E, and the table's rows get sum over j of G_j @ W[:, j]^T, as a
-    `RowGrad`; no [T x d] array is built. Against the position-order
+    then the bias. Only one offset's products are held; the distinct rows
+    are gathered again per offset rather than kept, into the buffer the
+    gathers use. The backward sums g per distinct id for each offset (G_j,
+    `_scatter_rows`), so dW[:, j] = E^T G_j over the distinct rows E, and
+    the table's rows get sum over j of G_j @ W[:, j]^T, as a `RowGrad`; no
+    [T x d] array is built. Against the position-order
     products (the lookup, then the conv) only the order of summation
     changes: outputs and gradients agree within 1e-12 of their largest
     magnitude in float64.
@@ -522,10 +527,16 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
         # to the windows' positions.
         table_rows, inverse = _distinct(ids, src.shape[0])
         prod = np.empty((table_rows.size, l), dtype=out.dtype)
-        temp = np.empty((min(rows, _GATHER_BLOCK), l), dtype=out.dtype)
+        # One buffer holds each product's distinct rows, then each gather's
+        # products.
+        height, width = min(rows, _GATHER_BLOCK), min(table_rows.size, _TABLE_BLOCK)
+        buffer = np.empty(max(height * l, width * d_in), dtype=out.dtype)
+        temp = buffer[:height * l].reshape(height, l)
+        picked = buffer[:width * d_in].reshape(width, d_in)
         for j in range(k):
             for s in range(0, table_rows.size, _TABLE_BLOCK):
-                np.matmul(src.take(table_rows[s:s + _TABLE_BLOCK], axis=0), w[:, j],
+                some = table_rows[s:s + _TABLE_BLOCK]
+                np.matmul(src.take(some, axis=0, out=picked[:some.size], mode="clip"), w[:, j],
                           out=prod[s:s + _TABLE_BLOCK])
             at = inverse[j:j + span:stride]
             for s in range(0, rows, _GATHER_BLOCK):
@@ -535,7 +546,7 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
                 else:
                     block += prod.take(at[s:s + _GATHER_BLOCK], axis=0,
                                        out=temp[:block.shape[0]], mode="clip")
-        del prod, temp
+        del prod, buffer, temp, picked
     out += bias.value
 
     def back(g):
@@ -575,7 +586,8 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
 def relu(x: Node) -> Node:
     """max(x, 0). The backward rule reads its own output: out > 0 where x > 0.
     Under `no_grad` it writes into a fresh op output's array and keeps no
-    mask; np.maximum keeps an exact -0.0 that np.where would turn to 0.0."""
+    mask; np.maximum may keep an exact -0.0 that np.where turns to 0.0 (its
+    pick between equal zeros depends on the numpy build)."""
     if _grad_mode.enabled:
         out = np.where(x.value > 0, x.value, 0.0)
     else:
@@ -589,21 +601,28 @@ def relu(x: Node) -> Node:
 
 def max_pool(x: Node, n: int) -> Node:
     """Per column, max over consecutive blocks of n rows; partial tail block
-    is pooled over its actual length. [R x l] -> [ceil(R/n) x l]."""
+    is pooled over its actual length. [R x l] -> [ceil(R/n) x l].
+
+    Each block's max is its first (`argmax`'s rule: the first NaN, else the
+    first of tied values, so a tie of -0.0 and +0.0 keeps the earlier one),
+    read with one flat `take`. Only a partial tail block is padded, with
+    -inf, which argmax never picks over a value of the block."""
     if n < 1:
         raise ValueError("pool length must be >= 1")
     rows, cols = x.value.shape
     blocks = -(-rows // n)
-    padded = np.full((blocks * n, cols), -np.inf, dtype=x.value.dtype)
-    padded[:rows] = x.value
-    shaped = padded.reshape(blocks, n, cols)
-    arg = shaped.argmax(axis=1)                               # [blocks x l]
-    out = np.take_along_axis(shaped, arg[:, None, :], axis=1)[:, 0, :]
+    padded = x.value
+    if rows % n:
+        padded = np.full((blocks * n, cols), -np.inf, dtype=x.value.dtype)
+        padded[:rows] = x.value
+    arg = padded.reshape(blocks, n, cols).argmax(axis=1)          # [blocks x l]
+    # Each max's flat index, the same in x as in padded.
+    at = (arg + np.arange(0, blocks * n, n)[:, None]) * cols + np.arange(cols)
+    out = padded.take(at)
 
     def back(g):
-        dx = np.zeros_like(x.value)
-        row_idx = arg + (np.arange(blocks) * n)[:, None]      # argmax never lands on padding
-        dx[row_idx, np.arange(cols)] = g                      # one entry per (row, column)
+        dx = np.zeros(x.value.shape, dtype=x.value.dtype)
+        dx.reshape(-1)[at] = g                                    # one entry per (row, column)
         _acc(x, dx, fresh=True)
 
     return Node(out, (x,), back, scan=_reads_param(x))
@@ -688,14 +707,18 @@ def dropout(x: Node, rate: float, rng: np.random.Generator | None = None,
     return Node(x.value * keep, (x,), back)
 
 
-def concat(a: Node, b: Node) -> Node:
-    na = a.value.shape[0]
+def concat(*nodes: Node) -> Node:
+    """The nodes joined along their first axis; one node is returned as it is."""
+    if len(nodes) == 1:
+        return nodes[0]
+    cuts = np.cumsum([node.value.shape[0] for node in nodes[:-1]])
 
     def back(g):
-        _acc(a, g[:na])
-        _acc(b, g[na:])
+        for node, part in zip(nodes, np.split(g, cuts)):
+            _acc(node, part)
 
-    return Node(np.concatenate([a.value, b.value]), (a, b), back, scan=_reads_param(a, b))
+    return Node(np.concatenate([node.value for node in nodes]), nodes, back,
+                scan=_reads_param(*nodes))
 
 
 def flatten(x: Node) -> Node:

@@ -152,6 +152,30 @@ def test_predict_empty_input(planted_run, tmp_path):
     assert (tmp_path / "predictions.ndjson").read_text() == ""
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("text", None, "text must be a string, got null"),
+    ("user_id", {"x": 1}, "user_id must be a string or a number, got an object"),
+    ("timestamp", 1.7, "timestamp must be an integer, got 1.7"),
+    ("timestamp", True, "timestamp must be an integer, got a boolean"),
+], ids=["null_text", "object_user_id", "fractional_timestamp", "boolean_timestamp"])
+def test_predict_post_field_of_the_wrong_kind_names_file_and_line(planted_run, tmp_path,
+                                                                  capsys, field, value,
+                                                                  message):
+    # Each of these was once read as a value (the word "none", the user
+    # "{'x': 1}", timestamp 1), and predict exited 0.
+    ckpt_dir, data_dir = planted_run
+    posts = tmp_path / "posts.ndjson"
+    rows = [json.loads(line) for line in
+            (data_dir / "test.posts.ndjson").read_text().splitlines()]
+    rows[1][field] = value
+    write_ndjson(posts, rows)
+    rc = run_cli(["predict", "--checkpoint", str(ckpt_dir / "checkpoint.json"),
+                  "--input", str(posts), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {posts}:2: bad post row: {message}\n"
+    assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
+
 def test_explain_recovers_planted_phrase(planted_run, tmp_path, capsys):
     ckpt_dir, data_dir = planted_run
     rc = run_cli(["explain", "--checkpoint", str(ckpt_dir / "checkpoint.json"),
@@ -392,6 +416,44 @@ def test_train_same_seed_is_bit_identical(depression_chain, risk_chain, tmp_path
     assert rc == 0
     for name in names:
         assert sha256(rerun / name) == sha256(run_dir / name)
+
+
+@pytest.fixture(scope="module")
+def learning_depression_run(depression_chain, tmp_path_factory):
+    """depression_chain's data trained for 4 epochs at lr 0.1 with seed 2: the
+    validation F1 reads 0, 0.5, 1 and 0, so the run keeps epoch 2's weights."""
+    root = tmp_path_factory.mktemp("dep_learning")
+    ini = root / "config.ini"
+    ini.write_text(depression_chain[0].read_text().replace("lr = 0.01", "lr = 0.1"))
+    train = ["train", "--task", "depression", "--config", str(ini),
+             "--data", str(depression_chain[1]), "--seed", "2",
+             "--strategy", "earliest", "--n-post", "4"]
+    run_dir = root / "run"
+    assert run_cli([*train, "--epochs", "4", "--out", str(run_dir)]) == 0
+    return train, run_dir
+
+
+def test_train_keeps_a_best_epoch_between_the_first_and_the_last(learning_depression_run,
+                                                                 depression_chain, tmp_path):
+    train, run_dir = learning_depression_run
+    run = json.loads((run_dir / "run.json").read_text())
+    f1 = [row["f1"] for row in map(json.loads, (run_dir / "train_log.ndjson").read_text()
+                                   .splitlines()) if row["split"] == "validation"]
+    best = run["best_epoch"]
+    assert f1 == [0.0, 0.5, 1.0, 0.0] and 0 < best < run["epochs"] - 1
+    assert run["best_metric"] == f1[best] == max(f1) > f1[-1]
+    # The checkpoint holds that epoch's weights: those of a run cut after it...
+    cut = tmp_path / "cut"
+    assert run_cli([*train, "--epochs", str(best + 1), "--out", str(cut)]) == 0
+    assert json.loads((cut / "run.json").read_text())["best_epoch"] == best
+    assert (split_checkpoint((run_dir / "checkpoint.json").read_bytes())[1]
+            == split_checkpoint((cut / "checkpoint.json").read_bytes())[1])
+    # ...and, reloaded, they score the validation F1 the run recorded.
+    assert run_cli(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(depression_chain[1]), "--split", "validation",
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eval.validation.json").read_text())
+    assert report["per_class"][1]["f1"] == run["best_metric"]
 
 
 def test_train_different_seed_differs(depression_chain, tmp_path):

@@ -476,6 +476,51 @@ def test_bad_post_row_reports_line(tmp_path, text, message):
     assert str(info.value).startswith(f"{path}:3: {message}"), info.value
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("text", None, "text must be a string, got null"),
+    ("text", 7, "text must be a string, got a number"),
+    ("text", ["hi"], "text must be a string, got an array"),
+    ("post_id", None, "post_id must be a string or a number, got null"),
+    ("post_id", [1], "post_id must be a string or a number, got an array"),
+    ("user_id", {"x": 1}, "user_id must be a string or a number, got an object"),
+    ("user_id", False, "user_id must be a string or a number, got a boolean"),
+    ("community", True, "community must be a string or a number, got a boolean"),
+    ("timestamp", 1.7, "timestamp must be an integer, got 1.7"),
+    ("timestamp", True, "timestamp must be an integer, got a boolean"),
+    ("timestamp", None, "timestamp must be an integer, got null"),
+    ("timestamp", {"t": 1}, "timestamp must be an integer, got an object"),
+])
+def test_post_field_of_the_wrong_kind_names_file_line_and_field(tmp_path, field, value,
+                                                                message):
+    row = {"post_id": "p1", "user_id": "u", "community": "c", "timestamp": 0, "text": "hi"}
+    path = tmp_path / "posts.ndjson"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        read_posts(path)
+    assert str(info.value) == f"{path}:2: bad post row: {message}"
+
+
+def test_post_ids_may_be_numbers_and_a_timestamp_a_whole_float(tmp_path):
+    path = tmp_path / "posts.ndjson"
+    path.write_text(json.dumps({"post_id": 7, "user_id": 8.5, "community": 0,
+                                "timestamp": 3.0, "text": ""}) + "\n")
+    post, = read_posts(path)
+    assert (post.post_id, post.user_id, post.community, post.timestamp) == ("7", "8.5", "0", 3)
+    assert type(post.timestamp) is int
+
+
+@pytest.mark.parametrize("where", ["target", "context"])
+def test_thread_post_field_of_the_wrong_kind_names_the_thread_line(tmp_path, where):
+    post = {"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0, "text": "Hi."}
+    row = {"target": {**post, "timestamp": 5}, "context": [dict(post)], "label": "green"}
+    (row["target"] if where == "target" else row["context"][0])["text"] = None
+    path = tmp_path / "t.ndjson"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        read_threads(path)
+    assert str(info.value) == f"{path}:1: bad thread row: text must be a string, got null"
+
+
 @pytest.mark.parametrize("read, what", [(read_posts, "post"), (read_labels, "label"),
                                         (read_threads, "thread")],
                          ids=["posts", "labels", "threads"])

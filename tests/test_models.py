@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -20,6 +21,7 @@ from triagekit.models import (
     DepressionModelConfig,
     RiskModel,
     RiskModelConfig,
+    Selection,
     class_metric_loss,
     class_metric_ordinal_loss,
     instance_matrices,
@@ -36,11 +38,14 @@ from triagekit.nn import (
     backward,
     concat,
     constant,
+    conv1d,
     dense,
     finite_difference_check,
     flatten,
     glorot_uniform,
     max_pool,
+    mean_rows,
+    pick,
     relu,
     save_checkpoint,
     softmax,
@@ -60,8 +65,18 @@ def tiny_depression_config(**overrides):
 
 
 # -- depression model: post and user encoders -----------------------------------
-# One forward per user: `_forward` returns the logits, the feature map of all
-# of the user's windows, and each post's first and past-last row in it.
+# One forward per user: `_forward` returns the logits and each post's first
+# and past-last row in the user's feature map; given a list, it appends each
+# chunk's map to it.
+
+def forward(model, posts, nodes):
+    """Logits, the feature map of a user within one chunk (None if no post
+    fills a window), and each post's first and past-last row in it."""
+    maps = []
+    logits, starts, stops = model._forward(posts, nodes, maps=maps)
+    assert len(maps) <= 1
+    return logits, maps[0] if maps else None, starts, stops
+
 
 def readout_model(cfg, seed=0):
     """A model whose diagnosed logit is the user vector's one entry: a single
@@ -83,7 +98,7 @@ def test_encode_post_hand_trace():
     model.params["conv.b"][...] = 0.5
     model.params["merge.w"][...] = [[[1.0], [0.0]]]     # the user vector is post 0's
     model.params["merge.b"][...] = 0.0
-    logits, feat, starts, stops = model._forward([[2, 3, 2, 3]], ParamNodes(model.params))
+    logits, feat, starts, stops = forward(model, [[2, 3, 2, 3]], ParamNodes(model.params))
     # windows: (1+2+1)+0.5 = 4.5 and (2+1+2)+0.5 = 5.5; averaged = 5.0
     assert (starts.tolist(), stops.tolist()) == ([0], [2])
     assert feat.value.ravel() == pytest.approx([4.5, 5.5])
@@ -96,13 +111,13 @@ def test_encode_post_short_post_is_zero():
     nodes = ParamNodes(model.params)
     zero_user = depression_reference_logits(dict(model.params.items()), model.config, [[]])
     for tokens in ([2, 3], []):
-        logits, feat, starts, stops = model._forward([tokens], nodes)
+        logits, feat, starts, stops = forward(model, [tokens], nodes)
         assert feat is None and starts.tolist() == stops.tolist() == [0]
         np.testing.assert_allclose(logits.value, zero_user, rtol=1e-12, atol=1e-12)
     # Beside a post that fills a window, a short post has an empty range and
     # changes nothing.
-    with_short = model._forward([[2, 3, 4, 5], [2, 3]], nodes)
-    alone = model._forward([[2, 3, 4, 5], []], nodes)
+    with_short = forward(model, [[2, 3, 4, 5], [2, 3]], nodes)
+    alone = forward(model, [[2, 3, 4, 5], []], nodes)
     assert (with_short[2].tolist(), with_short[3].tolist()) == ([0, 4], [2, 4])
     assert np.array_equal(with_short[0].value, alone[0].value)
     assert np.array_equal(with_short[1].value, alone[1].value)
@@ -112,8 +127,8 @@ def test_encode_post_deterministic():
     model = DepressionModel(tiny_depression_config())
     model.params["out.w"][...] = np.random.default_rng(2).standard_normal((2, 3))
     nodes = ParamNodes(model.params)
-    a = model._forward([[2, 3, 4, 5], [6, 7, 2]], nodes)
-    b = model._forward([[2, 3, 4, 5], [6, 7, 2]], nodes)
+    a = forward(model, [[2, 3, 4, 5], [6, 7, 2]], nodes)
+    b = forward(model, [[2, 3, 4, 5], [6, 7, 2]], nodes)
     assert np.array_equal(a[0].value, b[0].value)
     assert np.array_equal(a[1].value, b[1].value)
 
@@ -122,8 +137,8 @@ def test_encode_post_truncates_to_n_term():
     model = DepressionModel(tiny_depression_config(n_term=4))
     model.params["out.w"][...] = np.random.default_rng(3).standard_normal((2, 3))
     nodes = ParamNodes(model.params)
-    a, b = (model._forward([[2, 3, 4, 5]], nodes),
-            model._forward([[2, 3, 4, 5, 6, 7, 2, 3]], nodes))
+    a, b = (forward(model, [[2, 3, 4, 5]], nodes),
+            forward(model, [[2, 3, 4, 5, 6, 7, 2, 3]], nodes))
     assert np.array_equal(a[0].value, b[0].value)
     assert np.array_equal(a[1].value, b[1].value)
     assert (b[2].tolist(), b[3].tolist()) == ([0], [3])
@@ -364,6 +379,174 @@ def test_classify_user_holds_no_embedding_block():
         tracemalloc.stop()
     assert peak - start < 52_000 * model.config.embed_dim * 8, peak - start
     assert end - start < 1_000_000, end - start
+
+
+# -- depression model: the first stage in chunks of whole posts ------------------
+# `models._CHUNK` set small splits these users into several chunks; at its
+# value every test and benchmark training user is one chunk.
+
+CHUNKED_USERS = {
+    "over n_term and short": [[2, 3, 4, 5, 6, 7, 2, 3], [6, 7, 2], [5], [], [4, 4, 2, 7, 3],
+                              [3, 2, 6, 5, 4, 3, 2], [7, 7], [5, 6, 2, 3]],
+    "fewer posts than merge_window": [[2, 3, 4, 5, 6, 7], [6, 7, 2, 4, 4, 5]],
+    "short posts at the end": [[2, 3, 4], [5, 6, 7, 2], [3, 4, 5], [2], []],
+    "many posts": [[int(t) for t in np.random.default_rng(p).integers(0, 8, 2 + p % 7)]
+                   for p in range(40)],
+}
+
+
+def chunk_sizes(model, posts, monkeypatch):
+    """The id count of each first-stage `conv1d` a forward makes."""
+    sizes = []
+
+    def recorded(x, w, b, stride=1, ids=None):
+        if ids is not None:
+            sizes.append(len(ids))
+        return conv1d(x, w, b, stride=stride, ids=ids)
+
+    monkeypatch.setattr(models, "conv1d", recorded)
+    model.logits(posts, ParamNodes(model.params))
+    monkeypatch.setattr(models, "conv1d", conv1d)
+    return sizes
+
+
+def test_chunks_hold_whole_posts_up_to_the_limit(monkeypatch):
+    # Kept positions 6, 6, 3, 0 and 6 with a limit of 10: the posts go in
+    # chunks of 6, then 6 + 3 + 0, then 6, and the one chunk at the default.
+    model = DepressionModel(tiny_depression_config(), seed=1)
+    posts = [[2, 3, 4, 5, 6, 7, 2], [3, 4, 5, 6, 7, 2], [4, 5, 6], [7], [2, 2, 3, 3, 4, 4]]
+    assert chunk_sizes(model, posts, monkeypatch) == [21]
+    monkeypatch.setattr(models, "_CHUNK", 10)
+    assert chunk_sizes(model, posts, monkeypatch) == [6, 9, 6]
+    # A limit under n_term counts as n_term, so every post fits a chunk.
+    monkeypatch.setattr(models, "_CHUNK", 1)
+    assert chunk_sizes(model, posts, monkeypatch) == [6, 6, 3, 6]
+
+
+@pytest.mark.parametrize("limit", [1, 7, 13])
+def test_chunked_serving_is_bit_identical_to_one_chunk(monkeypatch, limit):
+    model = perturbed(DepressionModel(tiny_depression_config()), np.random.default_rng(5))
+    whole = {what: model.classify_user(posts) for what, posts in CHUNKED_USERS.items()}
+    monkeypatch.setattr(models, "_CHUNK", limit)
+    for what, posts in CHUNKED_USERS.items():
+        assert model.classify_user(posts).tobytes() == whole[what].tobytes(), what
+
+
+def test_chunked_training_step_agrees_with_one_chunk(monkeypatch):
+    # The forward is the same arithmetic; the backward sums the table's rows,
+    # the kernel and the bias over the chunks in another order.
+    model = perturbed(DepressionModel(tiny_depression_config()), np.random.default_rng(6))
+
+    def step(posts):
+        nodes = ParamNodes(model.params)
+        loss = model.loss(posts, 1, nodes)
+        backward(loss)
+        return loss.value, {name: np.asarray(g) for name, g in nodes.grads().items()}
+
+    for what, posts in CHUNKED_USERS.items():
+        loss, grads = step(posts)
+        monkeypatch.setattr(models, "_CHUNK", 7)
+        chunked_loss, chunked = step(posts)
+        monkeypatch.setattr(models, "_CHUNK", 8192)
+        assert chunked_loss.tobytes() == loss.tobytes(), what
+        assert chunked.keys() == grads.keys(), what
+        for name, g in grads.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert np.abs(chunked[name] - g).max() <= 1e-12 * scale, (what, name)
+            if name not in ("emb", "conv.w", "conv.b"):
+                assert chunked[name].tobytes() == g.tobytes(), (what, name)
+
+
+def test_gradients_through_a_chunked_user_match_finite_differences(monkeypatch):
+    rng = np.random.default_rng(13)
+    model = DepressionModel(tiny_depression_config(), seed=2)
+    model.params["out.w"][...] = rng.standard_normal((2, 3)) * 0.5
+    for name in ("conv.b", "merge.b", "dense0.b"):
+        model.params[name][...] = rng.uniform(0.05, 0.2, model.params[name].shape)
+    monkeypatch.setattr(models, "_CHUNK", 7)
+    posts = CHUNKED_USERS["over n_term and short"]
+    assert len(chunk_sizes(model, posts, monkeypatch)) > 2
+
+    def loss_fn(nodes):
+        return model.loss(posts, 0, nodes, train=False)
+
+    worst = finite_difference_check(loss_fn, model.params)
+    assert max(worst.values()) < 1e-4, worst
+
+
+def reference_top_phrase(model, post_ids, posts):
+    """One user's best (post id, window, score) read off a graph that runs
+    through the embedding convolution and a graph-mode ReLU, whose whole
+    feature map's gradient is taken: the formulation top_phrases had before
+    its first stage ran under no_grad."""
+    c, k = model.config, model.config.conv_window
+    kept = [list(p)[:c.n_term] if len(p) >= k else [] for p in posts]
+    lengths = np.array([len(p) for p in kept] + [0] * (c.merge_window - len(posts)))
+    lengths = lengths[:max(len(posts), c.merge_window)]
+    starts = np.cumsum(lengths) - lengths
+    stops = starts + np.maximum(lengths - (k - 1), 0)
+    nodes = ParamNodes(model.params)
+    feat = relu(conv1d(nodes("emb"), nodes("conv.w"), nodes("conv.b"),
+                       ids=[t for p in kept for t in p]))
+    post_vecs = mean_rows(feat, starts, stops)
+    h = mean_rows(relu(conv1d(post_vecs, nodes("merge.w"), nodes("merge.b"),
+                              stride=c.merge_stride)))
+    backward(pick(models._head(h, nodes, c, False, None), 1))
+    contribution = (feat.value * feat.grad).max(axis=1)
+    i = max(np.flatnonzero(stops[:len(posts)] > starts[:len(posts)]),
+            key=lambda i: contribution[starts[i]:stops[i]].max())
+    window = contribution[starts[i]:stops[i]]
+    row = int(np.argmax(window))
+    return post_ids[i], tuple(int(t) for t in kept[i][row:row + k]), float(window[row])
+
+
+@pytest.mark.parametrize("weights, sign", [("perturbed", None), ("zero_map", 1.0),
+                                           ("zero_map_flipped_head", -1.0)])
+@pytest.mark.parametrize("limit", [8192, 7])
+def test_top_phrases_reads_the_triples_of_a_whole_graph(monkeypatch, weights, sign, limit):
+    filters = 2 if sign is None else 1
+    model = perturbed(DepressionModel(tiny_depression_config(conv_filters=filters)),
+                      np.random.default_rng(9))
+    if sign is not None:
+        # -0.0 rows times a positive kernel, plus a -0.0 bias: every window
+        # of the one filter reads -0.0, which the graph's ReLU turns to +0.0.
+        # Every user's best window is then a zero with the sign of its
+        # gradient, the same for every user, which flipping the output layer
+        # flips.
+        model.params["emb"][...] = -0.0
+        model.params["conv.w"][...] = np.abs(model.params["conv.w"])
+        model.params["conv.b"][...] = -0.0
+        model.params["out.w"][...] *= sign
+    users = [([f"{what}/{i}" for i in range(len(posts))], posts)
+             for what, posts in CHUNKED_USERS.items()]
+    want = sorted((reference_top_phrase(model, *user) for user in users),
+                  key=lambda t: (-t[2], t[0]))
+    monkeypatch.setattr(models, "_CHUNK", limit)
+    got = top_phrases(model, users, m=len(users))
+    assert [(pid, w, s.hex()) for pid, w, s in got] == [(pid, w, s.hex()) for pid, w, s in want]
+    if sign is not None:
+        assert {math.copysign(1.0, s) for _, _, s in got} == {sign}, got
+
+
+def test_classify_user_at_the_cap_holds_one_chunk_of_its_feature_map():
+    # 1500 posts of 100 ids drawn by Zipf's law from a vocabulary of 60k: the
+    # whole [150k x 25] feature map would be 30 MB, and one 8192-position
+    # chunk's map is 1.6 MB.
+    model = DepressionModel(DepressionModelConfig(vocab_size=60_000), seed=1)
+    weights = 1.0 / np.arange(1, 60_001)
+    ranks = np.searchsorted(np.cumsum(weights) / weights.sum(),
+                            np.random.default_rng(41).random(150_000))
+    user = Selection(ranks.astype(np.int32), np.full(1500, 100))
+    model.classify_user(Selection(user.ids[:2000], user.lengths[:20]))  # first-call allocations
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.classify_user(user)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 3_000_000, peak - start
+    assert end - start < 100_000, end - start
 
 
 def test_non_finite_embedding_row_names_the_op_and_training_builds_a_graph():

@@ -120,6 +120,45 @@ def test_max_pool_partial_tail():
     assert np.array_equal(max_pool(x, 2).value[:, 0], [2.0, 4.0, 5.0])
 
 
+def _padded_max_pool(x, n, g):
+    """max_pool's output and input gradient as formulated before it read its
+    maxima with a flat take: every input padded with -inf, argmax per block,
+    `np.take_along_axis`, and the gradient written at (row, column) pairs."""
+    rows, cols = x.shape
+    blocks = -(-rows // n)
+    padded = np.full((blocks * n, cols), -np.inf)
+    padded[:rows] = x
+    shaped = padded.reshape(blocks, n, cols)
+    arg = shaped.argmax(axis=1)
+    out = np.take_along_axis(shaped, arg[:, None, :], axis=1)[:, 0, :]
+    dx = np.zeros_like(x)
+    dx[arg + (np.arange(blocks) * n)[:, None], np.arange(cols)] = g
+    return out, dx
+
+
+@pytest.mark.parametrize("rows", [6, 7, 8])
+def test_max_pool_keeps_the_first_max_of_signed_zeros_and_nans(rows):
+    # Columns: -0.0 before +0.0, +0.0 before -0.0, a NaN among values, -inf
+    # only, and random values with ties; 6 rows fill the blocks of 3, and 7
+    # and 8 leave a partial tail.
+    x = np.empty((rows, 5))
+    x[:, 0] = [-0.0, 0.0, -1.0, 0.0, -0.0, -0.0, -0.0, 0.0][:rows]
+    x[:, 1] = [0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0][:rows]
+    x[:, 2] = [1.0, np.nan, 2.0, np.nan, 3.0, np.nan, 4.0, 5.0][:rows]
+    x[:, 3] = -np.inf
+    x[:, 4] = np.random.default_rng(rows).integers(-2, 2, rows)
+    g = np.random.default_rng(1).standard_normal((-(-rows // 3), 5))
+    node = nn.Node(x, scan=False)
+    out = max_pool(node, 3)
+    want_out, want_dx = _padded_max_pool(x, 3, g)
+    assert out.value.tobytes() == want_out.tobytes()
+    assert [math.copysign(1.0, v) for v in out.value[:2, 0]] == [-1.0, 1.0]
+    assert [math.copysign(1.0, v) for v in out.value[:2, 1]] == [1.0, -1.0]
+    assert np.isnan(out.value[:, 2]).sum() == min(2, -(-rows // 3))
+    out._backward(g)
+    assert np.asarray(node.grad).tobytes() == want_dx.tobytes()
+
+
 def test_max_pool_dominates_mean_per_block():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((11, 4))

@@ -243,8 +243,9 @@ def test_selection_of_a_user_without_posts_or_usable_posts(tmp_path):
     assert selection.lengths.tolist() == [0, 2, 0, 1] and post_tuples(selection) == \
         reference_selection(unusable, cfg)
     model = tiny_detection_model(vocab_size=40, n_term=5)
-    logits, feat, starts, stops = model._forward(selection, ParamNodes(model.params))
-    assert feat is None and (stops == starts).all()
+    maps = []
+    logits, starts, stops = model._forward(selection, ParamNodes(model.params), maps=maps)
+    assert maps == [] and (stops == starts).all()
     empty = UserRecord("none", ())
     assert select_posts(empty, cfg).lengths.size == 0
     with pytest.raises(ValueError, match="user has no usable posts"):
