@@ -245,7 +245,8 @@ def _load_run_dir(checkpoint: str):
     """(run.json, its task's model, the vocabulary or None, and what reads an
     input: a SelectionConfig, or a sentence encoder for risk). The checkpoint loads
     before run.json's task fields are read, so the other task's checkpoint fails on kind,
-    and the reader's width (encoder dim, or selection n_term) must be the model's."""
+    and the reader's width (encoder dim, or selection n_term) and the vocabulary's size
+    must be the model's."""
     with _run_file(checkpoint, "run.json", "run description") as path:
         run = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(run, dict) or run.get("task") not in ("depression", "risk"):
@@ -256,6 +257,9 @@ def _load_run_dir(checkpoint: str):
         model = DepressionModel.load(checkpoint)[0]
         with _run_file(checkpoint, "vocab.json", "vocabulary") as path:
             vocab = Vocabulary(json.loads(path.read_text(encoding="utf-8"))["tokens"])
+            if len(vocab) != model.config.vocab_size:
+                raise ValueError(f"vocabulary has {len(vocab)} ids, the checkpoint's vocab_size "
+                                 f"is {model.config.vocab_size}")
     with _run_file(checkpoint, "run.json", "run description"):
         if vocab is None:
             reader = _sentence_encoder(run["encoder"])

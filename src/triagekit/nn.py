@@ -11,7 +11,8 @@ and their sums, never a zeroed table. Adam runs one loop over cache-sized
 blocks of every parameter (flat slices, or gathered live rows), shared by the
 usable cores on large steps, bit-identical to a whole-array update. While a
 parameter is updated on its live rows, its moments are kept for those rows
-only, in compact slots of half its rows.
+only, in compact slots of half its rows, each array in an anonymous mapping
+of its own, so that only the slots live rows reach are resident.
 
 A checkpoint (format 2, the only one read) is one JSON header line and then
 every parameter's raw float32 bytes. It is written and read in chunks of
@@ -47,6 +48,7 @@ import functools
 import itertools
 import json
 import math
+import mmap
 import os
 import threading
 from pathlib import Path
@@ -315,14 +317,22 @@ _SCATTER_CHUNK = 4096
 def embedding_lookup(table: Node, ids) -> Node:
     """Rows of an embedding table for a sequence of token ids: [T x d]."""
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("embedding_lookup needs a nonempty 1-D id sequence")
+    _check_ids(ids, table.value.shape[0], "embedding_lookup")
     out = table.value[ids]
 
     def back(g):
         _lookup_back(table, ids, g)
 
     return Node(out, (table,), back)
+
+
+def _check_ids(ids: np.ndarray, rows: int, op: str) -> None:
+    """Reject ids that are not a nonempty 1-D sequence of rows of a ``rows``-row
+    table: numpy would read id -1 as the last row."""
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"{op} needs a nonempty 1-D id sequence")
+    if ids.min() < 0 or ids.max() >= rows:
+        raise ValueError(f"{op} ids must be in [0, {rows}), the rows of its table")
 
 
 def _lookup_back(table: Node, ids: np.ndarray, g: np.ndarray) -> None:
@@ -497,8 +507,7 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
             ids = ids.astype(np.intp)
         if sparse:
             raise ValueError("conv1d reads ids from an embedding table node, not SparseRows")
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("conv1d needs a nonempty 1-D id sequence")
+        _check_ids(ids, src.shape[0], "conv1d")
         T = ids.size
     d_w, k, l = weights.value.shape
     if d_w != d_in:
@@ -896,10 +905,14 @@ class AdamState:
     so `adam_step` skips it and no moments are kept for it: while ``live`` is
     set, ``m`` and ``v`` are compact [rows // 2 x ...] arrays whose slot i
     holds the moments of row ``live[i]``, and ``slot`` maps each row to its
-    slot (-1 for a row not live). They come from ``np.zeros``, so a large one
-    takes memory only for the pages its slots reach. Past the half-live switch
-    the moments expand once into whole arrays (`densify`); `moments` gives the
-    whole arrays either way.
+    slot (-1 for a row not live). Each compact array that is not empty has
+    an anonymous memory mapping of its own (`_mapped_zeros`), never heap
+    memory: its pages are zero and not resident until a live row's slot first
+    writes them, whatever blocks the process has freed before, and dropping
+    the array (with the state, or when `densify` replaces it) returns them
+    to the system. Past the half-live switch the moments expand once into
+    whole arrays from ``np.zeros`` (`densify`), which the next step writes
+    in full; `moments` gives the whole arrays either way.
 
     ``scratch`` holds one set of four block-sized buffers (p, g and two
     temporaries) per usable core. A block is `_ADAM_BLOCK` elements, or one
@@ -913,8 +926,8 @@ class AdamState:
         self.step_count = 0
         compact = {name: (arr.shape[0] // 2 if arr.ndim else 0, *arr.shape[1:])
                    for name, arr in params.items()}
-        self.m = {name: np.zeros(shape) for name, shape in compact.items()}
-        self.v = {name: np.zeros(shape) for name, shape in compact.items()}
+        self.m = {name: _mapped_zeros(shape) for name, shape in compact.items()}
+        self.v = {name: _mapped_zeros(shape) for name, shape in compact.items()}
         self.live: dict[str, np.ndarray | None] = {
             name: np.empty(0, dtype=np.intp) for name, _ in params.items()}
         self.slot: dict[str, np.ndarray | None] = {
@@ -942,6 +955,22 @@ class AdamState:
         if self.live[name] is not None:
             self.m[name], self.v[name] = self.moments(name)
             self.live[name] = self.slot[name] = None
+
+
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 zero array of ``shape`` in its own anonymous mapping, or
+    from ``np.zeros`` when it is empty, since a mapping cannot be.
+
+    glibc serves a request below its mmap threshold from the heap, and raises
+    that threshold (up to 32 MiB) to the largest block the process has freed.
+    A heap block that reuses freed memory is zeroed in full, so all of its
+    pages become resident at once, and freeing it leaves them in the heap. A
+    mapping's pages become resident only as they are written, and are
+    unmapped once the array and its views are gone."""
+    nbytes = math.prod(shape) * np.dtype(np.float64).itemsize
+    if not nbytes:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
 
 
 @functools.cache

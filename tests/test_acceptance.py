@@ -8,7 +8,9 @@ synthetic corpora and dominate the runtime.
 import hashlib
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from triagekit.models import (
 )
 from triagekit.nn import (
     ParamStore,
+    _usable_cores,
     add,
     add_const,
     concat,
@@ -440,28 +443,37 @@ def run_risk_experiment(train_threads, test_threads, variant, seed):
     return macro_f1, ordinal_error
 
 
+def run_risk_experiment_on(corpus, variant, seed):
+    """`run_risk_experiment` on the corpus directory's splits, in a worker."""
+    return run_risk_experiment(read_threads(corpus / "train.threads.ndjson"),
+                               read_threads(corpus / "test.threads.ndjson"), variant, seed)
+
+
+RISK_RUNS = ([(variant, 0) for variant in ("cat_ce", "mse", "class_metric",
+                                           "class_metric_ordinal")]
+             + [(variant, seed) for seed in range(1, 5)
+                for variant in ("class_metric", "class_metric_ordinal")])
+
+
+def run_risk_experiments(corpus):
+    """(variant, seed) -> (macro-F1, ordinal error) of every `RISK_RUNS` run.
+    The runs are independent, so they share the usable cores, one process
+    each, started afresh (spawn) and all ended when the block exits."""
+    with ProcessPoolExecutor(_usable_cores(),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {run: pool.submit(run_risk_experiment_on, corpus, *run) for run in RISK_RUNS}
+        return {run: future.result() for run, future in futures.items()}
+
+
 def test_criterion_7_synthetic_risk(tmp_path):
     corpus = tmp_path / "risk"
     synth_risk_corpus(SynthRiskSpec(n_train=800, n_test=200, seed=0), corpus)
-    train_threads = read_threads(corpus / "train.threads.ndjson")
-    test_threads = read_threads(corpus / "test.threads.ndjson")
+    results = run_risk_experiments(corpus)
 
-    scores = {}
-    plain_errors, ordinal_errors = [], []
-    for variant in ("cat_ce", "mse", "class_metric", "class_metric_ordinal"):
-        f1, err = run_risk_experiment(train_threads, test_threads, variant, 0)
-        scores[variant] = f1
-        if variant == "class_metric":
-            plain_errors.append(err)
-        elif variant == "class_metric_ordinal":
-            ordinal_errors.append(err)
-    for seed in range(1, 5):
-        plain_errors.append(
-            run_risk_experiment(train_threads, test_threads,
-                                "class_metric", seed)[1])
-        ordinal_errors.append(
-            run_risk_experiment(train_threads, test_threads,
-                                "class_metric_ordinal", seed)[1])
+    scores = {variant: results[variant, 0][0]
+              for variant in ("cat_ce", "mse", "class_metric", "class_metric_ordinal")}
+    plain_errors = [results["class_metric", seed][1] for seed in range(5)]
+    ordinal_errors = [results["class_metric_ordinal", seed][1] for seed in range(5)]
 
     mean_plain = float(np.mean(plain_errors))
     mean_ordinal = float(np.mean(ordinal_errors))

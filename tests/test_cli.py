@@ -946,6 +946,31 @@ def test_predict_malformed_run_file_fails_by_name(planted_run, tmp_path, capsys,
     assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
 
+@pytest.mark.parametrize("tokens,command", [
+    # Every id shifted past the table: the lookup read out of range.
+    ([f"x{i}" for i in range(500)] + VOCAB_TOKENS, "predict"),
+    # Most words read as unknown, and the run exited 0.
+    (VOCAB_TOKENS[:10], "predict"),
+    (VOCAB_TOKENS[:10], "evaluate"),
+    (VOCAB_TOKENS[:10], "explain"),
+], ids=["500_extra_leading_tokens", "10_tokens", "10_tokens_evaluate", "10_tokens_explain"])
+def test_vocabulary_that_disagrees_with_the_checkpoint_fails_by_name(planted_run, tmp_path,
+                                                                     capsys, tokens, command):
+    run_dir, data_dir = planted_run
+    for name in ("checkpoint.json", "run.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    (tmp_path / "vocab.json").write_text(json.dumps({"tokens": tokens}))
+    inputs = (["--input", str(data_dir / "test.posts.ndjson")] if command == "predict"
+              else ["--data", str(data_dir), "--split", "test"])
+    rc = run_cli([command, "--checkpoint", str(tmp_path / "checkpoint.json"), *inputs,
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'vocab.json'}: vocabulary has {len(tokens) + 2} ids, the "
+        f"checkpoint's vocab_size is {len(VOCAB_TOKENS) + 2}\n")
+    assert not list((tmp_path / "out").glob("*"))
+
+
 @pytest.mark.parametrize("task", ["risk", "depression"])
 def test_run_file_of_the_other_task_fails_on_the_checkpoint_kind(planted_run, risk_chain,
                                                                  tmp_path, capsys, task):

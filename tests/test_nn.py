@@ -1,10 +1,13 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1085,6 +1088,20 @@ def test_conv1d_over_table_rows_rejects_bad_inputs():
         conv1d(table, constant(np.zeros((4, 3, 1))), b, ids=[1, 2, 3])
 
 
+@pytest.mark.parametrize("op", ["conv1d", "embedding_lookup"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_ids_outside_the_table_are_rejected(op, bad):
+    # id -1 read the last row, and id 4 of a 4-row table an IndexError.
+    table = constant(np.arange(8.0).reshape(4, 2))
+    w, b = constant(np.ones((2, 3, 1))), constant(np.zeros(1))
+    ids = np.array([0, bad, 2], dtype=np.int32)
+    read = ((lambda ids: conv1d(table, w, b, ids=ids)) if op == "conv1d"
+            else (lambda ids: embedding_lookup(table, ids)))
+    with pytest.raises(ValueError, match=rf"^{op} ids must be in \[0, 4\), the rows of its table"):
+        read(ids)
+    assert read(np.array([0, 3, 2], dtype=np.int32)).value.size
+
+
 def test_no_grad_builds_no_graph_and_restores_the_mode_after_an_error():
     x, w, b = constant(np.ones(2)), constant(np.ones((1, 2))), constant(np.zeros(1))
     with no_grad():
@@ -1428,7 +1445,9 @@ def test_adam_state_keeps_half_a_row_tracked_table_per_moment():
     # A 20 MB table updated on its live rows: m and v are slots for half its
     # rows each, so the state holds at most the table's size in moments
     # (twice that if they were whole arrays), beside the scratch and the
-    # row-to-slot map.
+    # row-to-slot map. tracemalloc does not see the moments' mappings, so
+    # their size is checked directly too; the resident-memory test below
+    # checks what is resident.
     rng = np.random.default_rng(9)
     params = ParamStore()
     params.add("emb", np.zeros((50_000, 50)))
@@ -1437,12 +1456,72 @@ def test_adam_state_keeps_half_a_row_tracked_table_per_moment():
     state = held[0]
     scratch = sum(buf.nbytes for bufs in state.scratch for buf in bufs)
     assert peak - scratch - state.slot["emb"].nbytes <= 1.01 * params["emb"].nbytes
+    assert state.m["emb"].nbytes == state.v["emb"].nbytes == params["emb"].nbytes // 2
     rows = np.sort(rng.choice(50_000, 20_000, replace=False))
     grads = {"emb": RowGrad(rows, rng.standard_normal((rows.size, 50)), (50_000, 50))}
     adam_step(params, grads, state)
     assert state.m["emb"].shape == state.v["emb"].shape == (25_000, 50)
     m, v = state.moments("emb")
     assert np.count_nonzero(m.any(axis=1)) == np.count_nonzero(v.any(axis=1)) == rows.size
+
+
+_RESIDENT_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from triagekit.nn import AdamState, ParamStore, RowGrad, adam_step
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+# As in a long-running process: freeing a 16 MiB block raises glibc's mmap
+# threshold (as perfbench's settle_allocator does), so blocks below it come
+# from the heap, where 30 MB of freed, never-written blocks are left behind.
+# They are below numpy's 4 MiB huge-page advice, so the heap's pages are
+# faulted in one at a time.
+block = np.empty(2 * 2**20)
+del block
+params = ParamStore()
+params.add("emb", np.full((50_000, 50), 0.5))
+junk = [np.empty(3 * 2**20 // 8) for _ in range(10)]
+del junk
+rng = np.random.default_rng(3)
+rows = np.sort(rng.choice(50_000, 10_000, replace=False))
+grads = {"emb": RowGrad(rows, rng.standard_normal((rows.size, 50)), (50_000, 50))}
+rss = [resident()]
+state = AdamState(params)
+rss.append(resident())
+adam_step(params, grads, state)
+rss.append(resident())
+scratch = sum(buf.nbytes for bufs in state.scratch for buf in bufs)
+del state
+rss.append(resident())
+print(json.dumps({"rss": rss, "scratch": scratch}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+def test_adam_state_is_resident_only_where_live_rows_reach():
+    # The compact moments of a 50k x 50 table are 20 MB. Building the state
+    # makes none of it resident, even over freed heap blocks (the slot map
+    # is, and on a host with transparent huge pages always on, the heap
+    # pages around it); a step on 10k rows makes their 10k slots resident in
+    # each moment, beside the scratch, the step's temporaries and a worker
+    # thread's stack; dropping the state returns the slots.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_SCRIPT, str(src)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    before, built, stepped, dropped = out["rss"]
+    page = os.sysconf("SC_PAGE_SIZE")
+    moments = 2 * 25_000 * 50 * 8
+    slots = 2 * -(-10_000 * 50 * 8 // page) * page
+    assert built - before < moments / 4
+    assert slots <= stepped - built <= slots + out["scratch"] + 6 * 2**20
+    assert stepped - dropped >= slots
 
 
 def zero_grads(params):
