@@ -2,9 +2,11 @@
 
 Subcommands: build-dataset, synth, train, evaluate, predict, gradcheck,
 explain. Human-readable tables go to stdout; machine-readable JSON is always
-written into the --out directory. Exit codes: 0 success, 1 runtime failure,
-2 usage error. All randomness flows from --seed through named streams, so
-identical invocations produce byte-identical outputs. A command accepts
+written into the --out directory, which is made with the first file written,
+so a command that fails on its inputs leaves none. Exit codes: 0 success,
+1 runtime failure, 2 usage error (an --out that is a file, or lies below
+one, among them). All randomness flows from --seed through named streams,
+so identical invocations produce byte-identical outputs. A command accepts
 --config and --seed only if it reads them.
 
 A setting comes from its flag, else from the INI file (`OPTIONS` lists what
@@ -86,6 +88,15 @@ def _existing_file(value: str) -> str:
 def _existing_dir(value: str) -> str:
     if not Path(value).is_dir():
         raise argparse.ArgumentTypeError(f"{value}: no such directory")
+    return value
+
+
+def _out_dir(value: str) -> str:
+    """An output directory, made when the command writes its first file; the
+    nearest part of the path that exists must be a directory."""
+    existing = next(path for path in (Path(value), *Path(value).parents) if path.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing}: not a directory")
     return value
 
 
@@ -230,14 +241,17 @@ def _sentence_encoder(record) -> HashedSentenceEncoder:
 
 @contextlib.contextmanager
 def _run_file(checkpoint: str, name: str, what: str):
-    """The path of file ``name`` beside the checkpoint. A KeyError, TypeError
-    or ValueError raised in the block fails as ``path: reason``."""
+    """The path of file ``name`` beside the checkpoint. A TypeError or
+    ValueError raised in the block fails as ``path: reason``, and a KeyError,
+    a field the file lacks, as ``path: '<field>' field is missing``."""
     path = Path(checkpoint).parent / name
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing {what} (expected next to the checkpoint)")
     try:
         yield path
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: {exc} field is missing") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -256,7 +270,10 @@ def _load_run_dir(checkpoint: str):
     else:
         model = DepressionModel.load(checkpoint)[0]
         with _run_file(checkpoint, "vocab.json", "vocabulary") as path:
-            vocab = Vocabulary(json.loads(path.read_text(encoding="utf-8"))["tokens"])
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict) or not isinstance(doc.get("tokens"), list):
+                raise ValueError('vocabulary must be an object holding a "tokens" array')
+            vocab = Vocabulary(doc["tokens"])
             if len(vocab) != model.config.vocab_size:
                 raise ValueError(f"vocabulary has {len(vocab)} ids, the checkpoint's vocab_size "
                                  f"is {model.config.vocab_size}")
@@ -570,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", type=_existing_file,
                            help="INI config file; flags override its values")
-        p.add_argument("--out", required=True,
-                       help="output directory (created if absent)")
+        p.add_argument("--out", required=True, type=_out_dir,
+                       help="output directory (created with its first file)")
 
     p = sub.add_parser("build-dataset",
                        help="match diagnosed users with controls into splits")
@@ -648,7 +665,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (KeyError, ValueError, RuntimeError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -329,10 +329,10 @@ class HashedSentenceEncoder:
 def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
     """`parse(row)` of each non-blank line of an ndjson file, in file order.
 
-    Lines end at a newline byte. A line that is not UTF-8 or not JSON, or a
-    row that `parse` rejects with a KeyError, TypeError or ValueError, fails
-    as ``path:line: bad <what> row: reason``; a CorpusFormatError that
-    `parse` raises fails as ``path:line: reason``.
+    Lines end at a newline byte. A line that is not UTF-8, not JSON or not
+    a JSON object, or a row that `parse` rejects with a KeyError, TypeError
+    or ValueError, fails as ``path:line: bad <what> row: reason``; a
+    CorpusFormatError that `parse` raises fails as ``path:line: reason``.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -340,7 +340,7 @@ def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    rows.append(parse(json.loads(line)))
+                    rows.append(parse(_of_kind(json.loads(line), "an object", "row")))
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
@@ -351,6 +351,15 @@ def read_rows(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
 # How an error names the kind of a JSON value.
 _JSON_KINDS = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array",
                int: "a number", float: "a number", str: "a string"}
+
+
+def _of_kind(value, kind: str, what: str):
+    """``value``, a decoded JSON value, if it is of ``kind`` (as `_JSON_KINDS`
+    names it), else a ValueError naming ``what`` and both kinds."""
+    got = _JSON_KINDS[type(value)]
+    if got != kind:
+        raise ValueError(f"{what} must be {kind}, got {got}")
+    return value
 
 
 def _checked_fields(row: Mapping) -> tuple[str, str, str, int, str]:
@@ -390,12 +399,13 @@ def _post(row: Mapping, strings: dict[str, str]) -> Post:
 @contextlib.contextmanager
 def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open ``path`` for writing text, or bytes if ``binary``, through a
-    temporary file beside it.
+    temporary file beside it, making its directory if there is none.
 
     The file replaces ``path`` only when the block completes, so a write that
     fails partway leaves an earlier file whole and no temporary file behind.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
@@ -471,8 +481,10 @@ def load_users(posts_path: str | Path,
 
 
 def _thread(row: Mapping, strings: dict[str, str]) -> ThreadInstance:
-    instance = ThreadInstance(_post(row["target"], strings),
-                              tuple(_post(c, strings) for c in row.get("context", [])),
+    context = _of_kind(row.get("context", []), "an array", "context")
+    instance = ThreadInstance(_post(_of_kind(row["target"], "an object", "target"), strings),
+                              tuple(_post(_of_kind(c, "an object", "context item"), strings)
+                                    for c in context),
                               RiskLabel.parse(row["label"]))
     # split_sentences finds no sentence exactly when the text is blank.
     if not instance.target.text.strip():

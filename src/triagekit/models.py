@@ -78,28 +78,33 @@ def _check_config(config, length: str, sizes: Sequence[str]) -> None:
         raise ValueError(f"balance must be 'weighted' or 'sampled', got {config.balance!r}")
 
 
-def _kernel(rng: np.random.Generator, filters: int, window: int, depth: int) -> np.ndarray:
-    """A Glorot kernel drawn [filters x window x depth], the checkpoint layout,
-    and returned transposed, as `conv1d` reads it."""
-    return glorot_uniform(rng, (filters, window, depth), window * depth, filters
-                          ).transpose(2, 1, 0)
-
-
-def _add_head(p: ParamStore, rng: np.random.Generator, width: int,
-              dense_dims: Sequence[int], output_dim: int) -> None:
-    """The dense stack over ``width`` inputs, then a zero output layer, so an
-    untrained model's output is the same for every input."""
-    for i, out_width in enumerate(dense_dims):
-        p.add(f"dense{i}.w", glorot_uniform(rng, (out_width, width), width, out_width))
-        p.add(f"dense{i}.b", np.zeros(out_width))
-        width = out_width
-    p.add("out.w", np.zeros((output_dim, width)))
-    p.add("out.b", np.zeros(output_dim))
+def _init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
+    """A model's parameters, drawn from one seeded generator in the order of
+    ``shapes`` (its `param_shapes`), each by its kind: the tables ``emb`` and
+    ``classes`` uniform, a 3-D kernel Glorot drawn [filters x window x
+    depth], the checkpoint layout, and transposed as `conv1d` reads it, a
+    hidden dense layer Glorot, and every bias and the output layer zero, so
+    an untrained model's output is the same for every input."""
+    rng = np.random.default_rng(seed)
+    p = ParamStore()
+    for name, shape in shapes.items():
+        if name in ("emb", "classes"):
+            value = embedding_init(rng, shape)
+        elif len(shape) == 3:
+            depth, window, filters = shape
+            value = glorot_uniform(rng, checkpoint_shape(shape), window * depth, filters
+                                   ).transpose(2, 1, 0)
+        elif name.startswith("dense") and name.endswith(".w"):
+            value = glorot_uniform(rng, shape, shape[1], shape[0])
+        else:
+            value = np.zeros(shape)
+        p.add(name, value)
+    return p
 
 
 def _head_shapes(width: int, dense_dims: Sequence[int], output_dim: int
                  ) -> dict[str, tuple[int, ...]]:
-    """The shapes of the parameters `_add_head` makes."""
+    """The shapes of the dense stack's and the output layer's parameters."""
     shapes = {}
     for i, out_width in enumerate(dense_dims):
         shapes[f"dense{i}.w"], shapes[f"dense{i}.b"] = (out_width, width), (out_width,)
@@ -128,7 +133,7 @@ def _check_shapes(path: str | Path, params: ParamStore,
 def _head(h: Node, nodes: ParamNodes, config, train: bool,
           rng: np.random.Generator | None) -> Node:
     """The dense stack (ReLU, then dropout when the config sets a rate) and
-    the output layer, as `_add_head` made them."""
+    the output layer, whose shapes `_head_shapes` gives."""
     for i in range(len(config.dense_dims)):
         h = relu(dense(h, nodes(f"dense{i}.w"), nodes(f"dense{i}.b")))
         if config.dropout > 0.0:
@@ -215,19 +220,7 @@ class DepressionModel:
     def __init__(self, config: DepressionModelConfig,
                  params: ParamStore | None = None, seed: int = 0):
         self.config = config
-        self.params = self._init_params(seed) if params is None else params
-
-    def _init_params(self, seed: int) -> ParamStore:
-        c = self.config
-        rng = np.random.default_rng(seed)
-        p = ParamStore()
-        p.add("emb", embedding_init(rng, (c.vocab_size, c.embed_dim)))
-        p.add("conv.w", _kernel(rng, c.conv_filters, c.conv_window, c.embed_dim))
-        p.add("conv.b", np.zeros(c.conv_filters))
-        p.add("merge.w", _kernel(rng, c.merge_filters, c.merge_window, c.conv_filters))
-        p.add("merge.b", np.zeros(c.merge_filters))
-        _add_head(p, rng, c.merge_filters, c.dense_dims, 2)
-        return p
+        self.params = _init_params(self.param_shapes(config), seed) if params is None else params
 
     @staticmethod
     def param_shapes(c: DepressionModelConfig) -> dict[str, tuple[int, ...]]:
@@ -474,18 +467,7 @@ class RiskModel:
     def __init__(self, config: RiskModelConfig,
                  params: ParamStore | None = None, seed: int = 0):
         self.config = config
-        self.params = self._init_params(seed) if params is None else params
-
-    def _init_params(self, seed: int) -> ParamStore:
-        c = self.config
-        rng = np.random.default_rng(seed)
-        p = ParamStore()
-        p.add("conv.w", _kernel(rng, c.conv_filters, c.conv_window, c.sentence_dim))
-        p.add("conv.b", np.zeros(c.conv_filters))
-        _add_head(p, rng, c.head_width, c.dense_dims, c.output_dim)
-        if c.variant in ("class_metric", "class_metric_ordinal"):
-            p.add("classes", embedding_init(rng, (c.n_classes, c.output_dim)))
-        return p
+        self.params = _init_params(self.param_shapes(config), seed) if params is None else params
 
     @staticmethod
     def param_shapes(c: RiskModelConfig) -> dict[str, tuple[int, ...]]:

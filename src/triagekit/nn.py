@@ -20,9 +20,9 @@ whole rows, so the file is never held whole, and a loaded parameter is
 converted straight into its final array.
 
 `conv1d` is the one convolution. Its input is a dense node, a constant
-`SparseRows`, or an embedding table's rows `ids`. Over rows it holds, it runs
-k accumulated matmuls into the output per block of at most 4096 output rows
-(equal blocks), so nothing larger than the input and the output is held.
+`SparseRows`, or an embedding table's rows `ids`. Over rows it holds, it
+accumulates k matmuls into the output, so nothing larger than the input and
+the output is held.
 Over a table's rows it works on the vocabulary side: each distinct row is
 multiplied by each window offset's kernel slice once, the products are
 gathered to the windows, and the backward sums the output gradient per
@@ -443,8 +443,6 @@ class SparseRows:
         return whole
 
 
-# Output rows per block of `conv1d`'s forward.
-_CONV_BLOCK = 4096
 # Distinct rows per product of `conv1d` over a table's rows. The chunk size
 # picks the BLAS kernel, so it also fixes the bits.
 _TABLE_BLOCK = 512
@@ -464,23 +462,15 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     x[r * stride + j] dotted with weights[:, j, f]. Rows past the last full
     window are not covered (output has floor((T - k) / stride) + 1 rows).
 
-    Over a dense or sparse x, the forward splits the output rows into
-    ceil(rows / 4096) equal blocks. Per block it slices the input rows the
-    block reads and accumulates its k matmuls x[j::stride] @ W[:, j] into the
-    preallocated output through one reused block-sized temporary; no
-    [T x k x l] product is held. The block size is a BLAS constraint: the
-    rows of a product of m rows match those of the whole product only when
-    both take the same kernel. With OpenBLAS's Haswell kernels at d = 50 and
-    25 filters they differ for every m <= 800 (the small-matrix kernel) and
-    match from 801 on, so a short tail block would change the last bits.
-    Equal blocks hold at least 2048 rows each, and output that fits one
-    block is one matmul per window offset. The backward has dW[:, j] =
-    x[j::stride]^T @ g and dx[j::stride] += g @ W[:, j]^T, k matmuls each;
-    each dW[:, j] product is written straight into one preallocated
-    [d_in x k x l] array, and the dx products share one temporary. A
-    constant `SparseRows` x reads only the kernel rows of its nonzero
-    columns, writes the weight gradient on those rows only, as a `RowGrad`,
-    and gets no gradient.
+    Over a dense or sparse x, the forward accumulates the k matmuls
+    x[j::stride] @ W[:, j] straight into the output through one temporary of
+    the output's size; no [T x k x l] product is held. The backward has
+    dW[:, j] = x[j::stride]^T @ g and dx[j::stride] += g @ W[:, j]^T, k
+    matmuls each; each dW[:, j] product is written straight into one
+    preallocated [d_in x k x l] array, and the dx products share one
+    temporary. A constant `SparseRows` x reads only the kernel rows of its
+    nonzero columns, writes the weight gradient on those rows only, as a
+    `RowGrad`, and gets no gradient.
 
     Over a table's rows, the U distinct ids are found once (`_distinct`).
     Per window offset j, in order, the distinct rows times W[:, j] ([U x l],
@@ -521,16 +511,10 @@ def conv1d(x: Node | SparseRows, weights: Node, bias: Node, stride: int = 1,
     w = weights.value[x.cols] if sparse else weights.value
     out = np.empty((rows, l), dtype=np.result_type(src, w))
     if ids is None:
-        blocks = -(-rows // _CONV_BLOCK)
-        bounds = [rows * i // blocks for i in range(blocks + 1)]
-        part = np.empty((-(-rows // blocks), l), dtype=out.dtype)   # the largest block's product
-        for start, stop in itertools.pairwise(bounds):
-            n, xb = stop - start, src[start * stride:(stop - 1) * stride + k]
-            block_span = (n - 1) * stride + 1
-            block, temp = out[start:stop], part[:n]
-            np.matmul(xb[:block_span:stride], w[:, 0], out=block)
-            for j in range(1, k):
-                block += np.matmul(xb[j:j + block_span:stride], w[:, j], out=temp)
+        np.matmul(src[:span:stride], w[:, 0], out=out)
+        temp = np.empty_like(out)
+        for j in range(1, k):
+            out += np.matmul(src[j:j + span:stride], w[:, j], out=temp)
     else:
         # Per window offset j: the distinct rows times W[:, j], then gathered
         # to the windows' positions.

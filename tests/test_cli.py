@@ -591,7 +591,7 @@ def test_train_depression_empty_validation_split_fails_by_name(depression_chain,
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {data / 'validation.posts.ndjson'}: no users to validate on\n")
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_non_utf8_validation_posts_name_file_and_line(depression_chain, tmp_path,
@@ -611,7 +611,7 @@ def test_train_non_utf8_validation_posts_name_file_and_line(depression_chain, tm
     assert capsys.readouterr().err == (
         f"error: {posts}:{lines + 1}: bad post row: 'utf-8' codec can't decode byte 0xff "
         "in position 0: invalid start byte\n")
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("task", ["depression", "risk"])
@@ -645,7 +645,7 @@ def test_train_split_without_a_class_names_its_file(depression_chain, tmp_path, 
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {path}: the training split has no instances of classes {missing}\n")
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text, lineno, message", [
@@ -663,7 +663,7 @@ def test_train_unreadable_ini_fails_in_one_line_naming_it(risk_chain, tmp_path, 
                   "--out", str(tmp_path / "run"), "--seed", "1"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {ini}:{lineno}: {message}\n"
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_ini_percent_is_a_plain_character(risk_chain, tmp_path, capsys):
@@ -693,7 +693,7 @@ def test_train_unknown_ini_option_or_section_fails_before_training(risk_chain, t
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message.format(ini=ini)}") and err.count("\n") == 1, err
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_one_ini_file_serves_both_train_tasks(depression_chain, risk_chain, tmp_path, capsys):
@@ -812,7 +812,7 @@ def test_evaluate_empty_split_fails_by_name(planted_run, risk_chain, tmp_path, c
                   "--data", str(data), "--split", "test", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_risk_predict_rows(risk_chain, tmp_path, capsys):
@@ -968,7 +968,118 @@ def test_vocabulary_that_disagrees_with_the_checkpoint_fails_by_name(planted_run
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'vocab.json'}: vocabulary has {len(tokens) + 2} ids, the "
         f"checkpoint's vocab_size is {len(VOCAB_TOKENS) + 2}\n")
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+# A run file of the wrong JSON kind, or without a field: (task, file,
+# rewrite of the run description, reason).
+RUN_FILE_KIND_FAULTS = {
+    "vocab_array": ("depression", "vocab.json", lambda run: json.dumps(VOCAB_TOKENS),
+                    'vocabulary must be an object holding a "tokens" array'),
+    "vocab_without_tokens": ("depression", "vocab.json",
+                             lambda run: json.dumps({"words": VOCAB_TOKENS}),
+                             'vocabulary must be an object holding a "tokens" array'),
+    "run_without_selection": ("depression", "run.json", lambda run: json.dumps(
+        {key: value for key, value in run.items() if key != "selection"}),
+        "'selection' field is missing"),
+    "run_without_encoder": ("risk", "run.json", lambda run: json.dumps(
+        {key: value for key, value in run.items() if key != "encoder"}),
+        "'encoder' field is missing"),
+}
+
+
+@pytest.mark.parametrize("fault", list(RUN_FILE_KIND_FAULTS))
+def test_run_file_of_the_wrong_kind_fails_in_its_own_words(planted_run, risk_chain, tmp_path,
+                                                           capsys, fault):
+    task, name, rewrite, message = RUN_FILE_KIND_FAULTS[fault]
+    run_dir, inputs = ((planted_run[0], planted_run[1] / "test.posts.ndjson")
+                       if task == "depression"
+                       else (risk_chain[2], risk_chain[1] / "test.threads.ndjson"))
+    for other in ("checkpoint.json", "run.json", "vocab.json"):
+        if (run_dir / other).exists():
+            (tmp_path / other).write_bytes((run_dir / other).read_bytes())
+    (tmp_path / name).write_text(rewrite(json.loads((run_dir / "run.json").read_text())))
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                  "--input", str(inputs), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _thread_row(**changes):
+    post = {"user_id": "u", "community": "c", "text": "Help?"}
+    return {"target": {**post, "post_id": "t1", "timestamp": 5},
+            "context": [{**post, "post_id": "c1", "timestamp": 1}], "label": "green",
+            **changes}
+
+
+@pytest.mark.parametrize("row, message", [
+    (["t1", "green"], "row must be an object, got an array"),
+    (_thread_row(target="Help?"), "target must be an object, got a string"),
+    (_thread_row(context="Earlier."), "context must be an array, got a string"),
+    (_thread_row(context=[["c1", "Earlier."]]), "context item must be an object, got an array"),
+], ids=["row_array", "target_string", "context_string", "context_item_array"])
+def test_predict_thread_of_the_wrong_kind_fails_in_its_own_words(risk_chain, tmp_path, capsys,
+                                                                 row, message):
+    _, _, run_dir = risk_chain
+    threads = tmp_path / "threads.ndjson"
+    write_ndjson(threads, [_thread_row(), row])
+    rc = run_cli(["predict", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--input", str(threads), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {threads}:2: bad thread row: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_label_row_that_is_not_an_object_fails_in_its_own_words(planted_run,
+                                                                          tmp_path, capsys):
+    _, data_dir = planted_run
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "test.posts.ndjson").write_bytes((data_dir / "test.posts.ndjson").read_bytes())
+    (data / "test.labels.ndjson").write_text('["pos0", "diagnosed"]\n')
+    rc = run_cli(["evaluate", "--checkpoint", str(planted_run[0] / "checkpoint.json"),
+                  "--data", str(data), "--split", "test", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {data / 'test.labels.ndjson'}:1: bad label row: "
+                                       "row must be an object, got an array\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_failing_on_its_inputs_leaves_no_out_directory(planted_run, tmp_path, capsys):
+    run_dir, _ = planted_run
+    posts = tmp_path / "posts.ndjson"
+    posts.write_text("7\n")
+    out = tmp_path / "out" / "nested"
+    rc = run_cli(["predict", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--input", str(posts), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {posts}:1: bad post row: "
+                                       "row must be an object, got a number\n")
+    assert not (tmp_path / "out").exists()
+    # The same command on good input makes the directory with its first file.
+    write_ndjson(posts, [{"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0,
+                          "text": "w0 sig0 sig1 sig2"}])
+    assert run_cli(["predict", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--input", str(posts), "--out", str(out)]) == 0
+    assert [path.name for path in out.iterdir()] == ["predictions.ndjson"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, below", [
+    (["predict", "--checkpoint", "{file}", "--input", "{file}"], ""),
+    (["gradcheck", "--task", "depression"], ""),
+    (["synth", "--task", "risk", "--seed", "1"], ""),
+    (["gradcheck", "--task", "depression"], "sub/dir"),
+], ids=["predict", "gradcheck", "synth", "below_the_file"])
+def test_out_that_is_a_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*(arg.format(file=afile) for arg in argv), "--out", str(afile / below)])
+    assert exc.value.code == 2
+    assert f"error: argument --out: {afile}: not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("task", ["risk", "depression"])
@@ -1184,7 +1295,7 @@ def test_every_ini_option_fails_by_section_and_option(depression_chain, risk_cha
                                                       capsys, section, option):
     # Cases come from cli.OPTIONS, so an option without a fault here fails:
     # none can land without a range rule. Each bad value exits 1 with one
-    # error line naming its section and option, and writes nothing.
+    # error line naming its section and option, and leaves no --out directory.
     value, reason = OPTION_FAULTS[section][option]
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[{section}]\n{option} = {value}\n")
@@ -1200,7 +1311,7 @@ def test_every_ini_option_fails_by_section_and_option(depression_chain, risk_cha
     rc = run_cli([*argv, "--config", str(ini), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: [{section}] {option}: {reason}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_build_dataset_empty_pool_fails(tmp_path, capsys):

@@ -460,7 +460,7 @@ def test_bad_json_reports_line(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("not json", "bad post row: Expecting value: line 1 column 1"),
-    ('["p2"]', "bad post row: list indices must be integers"),
+    ('["p2"]', "bad post row: row must be an object, got an array"),
     ('{"post_id": "p2", "user_id": "u", "community": "c", "timestamp": "noon", "text": ""}',
      "bad post row: invalid literal for int()"),
     ('{"post_id": "p2", "user_id": "u", "community": "c", "timestamp": 0}',
