@@ -34,7 +34,7 @@ from .corpus import (
     DIAGNOSED,
     HashedSentenceEncoder,
     RiskLabel,
-    UserRecord,
+    TokenizedUser,
     Vocabulary,
     at_least,
     atomic_open,
@@ -214,8 +214,8 @@ def _write_json(path: Path, doc) -> None:
 # Runs: users, sentence encoder, checkpoint directory, prediction rows
 
 def _users(posts: Path, labels: Path | None = None, vocab: Vocabulary | None = None,
-           **vocab_opts) -> tuple[list[UserRecord], Vocabulary]:
-    """A posts file's users in id order, with their posts' token ids.
+           **vocab_opts) -> tuple[list[TokenizedUser], Vocabulary]:
+    """A posts file's users in id order, tokenized.
 
     Tokens come from `vocab`, or, when it is None, from a vocabulary built
     from these users' own text (`vocab_opts` go to `Vocabulary.from_texts`).
@@ -228,15 +228,23 @@ def _users(posts: Path, labels: Path | None = None, vocab: Vocabulary | None = N
     return tokenize_users(users, vocab), vocab
 
 
-def _sentence_encoder(record) -> HashedSentenceEncoder:
-    """The sentence encoder of a run.json "encoder" record: exactly "dim" and "seed"."""
+def _run_record(run: dict, key: str, kinds: dict[str, type], prefix: str = "") -> dict:
+    """run.json's ``key`` record, an object of exactly the fields of
+    ``kinds``, each an integer (not a boolean) or a string as its kind says.
+    An error calls a field ``prefix`` + its name."""
+    record = run[key]
     if not isinstance(record, dict):
-        raise ValueError(f"encoder record must be an object, got {record!r}")
-    for what, names in (("unknown", set(record) - {"dim", "seed"}),
-                        ("missing", {"dim", "seed"} - set(record))):
+        raise ValueError(f"{key} record must be an object, got {record!r}")
+    for what, names in (("unknown", set(record) - set(kinds)),
+                        ("missing", set(kinds) - set(record))):
         if names:
-            raise ValueError(f"encoder record has {what} fields {sorted(names)}")
-    return HashedSentenceEncoder(**record)
+            raise ValueError(f"{key} record has {what} fields {sorted(names)}")
+    for name, kind in kinds.items():
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{prefix}{name} must be {'an integer' if kind is int else 'a string'}"
+                             f", got {value!r}")
+    return record
 
 
 @contextlib.contextmanager
@@ -279,10 +287,12 @@ def _load_run_dir(checkpoint: str):
                                  f"is {model.config.vocab_size}")
     with _run_file(checkpoint, "run.json", "run description"):
         if vocab is None:
-            reader = _sentence_encoder(run["encoder"])
+            reader = HashedSentenceEncoder(**_run_record(run, "encoder", {"dim": int, "seed": int},
+                                                         prefix="encoder_"))
             name, value, model_value = "encoder dim", reader.dim, model.config.sentence_dim
         else:
-            reader = SelectionConfig(**run["selection"])
+            reader = SelectionConfig(**_run_record(run, "selection", {
+                "strategy": str, "n_post": int, "n_term": int, "seed": int}))
             name, value, model_value = "selection n_term", reader.n_term, model.config.n_term
         if value != model_value:
             raise ValueError(f"{name} {value} differs from the checkpoint's {model_value}")

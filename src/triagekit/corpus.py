@@ -66,9 +66,9 @@ class Post:
     """One forum post, slotted, since a corpus holds many.
 
     ``tokens`` holds the post's vocabulary ids, or nothing before
-    tokenization. A post of `traineval.tokenize_users` keeps no text, and its
-    ``tokens`` is a read-only int32 view of its slice of the user's
-    `UserRecord.token_ids`. Tokens take no part in equality or hashing.
+    tokenization. Only `TokenizedUser.posts` gives a post tokens: a
+    read-only int32 view of its slice of the user's ids, and no text.
+    Tokens take no part in equality or hashing.
     """
 
     post_id: str
@@ -85,35 +85,57 @@ TOKEN_DTYPE = np.int32
 
 @dataclass(frozen=True)
 class UserRecord:
-    """A user's time-ordered posts plus their control/diagnosed label.
-
-    ``token_ids`` holds all the posts' tokens in post order, as one read-only
-    int32 array; post i's are ``token_ids[token_offsets[i]:token_offsets[i + 1]]``.
-    When not given, both are built from the posts' ``tokens``; when given,
-    the posts must come in time order. Neither takes part in equality or
-    hashing.
-    """
+    """A user's time-ordered posts, with their text, plus their
+    control/diagnosed label: a user as `load_users` reads it."""
 
     user_id: str
     posts: tuple[Post, ...]
     label: str = CONTROL
     diagnosis_post_id: str | None = None
-    token_ids: np.ndarray | None = field(default=None, compare=False, repr=False)
-    token_offsets: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.posts, key=lambda p: (p.timestamp, p.post_id)))
         _check_user_label(self.label, self.diagnosis_post_id)
-        if self.token_offsets is None:
-            lengths = [len(p.tokens) for p in ordered]
-            ids = np.fromiter(itertools.chain.from_iterable(p.tokens for p in ordered),
-                              TOKEN_DTYPE, count=sum(lengths))
-            ids.flags.writeable = False
-            object.__setattr__(self, "token_ids", ids)
-            object.__setattr__(self, "token_offsets", np.cumsum([0] + lengths))
-        elif ordered != self.posts or len(self.token_offsets) != len(ordered) + 1:
-            raise ValueError("token arrays need one offset per post and the posts in time order")
-        object.__setattr__(self, "posts", ordered)
+        object.__setattr__(self, "posts",
+                           tuple(sorted(self.posts, key=lambda p: (p.timestamp, p.post_id))))
+
+
+@dataclass(frozen=True, slots=True)
+class TokenizedUser:
+    """A user's time-ordered posts as columns, with no object per post, as
+    `traineval.tokenize_users` makes them from a `UserRecord`.
+
+    Post i is ``post_ids[i]``, posted in ``communities[i]`` at
+    ``timestamps[i]`` (int64), and its vocabulary ids are
+    ``token_ids[token_offsets[i]:token_offsets[i + 1]]``: all the posts' ids
+    are one read-only int32 array. Training, selection and serving read only
+    these columns. The arrays take no part in equality or hashing.
+    """
+
+    user_id: str
+    label: str
+    diagnosis_post_id: str | None
+    post_ids: tuple[str, ...]
+    communities: tuple[str, ...]
+    timestamps: np.ndarray = field(compare=False, repr=False)
+    token_ids: np.ndarray = field(compare=False, repr=False)
+    token_offsets: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_user_label(self.label, self.diagnosis_post_id)
+        if not (len(self.post_ids) == len(self.communities) == len(self.timestamps)
+                == len(self.token_offsets) - 1):
+            raise ValueError("a tokenized user needs one id, community, timestamp and "
+                             "offset per post, and one offset more")
+
+    @property
+    def posts(self) -> tuple[Post, ...]:
+        """The posts, built at each call: no text, and ``tokens`` a view of
+        the post's slice of `token_ids`."""
+        ids, ends = self.token_ids, self.token_offsets.tolist()
+        return tuple(Post(post_id, self.user_id, community, timestamp, "", ids[a:b])
+                     for post_id, community, timestamp, a, b in zip(
+                         self.post_ids, self.communities, self.timestamps.tolist(),
+                         ends, ends[1:]))
 
 
 def _check_user_label(label: str, diagnosis_post_id: str | None) -> None:

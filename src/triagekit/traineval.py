@@ -23,6 +23,7 @@ from .corpus import (
     Post,
     RiskLabel,
     ThreadInstance,
+    TokenizedUser,
     UserRecord,
     Vocabulary,
     at_least,
@@ -77,32 +78,35 @@ class SelectionConfig:
 
 
 def tokenize_users(users: Iterable[UserRecord],
-                   vocab: Vocabulary) -> list[UserRecord]:
-    """Users with every post's text mapped to vocabulary token ids, compact.
-
-    Each user's ids are stored once, as one read-only int32 array with
-    per-post offsets (`UserRecord.token_ids`, `token_offsets`); a post's
-    ``tokens`` is a view of its slice, and the posts keep no text.
+                   vocab: Vocabulary) -> list[TokenizedUser]:
+    """Users with every post's text mapped to vocabulary token ids, as
+    columns: a `TokenizedUser` per user, whose ids are one read-only int32
+    array with per-post offsets. No text and no object per post is kept.
     """
     out = []
     for u in users:
+        posts = u.posts
         ids: list[int] = []
         ends = [0]
-        for p in u.posts:
+        for p in posts:
             ids += tokenize(p.text, vocab)
             ends.append(len(ids))
         flat = np.array(ids, dtype=TOKEN_DTYPE)
         flat.flags.writeable = False
-        posts = tuple(Post(p.post_id, p.user_id, p.community, p.timestamp, "", flat[a:b])
-                      for p, a, b in zip(u.posts, ends, ends[1:]))
-        out.append(UserRecord(u.user_id, posts, u.label, u.diagnosis_post_id,
-                              flat, np.array(ends)))
+        try:
+            timestamps = np.array([p.timestamp for p in posts], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"user {u.user_id!r} has a post timestamp beyond 64 bits") from None
+        out.append(TokenizedUser(u.user_id, u.label, u.diagnosis_post_id,
+                                 tuple(p.post_id for p in posts),
+                                 tuple(p.community for p in posts), timestamps,
+                                 flat, np.array(ends)))
     return out
 
 
-def _chosen(user: UserRecord, cfg: SelectionConfig) -> np.ndarray:
+def _chosen(user: TokenizedUser, cfg: SelectionConfig) -> np.ndarray:
     """The indices of `chosen_posts` among the user's posts, ascending."""
-    n = len(user.posts)
+    n = len(user.token_offsets) - 1
     if cfg.strategy == "earliest":
         return np.arange(min(n, cfg.n_post))
     if cfg.strategy == "latest":
@@ -113,7 +117,7 @@ def _chosen(user: UserRecord, cfg: SelectionConfig) -> np.ndarray:
     return np.sort(rng.choice(n, size=cfg.n_post, replace=False))
 
 
-def chosen_posts(user: UserRecord, cfg: SelectionConfig) -> tuple[Post, ...]:
+def chosen_posts(user: TokenizedUser, cfg: SelectionConfig) -> tuple[Post, ...]:
     """Up to n_post of the user's posts, in time order.
 
     The random strategy draws a per-user stream from the config seed, so the
@@ -123,10 +127,11 @@ def chosen_posts(user: UserRecord, cfg: SelectionConfig) -> tuple[Post, ...]:
     return tuple(posts[i] for i in _chosen(user, cfg).tolist())
 
 
-def select_posts(user: UserRecord, cfg: SelectionConfig) -> Selection:
+def select_posts(user: TokenizedUser, cfg: SelectionConfig) -> Selection:
     """The token ids of `chosen_posts`, each post cut to n_term tokens, as a
     `Selection`: one flat int32 array and the posts' lengths, gathered from
-    the user's `token_offsets` with no loop over posts or tokens."""
+    the user's `token_offsets` with no loop over posts or tokens, and no
+    post built."""
     keep = _chosen(user, cfg)
     starts = user.token_offsets[keep]
     lengths = np.minimum(user.token_offsets[keep + 1] - starts, cfg.n_term)
@@ -418,8 +423,8 @@ def _train(model: DepressionModel | RiskModel, labels: Sequence[int], n_classes:
     return TrainResult(best_epoch, best_metric, log)
 
 
-def train_depression(model: DepressionModel, train_users: Sequence[UserRecord],
-                     val_users: Sequence[UserRecord],
+def train_depression(model: DepressionModel, train_users: Sequence[TokenizedUser],
+                     val_users: Sequence[TokenizedUser],
                      selection: SelectionConfig,
                      cfg: TrainConfig = TrainConfig()) -> TrainResult:
     """Train the detection model on the selected posts of each user.

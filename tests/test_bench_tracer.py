@@ -33,7 +33,7 @@ import tracer as tracing
 tracer = tracing.Tracer()
 tracing.install(tracer, triagekit)
 from triagekit import corpus, models, traineval
-from triagekit.corpus import CONTROL, DIAGNOSED, Post, RiskLabel, ThreadInstance, UserRecord
+from triagekit.corpus import CONTROL, DIAGNOSED, Post, RiskLabel, ThreadInstance, TokenizedUser
 
 tracer.phase_id = tracing.PHASES.index("train")
 rng = np.random.default_rng(0)
@@ -50,11 +50,10 @@ traineval.train_risk(models.RiskModel(config), threads, threads,
 
 users = []
 for i, label in enumerate((DIAGNOSED, CONTROL, CONTROL)):
-    posts = tuple(Post(f"u{i}-p{j}", f"u{i}", "forum", j, "text",
-                       tuple(int(t) for t in rng.integers(2, 12, size=6)))
-                  for j in range(3))
-    users.append(UserRecord(f"u{i}", posts, label,
-                            posts[0].post_id if label == DIAGNOSED else None))
+    ids = np.concatenate([rng.integers(2, 12, size=6) for _ in range(3)]).astype(np.int32)
+    users.append(TokenizedUser(f"u{i}", label, f"u{i}-p0" if label == DIAGNOSED else None,
+                               tuple(f"u{i}-p{j}" for j in range(3)), ("forum",) * 3,
+                               np.arange(3), ids, np.arange(0, 19, 6)))
 config = models.DepressionModelConfig(vocab_size=12, embed_dim=4, conv_filters=3,
                                       merge_filters=3, dense_dims=(4,), n_term=6,
                                       balance="weighted")

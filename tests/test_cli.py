@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from triagekit.cli import OPTIONS, main
-from triagekit.corpus import CONTROL, DIAGNOSED, Vocabulary, load_users
+from triagekit.corpus import CONTROL, DIAGNOSED, TokenizedUser, Vocabulary, load_users
 from triagekit.models import DepressionModel, DepressionModelConfig
 from triagekit.nn import ParamStore
 from triagekit.traineval import (
@@ -140,6 +140,24 @@ def test_predict_matches_labels(planted_run, tmp_path, capsys):
             assert row["predicted"] == DIAGNOSED and row["score"] > 0.5
         else:
             assert row["predicted"] == CONTROL and row["score"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_predict_and_evaluate_build_no_post(planted_run, tmp_path, monkeypatch, command):
+    # Users are read as columns: no Post is made after tokenizing, and the
+    # output is the same byte for byte.
+    ckpt_dir, data_dir = planted_run
+    inputs = (["--input", str(data_dir / "test.posts.ndjson")] if command == "predict"
+              else ["--data", str(data_dir), "--split", "test"])
+    outputs = []
+    for out in (tmp_path / "columns", tmp_path / "posts"):
+        with monkeypatch.context() as patch:
+            if out.name == "columns":
+                patch.setattr(TokenizedUser, "posts", property(lambda user: 1 / 0))
+            assert run_cli([command, "--checkpoint", str(ckpt_dir / "checkpoint.json"),
+                            *inputs, "--out", str(out)]) == 0
+        outputs.append(next(out.iterdir()).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_empty_input(planted_run, tmp_path):
@@ -872,6 +890,39 @@ def test_risk_predict_bad_encoder_record_fails_by_name(risk_chain, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'run.json'}: {message}"), err
     assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing_field", "selection record has missing fields ['n_post']"),
+    ("unknown_field", "selection record has unknown fields ['n_posts']"),
+    ("list_record", "selection record must be an object, got ["),
+    ("string_n_post", "n_post must be an integer, got '3'"),
+], ids=["missing_field", "unknown_field", "list_record", "string_n_post"])
+def test_predict_bad_selection_record_fails_by_name(planted_run, tmp_path, capsys, fault,
+                                                    message):
+    # Each exits 1 with one line in the program's own words; a lacking field
+    # takes no default.
+    run_dir, data_dir = planted_run
+    run = json.loads((run_dir / "run.json").read_text())
+    selection = run["selection"]
+    if fault == "missing_field":
+        del selection["n_post"]
+    elif fault == "unknown_field":
+        selection["n_posts"] = 3
+    elif fault == "list_record":
+        run["selection"] = list(selection.values())
+    else:
+        selection["n_post"] = "3"
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    for name in ("checkpoint.json", "vocab.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                  "--input", str(data_dir / "test.posts.ndjson"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.json'}: {message}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fault, message", [

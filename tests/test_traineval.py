@@ -18,6 +18,7 @@ from triagekit.corpus import (
     Post,
     RiskLabel,
     ThreadInstance,
+    TokenizedUser,
     UserRecord,
     Vocabulary,
     load_users,
@@ -60,10 +61,15 @@ SIGNAL_IDS = (2, 3, 4)
 
 
 def make_user(uid, token_lists, label=CONTROL):
-    posts = tuple(Post(f"{uid}-p{i}", uid, "forum", i, "text", tuple(toks))
-                  for i, toks in enumerate(token_lists))
+    """A tokenized user whose post i, ``<uid>-p<i>`` at time i, has the
+    ids ``token_lists[i]``."""
+    n = len(token_lists)
+    ids = np.array([t for toks in token_lists for t in toks], dtype=np.int32)
+    ids.flags.writeable = False
     diag = f"{uid}-p0" if label == DIAGNOSED else None
-    return UserRecord(uid, posts, label, diag)
+    return TokenizedUser(uid, label, diag, tuple(f"{uid}-p{i}" for i in range(n)),
+                         ("forum",) * n, np.arange(n), ids,
+                         np.cumsum([0] + [len(toks) for toks in token_lists]))
 
 
 def tiny_detection_users(n_pos=8, n_ctl=8, posts_per=4, seed=7):
@@ -246,7 +252,7 @@ def test_selection_of_a_user_without_posts_or_usable_posts(tmp_path):
     maps = []
     logits, starts, stops = model._forward(selection, ParamNodes(model.params), maps=maps)
     assert maps == [] and (stops == starts).all()
-    empty = UserRecord("none", ())
+    empty = make_user("none", [])
     assert select_posts(empty, cfg).lengths.size == 0
     with pytest.raises(ValueError, match="user has no usable posts"):
         model.classify_user(select_posts(empty, cfg))
@@ -255,9 +261,15 @@ def test_selection_of_a_user_without_posts_or_usable_posts(tmp_path):
 def test_tokenized_post_holds_no_text_and_no_python_int_per_token(tmp_path):
     users, loaded, vocab = tokenized_users(tmp_path)
     for user in users:
+        assert isinstance(user, TokenizedUser) and not hasattr(user, "__dict__")  # slotted
         assert user.token_ids.dtype == np.int32 and not user.token_ids.flags.writeable
+        assert user.timestamps.dtype == np.int64
+        source_posts = loaded[user.user_id].posts
+        # The columns keep the loaded strings themselves.
+        assert all(a is b.post_id for a, b in zip(user.post_ids, source_posts, strict=True))
+        assert all(a is b.community for a, b in zip(user.communities, source_posts, strict=True))
         offsets = user.token_offsets
-        for i, (post, source) in enumerate(zip(user.posts, loaded[user.user_id].posts)):
+        for i, (post, source) in enumerate(zip(user.posts, source_posts, strict=True)):
             assert post.text == "" and post == Post(source.post_id, source.user_id,
                                                     source.community, source.timestamp, "")
             assert not hasattr(post, "__dict__")          # slotted
@@ -265,10 +277,11 @@ def test_tokenized_post_holds_no_text_and_no_python_int_per_token(tmp_path):
             assert post.tokens.base is user.token_ids and not post.tokens.flags.writeable
             assert post.tokens.tolist() == tokenize(source.text, vocab)
             assert post.tokens.size == offsets[i + 1] - offsets[i]
-        # Token arrays take no part in equality or hashing.
-        assert user == UserRecord(user.user_id, tuple(Post(p.post_id, p.user_id, p.community,
-                                                           p.timestamp, "") for p in user.posts),
-                                  user.label, user.diagnosis_post_id)
+        # The arrays take no part in equality or hashing.
+        n = len(user.post_ids)
+        assert user == TokenizedUser(user.user_id, user.label, user.diagnosis_post_id,
+                                     user.post_ids, user.communities, np.zeros(n, np.int64),
+                                     np.zeros(0, np.int32), np.zeros(n + 1, np.int64))
         assert len({user, user}) == 1 and len({*user.posts}) == len(user.posts)
     # Posts of one file share their user id and community strings.
     posts = [p for u in loaded.values() for p in u.posts]
@@ -301,6 +314,55 @@ def test_tokenized_corpus_holds_at_most_half_the_bytes_per_token(tmp_path):
     n_tokens = sum(len(p.tokens) for u in users for p in u.posts)
     assert (n_tokens, len(vocab)) == (79909, 2904)
     assert held / n_tokens <= 24.72 / 2
+
+
+def test_tokenized_corpus_keeps_no_post_and_at_most_7_bytes_a_token(tmp_path):
+    # The corpus of the test above. With a Post and a tokens view per post,
+    # a tokenized user held 12.00 bytes a token; as columns, about 6.4-6.9.
+    rng = np.random.default_rng(27)
+    write_user_texts(tmp_path / "posts.ndjson", {
+        f"u{u:03d}": [" ".join(f"w{int(w):04d}" for w in
+                               rng.zipf(1.3, size=int(rng.integers(20, 61))) % 3000)
+                      for _ in range(50)]
+        for u in range(40)})
+    path = tmp_path / "posts.ndjson"
+    vocab = Vocabulary.from_texts((p.text for u in load_users(path).values() for p in u.posts),
+                                  min_freq=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        users = tokenize_users(load_users(path).values(), vocab)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    ours = {post_id for u in users for post_id in u.post_ids}
+    assert not any(isinstance(obj, Post) and obj.post_id in ours for obj in gc.get_objects())
+    n_tokens = sum(u.token_ids.size for u in users)
+    assert (n_tokens, sum(len(u.post_ids) for u in users)) == (79909, 2000)
+    assert held / n_tokens <= 7.0
+
+
+def test_tokenize_users_names_a_timestamp_beyond_64_bits():
+    user = UserRecord("u", (Post("p", "u", "forum", 2 ** 63, "text"),))
+    with pytest.raises(ValueError, match="user 'u' has a post timestamp beyond 64 bits"):
+        tokenize_users([user], Vocabulary(["text"]))
+
+
+def test_training_selection_and_scoring_build_no_post(monkeypatch):
+    users = tiny_detection_users(n_pos=3, n_ctl=3)
+
+    def no_posts(user):
+        raise AssertionError(f"the posts of {user.user_id} were built")
+
+    monkeypatch.setattr(TokenizedUser, "posts", property(no_posts))
+    with pytest.raises(AssertionError, match="the posts of pos0 were built"):
+        users[0].posts
+    cfg = SelectionConfig("random", n_post=3, n_term=16, seed=1)
+    model = tiny_detection_model()
+    train_depression(model, users, users, cfg, TrainConfig(epochs=1, seed=2))
+    for user in users:
+        assert model.classify_user(select_posts(user, cfg)).shape == (2,)
 
 
 @pytest.mark.parametrize("epochs, lr", [(-1, 1e-3), (2, 0.0), (2, -1e-3), (2, float("nan")),
