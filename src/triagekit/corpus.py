@@ -9,6 +9,7 @@ loop both rely on.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ import math
 import numbers
 import os
 import re
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -55,10 +56,11 @@ class RiskLabel(IntEnum):
 
     @classmethod
     def parse(cls, name: str) -> "RiskLabel":
-        try:
-            return cls[str(name).strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown risk label {name!r}") from None
+        """The label named exactly ``green``, ``amber``, ``red`` or ``crisis``."""
+        for label in cls:
+            if name == label.name.lower():
+                return label
+        raise ValueError(f"unknown risk label {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,7 +296,8 @@ class HashedSentenceEncoder:
     for bit the one a dense ``dim``-wide sum and `np.linalg.norm` give.
 
     `encode` gives a sentence's nonzero columns and values. Each encoder
-    keeps them for the last `_ENCODE_CACHE` sentences it encoded, so a
+    keeps them for the last `_ENCODE_CACHE` sentences it encoded, in a
+    `functools.lru_cache` that holds no reference to the encoder, so a
     repeated sentence is hashed once while it stays among them; the arrays
     are read-only, as every caller shares them.
     """
@@ -310,39 +313,35 @@ class HashedSentenceEncoder:
         key = hashlib.sha256(f"hashed-encoder:{seed}".encode()).digest()[:16]
         # Copied for every n-gram: the same digest as a fresh keyed hash of
         # it, without setting up the key each time.
-        self._hash = hashlib.blake2b(key=key, digest_size=8)
-        self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-    def _sparse(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted nonzero columns, their normalized values) of a sentence."""
-        toks = word_tokens(sentence)
-        copy, dim = self._hash.copy, self.dim
-        sums: dict[int, int] = {}
-        for n in range(1, self.max_ngram + 1):
-            for i in range(len(toks) - n + 1):
-                h = copy()
-                h.update(" ".join(toks[i:i + n]).encode("utf-8"))
-                v = int.from_bytes(h.digest(), "little")
-                col = (v >> 1) % dim
-                sums[col] = sums.get(col, 0) + (1 if v & 1 else -1)
-        cols = np.array(sorted(col for col, s in sums.items() if s), dtype=np.intp)
-        values = np.array([sums[col] for col in cols.tolist()], dtype=np.float64)
-        if cols.size:
-            values /= math.sqrt(values @ values)
-        cols.flags.writeable = values.flags.writeable = False
-        return cols, values
+        hasher = hashlib.blake2b(key=key, digest_size=8)
+        self._cache = functools.lru_cache(maxsize=_ENCODE_CACHE)(
+            functools.partial(_hashed_sparse, hasher, self.dim, max_ngram))
 
     def encode(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
         """The sentence's sorted nonzero columns and their values, read-only."""
-        cache = self._cache
-        hit = cache.get(sentence)
-        if hit is None:
-            hit = cache[sentence] = self._sparse(sentence)
-            if len(cache) > _ENCODE_CACHE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(sentence)
-        return hit
+        return self._cache(sentence)
+
+
+def _hashed_sparse(hasher, dim: int, max_ngram: int,
+                   sentence: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted nonzero columns, their normalized values) of a sentence, its
+    n-grams hashed by copies of the keyed ``hasher``."""
+    toks = word_tokens(sentence)
+    copy = hasher.copy
+    sums: dict[int, int] = {}
+    for n in range(1, max_ngram + 1):
+        for i in range(len(toks) - n + 1):
+            h = copy()
+            h.update(" ".join(toks[i:i + n]).encode("utf-8"))
+            v = int.from_bytes(h.digest(), "little")
+            col = (v >> 1) % dim
+            sums[col] = sums.get(col, 0) + (1 if v & 1 else -1)
+    cols = np.array(sorted(col for col, s in sums.items() if s), dtype=np.intp)
+    values = np.array([sums[col] for col in cols.tolist()], dtype=np.float64)
+    if cols.size:
+        values /= math.sqrt(values @ values)
+    cols.flags.writeable = values.flags.writeable = False
+    return cols, values
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +436,13 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
+def _write_rows(path: str | Path, rows: Iterable[Mapping]) -> None:
+    """Each row as a JSON line, keys sorted and text unescaped, through `atomic_open`."""
+    with atomic_open(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+
+
 def _post_row(p: Post) -> dict:
     return {"post_id": p.post_id, "user_id": p.user_id, "community": p.community,
             "timestamp": p.timestamp, "text": p.text}
@@ -448,9 +454,7 @@ def read_posts(path: str | Path) -> list[Post]:
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
-    with atomic_open(path) as fh:
-        for p in posts:
-            fh.write(json.dumps(_post_row(p), sort_keys=True, ensure_ascii=False) + "\n")
+    _write_rows(path, map(_post_row, posts))
 
 
 def _label(row: Mapping) -> tuple[str, tuple[str, str | None]]:
@@ -467,12 +471,9 @@ def read_labels(path: str | Path) -> dict[str, tuple[str, str | None]]:
 
 
 def write_labels(path: str | Path, users: Iterable[UserRecord]) -> None:
-    with atomic_open(path) as fh:
-        for u in users:
-            row: dict = {"user_id": u.user_id, "label": u.label}
-            if u.diagnosis_post_id is not None:
-                row["diagnosis_post_id"] = u.diagnosis_post_id
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_rows(path, ({"user_id": u.user_id, "label": u.label}
+                       | ({} if u.diagnosis_post_id is None
+                          else {"diagnosis_post_id": u.diagnosis_post_id}) for u in users))
 
 
 def load_users(posts_path: str | Path,
@@ -521,9 +522,6 @@ def read_threads(path: str | Path) -> list[ThreadInstance]:
 
 
 def write_threads(path: str | Path, instances: Iterable[ThreadInstance]) -> None:
-    with atomic_open(path) as fh:
-        for inst in instances:
-            row = {"target": _post_row(inst.target),
-                   "context": [_post_row(c) for c in inst.context],
-                   "label": inst.label.name.lower()}
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_rows(path, ({"target": _post_row(inst.target),
+                       "context": [_post_row(c) for c in inst.context],
+                       "label": inst.label.name.lower()} for inst in instances))

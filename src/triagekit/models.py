@@ -35,7 +35,6 @@ from .nn import (
     SparseRows,
     add_const,
     backward,
-    checkpoint_shape,
     concat,
     constant,
     conv1d,
@@ -81,10 +80,11 @@ def _check_config(config, length: str, sizes: Sequence[str]) -> None:
 def _init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
     """A model's parameters, drawn from one seeded generator in the order of
     ``shapes`` (its `param_shapes`), each by its kind: the tables ``emb`` and
-    ``classes`` uniform, a 3-D kernel Glorot drawn [filters x window x
-    depth], the checkpoint layout, and transposed as `conv1d` reads it, a
-    hidden dense layer Glorot, and every bias and the output layer zero, so
-    an untrained model's output is the same for every input."""
+    ``classes`` uniform, a 3-D kernel Glorot drawn [filters x window x depth]
+    and transposed as `conv1d` reads it (that draw order keeps the initial
+    weights each seed has always given), a hidden dense layer Glorot, and
+    every bias and the output layer zero, so an untrained model's output is
+    the same for every input."""
     rng = np.random.default_rng(seed)
     p = ParamStore()
     for name, shape in shapes.items():
@@ -92,7 +92,7 @@ def _init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
             value = embedding_init(rng, shape)
         elif len(shape) == 3:
             depth, window, filters = shape
-            value = glorot_uniform(rng, checkpoint_shape(shape), window * depth, filters
+            value = glorot_uniform(rng, (filters, window, depth), window * depth, filters
                                    ).transpose(2, 1, 0)
         elif name.startswith("dense") and name.endswith(".w"):
             value = glorot_uniform(rng, shape, shape[1], shape[0])
@@ -115,16 +115,15 @@ def _head_shapes(width: int, dense_dims: Sequence[int], output_dim: int
 def _check_shapes(path: str | Path, params: ParamStore,
                   shapes: dict[str, tuple[int, ...]]) -> None:
     """A ValueError naming the checkpoint unless it holds exactly the
-    parameters of ``shapes`` (its config's, in memory layout); shapes are
-    reported in the file's layout, as its header gives them."""
+    parameters of ``shapes``, its config's."""
     for name, want in shapes.items():
         if name not in params:
             raise ValueError(f"{path}: checkpoint has no parameter {name!r}, "
-                             f"its config gives shape {checkpoint_shape(want)}")
+                             f"its config gives shape {want}")
         have = params[name].shape
         if have != want:
-            raise ValueError(f"{path}: parameter {name!r} has shape {checkpoint_shape(have)}, "
-                             f"its config gives {checkpoint_shape(want)}")
+            raise ValueError(f"{path}: parameter {name!r} has shape {have}, "
+                             f"its config gives {want}")
     unknown = [name for name in params.names() if name not in shapes]
     if unknown:
         raise ValueError(f"{path}: parameter {unknown[0]!r} is not one its config gives")

@@ -2,9 +2,9 @@
 
 Reverse-mode autodiff over row-major float64 numpy arrays (activations are
 vectors and matrices, convolution kernels 3-D), with analytic backward rules
-per op, Adam with bias correction, checkpoint I/O (weights stored as
-float32), and a central finite-difference oracle for verifying every
-gradient. There is no general autodiff beyond the ops defined here.
+per op, Adam with bias correction, checkpoint I/O, and a central
+finite-difference oracle for verifying every gradient. There is no general
+autodiff beyond the ops defined here.
 
 A parameter reached only by row writes gets a `RowGrad`, the rows written
 and their sums, never a zeroed table. Adam runs one loop over cache-sized
@@ -14,10 +14,10 @@ parameter is updated on its live rows, its moments are kept for those rows
 only, in compact slots of half its rows, each array in an anonymous mapping
 of its own, so that only the slots live rows reach are resident.
 
-A checkpoint (format 2, the only one read) is one JSON header line and then
-every parameter's raw float32 bytes. It is written and read in chunks of
-whole rows, so the file is never held whole, and a loaded parameter is
-converted straight into its final array.
+A checkpoint (format 3, the only one read) is one JSON header line and then
+every parameter's raw float64 bytes in the store's layout, written from and
+read straight into the parameter arrays, so a reloaded model is bit for bit
+the one saved.
 
 `conv1d` is the one convolution. Its input is a dense node, a constant
 `SparseRows`, or an embedding table's rows `ids`. Over rows it holds, it
@@ -29,12 +29,10 @@ gathered to the windows, and the backward sums the output gradient per
 distinct id; the [T x d] rows are never built. Its kernels are laid out
 [d_in x k x filters], input column first, for every input; a `SparseRows`
 input reads and writes only the kernel rows of its nonzero columns, so Adam
-skips the rows no input has reached. Checkpoint files keep every 3-D
-parameter (every one is a kernel) as [filters x k x d_in]; `save_checkpoint`
-and `load_checkpoint` swap the axes at the file boundary. Sequences
-concatenated go through each op at once; `mean_rows` with row ranges pools
-each one's own rows, and n-ary `concat` joins pooled rows, so a long run of
-sequences can go through in chunks, one chunk's output held at a time.
+skips the rows no input has reached. Sequences concatenated go through
+each op at once; `mean_rows` with row ranges pools each one's own rows, and
+n-ary `concat` joins pooled rows, so a long run of sequences can go through
+in chunks, one chunk's output held at a time.
 
 Under the `no_grad` context manager, for serving, nodes keep no parents and
 no backward rules, so each intermediate array is freed once read, and `relu`
@@ -52,7 +50,7 @@ import mmap
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -1157,57 +1155,38 @@ def finite_difference_check(loss_fn: Callable[[ParamNodes], Node],
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-CHECKPOINT_FORMAT_VERSION = 2
-# Bytes of float32 written or read at a time by checkpoint I/O, in whole rows.
-_IO_CHUNK = 1 << 18
-
-
-def _file_rows(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """Views of arr as a checkpoint file holds it, a kernel [filters x k x
-    d_in] and a 0-d array as one row, in whole rows of about `_IO_CHUNK`
-    bytes of float32."""
-    rows = arr.transpose(2, 1, 0) if arr.ndim == 3 else arr if arr.ndim else arr.reshape(1)
-    per = max(1, _IO_CHUNK // (4 * max(1, math.prod(rows.shape[1:]))))
-    return (rows[s:s + per] for s in range(0, rows.shape[0], per))
-
-
-def checkpoint_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """A parameter's shape in a checkpoint file from its shape in memory, or
-    back: a 3-D parameter is a `conv1d` kernel, stored filter first."""
-    return tuple(shape[::-1]) if len(shape) == 3 else tuple(shape)
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: Mapping,
                     seed: int, step: int) -> None:
-    """Versioned checkpoint: one JSON header line, then raw float32 weights.
+    """Versioned checkpoint: one JSON header line, then raw float64 weights.
 
     The header is ``json.dumps({config, format_version, params, seed, step},
     sort_keys=True)`` and a newline, where ``params`` lists ``[name, shape]``
-    in store order. Each parameter's little-endian float32 bytes follow, back
-    to back in that order, written in chunks of whole rows, so that no whole
-    converted copy is held. A 3-D parameter is a `conv1d` kernel, [d_in x k x
-    filters] in memory; the file holds it as [filters x k x d_in].
+    in store order. Each parameter's little-endian float64 bytes follow, back
+    to back in that order, in the store's own layout and written straight
+    from its array, so the file holds exactly the weights in memory.
     """
-    shapes = [[name, list(checkpoint_shape(arr.shape))] for name, arr in params.items()]
+    shapes = [[name, list(arr.shape)] for name, arr in params.items()]
     header = json.dumps({"config": dict(config), "format_version": CHECKPOINT_FORMAT_VERSION,
                          "params": shapes, "seed": int(seed), "step": int(step)}, sort_keys=True)
     with atomic_open(path, binary=True) as fh:
         fh.write(header.encode("ascii") + b"\n")
         for _, arr in params.items():
-            for rows in _file_rows(arr):
-                fh.write(rows.astype("<f4").tobytes())
+            fh.write(arr.astype("<f8", copy=False))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
-    """Returns (params, config, seed, step), with each 3-D parameter swapped
-    back from the file's [filters x k x d_in] to [d_in x k x filters].
+    """Returns (params, config, seed, step), each parameter bit for bit as
+    it was saved.
 
-    The body is read in chunks of whole rows, each converted straight into
-    its final array, so neither the file nor a second copy of any parameter
-    is held; its size is checked against the header's shapes first. A header
-    that is not one JSON line or not format 2 (a format-1 document too), a
-    missing field, a bad shape, a body that does not fit the shapes or
-    non-finite values is a ValueError naming the file and the field.
+    Each parameter is read straight into its final array, so neither the
+    file nor a second copy of any parameter is held; the body's size is
+    checked against the header's shapes first. A header that is not one JSON
+    line or not format 3 (a format-1 or format-2 file too), a missing field,
+    a bad shape, a body that does not fit the shapes or non-finite values is
+    a ValueError naming the file and the field.
     """
     with open(path, "rb") as fh:
         try:
@@ -1234,18 +1213,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, int, int]:
                     isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
                 raise ValueError(f"{path}: parameter {name!r} has a bad shape {shape!r}")
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if body != (need := sum(4 * math.prod(shape) for _, shape in layout)):
+        if body != (need := sum(8 * math.prod(shape) for _, shape in layout)):
             raise ValueError(f"{path}: {body} bytes follow the checkpoint header, "
                              f"the shapes in 'params' need {need}")
         params = ParamStore()
         for name, shape in layout:
             if name in params:
                 raise ValueError(f"{path}: duplicate parameter {name!r}")
-            # The array is the store's own, written through the file's layout.
-            arr = params._arrays[name] = np.empty(checkpoint_shape(shape))
-            for rows in _file_rows(arr):
-                values = np.frombuffer(fh.read(4 * rows.size), "<f4").reshape(rows.shape)
-                if not np.isfinite(values).all():
-                    raise ValueError(f"{path}: non-finite values in parameter {name!r}")
-                rows[...] = values
+            arr = params._arrays[name] = np.empty(shape, "<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: the body ends inside parameter {name!r}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: non-finite values in parameter {name!r}")
     return params, doc["config"], doc["seed"], doc["step"]

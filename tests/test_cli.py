@@ -308,16 +308,17 @@ def test_evaluate_missing_run_description(planted_run, tmp_path, capsys):
     ("nan_body", "non-finite values in parameter 'conv.w'"),
     ("format_1", "unsupported checkpoint format_version 1"),
     ("format_1_indented", "not a JSON checkpoint header line"),
+    ("format_2", "unsupported checkpoint format_version 2"),
     ("emb_shape", "parameter 'emb' has shape (5, 15), its config gives (15, 5)"),
-    ("kernel_shape", "parameter 'conv.w' has shape (5, 3, 1), its config gives (1, 3, 5)"),
+    ("kernel_shape", "parameter 'conv.w' has shape (1, 3, 5), its config gives (5, 3, 1)"),
 ], ids=["missing_field", "short_data", "nan_body", "format_1", "format_1_indented",
-        "emb_shape", "kernel_shape"])
+        "format_2", "emb_shape", "kernel_shape"])
 def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsys, fault,
                                                     message):
-    # Format-2 files lacking a field, lacking four body bytes, with a NaN
+    # Format-3 files lacking a field, lacking four body bytes, with a NaN
     # as the first value of conv.w, or with a parameter's header shape
-    # reversed (same byte count, shape in the file's layout), and a format-1
-    # document, which is no longer read, on one line or indented.
+    # reversed (same byte count), a format-1 document, on one line or
+    # indented, and a format-2 file: neither older format is read.
     run_dir, data_dir = planted_run
     for name in ("run.json", "vocab.json"):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -333,8 +334,10 @@ def test_predict_malformed_checkpoint_fails_by_name(planted_run, tmp_path, capsy
         for name, shape in header["params"]:
             if name == "conv.w":
                 break
-            offset += 4 * int(np.prod(shape))
-        body = body[:offset] + np.array([np.nan], "<f4").tobytes() + body[offset + 4:]
+            offset += 8 * int(np.prod(shape))
+        body = body[:offset] + np.array([np.nan], "<f8").tobytes() + body[offset + 8:]
+    elif fault == "format_2":
+        header["format_version"] = 2
     elif fault.endswith("_shape"):
         name = "emb" if fault == "emb_shape" else "conv.w"
         header["params"] = [[n, shape[::-1] if n == name else shape]
@@ -495,7 +498,7 @@ def test_train_depression_is_library_run_on_tokenized_users(depression_chain):
                                    merge_window=2, merge_stride=2, merge_filters=4,
                                    dense_dims=(6,), n_term=8)
     model = DepressionModel(config, seed=derive_seed(5, "init"))
-    init_emb = model.params["emb"].astype(np.float32)
+    init_emb = model.params["emb"].copy()
     train_depression(model, tokenize_users(train.values(), vocab),
                      tokenize_users(val.values(), vocab),
                      SelectionConfig("earliest", n_post=4, n_term=8,
@@ -504,10 +507,9 @@ def test_train_depression_is_library_run_on_tokenized_users(depression_chain):
     saved, _, _ = DepressionModel.load(run_dir / "checkpoint.json")
     assert saved.config == config
     for name in model.params.names():
-        assert (saved.params[name].astype(np.float32).tobytes()
-                == model.params[name].astype(np.float32).tobytes()), name
+        assert saved.params[name].tobytes() == model.params[name].tobytes(), name
     # an untokenized post encodes to zero and leaves the embedding untouched
-    assert not np.array_equal(saved.params["emb"].astype(np.float32), init_emb)
+    assert not np.array_equal(saved.params["emb"], init_emb)
 
 
 def test_evaluate_trained_checkpoint(depression_chain, tmp_path, capsys):

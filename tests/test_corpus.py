@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -395,10 +396,19 @@ def test_hashed_encoder_cache_keeps_the_recently_used(monkeypatch):
         return CountingBlake2b.grams > before
 
     assert [hashed(s) for s in ("a", "b", "c", "a", "d")] == [True] * 3 + [False, True]
-    assert len(enc._cache) == 3
+    assert enc._cache.cache_info().currsize == 3
     # "a" was used after "b", so "b" went out when "d" came in.
     assert [hashed(s) for s in ("a", "c", "d", "b")] == [False, False, False, True]
-    assert len(enc._cache) == 3
+    assert enc._cache.cache_info().currsize == 3
+
+
+def test_hashed_encoder_is_freed_with_its_last_reference():
+    # The cache holds no reference to its encoder, so no cycle keeps one alive.
+    enc = HashedSentenceEncoder(dim=16, seed=1)
+    enc.encode("one two")
+    gone = weakref.ref(enc)
+    del enc
+    assert gone() is None
 
 
 @pytest.mark.parametrize("dim", [8.5, "8", True, 0])
@@ -548,7 +558,7 @@ def test_thread_with_a_bad_post_names_its_line_once(tmp_path, where):
     assert str(info.value).count(f"{path}:1") == 1
 
 
-@pytest.mark.parametrize("label", [3, None, "purple"])
+@pytest.mark.parametrize("label", [3, None, "purple", " Red ", "CRISIS", "Amber", "green "])
 def test_thread_with_a_bad_label_reports_line(tmp_path, label):
     post = {"post_id": "p", "user_id": "u", "community": "c", "timestamp": 0, "text": "Hi."}
     path = tmp_path / "t.ndjson"

@@ -640,7 +640,7 @@ def test_param_shapes_are_the_shapes_a_model_is_built_with(cls, config):
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("other_config", "parameter 'conv.w' has shape (3, 3, 7), its config gives (4, 3, 7)"),
+    ("other_config", "parameter 'conv.w' has shape (7, 3, 3), its config gives (7, 3, 4)"),
     ("missing", "checkpoint has no parameter 'out.b', its config gives shape (4,)"),
     ("extra", "parameter 'spare' is not one its config gives"),
 ], ids=["other_config", "missing", "extra"])
@@ -952,15 +952,15 @@ def test_instance_matrices_empty_target_errors():
 
 # -- the sparse risk tower -------------------------------------------------------------
 
-def write_format_2_checkpoint(path, arrays, kind, cfg, seed, step):
-    """A format-2 checkpoint file written by hand: a sorted JSON header line,
-    then ``arrays`` as given, conv kernels [filters x window x depth], as
-    little-endian float32 back to back."""
-    header = {"format_version": 2, "seed": seed, "step": step,
+def write_format_3_checkpoint(path, arrays, kind, cfg, seed, step):
+    """A format-3 checkpoint file written by hand: a sorted JSON header line,
+    then ``arrays`` as given, conv kernels [depth x window x filters], as
+    little-endian float64 back to back."""
+    header = {"format_version": 3, "seed": seed, "step": step,
               "config": {"kind": kind, **asdict(cfg), "dense_dims": list(cfg.dense_dims)},
               "params": [[name, list(arr.shape)] for name, arr in arrays.items()]}
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
-                     + b"".join(arr.astype("<f4").tobytes() for arr in arrays.values()))
+                     + b"".join(arr.astype("<f8").tobytes() for arr in arrays.values()))
 
 
 def assert_saves_back_byte_for_byte(loaded, path, seed, step):
@@ -971,17 +971,9 @@ def assert_saves_back_byte_for_byte(loaded, path, seed, step):
 
 
 def random_file_arrays(rng, params):
-    """Random float32-exact arrays for every parameter, kernels [filters x
-    window x depth] as a checkpoint file holds them."""
-    return {name: rng.standard_normal(arr.transpose(2, 1, 0).shape if arr.ndim == 3
-                                      else arr.shape).astype("<f4").astype(float)
-            for name, arr in params.items()}
-
-
-def in_memory(arrays):
-    """File arrays with the kernels as `conv1d` reads them: [depth x window x filters]."""
-    return {name: arr.transpose(2, 1, 0) if arr.ndim == 3 else arr
-            for name, arr in arrays.items()}
+    """Random arrays of every parameter's shape, kernels [depth x window x
+    filters] as `conv1d` reads them and a checkpoint file holds them."""
+    return {name: rng.standard_normal(arr.shape) for name, arr in params.items()}
 
 
 def reference_output(params, cfg, target, context):
@@ -1020,15 +1012,14 @@ def test_risk_conv_weights_are_input_column_first_and_keep_the_seeded_init():
 
 @pytest.mark.parametrize("variant", ["cat_ce", "class_metric_ordinal"])
 def test_risk_loads_conv1d_layout_checkpoints(tmp_path, variant):
-    # A hand-built format-2 file with conv.w [filters x window x dim] loads
+    # A hand-built format-3 file with conv.w [dim x window x filters] loads
     # input column first, gives the reference outputs, and saves back to the
     # same bytes.
     cfg = tiny_risk_config(variant, sentence_dim=6, conv_filters=3, dropout=0.0)
     rng = np.random.default_rng(13)
-    arrays = random_file_arrays(rng, RiskModel(cfg, seed=2).params)
+    reference = random_file_arrays(rng, RiskModel(cfg, seed=2).params)
     path = tmp_path / "conv1d-layout.json"
-    write_format_2_checkpoint(path, arrays, f"risk:{variant}", cfg, seed=4, step=9)
-    reference = in_memory(arrays)
+    write_format_3_checkpoint(path, reference, f"risk:{variant}", cfg, seed=4, step=9)
 
     loaded, seed, step = RiskModel.load(path)
     assert (seed, step) == (4, 9) and loaded.config == cfg
@@ -1070,13 +1061,12 @@ def depression_reference_logits(params, cfg, posts):
 
 
 def test_depression_loads_conv1d_layout_checkpoints(tmp_path):
-    # As for risk: conv.w and merge.w [filters x window x depth] in the file.
+    # As for risk: conv.w and merge.w [depth x window x filters] in the file.
     cfg = tiny_depression_config(merge_window=2, merge_stride=2, dense_dims=(4,))
     rng = np.random.default_rng(17)
-    arrays = random_file_arrays(rng, DepressionModel(cfg, seed=3).params)
+    reference = random_file_arrays(rng, DepressionModel(cfg, seed=3).params)
     path = tmp_path / "conv1d-layout.json"
-    write_format_2_checkpoint(path, arrays, "depression", cfg, seed=5, step=11)
-    reference = in_memory(arrays)
+    write_format_3_checkpoint(path, reference, "depression", cfg, seed=5, step=11)
 
     loaded, seed, step = DepressionModel.load(path)
     assert (seed, step) == (5, 11) and loaded.config == cfg

@@ -1688,7 +1688,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def split_checkpoint(data: bytes):
-    """A format-2 checkpoint's parsed header line and its float32 body."""
+    """A format-3 checkpoint's parsed header line and its float64 body."""
     head, body = data.split(b"\n", 1)
     return json.loads(head), body
 
@@ -1697,9 +1697,10 @@ def join_checkpoint(header, body: bytes) -> bytes:
     return json.dumps(header, sort_keys=True).encode() + b"\n" + body
 
 
-def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
-    # Every 3-D parameter is a conv kernel, [d_in x k x filters] in memory
-    # and [filters x k x d_in] in the file; other parameters are as they are.
+def test_checkpoint_body_is_the_stores_bytes_in_order(tmp_path):
+    # Every parameter, a conv kernel [d_in x k x filters] too, is in the file
+    # as it is in memory: its shape in the header, its float64 bytes in the
+    # body, in store order.
     rng = np.random.default_rng(5)
     params = ParamStore()
     params.add("conv.w", rng.standard_normal((6, 3, 2)))
@@ -1707,23 +1708,36 @@ def test_checkpoint_files_keep_kernels_filter_first(tmp_path):
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
     header, body = split_checkpoint(path.read_bytes())
-    assert header["params"] == [["conv.w", [2, 3, 6]], ["dense.w", [2, 4]]]
-    stored = np.frombuffer(body, "<f4")
-    assert stored.size == 36 + 8
-    assert np.array_equal(stored[:36].reshape(2, 3, 6),
-                          params["conv.w"].transpose(2, 1, 0).astype("<f4"))
-    assert np.array_equal(stored[36:].reshape(2, 4), params["dense.w"].astype("<f4"))
+    assert header["params"] == [["conv.w", [6, 3, 2]], ["dense.w", [2, 4]]]
+    assert body == params["conv.w"].tobytes() + params["dense.w"].tobytes()
     loaded = load_checkpoint(path)[0]
     assert loaded["conv.w"].shape == (6, 3, 2) and loaded["conv.w"].flags["C_CONTIGUOUS"]
     for name, arr in params.items():
-        assert np.array_equal(loaded[name], arr.astype("<f4")), name
+        assert loaded[name].dtype == np.float64 and loaded[name].flags["OWNDATA"], name
+        assert loaded[name].tobytes() == arr.tobytes(), name
     again = tmp_path / "again.ckpt.json"
     save_checkpoint(again, loaded, {"kind": "test"}, seed=1, step=2)
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_checkpoint_reloads_values_float32_cannot_hold_bit_for_bit(tmp_path):
+    # 1/3 and 0.1 are not float32 values; a reloaded store holds exactly the
+    # weights that were saved, in a 3-D kernel and a 1-D bias alike.
+    params = ParamStore()
+    params.add("conv.w", np.full((4, 3, 2), 1.0 / 3.0))
+    params.add("conv.b", np.full(2, 0.1))
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, params, {"kind": "test"}, seed=1, step=2)
+    loaded = load_checkpoint(path)[0]
+    for name, arr in params.items():
+        assert loaded[name].shape == arr.shape, name
+        assert loaded[name].tobytes() == arr.tobytes(), name
+    assert loaded["conv.w"][0, 0, 0] == 1.0 / 3.0 and loaded["conv.b"][1] == 0.1
+
+
 class _Unconvertible(np.ndarray):
-    """An array whose float32 conversion fails, as a write can fail partway."""
+    """An array whose conversion to the file's bytes fails, as a write can
+    fail partway."""
 
     def astype(self, *args, **kwargs):
         raise OSError("no space left")
@@ -1764,23 +1778,17 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
-def _stored(params):
-    return [(name, arr.transpose(2, 1, 0) if arr.ndim == 3 else arr)
-            for name, arr in params.items()]
-
-
 def _reference_checkpoint_bytes(params, config, seed, step):
-    """A format-2 checkpoint written whole: the header line and every
-    parameter's float32 bytes at once."""
-    header = {"format_version": 2, "config": dict(config), "seed": seed, "step": step,
-              "params": [[name, list(arr.shape)] for name, arr in _stored(params)]}
-    return join_checkpoint(header, b"".join(arr.astype("<f4").tobytes()
-                                             for _, arr in _stored(params)))
+    """A format-3 checkpoint built by hand: the header line and every
+    parameter's little-endian float64 bytes, back to back."""
+    header = {"format_version": 3, "config": dict(config), "seed": seed, "step": step,
+              "params": [[name, list(arr.shape)] for name, arr in params.items()]}
+    return join_checkpoint(header, b"".join(arr.astype("<f8").tobytes()
+                                             for _, arr in params.items()))
 
 
 def _odd_params():
-    """1-D, 2-D, 3-D and empty parameters; a dense.w row is 20 bytes, so a
-    4-byte chunk still writes and reads whole rows."""
+    """1-D, 2-D, 3-D and empty parameters."""
     rng = np.random.default_rng(11)
     params = ParamStore()
     params.add("dense.w", rng.standard_normal((9, 5)))
@@ -1790,12 +1798,9 @@ def _odd_params():
     return params
 
 
-@pytest.mark.parametrize("chunk", [4, 12, 1 << 18], ids=["row", "rows", "whole"])
-def test_streamed_checkpoint_is_the_whole_document_text(tmp_path, monkeypatch, chunk):
-    # Saved in chunks of whole rows, the file is the header line and the
-    # float32 bytes of every parameter written at once; it reads back the same
-    # at that chunk size.
-    monkeypatch.setattr(nn, "_IO_CHUNK", chunk)
+def test_saved_checkpoint_is_the_whole_document_text(tmp_path):
+    # The file is the header line and the float64 bytes of every parameter;
+    # it reads back bit for bit.
     params = _odd_params()
     config = {"kind": "test", "note": 'a "data": "x" string\nover two lines'}
     path = tmp_path / "model.ckpt.json"
@@ -1804,7 +1809,7 @@ def test_streamed_checkpoint_is_the_whole_document_text(tmp_path, monkeypatch, c
     loaded, got_config, seed, step = load_checkpoint(path)
     assert (got_config, seed, step) == (config, 3, 4)
     for name, arr in params.items():
-        assert np.array_equal(loaded[name], arr.astype("<f4")), name
+        assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 _CHECKPOINT_FAULTS = [
@@ -1812,16 +1817,16 @@ _CHECKPOINT_FAULTS = [
     ("bad_key", "not a JSON checkpoint header line: Invalid \\escape"),
     ("no_step", "checkpoint has no 'step' field"),
     ("null_seed", "checkpoint field 'seed' is not an integer"),
-    ("version_3", "unsupported checkpoint format_version 3"),
+    ("format_2", "unsupported checkpoint format_version 2"),
     ("bad_params", "checkpoint field 'params' is not a list of [name, shape]"),
     ("bad_shape", "parameter 'b' has a bad shape [7.0]"),
     ("negative_shape", "parameter 'b' has a bad shape [-7]"),
     ("duplicate", "duplicate parameter 'b'"),
     ("truncated_header", "not a JSON checkpoint header line"),
-    ("short_body", "495 bytes follow the checkpoint header, the shapes in 'params' need 496"),
-    ("trailing_byte", "497 bytes follow the checkpoint header, the shapes in 'params' need 496"),
-    ("huge_shape", "496 bytes follow the checkpoint header, the shapes in 'params' "
-                   f"need {496 - 28 + 4 * 2 ** 40}"),
+    ("short_body", "991 bytes follow the checkpoint header, the shapes in 'params' need 992"),
+    ("trailing_byte", "993 bytes follow the checkpoint header, the shapes in 'params' need 992"),
+    ("huge_shape", "992 bytes follow the checkpoint header, the shapes in 'params' "
+                   f"need {992 - 56 + 8 * 2 ** 40}"),
     ("nan_body", "non-finite values in parameter 'b'"),
 ]
 
@@ -1834,13 +1839,13 @@ def test_malformed_checkpoint_is_an_error_naming_the_file(tmp_path, fault, messa
     header, body = split_checkpoint(_reference_checkpoint_bytes(params, {"kind": "test"}, 3, 4))
     # "b" is the second parameter: its 7 floats follow dense.w's 45.
     entry = header["params"][1]
-    assert entry == ["b", [7]] and len(body) == 4 * (45 + 7 + 72)
+    assert entry == ["b", [7]] and len(body) == 8 * (45 + 7 + 72)
     if fault == "no_step":
         del header["step"]
     elif fault == "null_seed":
         header["seed"] = None
-    elif fault == "version_3":
-        header["format_version"] = 3
+    elif fault == "format_2":
+        header["format_version"] = 2
     elif fault == "bad_params":
         header["params"][1] = {"b": [7]}
     elif fault == "bad_shape":
@@ -1856,7 +1861,7 @@ def test_malformed_checkpoint_is_an_error_naming_the_file(tmp_path, fault, messa
     elif fault == "huge_shape":
         entry[1] = [2 ** 40]
     elif fault == "nan_body":
-        body = body[:4 * 46] + np.array([np.nan], "<f4").tobytes() + body[4 * 47:]
+        body = body[:8 * 46] + np.array([np.nan], "<f8").tobytes() + body[8 * 47:]
     head, body = join_checkpoint(header, body).split(b"\n", 1)
     if fault == "truncated":            # half a header line, then the body
         head = head[:len(head) // 2]
@@ -1904,8 +1909,8 @@ def test_checkpoint_save_holds_no_whole_data_string(tmp_path):
 
 
 def test_checkpoint_load_holds_one_copy_of_the_parameters(tmp_path):
-    # The file, a whole parameter's float32 bytes and a transposed kernel are
-    # never held: loading peaks at about the loaded float64 arrays themselves.
+    # Neither the file nor a parameter's bytes apart from its array are
+    # held: loading peaks at about the loaded float64 arrays themselves.
     params = _kernel_and_dense_params()
     nbytes = sum(arr.nbytes for _, arr in params.items())
     path = tmp_path / "model.ckpt.json"
@@ -1914,4 +1919,4 @@ def test_checkpoint_load_holds_one_copy_of_the_parameters(tmp_path):
     peak = _peak_bytes(lambda: loaded.append(load_checkpoint(path)[0]))
     assert peak <= 1.1 * nbytes
     for name, arr in params.items():
-        assert np.array_equal(loaded[0][name], arr.astype("<f4")), name
+        assert loaded[0][name].tobytes() == arr.tobytes(), name
