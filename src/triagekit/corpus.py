@@ -274,11 +274,12 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # Sentence encoders
 
-# Sentences whose read-only (cols, values) an encoder keeps, least recently
-# used out first. Each request of a growing thread re-encodes the thread's
-# earlier posts, so most served sentences were encoded a few requests before.
-# 1024 of them take about 0.5 MB at 7200 dimensions and 8-9 words a sentence.
-_ENCODE_CACHE = 1024
+# Posts whose sentences' read-only (cols, values) an encoder keeps, least
+# recently used out first. Each request of a growing thread carries the
+# thread's earlier posts, so most served posts were encoded a request before.
+# 256 posts of 3-6 sentences take about 0.55 MB at 7200 dimensions and 4-12
+# words a sentence.
+_ENCODE_CACHE = 256
 
 
 class HashedSentenceEncoder:
@@ -295,11 +296,13 @@ class HashedSentenceEncoder:
     any order and the square root is correctly rounded, so the vector is bit
     for bit the one a dense ``dim``-wide sum and `np.linalg.norm` give.
 
-    `encode` gives a sentence's nonzero columns and values. Each encoder
-    keeps them for the last `_ENCODE_CACHE` sentences it encoded, in a
-    `functools.lru_cache` that holds no reference to the encoder, so a
-    repeated sentence is hashed once while it stays among them; the arrays
-    are read-only, as every caller shares them.
+    `encode` gives a sentence's nonzero columns and values, and
+    `encode_post` those of each sentence `split_sentences` finds in a post.
+    Each encoder keeps the results of the last `_ENCODE_CACHE` posts it
+    encoded, in a `functools.lru_cache` that holds no reference to the
+    encoder, so a repeated post is split and hashed once while it stays
+    among them; the arrays are read-only, as every caller of a cached post
+    shares them.
     """
 
     def __init__(self, dim: int = 7200, seed: int = 0, max_ngram: int = 2):
@@ -314,12 +317,21 @@ class HashedSentenceEncoder:
         # Copied for every n-gram: the same digest as a fresh keyed hash of
         # it, without setting up the key each time.
         hasher = hashlib.blake2b(key=key, digest_size=8)
-        self._cache = functools.lru_cache(maxsize=_ENCODE_CACHE)(
-            functools.partial(_hashed_sparse, hasher, self.dim, max_ngram))
+        self._sentence = functools.partial(_hashed_sparse, hasher, self.dim, max_ngram)
+        self._posts = functools.lru_cache(maxsize=_ENCODE_CACHE)(
+            functools.partial(_encode_post, self._sentence))
 
     def encode(self, sentence: str) -> tuple[np.ndarray, np.ndarray]:
         """The sentence's sorted nonzero columns and their values, read-only."""
-        return self._cache(sentence)
+        return self._sentence(sentence)
+
+    def encode_post(self, text: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """`encode` of each sentence of the post, in order; none for blank text."""
+        return self._posts(text)
+
+
+def _encode_post(encode, text: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple(map(encode, split_sentences(text)))
 
 
 def _hashed_sparse(hasher, dim: int, max_ngram: int,

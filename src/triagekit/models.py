@@ -26,7 +26,7 @@ from .corpus import (
     ThreadInstance,
     Vocabulary,
     at_least,
-    split_sentences,
+    split_sentences,  # unused here; perfbench/tracer.py wraps it by its name in this module
 )
 from .nn import (
     Node,
@@ -551,24 +551,28 @@ class RiskModel:
 def instance_matrices(instance: ThreadInstance, encoder,
                       max_sentences: int) -> tuple[SparseRows, SparseRows]:
     """Sentence-vector matrices (target, context), each [max_sentences × dim]
-    `SparseRows` built from the encoder's (cols, values) pairs.
+    `SparseRows` built from the (cols, values) pairs of the encoder's
+    `encode_post`.
 
-    Only the last `max_sentences` sentences count; shorter inputs are
+    Only the last `max_sentences` sentences count, so context posts are
+    encoded from the newest back until they fill them; shorter inputs are
     zero-padded at the front so recent sentences stay in fixed positions.
     A target post with no sentences is an error; an empty context has no
     columns.
     """
-    target_sentences = split_sentences(instance.target.text)
-    if not target_sentences:
+    target = encoder.encode_post(instance.target.text)
+    if not target:
         raise ValueError(f"target post {instance.target.post_id} has no sentences")
-    context_sentences = [s for post in instance.context
-                         for s in split_sentences(post.text)]
+    context: list[tuple[np.ndarray, np.ndarray]] = []
+    for post in reversed(instance.context):
+        if len(context) >= max_sentences:
+            break
+        context[:0] = encoder.encode_post(post.text)
 
-    def matrix(sentences: list[str]) -> SparseRows:
-        return SparseRows.from_rows([encoder.encode(s) for s in sentences[-max_sentences:]],
-                                    max_sentences, encoder.dim)
+    def matrix(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> SparseRows:
+        return SparseRows.from_rows(rows[-max_sentences:], max_sentences, encoder.dim)
 
-    return matrix(target_sentences), matrix(context_sentences)
+    return matrix(target), matrix(context)
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,8 @@ def _synth_sentence(level: int, spec: SynthRiskSpec,
     for _ in range(spec.signal_per_level * level):
         word = f"risk{level}x{int(rng.integers(0, N_SIGNAL_WORDS))}"
         words.insert(int(rng.integers(0, len(words) + 1)), word)
+    # Capitalised, so that `split_sentences` ends the sentence before it.
+    words[0] = words[0].capitalize()
     return " ".join(words) + "."
 
 

@@ -421,12 +421,12 @@ def test_train_same_seed_is_bit_identical(depression_chain, risk_chain, tmp_path
             ini = tmp_path / "config.ini"
             ini.write_text(depression_chain[0].read_text().replace("lr = 0.01", "lr = 0.1"))
             train = ["--task", "depression", "--data", str(depression_chain[1]), "--epochs", "4",
-                     "--strategy", "earliest", "--n-post", "4"]
+                     "--strategy", "earliest", "--n-post", "4", "--seed", "2"]
         else:
             ini = risk_chain[0]
             train = ["--task", "risk", "--data", str(risk_chain[1]), "--epochs", "3",
-                     "--variant", "cat_ce"]
-        train += ["--config", str(ini), "--seed", "2"]
+                     "--variant", "cat_ce", "--seed", str(RISK_EARLIER_BEST_SEED)]
+        train += ["--config", str(ini)]
         names = ("checkpoint.json", "train_log.ndjson")
         run_dir = tmp_path / "run1"
         assert run_cli(["train", *train, "--out", str(run_dir)]) == 0
@@ -521,6 +521,11 @@ def test_evaluate_trained_checkpoint(depression_chain, tmp_path, capsys):
     assert rc == 0
     assert "accuracy" in out
     assert (tmp_path / "eval.validation.json").exists()
+
+
+# A training seed of `risk_chain`'s data whose validation F1 peaks at epoch
+# 1 of 3, above epochs 0 and 2: its runs restore an earlier best epoch.
+RISK_EARLIER_BEST_SEED = 7
 
 
 @pytest.fixture(scope="module")
@@ -1479,14 +1484,13 @@ def test_reloaded_checkpoint_scores_the_best_validation_metric(depression_chain,
         data = depression_chain[1]
         config = tmp_path / "config.ini"
         config.write_text(depression_chain[0].read_text().replace("lr = 0.01", "lr = 0.1"))
-        extra = ["--strategy", "earliest", "--n-post", "4"]
+        extra = ["--strategy", "earliest", "--n-post", "4", "--seed", "2"]
     else:
         config, data = risk_chain[0], risk_chain[1]
-        extra = ["--variant", "cat_ce"]
+        extra = ["--variant", "cat_ce", "--seed", str(RISK_EARLIER_BEST_SEED)]
     run_dir = tmp_path / "run"
     assert run_cli(["train", "--task", task, "--config", str(config), "--data", str(data),
-                    "--out", str(run_dir), "--seed", "2", "--epochs", str(epochs),
-                    *extra]) == 0
+                    "--out", str(run_dir), "--epochs", str(epochs), *extra]) == 0
     run = json.loads((run_dir / "run.json").read_text())
     log = [json.loads(line) for line in (run_dir / "train_log.ndjson").read_text().splitlines()]
     scores = [row["f1" if task == "depression" else "non_green_f1"]

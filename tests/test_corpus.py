@@ -255,20 +255,21 @@ def test_hashed_encoder_deterministic():
 
 
 def test_hashed_encoder_results_are_read_only():
-    # Every caller shares the cached arrays, so none may write into them.
+    # Every caller of a cached post shares its arrays, so none may write into them.
     enc = HashedSentenceEncoder(dim=128, seed=3)
-    cols, values = enc.encode("the same sentence twice")
+    (cols, values), = enc.encode_post("the same sentence twice")
     want = cols.copy(), values.copy()
     for arr, item in ((cols, 0), (values, 7.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = item
         with pytest.raises(ValueError, match="read-only"):
             arr += item
-    again = enc.encode("the same sentence twice")
+    (again,) = enc.encode_post("the same sentence twice")
     assert again[0] is cols and again[1] is values
     assert np.array_equal(cols, want[0]) and np.array_equal(values, want[1])
-    empty_cols, empty_values = enc.encode("")
-    assert not empty_cols.flags.writeable and not empty_values.flags.writeable
+    for sentence in ("", "the same sentence twice"):
+        some_cols, some_values = enc.encode(sentence)
+        assert not some_cols.flags.writeable and not some_values.flags.writeable
 
 
 def test_hashed_encoder_empty_is_zero():
@@ -337,10 +338,12 @@ def test_hashed_encoder_is_bitwise_the_dense_sum_on_miss_and_hit():
             for sentence in sentences:
                 want = dense_reference_encode(sentence, dim, dim + max_ngram, max_ngram)
                 cancelled += bool(word_tokens(sentence)) and not want.any()
-                for _ in range(2):              # a miss, then a hit
-                    cols, values = enc.encode(sentence)
+                for _ in range(2):              # a miss, then a hit of the post cache
+                    # Each of these sentences is a post of one sentence, or blank.
+                    (cols, values), = enc.encode_post(sentence) or (enc.encode(sentence),)
                     assert np.array_equal(cols, np.flatnonzero(want))
-                    got = dense_encode(enc, sentence)
+                    got = np.zeros(dim)
+                    got[cols] = values
                     assert got.shape == (dim,)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert cancelled
@@ -374,12 +377,13 @@ class CountingBlake2b:
 
 
 def test_hashed_encoder_hashes_a_repeated_sentence_once(monkeypatch):
+    # Encodings are kept a post at a time; this post is its one sentence.
     monkeypatch.setattr(hashlib, "blake2b", CountingBlake2b)
     monkeypatch.setattr(CountingBlake2b, "grams", 0)
     enc = HashedSentenceEncoder(dim=64, seed=2)
-    first = enc.encode("one two three")
+    (first,) = enc.encode_post("one two three")
     assert CountingBlake2b.grams == 5               # three unigrams, two bigrams
-    again = enc.encode("one two three")
+    (again,) = enc.encode_post("one two three")
     assert CountingBlake2b.grams == 5
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
@@ -390,25 +394,46 @@ def test_hashed_encoder_cache_keeps_the_recently_used(monkeypatch):
     monkeypatch.setattr(CountingBlake2b, "grams", 0)
     enc = HashedSentenceEncoder(dim=16, seed=1)
 
-    def hashed(sentence):
+    def hashed(post):
         before = CountingBlake2b.grams
-        enc.encode(sentence)
+        enc.encode_post(post)
         return CountingBlake2b.grams > before
 
     assert [hashed(s) for s in ("a", "b", "c", "a", "d")] == [True] * 3 + [False, True]
-    assert enc._cache.cache_info().currsize == 3
+    assert enc._posts.cache_info().currsize == 3
     # "a" was used after "b", so "b" went out when "d" came in.
     assert [hashed(s) for s in ("a", "c", "d", "b")] == [False, False, False, True]
-    assert enc._cache.cache_info().currsize == 3
+    assert enc._posts.cache_info().currsize == 3
 
 
 def test_hashed_encoder_is_freed_with_its_last_reference():
     # The cache holds no reference to its encoder, so no cycle keeps one alive.
     enc = HashedSentenceEncoder(dim=16, seed=1)
     enc.encode("one two")
+    enc.encode_post("One two. Three four.")
     gone = weakref.ref(enc)
     del enc
     assert gone() is None
+
+
+def test_hashed_encoder_splits_and_hashes_a_repeated_post_once(monkeypatch):
+    monkeypatch.setattr(hashlib, "blake2b", CountingBlake2b)
+    monkeypatch.setattr(CountingBlake2b, "grams", 0)
+    splits = []
+    split = corpus.split_sentences
+    monkeypatch.setattr(corpus, "split_sentences", lambda text: splits.append(text) or split(text))
+    enc = HashedSentenceEncoder(dim=64, seed=2)
+    post = "One two three. Two three four!"
+    first = enc.encode_post(post)
+    # three unigrams and two bigrams a sentence
+    assert CountingBlake2b.grams == 10 and splits == [post]
+    assert enc.encode_post(post) is first
+    assert CountingBlake2b.grams == 10 and splits == [post]
+    # A new post is split and hashed afresh, n-grams seen before too.
+    enc.encode_post("Three four five.")
+    assert CountingBlake2b.grams == 15 and len(splits) == 2
+    assert [tuple(map(np.ndarray.tobytes, pair)) for pair in first] == [
+        tuple(map(np.ndarray.tobytes, enc.encode(s))) for s in split(post)]
 
 
 @pytest.mark.parametrize("dim", [8.5, "8", True, 0])

@@ -874,7 +874,14 @@ def test_instance_matrices_empty_context_is_zero():
     assert np.array_equal(context, np.zeros((4, 8)))
 
 
-class ZeroValuedEncoder:
+class PostsBySentence:
+    """`encode_post` of a duck-typed encoder: its `encode` of each sentence."""
+
+    def encode_post(self, text):
+        return tuple(map(self.encode, split_sentences(text)))
+
+
+class ZeroValuedEncoder(PostsBySentence):
     """A duck-typed encoder whose (cols, values) pairs hold exact zeros:
     column 0 is +0.0 or -0.0 in every sentence, column 2 is -0.0 in some."""
 
@@ -1169,7 +1176,7 @@ def test_dense_tower_input_falls_back_to_the_dense_update():
     assert state.live["conv.w"] is None
 
 
-class VectorTable:
+class VectorTable(PostsBySentence):
     """An encoder of precomputed dense vectors, one per known sentence."""
 
     def __init__(self, vectors: dict):

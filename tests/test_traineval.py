@@ -25,6 +25,7 @@ from triagekit.corpus import (
     read_labels,
     read_posts,
     read_threads,
+    split_sentences,
     write_labels,
     write_posts,
     write_threads,
@@ -32,6 +33,7 @@ from triagekit.corpus import (
 from triagekit.models import DepressionModel, DepressionModelConfig, RiskModel, RiskModelConfig
 from triagekit.nn import ParamNodes, ParamStore, constant, dense, pick
 from triagekit.traineval import (
+    SENTENCES_PER_TARGET,
     SelectionConfig,
     SynthDetectionSpec,
     SynthRiskSpec,
@@ -1093,11 +1095,23 @@ def test_synth_risk_signal_tracks_severity(tmp_path):
     counts = {y: [] for y in range(4)}
     for inst in read_threads(paths["train"]):
         n_signal = sum(1 for tok in inst.target.text.replace(".", " ").split()
-                       if tok.startswith("risk"))
+                       if tok.lower().startswith("risk"))
         counts[int(inst.label)].append(n_signal)
     assert all(n == 0 for n in counts[0])
     means = [np.mean(counts[y]) for y in range(4)]
     assert means[0] < means[1] < means[2] < means[3]
+
+
+def test_synth_risk_targets_split_into_their_sentences(tmp_path):
+    # Each synthetic sentence starts with a capital, so a target splits into
+    # the sentences it was written as, and a context post into its one or two.
+    paths = synth_risk_corpus(SynthRiskSpec(n_train=60, n_test=20, seed=9), tmp_path)
+    lo, hi = SENTENCES_PER_TARGET
+    threads = read_threads(paths["train"]) + read_threads(paths["test"])
+    targets = [len(split_sentences(inst.target.text)) for inst in threads]
+    assert all(lo <= n <= hi for n in targets) and set(targets) == set(range(lo, hi + 1))
+    assert all(1 <= len(split_sentences(post.text)) <= 2
+               for inst in threads for post in inst.context)
 
 
 def test_synth_risk_context_is_earlier_and_benign(tmp_path):
@@ -1106,5 +1120,5 @@ def test_synth_risk_context_is_earlier_and_benign(tmp_path):
     for inst in read_threads(paths["train"]):
         for post in inst.context:
             assert post.timestamp < inst.target.timestamp
-            assert not any(tok.startswith("risk")
+            assert not any(tok.lower().startswith("risk")
                            for tok in post.text.replace(".", " ").split())
